@@ -21,10 +21,6 @@ namespace {
 
 constexpr char Magic[4] = {'P', 'P', 'S', 'C'};
 
-/// Cost-profile file magic and version (see profilePath / loadCostProfile).
-constexpr char ProfileMagic[4] = {'P', 'P', 'S', 'P'};
-constexpr uint32_t ProfileVersion = 1;
-
 /// Whole-file read; empty optional when the file does not exist or cannot
 /// be opened.
 bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Out) {
@@ -59,7 +55,7 @@ bool SummaryCache::prepare(std::string &Err) const {
     return false;
   }
   // Sweep temp files orphaned by a crash between write and rename (every
-  // store in this directory — entries, relevance, journal, profiles — goes
+  // store in this directory — entries, relevance, journal — goes
   // through a `<final>.tmp<counter>` rename). Startup is the one moment no
   // store of ours is in flight; a concurrent process losing an in-flight
   // tmp just sees its rename fail and reports an unstored entry, which is
@@ -83,45 +79,10 @@ bool SummaryCache::prepare(std::string &Err) const {
   return true;
 }
 
-SummaryCache::PrefetchShard &
-SummaryCache::shardFor(const std::string &FnName) const {
-  return Prefetched[Hasher::hashString(FnName) % NumPrefetchShards];
-}
-
-bool SummaryCache::prefetch(const std::string &FnName) const {
-  std::vector<uint8_t> Raw;
-  if (!readFileBytes(entryPath(FnName), Raw))
-    return false;
-  PrefetchShard &S = shardFor(FnName);
-  std::lock_guard<std::mutex> L(S.Mu);
-  S.Map[FnName] = std::move(Raw);
-  return true;
-}
-
-void SummaryCache::dropPrefetched() const {
-  for (PrefetchShard &S : Prefetched) {
-    std::lock_guard<std::mutex> L(S.Mu);
-    S.Map.clear();
-  }
-}
-
 SummaryCache::Loaded SummaryCache::load(const std::string &FnName,
                                         uint64_t ExpectKey) const {
-  // Consume the prefetch buffer first — validation below is identical for
-  // buffered and freshly read bytes, so readahead never changes a status.
   std::vector<uint8_t> Raw;
-  bool Buffered = false;
-  {
-    PrefetchShard &S = shardFor(FnName);
-    std::lock_guard<std::mutex> L(S.Mu);
-    auto It = S.Map.find(FnName);
-    if (It != S.Map.end()) {
-      Raw = std::move(It->second);
-      S.Map.erase(It);
-      Buffered = true;
-    }
-  }
-  if (!Buffered && !readFileBytes(entryPath(FnName), Raw))
+  if (!readFileBytes(entryPath(FnName), Raw))
     return {LoadStatus::Missing, {}, ""};
 
   try {
@@ -182,84 +143,6 @@ bool SummaryCache::store(const std::string &FnName, uint64_t Key,
       Final + ".tmp" + std::to_string(TmpCounter.fetch_add(1)) + "." +
       std::to_string(static_cast<unsigned long long>(
           Hasher::hashString(FnName) & 0xffff));
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return false;
-    Out.write(reinterpret_cast<const char *>(Bytes.data()),
-              static_cast<std::streamsize>(Bytes.size()));
-    if (!Out)
-      return false;
-  }
-  std::error_code EC;
-  std::filesystem::rename(Tmp, Final, EC);
-  if (EC) {
-    std::filesystem::remove(Tmp, EC);
-    return false;
-  }
-  return true;
-}
-
-std::string SummaryCache::profilePath() const { return Dir + "/sched-profile"; }
-
-bool SummaryCache::loadCostProfile(
-    std::unordered_map<uint64_t, uint64_t> &Out) const {
-  Out.clear();
-  std::vector<uint8_t> Raw;
-  if (!readFileBytes(profilePath(), Raw))
-    return false;
-  // Trailing u64 is a digest of everything before it; any truncation or
-  // bit-rot reads as a cold profile, never as wrong costs.
-  if (Raw.size() < 8)
-    return false;
-  uint64_t Expect = 0;
-  for (size_t I = 0; I < 8; ++I)
-    Expect |= static_cast<uint64_t>(Raw[Raw.size() - 8 + I]) << (8 * I);
-  if (Hasher().bytes(Raw.data(), Raw.size() - 8).digest() != Expect)
-    return false;
-  try {
-    ByteReader R(Raw);
-    char M[4];
-    for (char &C : M)
-      C = static_cast<char>(R.u8());
-    if (std::memcmp(M, ProfileMagic, sizeof(ProfileMagic)) != 0)
-      return false;
-    if (R.u32() != ProfileVersion)
-      return false;
-    uint32_t Count = R.u32();
-    for (uint32_t I = 0; I < Count; ++I) {
-      uint64_t Key = R.u64();
-      uint64_t Micros = R.u64();
-      Out[Key] = Micros;
-    }
-  } catch (const SerializationError &) {
-    Out.clear();
-    return false;
-  }
-  return !Out.empty();
-}
-
-bool SummaryCache::storeCostProfile(
-    const std::vector<std::pair<uint64_t, uint64_t>> &Entries) const {
-  if (!writable())
-    return false;
-  ByteWriter W;
-  for (char C : ProfileMagic)
-    W.u8(static_cast<uint8_t>(C));
-  W.u32(ProfileVersion);
-  W.u32(static_cast<uint32_t>(Entries.size()));
-  for (const auto &[Key, Micros] : Entries) {
-    W.u64(Key);
-    W.u64(Micros);
-  }
-  std::vector<uint8_t> Bytes = W.take();
-  uint64_t Digest = Hasher().bytes(Bytes.data(), Bytes.size()).digest();
-  for (size_t I = 0; I < 8; ++I)
-    Bytes.push_back(static_cast<uint8_t>(Digest >> (8 * I)));
-
-  static std::atomic<uint64_t> TmpCounter{0};
-  std::string Final = profilePath();
-  std::string Tmp = Final + ".tmp" + std::to_string(TmpCounter.fetch_add(1));
   {
     std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
     if (!Out)

@@ -28,28 +28,13 @@
 /// unique temp file plus an atomic rename, so concurrent `--jobs` stores
 /// and a reader racing a writer never observe a half-written entry.
 ///
-/// Two side channels support the pipelined scheduler (DESIGN.md §14):
-///
-///  * `prefetch` reads an entry's raw bytes into a sharded in-memory
-///    buffer ahead of time (a pool task overlapping neighbouring SCC
-///    analysis); `load` consumes the buffered bytes instead of touching
-///    the filesystem, with identical validation, statuses and counters —
-///    prefetching is pure I/O readahead and can never change a result;
-///  * `{load,store}CostProfile` persist measured per-SCC analysis costs
-///    (`<dir>/sched-profile`, keyed by SCC content key) so warm runs rank
-///    the critical path with real costs instead of the size heuristic.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PINPOINT_SUPPORT_SUMMARYCACHE_H
 #define PINPOINT_SUPPORT_SUMMARYCACHE_H
 
-#include <array>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -95,48 +80,12 @@ public:
   bool store(const std::string &FnName, uint64_t Key,
              const std::vector<uint8_t> &Payload) const;
 
-  /// Reads \p FnName's entry bytes into the prefetch buffer (no parsing,
-  /// no validation, no counters — those all happen at `load`, which
-  /// consumes the buffered bytes). A missing file buffers nothing; `load`
-  /// then probes the filesystem as usual. Thread-safe; returns true when
-  /// bytes were buffered.
-  bool prefetch(const std::string &FnName) const;
-  /// Frees entries that were prefetched but never consumed (degraded or
-  /// cancelled chains whose probe was skipped).
-  void dropPrefetched() const;
-
-  /// Measured per-SCC analysis costs from a previous run, persisted as
-  /// `<dir>/sched-profile` and keyed by SCC content key — an edit changes
-  /// the keys of exactly the dirtied caller chain, so unaffected SCCs keep
-  /// their measured costs. Returns false (leaving \p Out empty) when the
-  /// profile is missing or fails its checksum; the scheduler then falls
-  /// back to the size heuristic.
-  bool loadCostProfile(std::unordered_map<uint64_t, uint64_t> &Out) const;
-  /// Atomically rewrites the profile with this run's (key, microseconds)
-  /// measurements. Returns false on I/O failure (harmless: the next run
-  /// ranks heuristically).
-  bool storeCostProfile(
-      const std::vector<std::pair<uint64_t, uint64_t>> &Entries) const;
-
   /// The entry file backing \p FnName (exposed for tests that corrupt it).
   std::string entryPath(const std::string &FnName) const;
-  /// The cost-profile file (exposed for tests that corrupt it).
-  std::string profilePath() const;
 
 private:
   std::string Dir;
   Mode M;
-
-  /// Prefetched raw entry bytes, keyed by function name. Sharded like the
-  /// SMT verdict cache: prefetch tasks and consuming analysis tasks run on
-  /// different workers.
-  struct PrefetchShard {
-    mutable std::mutex Mu;
-    std::map<std::string, std::vector<uint8_t>> Map;
-  };
-  static constexpr size_t NumPrefetchShards = 8;
-  mutable std::array<PrefetchShard, NumPrefetchShards> Prefetched;
-  PrefetchShard &shardFor(const std::string &FnName) const;
 };
 
 } // namespace pinpoint

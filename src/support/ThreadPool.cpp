@@ -10,39 +10,16 @@
 
 namespace pinpoint {
 
-namespace {
-
-/// Identifies the pool worker running on this thread (if any), so spawns
-/// from inside a task land on the spawning worker's own deque.
-struct WorkerIdentity {
-  ThreadPool *Pool = nullptr;
-  size_t Index = 0;
-};
-thread_local WorkerIdentity CurrentWorker;
-
-/// xorshift64*: cheap per-worker victim shuffling. Owner-only state.
-inline uint64_t nextRand(uint64_t &State) {
-  State ^= State >> 12;
-  State ^= State << 25;
-  State ^= State >> 27;
-  return State * 0x2545F4914F6CDD1Dull;
-}
-
-} // namespace
-
-ThreadPool::ThreadPool(unsigned Workers, Schedule Mode) : Mode(Mode) {
+ThreadPool::ThreadPool(unsigned Workers) {
   if (Workers == 0)
     Workers = 1;
-  Deques.reserve(Workers);
-  for (unsigned I = 0; I < Workers; ++I)
-    Deques.push_back(std::make_unique<WorkerDeque>());
   Threads.reserve(Workers);
   for (unsigned I = 0; I < Workers; ++I)
-    Threads.emplace_back([this, I] { workerLoop(I); });
+    Threads.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
-  assert(allQueuesEmpty() && "destroying pool with queued tasks");
+  assert(queueEmpty() && "destroying pool with queued tasks");
   requestStop();
   for (std::thread &T : Threads)
     T.join();
@@ -59,10 +36,6 @@ void ThreadPool::requestStop() {
   Cv.notify_all();
 }
 
-bool ThreadPool::currentThreadIsWorker() const {
-  return CurrentWorker.Pool == this;
-}
-
 unsigned ThreadPool::hardwareConcurrency() {
   unsigned N = std::thread::hardware_concurrency();
   return N ? N : 1;
@@ -70,124 +43,30 @@ unsigned ThreadPool::hardwareConcurrency() {
 
 ThreadPool::SchedStats ThreadPool::schedStats() const {
   SchedStats S;
-  for (const std::unique_ptr<WorkerDeque> &D : Deques) {
-    std::lock_guard<std::mutex> L(D->Mu);
-    S.LocalPops += D->LocalPops;
-    S.InboxPops += D->InboxPops;
-    S.Steals += D->Steals;
-  }
-  {
-    std::lock_guard<std::mutex> L(InboxMu);
-    S.InboxPops += HelperPops;
-  }
+  std::lock_guard<std::mutex> L(QueueMu);
+  S.InboxPops = Pops;
   return S;
 }
 
-bool ThreadPool::allQueuesEmpty() {
-  {
-    std::lock_guard<std::mutex> L(InboxMu);
-    if (!Inbox.empty())
-      return false;
-  }
-  for (const std::unique_ptr<WorkerDeque> &D : Deques) {
-    std::lock_guard<std::mutex> L(D->Mu);
-    if (!D->Deque.empty())
-      return false;
-  }
-  return true;
+bool ThreadPool::queueEmpty() const {
+  std::lock_guard<std::mutex> L(QueueMu);
+  return Queue.empty();
 }
 
-void ThreadPool::push(Task T) {
-  if (Mode == Schedule::Steal && CurrentWorker.Pool == this) {
-    WorkerDeque &D = *Deques[CurrentWorker.Index];
-    std::lock_guard<std::mutex> L(D.Mu);
-    D.Deque.push_back(std::move(T));
-    return;
-  }
-  std::lock_guard<std::mutex> L(InboxMu);
-  Inbox.push_back(std::move(T));
-}
-
-bool ThreadPool::popForWorker(size_t Index, Task &Out) {
-  WorkerDeque &Own = *Deques[Index];
-  if (Mode == Schedule::Steal) {
-    // Own back first: LIFO keeps a task's children on the cache-warm
-    // worker that spawned them.
-    std::lock_guard<std::mutex> L(Own.Mu);
-    if (!Own.Deque.empty()) {
-      Out = std::move(Own.Deque.back());
-      Own.Deque.pop_back();
-      ++Own.LocalPops;
-      return true;
-    }
-  }
-  {
-    // The inbox holds external submissions in priority (spawn) order; it
-    // is the only queue in fifo mode.
-    std::lock_guard<std::mutex> L(InboxMu);
-    if (!Inbox.empty()) {
-      Out = std::move(Inbox.front());
-      Inbox.pop_front();
-      std::lock_guard<std::mutex> LD(Own.Mu);
-      ++Own.InboxPops;
-      return true;
-    }
-  }
-  if (Mode != Schedule::Steal || Deques.size() < 2)
-    return false;
-  // Steal from the *front* of a victim deque (the oldest task — in a
-  // recursive decomposition the root of the largest unexplored subtree),
-  // visiting victims from a randomized starting point so idle workers do
-  // not convoy on one victim.
-  if (Own.RngState == 0)
-    Own.RngState = 0x9E3779B97F4A7C15ull ^ (Index + 1);
-  const size_t N = Deques.size();
-  size_t Start = static_cast<size_t>(nextRand(Own.RngState) % N);
-  for (size_t K = 0; K < N; ++K) {
-    size_t V = (Start + K) % N;
-    if (V == Index)
+bool ThreadPool::pop(TaskGroup *Only, Task &Out) {
+  std::lock_guard<std::mutex> L(QueueMu);
+  for (auto It = Queue.begin(); It != Queue.end(); ++It) {
+    if (Only && It->Group != Only)
       continue;
-    WorkerDeque &Victim = *Deques[V];
-    std::unique_lock<std::mutex> LV(Victim.Mu);
-    if (Victim.Deque.empty())
-      continue;
-    Out = std::move(Victim.Deque.front());
-    Victim.Deque.pop_front();
-    LV.unlock();
-    std::lock_guard<std::mutex> L(Own.Mu);
-    ++Own.Steals;
+    Out = std::move(*It);
+    Queue.erase(It);
+    ++Pops;
     return true;
   }
   return false;
 }
 
-bool ThreadPool::popForHelper(TaskGroup *Only, Task &Out) {
-  {
-    std::lock_guard<std::mutex> L(InboxMu);
-    for (auto It = Inbox.begin(); It != Inbox.end(); ++It) {
-      if (Only && It->Group != Only)
-        continue;
-      Out = std::move(*It);
-      Inbox.erase(It);
-      ++HelperPops;
-      return true;
-    }
-  }
-  for (const std::unique_ptr<WorkerDeque> &D : Deques) {
-    std::lock_guard<std::mutex> L(D->Mu);
-    for (auto It = D->Deque.begin(); It != D->Deque.end(); ++It) {
-      if (Only && It->Group != Only)
-        continue;
-      Out = std::move(*It);
-      D->Deque.erase(It);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::workerLoop(size_t Index) {
-  CurrentWorker = {this, Index};
+void ThreadPool::workerLoop() {
   std::unique_lock<std::mutex> L(Mu);
   while (true) {
     // Task-boundary poll: the shutdown token is checked between tasks,
@@ -198,7 +77,7 @@ void ThreadPool::workerLoop(size_t Index) {
     const uint64_t E = Epoch;
     L.unlock();
     Task T;
-    if (popForWorker(Index, T)) {
+    if (pop(nullptr, T)) {
       runTask(std::move(T));
       L.lock();
       continue;
@@ -231,12 +110,15 @@ void ThreadPool::runTask(Task T) {
 
 void ThreadPool::TaskGroup::spawn(std::function<void()> Fn) {
   {
-    // Pending is raised before the task becomes stealable so a completion
+    // Pending is raised before the task becomes poppable so a completion
     // can never underflow the ledger.
     std::lock_guard<std::mutex> L(Pool.Mu);
     ++Pending;
   }
-  Pool.push({std::move(Fn), this});
+  {
+    std::lock_guard<std::mutex> L(Pool.QueueMu);
+    Pool.Queue.push_back({std::move(Fn), this});
+  }
   {
     // The epoch bump is ordered after the push: a sleeper whose scan
     // missed this task observes Epoch != E and rescans.
@@ -256,7 +138,7 @@ void ThreadPool::TaskGroup::wait() {
     const bool Restricted = Pool.Shutdown.cancelled();
     L.unlock();
     Task T;
-    if (Pool.popForHelper(Restricted ? this : nullptr, T)) {
+    if (Pool.pop(Restricted ? this : nullptr, T)) {
       Pool.runTask(std::move(T));
       L.lock();
       continue;

@@ -1,4 +1,4 @@
-//===- support/ThreadPool.h - Work-stealing worker pool with task groups --===//
+//===- support/ThreadPool.h - Shared-FIFO worker pool with task groups ----===//
 //
 // Part of the Pinpoint reproduction project, under the MIT License.
 //
@@ -6,24 +6,11 @@
 ///
 /// \file
 /// The execution substrate of the parallel analysis engine (`--jobs N`).
-/// A `ThreadPool` owns a fixed set of worker threads; work is submitted
-/// through `TaskGroup`s, which scope a batch of tasks so the submitter can
-/// wait for exactly its own work.
+/// A `ThreadPool` owns a fixed set of worker threads draining one shared
+/// FIFO queue; work is submitted through `TaskGroup`s, which scope a batch
+/// of tasks so the submitter can wait for exactly its own work.
 ///
-/// Two scheduling disciplines (`--schedule`):
-///
-///  * `Steal` (default): each worker owns a deque in the Chase-Lev style —
-///    the owner pushes and pops at the back (LIFO, so a task's children run
-///    while their working set is hot), thieves take from the front (FIFO,
-///    so the oldest — typically largest — subtree migrates). Tasks spawned
-///    from outside the pool land in a shared inbox that idle workers drain
-///    before stealing; steal victims are visited in a per-worker randomized
-///    order to avoid convoying.
-///  * `Fifo`: the legacy single shared FIFO queue (the inbox), kept as an
-///    escape hatch and as the baseline the scheduling bench compares
-///    against.
-///
-/// Group semantics are identical in both modes:
+/// Group semantics:
 ///
 ///  * `spawn` never blocks — tasks queue and run as workers free up;
 ///  * `wait` is a *helping* wait: while its group has pending tasks, the
@@ -40,13 +27,11 @@
 ///    (analysis tasks isolate their own failures — a group-level throw is
 ///    an engine bug, not a degradation path).
 ///
-/// Scheduling order is best-effort and completion order is always
-/// nondeterministic; callers that need deterministic output write results
-/// into pre-sized slots indexed by task and merge after `wait()` (see
-/// svfa/Pipeline.cpp and tools/PinpointTool.cpp). Priority is the caller's
-/// job, encoded in spawn order: the pipeline dispatches ready SCCs ordered
-/// by upward rank (DESIGN.md section 14) and the pool preserves that order
-/// where its discipline allows.
+/// Tasks leave the queue in spawn order (apart from a restricted helper
+/// skipping other groups' tasks); completion order is nondeterministic.
+/// Callers that need deterministic output write results into pre-sized
+/// slots indexed by task and merge after `wait()` (see svfa/Pipeline.cpp
+/// and tools/PinpointTool.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,7 +46,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -70,27 +54,14 @@ namespace pinpoint {
 
 class ThreadPool {
 public:
-  /// Scheduling discipline for queued tasks.
-  enum class Schedule {
-    Fifo, ///< One shared FIFO queue (legacy; `--schedule=fifo`).
-    Steal ///< Per-worker LIFO deques with randomized stealing (default).
-  };
-
   /// Starts \p Workers worker threads (at least one).
-  explicit ThreadPool(unsigned Workers, Schedule Mode = Schedule::Steal);
+  explicit ThreadPool(unsigned Workers);
   /// Joins the workers. All TaskGroups must have completed their waits.
   ~ThreadPool();
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
   unsigned workers() const { return static_cast<unsigned>(Threads.size()); }
-  Schedule schedule() const { return Mode; }
-
-  /// True when the calling thread is one of this pool's workers. Spawns
-  /// from a worker land on its own LIFO deque (steal mode) while external
-  /// spawns queue FIFO in the inbox, so a caller ordering sibling spawns by
-  /// priority needs to know which discipline will receive them.
-  bool currentThreadIsWorker() const;
 
   /// std::thread::hardware_concurrency(), never 0.
   static unsigned hardwareConcurrency();
@@ -107,14 +78,14 @@ public:
   /// `requestStop()` minus the wakeup (prefer `requestStop`).
   const CancelToken &shutdownToken() const { return Shutdown; }
 
-  /// Scheduling counters, monotone over the pool's lifetime. All of them
-  /// reflect nondeterministic interleaving (like the SMT acceleration
-  /// counters) and are exempt from the cross-run determinism contract;
-  /// they feed the `[sched]` stats line.
+  /// Scheduling counters, monotone over the pool's lifetime. They reflect
+  /// nondeterministic interleaving (like the SMT acceleration counters),
+  /// are exempt from the cross-run determinism contract, and feed the
+  /// `[sched]` stats line.
   struct SchedStats {
-    uint64_t LocalPops = 0; ///< Owner popped its own deque (LIFO hit).
-    uint64_t InboxPops = 0; ///< Popped from the shared inbox.
-    uint64_t Steals = 0;    ///< Took the front of another worker's deque.
+    uint64_t LocalPops = 0; ///< Always 0: workers own no local queue.
+    uint64_t InboxPops = 0; ///< Tasks popped from the shared queue.
+    uint64_t Steals = 0;    ///< Always 0: there is nothing to steal from.
   };
   SchedStats schedStats() const;
 
@@ -152,41 +123,20 @@ private:
     TaskGroup *Group;
   };
 
-  /// One worker's deque. Own mutex so local pushes/pops and steals never
-  /// touch the pool-wide lock; the global Mu/Cv pair is only for sleeping
-  /// and for the Pending/Err ledgers.
-  struct WorkerDeque {
-    std::mutex Mu;
-    std::deque<Task> Deque;
-    // Per-worker steal counters, aggregated by schedStats(). Guarded by
-    // this->Mu (bumped only by the owning worker right after a pop).
-    uint64_t LocalPops = 0;
-    uint64_t Steals = 0;
-    uint64_t InboxPops = 0;
-    uint64_t RngState = 0; ///< Victim-shuffle state; owner-thread only.
-  };
-
-  void workerLoop(size_t Index);
+  void workerLoop();
   void runTask(Task T);
-  /// Enqueues \p T: a worker of this pool pushes the back of its own deque
-  /// (steal mode); everything else goes to the shared inbox.
-  void push(Task T);
-  /// Dequeues any runnable task for worker \p Index: own back, inbox
-  /// front, then randomized steal. Returns false when everything is empty.
-  bool popForWorker(size_t Index, Task &Out);
-  /// Dequeues a task for a helping waiter. When \p Only is non-null, only
-  /// tasks of that group qualify (the shutdown-pending restriction).
-  bool popForHelper(TaskGroup *Only, Task &Out);
-  bool allQueuesEmpty();
+  /// Dequeues the oldest task; when \p Only is non-null, the oldest task of
+  /// that group (the shutdown-pending restriction of helping waits).
+  /// Returns false when no task qualifies.
+  bool pop(TaskGroup *Only, Task &Out);
+  bool queueEmpty() const;
 
-  Schedule Mode;
-  std::mutex Mu;               ///< Guards Pending/Err/Epoch; sleep lock.
+  std::mutex Mu; ///< Guards Pending/Err/Epoch; sleep lock.
   std::condition_variable Cv;
   uint64_t Epoch = 0; ///< Bumped (under Mu) after every push; wakeup token.
-  mutable std::mutex InboxMu;
-  std::deque<Task> Inbox; ///< External spawns and all fifo-mode tasks.
-  uint64_t HelperPops = 0; ///< Inbox pops by helping waiters; guarded by InboxMu.
-  std::vector<std::unique_ptr<WorkerDeque>> Deques; ///< One per worker.
+  mutable std::mutex QueueMu;
+  std::deque<Task> Queue; ///< Guarded by QueueMu.
+  uint64_t Pops = 0;      ///< Guarded by QueueMu.
   std::vector<std::thread> Threads;
   /// Worker shutdown signal. A CancelToken instead of a plain flag so
   /// teardown reuses the same cancellation primitive the rest of the

@@ -308,8 +308,7 @@ RelevanceArtifact refreshRelevanceArtifact(
     const CallGraph &CG, Module &M, const DemandSpec &Spec,
     const StoredRelevance &Prev,
     const std::unordered_map<const Function *, uint64_t> &FnFP,
-    RelevanceRefreshMode Mode, RelevanceRefreshStats &Stats) {
-  const size_t Total = M.functions().size();
+    RelevanceRefreshStats &Stats) {
   std::vector<const checkers::CheckerSpec *> Sorted = sortedCheckers(Spec);
 
   // The spec key guards reuse, so the stored checker list should always
@@ -330,14 +329,8 @@ RelevanceArtifact refreshRelevanceArtifact(
   }
   Stats.DirtyFns = Stats.Dirty.size();
 
-  // Auto threshold (DESIGN.md section 15): past ~30% dirty the merge
-  // bookkeeping approaches the cost of simply re-scanning everything, so
-  // fall back to the plain full pre-pass.
-  bool Local = Compatible && Mode != RelevanceRefreshMode::Full &&
-               (Mode == RelevanceRefreshMode::Local ||
-                Stats.DirtyFns * 10 <= Total * 3);
-  if (!Local) {
-    Stats.ScannedFns = Total;
+  if (!Compatible) {
+    Stats.ScannedFns = M.functions().size();
     return computeRelevanceArtifact(CG, M, Spec, &FnFP);
   }
   Stats.Local = true;

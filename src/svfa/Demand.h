@@ -155,16 +155,7 @@ RelevanceArtifact computeRelevanceArtifact(
 // Edit-localised refresh (DESIGN.md section 15)
 //===----------------------------------------------------------------------===
 
-/// How a warm run reacts to a stale-subject relevance entry whose spec key
-/// still matches (--relevance-refresh). Purely a performance policy: every
-/// mode yields a byte-identical artifact.
-enum class RelevanceRefreshMode {
-  Auto,  ///< Local while the dirty fraction stays under the threshold.
-  Full,  ///< Always rerun the full pre-pass (the pre-v3 behaviour).
-  Local, ///< Always take the dirty-cone path, whatever the dirty fraction.
-};
-
-/// What a refresh did, for the [demand] stats line and the scheduling hint.
+/// What a refresh did, for the [demand] stats line.
 struct RelevanceRefreshStats {
   /// Functions whose fingerprint changed or that are new in this module.
   std::unordered_set<const ir::Function *> Dirty;
@@ -174,7 +165,8 @@ struct RelevanceRefreshStats {
   size_t ScannedFns = 0;
   /// Call edges carried over from clean functions' records.
   size_t EdgesReused = 0;
-  /// True when the dirty-cone path ran (false = full fallback).
+  /// True when the dirty-cone path ran (false = full fallback on an
+  /// incompatible record table).
   bool Local = false;
   /// True when the diff proved the seed table and edge list unchanged and
   /// the previous closure results were adopted without recomputation.
@@ -201,13 +193,13 @@ struct StoredRelevance {
 /// the callers*/callees* cones are recomputed over the live call graph from
 /// the merged seed table — or adopted wholesale from the stored sets when
 /// the diff shows no seed or edge delta at all. Falls back to the full
-/// pre-pass when \p Mode says so or (Auto) the dirty fraction exceeds the
-/// threshold.
+/// pre-pass only when the stored record table's checker list does not
+/// match the live spec (the table is read from disk, so it is checked).
 RelevanceArtifact refreshRelevanceArtifact(
     const ir::CallGraph &CG, ir::Module &M, const DemandSpec &Spec,
     const StoredRelevance &Prev,
     const std::unordered_map<const ir::Function *, uint64_t> &FnFP,
-    RelevanceRefreshMode Mode, RelevanceRefreshStats &Stats);
+    RelevanceRefreshStats &Stats);
 
 //===----------------------------------------------------------------------===
 // Persistence (the `relevance` cache entry)

@@ -20,7 +20,6 @@
 #include <functional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace pinpoint::svfa {
@@ -40,8 +39,7 @@ void AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
                                 bool CalleeTainted, ResourceGovernor &Gov,
                                 const PipelineOptions &Opts,
                                 transform::InterfaceMap &Interfaces,
-                                RunState &RS,
-                                ThreadPool::TaskGroup *FlushG) {
+                                RunState &RS) {
   // Demand skip: the relevance pre-pass proved no enabled checker can need
   // this function. Nothing runs — no pacing, no budget gates, no cache
   // probe or store, no degradation note. Its interface slot stays unset,
@@ -207,25 +205,9 @@ void AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
         std::vector<uint8_t> Payload;
         if (encodeFunctionSummary(*F, Info, Syms,
                                   Pass1.truncated() || Info.PTA.truncated(),
-                                  Payload)) {
-          if (FlushG) {
-            // Flush task: the entry's file I/O overlaps neighbouring SCC
-            // analysis. Same task group as the schedule, so both the run's
-            // wait and the SIGINT drain (which helps exactly its own
-            // group's tasks) cover the write; counters land before stats
-            // are read.
-            SummaryCache *C = Cache;
-            FlushG->spawn([C, Name = F->name(), Key = SCCKeys[SCCId],
-                           Payload = std::move(Payload)] {
-              if (C->store(Name, Key, Payload)) {
-                Counters::get().add("cache.stored", 1);
-                Counters::get().add("sched.flushed", 1);
-              }
-            });
-          } else if (Cache->store(F->name(), SCCKeys[SCCId], Payload)) {
-            Counters::get().add("cache.stored", 1);
-          }
-        }
+                                  Payload) &&
+            Cache->store(F->name(), SCCKeys[SCCId], Payload))
+          Counters::get().add("cache.stored", 1);
       }
 
       chargeGoverned(Info);
@@ -348,10 +330,6 @@ void AnalyzedModule::finishLifecycle(
   if (!Cache)
     return;
 
-  // Free prefetched entry bytes that were never consumed (tainted or
-  // degraded chains whose probe was skipped, fault-injected probes).
-  Cache->dropPrefetched();
-
   // Resume accounting: SCCs whose key the previous run (same subject, same
   // cache directory) already completed are the ones this run replays
   // instead of recomputing — the `resumed-sccs` stat.
@@ -390,21 +368,6 @@ void AnalyzedModule::finishLifecycle(
     for (const SCCRecord &R : Records)
       J.SCCs.push_back({R.Key, R.Completed});
     J.store(Cache->directory());
-  }
-
-  // Persist measured SCC costs for the next run's upward ranks. Only
-  // completed SCCs qualify: a degraded, skipped or tainted SCC's wall time
-  // reflects this run's accident (or a deliberate elision), not the keyed
-  // content's cost. Write failure is harmless — the next run just ranks
-  // heuristically.
-  if (Cache->writable() && !SCCCostUs.empty()) {
-    std::vector<std::pair<uint64_t, uint64_t>> Prof;
-    Prof.reserve(Records.size());
-    for (size_t I = 0; I < Records.size(); ++I)
-      if (Records[I].Completed && SCCCostUs[I] > 0)
-        Prof.push_back({SCCKeys[I], SCCCostUs[I]});
-    if (!Prof.empty() && Cache->storeCostProfile(Prof))
-      Counters::get().add("sched.profile-stored", 1);
   }
 }
 
@@ -497,7 +460,6 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
     uint64_t SpecKey = 0;
     bool Done = false;
     RefreshMode = "cold";
-    std::unordered_set<const ir::Function *> DirtySet;
     if (Cache) {
       SpecKey = relevanceSpecKey(*Opts.Demand);
       RelevanceLoadResult LR =
@@ -514,15 +476,14 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
         // Different subject or checker set: the entry cannot replay.
         Counters::get().add("demand.relevance-stale", 1);
         RefreshMode = "full";
-        if (LR.StoredUsable &&
-            Opts.RelevanceRefresh != RelevanceRefreshMode::Full) {
+        if (LR.StoredUsable) {
           // Same spec, edited subject: diff per-function fingerprints and
           // rebuild from the dirty frontier instead of re-walking the
           // whole module (DESIGN.md section 15).
           RelevanceRefreshStats RS;
           RelevanceArtifact A =
               refreshRelevanceArtifact(*CG, M, *Opts.Demand, LR.Stored,
-                                       FnFP.PerFn, Opts.RelevanceRefresh, RS);
+                                       FnFP.PerFn, RS);
           Counters::get().add("demand.prepass-fns",
                               static_cast<int64_t>(RS.ScannedFns));
           Counters::get().add("demand.dirty-fns",
@@ -531,10 +492,8 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
                               static_cast<int64_t>(RS.EdgesReused));
           DirtyFns = RS.DirtyFns;
           ReusedEdges = RS.EdgesReused;
-          if (RS.Local) {
+          if (RS.Local)
             RefreshMode = "local";
-            DirtySet = std::move(RS.Dirty);
-          }
           if (Cache->writable() &&
               storeRelevance(Cache->directory(), SubjectFP, SpecKey, A))
             Counters::get().add("demand.relevance-stored", 1);
@@ -569,26 +528,6 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
     }
     for (const ir::Function *F : CG->bottomUpOrder())
       Rel.relevant(F) ? ++RelevantFns : ++SkippedFns;
-
-    // Scheduling hint: SCCs holding a dirty function, closed under callers
-    // over the condensation (ids are topological, callee < caller, so one
-    // ascending pass suffices). Consumed by the steal-mode ranks below —
-    // the refreshed cone has real work to do, cached clean SCCs mostly
-    // replay, so the cone drains first and hides cache I/O behind it.
-    if (!DirtySet.empty()) {
-      DirtySCCHint.assign(SCCs.size(), 0);
-      for (const ir::Function *F : DirtySet)
-        DirtySCCHint[CG->sccOf(F)] = 1;
-      for (size_t I = 0; I < SCCs.size(); ++I) {
-        if (DirtySCCHint[I])
-          continue;
-        for (size_t Callee : SCCs[I].CalleeSCCs)
-          if (DirtySCCHint[Callee]) {
-            DirtySCCHint[I] = 1;
-            break;
-          }
-      }
-    }
     Phases.Prepass = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - PrepassStart)
                          .count();
@@ -614,26 +553,31 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
   RunState RS;
   SCCCostUs.assign(SCCs.size(), 0);
 
+  // Analyses SCC I's members in order, then records its cost and taint.
+  // Callee taints were finalised by callee SCCs, which all completed
+  // before I started (in parallel, the dependency decrement below is the
+  // acquire/release edge), so the plain reads are ordered.
+  auto AnalyzeSCC = [&](size_t I) {
+    bool CalleeTainted = false;
+    for (size_t Callee : SCCs[I].CalleeSCCs)
+      CalleeTainted |= SCCTaint[Callee] != 0;
+    auto T0 = std::chrono::steady_clock::now();
+    for (ir::Function *F : SCCs[I].Members)
+      analyzeOne(F, I, CalleeTainted, Gov, Opts, Interfaces, RS);
+    SCCCostUs[I] = std::max<uint64_t>(
+        1, static_cast<uint64_t>(
+               std::chrono::duration_cast<std::chrono::microseconds>(
+                   std::chrono::steady_clock::now() - T0)
+                   .count()));
+    SCCTaint[I] = (SCCOwnTaint[I] || CalleeTainted) ? 1 : 0;
+  };
+
   if (!Opts.Pool || Opts.Pool->workers() <= 1) {
     // Serial: ascending SCC ids with members in order is exactly the
     // historical `bottomUpOrder()` loop (ids are Tarjan completion order),
-    // plus the per-SCC taint bookkeeping the cache needs. Costs are still
-    // measured — a serial warm-up run seeds the profile a later parallel
-    // run ranks with.
-    for (size_t I = 0; I < SCCs.size(); ++I) {
-      bool CalleeTainted = false;
-      for (size_t Callee : SCCs[I].CalleeSCCs)
-        CalleeTainted |= SCCTaint[Callee] != 0;
-      auto T0 = std::chrono::steady_clock::now();
-      for (ir::Function *F : SCCs[I].Members)
-        analyzeOne(F, I, CalleeTainted, Gov, Opts, Interfaces, RS, nullptr);
-      SCCCostUs[I] = std::max<uint64_t>(
-          1, static_cast<uint64_t>(
-                 std::chrono::duration_cast<std::chrono::microseconds>(
-                     std::chrono::steady_clock::now() - T0)
-                     .count()));
-      SCCTaint[I] = (SCCOwnTaint[I] || CalleeTainted) ? 1 : 0;
-    }
+    // plus the per-SCC taint bookkeeping the cache needs.
+    for (size_t I = 0; I < SCCs.size(); ++I)
+      AnalyzeSCC(I);
     finishLifecycle(SCCs);
     return;
   }
@@ -650,150 +594,23 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
       Dependents[Callee].push_back(I);
   }
 
-  // Upward ranks (steal mode only; fifo keeps the legacy structural order
-  // and doubles as the scheduling bench's baseline): rank(I) = cost(I) +
-  // max(rank(dependents)), one descending-id sweep since ids are
-  // topological. Costs come from the persisted profile when the SCC's
-  // content key has a measurement, else from a statement-count heuristic
-  // (both points-to passes and the SEG build are roughly linear in
-  // statements). Ranks only order dispatch — results are slot-addressed,
-  // so any order yields identical output.
-  const bool Ranked = Opts.Pool->schedule() == ThreadPool::Schedule::Steal;
-  std::vector<uint64_t> Rank;
-  if (Ranked) {
-    std::unordered_map<uint64_t, uint64_t> Profile;
-    if (Cache)
-      Cache->loadCostProfile(Profile);
-    int64_t Profiled = 0;
-    std::vector<uint64_t> Cost(SCCs.size());
-    for (size_t I = 0; I < SCCs.size(); ++I) {
-      uint64_t C = 0;
-      if (!Profile.empty()) {
-        auto It = Profile.find(SCCKeys[I]);
-        if (It != Profile.end() && It->second > 0) {
-          C = It->second;
-          ++Profiled;
-        }
-      }
-      if (C == 0) {
-        size_t Stmts = 0;
-        for (const ir::Function *F : SCCs[I].Members) {
-          if (DemandOn && !Rel.relevant(F))
-            continue;
-          Stmts += countStmts(*F);
-        }
-        C = 1 + Stmts;
-      }
-      Cost[I] = C;
-    }
-    Rank.resize(SCCs.size());
-    for (size_t I = SCCs.size(); I-- > 0;) {
-      uint64_t R = 0;
-      for (size_t Dep : Dependents[I])
-        R = std::max(R, Rank[Dep]);
-      Rank[I] = Cost[I] + R;
-    }
-    // Warm-refresh dirty-cone hint: lift every SCC in the edited cone
-    // above the highest clean rank, so the re-analysed frontier dispatches
-    // first and cached clean SCCs drain behind it. Pure dispatch ordering
-    // — dependencies and result slots are untouched, so output stays
-    // byte-identical.
-    if (!DirtySCCHint.empty()) {
-      uint64_t MaxR = 0;
-      for (uint64_t R : Rank)
-        MaxR = std::max(MaxR, R);
-      for (size_t I = 0; I < SCCs.size(); ++I)
-        if (DirtySCCHint[I])
-          Rank[I] += MaxR + 1;
-    }
-    Counters::get().add("sched.ranked-sccs",
-                        static_cast<int64_t>(SCCs.size()));
-    Counters::get().add("sched.profiled-sccs", Profiled);
-  }
-
   ThreadPool::TaskGroup G(*Opts.Pool);
-  std::function<void(size_t)> RunSCC;
-
-  // Dispatches a batch of newly-ready SCCs, highest rank first. The order
-  // has to be encoded per receiving queue: an external spawn lands in the
-  // pool's FIFO inbox (spawn descending, pop front preserves it), a
-  // worker's own spawn lands on its LIFO deque (spawn ascending, pop back
-  // restores it).
-  auto SpawnOrdered = [&](std::vector<size_t> Ready) {
-    if (Ready.size() > 1 && Ranked) {
-      std::sort(Ready.begin(), Ready.end(), [&](size_t A, size_t B) {
-        return Rank[A] != Rank[B] ? Rank[A] > Rank[B] : A < B;
-      });
-      if (Opts.Pool->currentThreadIsWorker())
-        std::reverse(Ready.begin(), Ready.end());
-    }
-    for (size_t I : Ready)
-      G.spawn([&RunSCC, I] { RunSCC(I); });
-  };
-
-  RunSCC = [&](size_t I) {
-    // Callee taints were finalised by callee tasks, which all completed
-    // before this task was spawned (the dependency decrement below is the
-    // acquire/release edge), so the plain reads are ordered.
-    bool CalleeTainted = false;
-    for (size_t Callee : SCCs[I].CalleeSCCs)
-      CalleeTainted |= SCCTaint[Callee] != 0;
-    auto T0 = std::chrono::steady_clock::now();
-    for (ir::Function *F : SCCs[I].Members)
-      analyzeOne(F, I, CalleeTainted, Gov, Opts, Interfaces, RS, &G);
-    SCCCostUs[I] = std::max<uint64_t>(
-        1, static_cast<uint64_t>(
-               std::chrono::duration_cast<std::chrono::microseconds>(
-                   std::chrono::steady_clock::now() - T0)
-                   .count()));
-    SCCTaint[I] = (SCCOwnTaint[I] || CalleeTainted) ? 1 : 0;
-    std::vector<size_t> Ready;
+  std::function<void(size_t)> RunSCC = [&](size_t I) {
+    AnalyzeSCC(I);
     for (size_t Dep : Dependents[I])
       // acq_rel: publishes this SCC's interfaces/results to whichever task
       // performs the final decrement and runs the dependent.
       if (DepsLeft[Dep].fetch_sub(1, std::memory_order_acq_rel) == 1)
-        Ready.push_back(Dep);
-    SpawnOrdered(std::move(Ready));
+        G.spawn([&RunSCC, Dep] { RunSCC(Dep); });
   };
   // Roots are identified structurally (no cross-SCC callees), never by
   // reading DepsLeft: a fast leaf task finishing mid-loop drops a
   // dependent's counter to zero and spawns it via fetch_sub, and a
   // counter-based root scan racing with that would spawn the same SCC a
   // second time (two pipelines mutating one function's IR).
-  {
-    std::vector<size_t> Roots;
-    for (size_t I = 0; I < SCCs.size(); ++I)
-      if (SCCs[I].CalleeSCCs.empty())
-        Roots.push_back(I);
-    SpawnOrdered(std::move(Roots));
-  }
-
-  // Cache readahead: one prefetch task per cache-probing SCC, queued
-  // behind the roots so idle workers warm entry bytes while busy workers
-  // analyse. Readahead is invisible to results — `load` applies identical
-  // validation to buffered bytes, and unconsumed buffers are dropped in
-  // finishLifecycle.
-  if (Cache) {
-    for (size_t I = 0; I < SCCs.size(); ++I) {
-      if (!MemPlanDegrade.empty() && MemPlanDegrade[I])
-        continue; // Plan-degraded SCCs never probe.
-      std::vector<const ir::Function *> Members;
-      for (const ir::Function *F : SCCs[I].Members)
-        if (!DemandOn || Rel.relevant(F))
-          Members.push_back(F);
-      if (Members.empty())
-        continue;
-      SummaryCache *C = Cache;
-      G.spawn([C, Members = std::move(Members)] {
-        int64_t N = 0;
-        for (const ir::Function *F : Members)
-          if (C->prefetch(F->name()))
-            ++N;
-        if (N)
-          Counters::get().add("sched.prefetched", N);
-      });
-    }
-  }
+  for (size_t I = 0; I < SCCs.size(); ++I)
+    if (SCCs[I].CalleeSCCs.empty())
+      G.spawn([&RunSCC, I] { RunSCC(I); });
 
   G.wait();
   finishLifecycle(SCCs);

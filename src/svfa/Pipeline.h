@@ -22,19 +22,12 @@
 /// independent call-tree branches analyse concurrently while
 /// `rewriteCallSites` still sees every callee interface completed. SCC
 /// members run sequentially inside their task, preserving the serial
-/// semantics; without a pool (or with one worker) the schedule degenerates
-/// to exactly the historical bottom-up loop.
-///
-/// Under the stealing discipline the schedule is critical-path aware
-/// (DESIGN.md section 14): a reverse topological sweep computes each SCC's
-/// upward rank `rank(scc) = cost(scc) + max(rank(dependents))` — costs are
-/// measured microseconds replayed from `<cache-dir>/sched-profile` when
-/// available, a statement-count heuristic otherwise — and ready SCCs are
-/// dispatched highest-rank first. With a summary cache, entry reads become
-/// prefetch tasks and entry writes flush tasks, both overlapped with
-/// neighbouring SCC analysis in the same task group. All of it is pure
-/// scheduling: reports, deterministic counters and degradation logs are
-/// byte-identical across schedules, job counts and cache temperature.
+/// semantics — including the summary-cache probe and store, which run
+/// inline in the SCC task exactly as on the serial path; without a pool
+/// (or with one worker) the schedule degenerates to exactly the historical
+/// bottom-up loop. Ready SCCs queue in the pool's shared FIFO in the order
+/// they become ready. Reports, deterministic counters and degradation logs
+/// are byte-identical across job counts and cache temperature.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,11 +96,6 @@ struct PipelineOptions {
   /// the plan (and the pre-degraded SCC set) is identical across modes.
   /// nullptr = plan on the analysis slice (Demand if set, else everything).
   const DemandSpec *PlanDemand = nullptr;
-  /// How a warm run reacts to a stale-subject relevance entry whose spec
-  /// key still matches (--relevance-refresh): localized dirty-cone refresh,
-  /// full pre-pass, or the auto threshold between them. Pure performance
-  /// policy — never part of any cache key, never changes a byte of output.
-  RelevanceRefreshMode RelevanceRefresh = RelevanceRefreshMode::Auto;
 };
 
 /// Owns the analysed state of a whole module.
@@ -157,11 +145,8 @@ public:
   size_t memPlanDegradedSCCs() const { return MemPlanDegraded; }
   /// Measured per-SCC analysis cost in microseconds, indexed by SCC id
   /// (parallel to `callGraph().sccs()`; >= 1 for every analysed SCC).
-  /// These are the same measurements the `sched-profile` cache entry
-  /// persists for the next run's upward ranks; together with the
-  /// condensation's callee edges they let the scheduling bench replay a
-  /// dispatch order's makespan deterministically, which wall clock cannot
-  /// do when the host has fewer cores than workers.
+  /// Their sum is the pipeline's busy time across workers, which set
+  /// against the pipeline's wall clock gives the pool's utilisation.
   const std::vector<uint64_t> &sccCostsUs() const { return SCCCostUs; }
 
   //===--- Demand state (`--demand`, DESIGN.md section 13) ----------------===
@@ -220,14 +205,9 @@ private:
   /// \p CalleeTainted is true when any transitive callee SCC degraded
   /// nondeterministically this run, which disables both cache probe and
   /// store for F (its cached artifacts assume healthy callee interfaces).
-  /// \p FlushG, when non-null, receives the summary-cache store as a flush
-  /// task (overlapping neighbouring SCC analysis) instead of writing
-  /// synchronously; it must be the group the run waits on, so the write
-  /// completes before the run does.
   void analyzeOne(ir::Function *F, size_t SCCId, bool CalleeTainted,
                   ResourceGovernor &Gov, const PipelineOptions &Opts,
-                  transform::InterfaceMap &Interfaces, RunState &RS,
-                  ThreadPool::TaskGroup *FlushG);
+                  transform::InterfaceMap &Interfaces, RunState &RS);
 
   /// Charges \p Info's points-to entries and SEG vertices to the governed-
   /// memory accounting (discharged again by the destructor).
@@ -265,8 +245,7 @@ private:
   std::vector<uint8_t> SCCTaint;    ///< Own taint OR any callee-SCC taint.
   /// Measured wall microseconds per SCC task (≥1 once it ran). Each slot is
   /// written by exactly the task that analysed the SCC and read only after
-  /// the group wait; completed SCCs' costs feed the persisted scheduling
-  /// profile (see finishLifecycle).
+  /// the group wait.
   std::vector<uint64_t> SCCCostUs;
 
   /// Run-lifecycle state (DESIGN.md section 12).
@@ -283,11 +262,6 @@ private:
   size_t RelevantFns = 0, SkippedFns = 0;
   std::string RefreshMode = "off";
   size_t DirtyFns = 0, ReusedEdges = 0;
-  /// Scheduling hint from the warm refresh: SCCs containing a dirty
-  /// function, closed under callers over the condensation. Ranked first in
-  /// steal mode so the re-analysed cone drains ahead of cached clean SCCs
-  /// (pure dispatch order; empty when no refresh ran).
-  std::vector<uint8_t> DirtySCCHint;
   PhaseSeconds Phases;
   /// The set the memory plan is keyed on (All = true models everything;
   /// see PipelineOptions::PlanDemand).

@@ -31,14 +31,6 @@
 ///                       Reports and the degradation log are byte-identical
 ///                       across modes; only speed, memory and the [demand]
 ///                       counters change.
-///     --relevance-refresh=MODE  auto | full | local (default auto): how a
-///                       warm run reacts to a persisted relevance entry
-///                       from an edited subject (DESIGN.md section 15).
-///                       `local` diffs per-function fingerprints and
-///                       re-scans only the dirty cone, `full` always reruns
-///                       the whole pre-pass, `auto` picks local below a
-///                       dirty-fraction threshold. Pure performance policy:
-///                       reports are byte-identical across modes.
 ///     --dump-ir         print the transformed IR
 ///     --stats           print pipeline and solver statistics
 ///     --jobs=N          worker threads (default 1 = serial; 0 = all
@@ -76,6 +68,10 @@
 /// cooperatively: in-flight work drains at the next task boundary and the
 /// partial report, statistics and degradation log are still flushed.
 ///
+/// Numeric values are non-negative integers; one that does not fit the
+/// setting it feeds (e.g. --solver-timeout-ms past INT_MAX) is a usage
+/// error, never silently wrapped.
+///
 /// Exit status: 0 = analysis completed (reports, possibly degraded);
 /// 2 = usage or input error; 3 = interrupted, partial results flushed;
 /// 4 = internal error.
@@ -101,6 +97,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -119,7 +116,7 @@ const char *const KnownCheckers[] = {"uaf",        "df",   "taint-path",
 struct Options {
   std::vector<std::string> Files;
   std::vector<std::string> Checkers{"uaf", "df"};
-  int MaxDepth = 6;
+  long long MaxDepth = 6;
   bool PathSensitive = true;
   bool LinearFilter = true;
   bool SolverCache = true;
@@ -136,8 +133,6 @@ struct Options {
   long long MemBudgetMB = 0;
   long long RetryTransient = 2;
   long long Jobs = 1;
-  std::string Schedule = "steal"; ///< "steal" or "fifo".
-  std::string RelevanceRefresh = "auto"; ///< "auto", "full" or "local".
   std::string FaultSpec;
   std::string CacheDir;
   std::string CacheMode; ///< "", "off", "read" or "readwrite".
@@ -155,14 +150,10 @@ void usage() {
       "+ conjunct slicing\n"
       "  --demand=MODE            on | off (default on): demand-driven "
       "value-flow slicing\n"
-      "  --relevance-refresh=MODE auto | full | local (default auto): warm-"
-      "run relevance refresh policy for edited subjects\n"
       "  --dump-ir                print the transformed IR\n"
       "  --stats                  print statistics\n"
       "  --jobs=N                 worker threads (default 1 = serial, 0 = "
       "all hardware threads)\n"
-      "  --schedule=MODE          steal | fifo (default steal): work-stealing "
-      "rank-priority scheduler or the legacy FIFO queue\n"
       "  --cache-dir=PATH         persistent function-summary cache for "
       "incremental reanalysis\n"
       "  --cache=MODE             off | read | readwrite (default readwrite "
@@ -183,16 +174,17 @@ void usage() {
       "(partial results flushed), 4 = internal error");
 }
 
-/// Strict non-negative integer parse of the value part of --opt=N.
-/// Garbage, empty, negative and overflowing values are all rejected.
-bool parseCount(const std::string &Arg, size_t PrefixLen, long long &Out) {
+/// Strict parse of the value part of --opt=N into [0, Max]. Garbage,
+/// empty, negative and out-of-range values are all rejected.
+bool parseCount(const std::string &Arg, size_t PrefixLen, long long Max,
+                long long &Out) {
   const std::string Val = Arg.substr(PrefixLen);
   if (Val.empty() || Val[0] == '-' || Val[0] == '+')
     return false;
   errno = 0;
   char *End = nullptr;
   long long V = std::strtoll(Val.c_str(), &End, 10);
-  if (errno != 0 || End != Val.c_str() + Val.size())
+  if (errno != 0 || End != Val.c_str() + Val.size() || V > Max)
     return false;
   Out = V;
   return true;
@@ -208,21 +200,28 @@ bool knownChecker(const std::string &Name) {
 enum class ParseResult { Ok, Help, Error };
 
 ParseResult parseArgs(int Argc, char **Argv, Options &O) {
-  // Numeric --opt=N flags that share the strict-parse-and-error path.
+  // Numeric --opt=N flags that share the strict-parse-and-error path. Max
+  // is the largest value the setting the flag feeds can hold: an int field,
+  // the unsigned worker count, or (--mem-budget-mb) a budget whose byte
+  // count times 8 fits an int64_t (the memory plan's 8/10 soft threshold
+  // multiplies before it divides).
+  constexpr long long LLMax = std::numeric_limits<long long>::max();
+  constexpr long long IntMax = std::numeric_limits<int>::max();
   struct CountFlag {
     const char *Prefix;
     long long *Slot;
+    long long Max;
   } CountFlags[] = {
-      {"--max-depth=", nullptr}, // Handled below (int slot).
-      {"--time-budget-ms=", &O.TimeBudgetMs},
-      {"--fn-budget-ms=", &O.FnBudgetMs},
-      {"--solver-timeout-ms=", &O.SolverTimeoutMs},
-      {"--max-closure-steps=", &O.MaxClosureSteps},
-      {"--max-pta-steps=", &O.MaxPTASteps},
-      {"--max-fn-stmts=", &O.MaxFnStmts},
-      {"--mem-budget-mb=", &O.MemBudgetMB},
-      {"--retry-transient=", &O.RetryTransient},
-      {"--jobs=", &O.Jobs},
+      {"--max-depth=", &O.MaxDepth, 64},
+      {"--time-budget-ms=", &O.TimeBudgetMs, LLMax},
+      {"--fn-budget-ms=", &O.FnBudgetMs, LLMax},
+      {"--solver-timeout-ms=", &O.SolverTimeoutMs, IntMax},
+      {"--max-closure-steps=", &O.MaxClosureSteps, LLMax},
+      {"--max-pta-steps=", &O.MaxPTASteps, LLMax},
+      {"--max-fn-stmts=", &O.MaxFnStmts, LLMax},
+      {"--mem-budget-mb=", &O.MemBudgetMB, LLMax >> 23},
+      {"--retry-transient=", &O.RetryTransient, IntMax},
+      {"--jobs=", &O.Jobs, std::numeric_limits<unsigned>::max()},
   };
 
   for (int I = 1; I < Argc; ++I) {
@@ -245,16 +244,6 @@ ParseResult parseArgs(int Argc, char **Argv, Options &O) {
                        Name.c_str());
           return ParseResult::Error;
         }
-    } else if (A.rfind("--max-depth=", 0) == 0) {
-      long long V = 0;
-      if (!parseCount(A, std::strlen("--max-depth="), V) || V > 64) {
-        std::fprintf(stderr,
-                     "error: invalid --max-depth value '%s' (expected an "
-                     "integer in [0, 64])\n",
-                     A.c_str() + std::strlen("--max-depth="));
-        return ParseResult::Error;
-      }
-      O.MaxDepth = static_cast<int>(V);
     } else if (A.rfind("--fault-inject=", 0) == 0) {
       O.FaultSpec = A.substr(std::strlen("--fault-inject="));
     } else if (A.rfind("--cache-dir=", 0) == 0) {
@@ -271,15 +260,6 @@ ParseResult parseArgs(int Argc, char **Argv, Options &O) {
                      "error: invalid --cache value '%s' (expected off, "
                      "read or readwrite)\n",
                      O.CacheMode.c_str());
-        return ParseResult::Error;
-      }
-    } else if (A.rfind("--schedule=", 0) == 0) {
-      O.Schedule = A.substr(std::strlen("--schedule="));
-      if (O.Schedule != "steal" && O.Schedule != "fifo") {
-        std::fprintf(stderr,
-                     "error: invalid --schedule value '%s' (expected steal "
-                     "or fifo)\n",
-                     O.Schedule.c_str());
         return ParseResult::Error;
       }
     } else if (A.rfind("--solver-cache=", 0) == 0) {
@@ -302,16 +282,6 @@ ParseResult parseArgs(int Argc, char **Argv, Options &O) {
         return ParseResult::Error;
       }
       O.Demand = Mode == "on";
-    } else if (A.rfind("--relevance-refresh=", 0) == 0) {
-      O.RelevanceRefresh = A.substr(std::strlen("--relevance-refresh="));
-      if (O.RelevanceRefresh != "auto" && O.RelevanceRefresh != "full" &&
-          O.RelevanceRefresh != "local") {
-        std::fprintf(stderr,
-                     "error: invalid --relevance-refresh value '%s' "
-                     "(expected auto, full or local)\n",
-                     O.RelevanceRefresh.c_str());
-        return ParseResult::Error;
-      }
     } else if (A == "--no-path-sensitivity") {
       O.PathSensitive = false;
     } else if (A == "--no-linear-filter") {
@@ -329,13 +299,13 @@ ParseResult parseArgs(int Argc, char **Argv, Options &O) {
     } else if (!A.empty() && A[0] == '-') {
       bool Matched = false;
       for (const CountFlag &CF : CountFlags) {
-        if (!CF.Slot || A.rfind(CF.Prefix, 0) != 0)
+        if (A.rfind(CF.Prefix, 0) != 0)
           continue;
-        if (!parseCount(A, std::strlen(CF.Prefix), *CF.Slot)) {
+        if (!parseCount(A, std::strlen(CF.Prefix), CF.Max, *CF.Slot)) {
           std::fprintf(stderr,
-                       "error: invalid value in '%s' (expected a "
-                       "non-negative integer)\n",
-                       A.c_str());
+                       "error: invalid value in '%s' (expected an integer "
+                       "in [0, %lld])\n",
+                       A.c_str(), CF.Max);
           return ParseResult::Error;
         }
         Matched = true;
@@ -450,10 +420,7 @@ int pinpointToolMain(int Argc, char **Argv) {
                                       : static_cast<unsigned>(O.Jobs);
     std::unique_ptr<ThreadPool> Pool;
     if (Jobs > 1)
-      Pool = std::make_unique<ThreadPool>(Jobs,
-                                          O.Schedule == "fifo"
-                                              ? ThreadPool::Schedule::Fifo
-                                              : ThreadPool::Schedule::Steal);
+      Pool = std::make_unique<ThreadPool>(Jobs);
 
     std::unique_ptr<SummaryCache> Cache;
     if (!O.CacheDir.empty() && O.CacheMode != "off") {
@@ -495,11 +462,6 @@ int pinpointToolMain(int Argc, char **Argv) {
     PO.Cache = Cache.get();
     PO.Demand = O.Demand ? &DS : nullptr;
     PO.PlanDemand = &DS;
-    PO.RelevanceRefresh = O.RelevanceRefresh == "full"
-                              ? svfa::RelevanceRefreshMode::Full
-                          : O.RelevanceRefresh == "local"
-                              ? svfa::RelevanceRefreshMode::Local
-                              : svfa::RelevanceRefreshMode::Auto;
     svfa::AnalyzedModule AM(M, Ctx, PO);
     double PipelineSec = Total.seconds();
 
@@ -507,7 +469,7 @@ int pinpointToolMain(int Argc, char **Argv) {
       std::fputs(M.str().c_str(), stdout);
 
     svfa::GlobalOptions GO;
-    GO.MaxContextDepth = O.MaxDepth;
+    GO.MaxContextDepth = static_cast<int>(O.MaxDepth);
     GO.PathSensitive = O.PathSensitive;
     GO.UseLinearFilter = O.LinearFilter;
     GO.SolverCache = O.SolverCache;
@@ -675,8 +637,6 @@ int pinpointToolMain(int Argc, char **Argv) {
       // reflects the work performed, not the findings, so it is exempt
       // from the --demand on/off determinism contract (the reports,
       // degradation log and the deterministic [checker] fields are not).
-      // Printed after [cache]: "relevance-stored=" must not shadow a
-      // substring probe for the cache line's "stored=".
       if (AM.demandActive()) {
         Counters &C = Counters::get();
         std::printf("[demand] relevant-fns=%zu skipped-fns=%zu "
@@ -711,26 +671,13 @@ int pinpointToolMain(int Argc, char **Argv) {
                     (unsigned long long)TotalRetries,
                     (unsigned long long)TotalTransientFailures);
       }
-      // Scheduler observability (parallel runs only). Like [exprs], every
-      // field reflects work and interleaving, not findings: pop/steal
-      // counts and prefetch/flush tallies vary across runs, schedules and
-      // job counts, so the line is exempt from the cross-run determinism
+      // Pool observability (parallel runs only). Like [exprs], the pop
+      // count reflects work and interleaving, not findings (helping waits
+      // pop too), so the line is exempt from the cross-run determinism
       // contract (test harnesses filter it alongside [pipeline]/[cache]).
-      if (Pool) {
-        const ThreadPool::SchedStats SS = Pool->schedStats();
-        Counters &C = Counters::get();
-        std::printf("[sched] schedule=%s workers=%u local-pops=%llu "
-                    "inbox-pops=%llu steals=%llu ranked-sccs=%lld "
-                    "profiled-sccs=%lld prefetched=%lld flushed=%lld\n",
-                    O.Schedule.c_str(), Pool->workers(),
-                    (unsigned long long)SS.LocalPops,
-                    (unsigned long long)SS.InboxPops,
-                    (unsigned long long)SS.Steals,
-                    (long long)C.value("sched.ranked-sccs"),
-                    (long long)C.value("sched.profiled-sccs"),
-                    (long long)C.value("sched.prefetched"),
-                    (long long)C.value("sched.flushed"));
-      }
+      if (Pool)
+        std::printf("[sched] workers=%u inbox-pops=%llu\n", Pool->workers(),
+                    (unsigned long long)Pool->schedStats().InboxPops);
       std::printf("[governor] %s\n", Gov.log().summary().c_str());
     }
     if (O.DegradationLog) {

@@ -19,9 +19,9 @@
 ///    that skips the pre-pass entirely;
 ///  * the edit-localised warm refresh (DESIGN.md section 15): the v3
 ///    per-function record section, the dirty-fingerprint diff, seed/edge
-///    reuse for clean functions, the closure-reuse fast path, the auto
-///    threshold fallback, and the rule that v1/v2 entries reload as Stale
-///    (recompute silently) rather than Corrupt;
+///    reuse for clean functions, the closure-reuse fast path, the local
+///    path at a high dirty fraction, and the rule that v1/v2 entries
+///    reload as Stale (recompute silently) rather than Corrupt;
 ///  * CLI differentials proving sink-intersected runs emit byte-identical
 ///    reports and degradation logs to `--demand=off` at --jobs 1 and 4
 ///    (per checker and for the union run);
@@ -30,9 +30,11 @@
 ///  * the frozen condensation layout (CallGraph SCC member/callee spans).
 ///
 /// The CLI tests fork a child that calls `pinpointToolMain` directly (the
-/// LifecycleTest harness) and are skipped under TSan.
+/// tests/CliHarness.h harness) and are skipped under TSan.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "CliHarness.h"
 
 #include "checkers/Checker.h"
 #include "checkers/SpecialCheckers.h"
@@ -44,68 +46,25 @@
 #include "support/Statistics.h"
 #include "svfa/Demand.h"
 #include "svfa/GlobalSVFA.h"
-#include "tools/PinpointTool.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#if !defined(_WIN32)
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
-#if defined(__SANITIZE_THREAD__)
-#define PINPOINT_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PINPOINT_TSAN 1
-#endif
-#endif
-
 using namespace pinpoint;
+using namespace pinpoint::clitest;
 
 namespace {
 
 //===----------------------------------------------------------------------===
-// Harness
+// Subjects
 //===----------------------------------------------------------------------===
-
-class TempDir {
-public:
-  explicit TempDir(const std::string &Tag) {
-    Path = "demandsink_" + Tag + "_" +
-           std::to_string(Counter.fetch_add(1, std::memory_order_relaxed));
-    std::filesystem::remove_all(Path);
-    std::filesystem::create_directories(Path);
-  }
-  ~TempDir() {
-    std::error_code EC;
-    std::filesystem::remove_all(Path, EC);
-  }
-  std::string file(const std::string &Name) const {
-    return (std::filesystem::path(Path) / Name).string();
-  }
-
-private:
-  static inline std::atomic<uint64_t> Counter{0};
-  std::string Path;
-};
-
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  std::stringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
-}
 
 /// The canonical sink-pruning subject for the taint-path checker. Three
 /// regions plus a disconnected filler:
@@ -655,7 +614,6 @@ protected:
   /// artifact for comparison against a cold compute on the edited module.
   svfa::RelevanceArtifact refreshAgainst(RefreshSubject &Orig,
                                          RefreshSubject &Edited,
-                                         svfa::RelevanceRefreshMode Mode,
                                          svfa::RelevanceRefreshStats &Stats) {
     TempDir T("refresh");
     svfa::DemandSpec DS = taintSpec();
@@ -668,7 +626,7 @@ protected:
     EXPECT_EQ(L.Status, svfa::RelevanceLoadStatus::Stale);
     EXPECT_TRUE(L.StoredUsable);
     return svfa::refreshRelevanceArtifact(*Edited.CG, Edited.M, DS, L.Stored,
-                                          Edited.FP.PerFn, Mode, Stats);
+                                          Edited.FP.PerFn, Stats);
   }
 };
 
@@ -684,8 +642,7 @@ TEST_F(RelevanceRefreshTest, LocalRefreshMatchesColdOnSeedChangingEdit) {
           "int srcOnly(int c) { int v = read_input(); open(v); return v; }"));
 
   svfa::RelevanceRefreshStats Stats;
-  svfa::RelevanceArtifact R = refreshAgainst(
-      Orig, Edited, svfa::RelevanceRefreshMode::Auto, Stats);
+  svfa::RelevanceArtifact R = refreshAgainst(Orig, Edited, Stats);
   EXPECT_TRUE(Stats.Local);
   EXPECT_FALSE(Stats.ClosureReused);
   EXPECT_EQ(Stats.DirtyFns, 1u);
@@ -725,8 +682,7 @@ TEST_F(RelevanceRefreshTest, ConeNeutralEditReusesStoredClosure) {
                   "return v; }"));
 
   svfa::RelevanceRefreshStats Stats;
-  svfa::RelevanceArtifact R = refreshAgainst(
-      Orig, Edited, svfa::RelevanceRefreshMode::Auto, Stats);
+  svfa::RelevanceArtifact R = refreshAgainst(Orig, Edited, Stats);
   EXPECT_TRUE(Stats.Local);
   EXPECT_TRUE(Stats.ClosureReused);
   EXPECT_EQ(Stats.DirtyFns, 1u);
@@ -753,8 +709,7 @@ TEST_F(RelevanceRefreshTest, AddedAndDeletedFunctionsForceConeRecompute) {
   loadRefreshSubject(Edited, Src);
 
   svfa::RelevanceRefreshStats Stats;
-  svfa::RelevanceArtifact R = refreshAgainst(
-      Orig, Edited, svfa::RelevanceRefreshMode::Auto, Stats);
+  svfa::RelevanceArtifact R = refreshAgainst(Orig, Edited, Stats);
   EXPECT_TRUE(Stats.Local);
   EXPECT_FALSE(Stats.ClosureReused);
   EXPECT_EQ(Stats.DirtyFns, 1u); // only the new definition is dirty
@@ -766,47 +721,47 @@ TEST_F(RelevanceRefreshTest, AddedAndDeletedFunctionsForceConeRecompute) {
   EXPECT_EQ(refreshView(R), refreshView(Cold));
 }
 
-TEST_F(RelevanceRefreshTest, AutoThresholdFallsBackToFull) {
+TEST_F(RelevanceRefreshTest, HighDirtyFractionStaysLocal) {
   RefreshSubject Orig, Edited;
   loadRefreshSubject(Orig, sinkSubject());
-  // Three of eight functions edited (37% > the ~30% threshold): Auto falls
-  // back to the plain full pre-pass, Local forces the dirty-cone path —
-  // and both produce the identical artifact.
+  // Five of eight functions edited (62%), one of them seed-changing
+  // (srcOnly gains a sink): the dirty-cone path still runs — re-scanning
+  // exactly the dirty functions and recomputing the cones — and lands on
+  // the cold artifact. No dirty fraction sends a compatible table to the
+  // full pre-pass.
   std::string Src = editedSinkSubject(
       "int srcOnly(int c) { int v = read_input(); return v; }",
-      "int srcOnly(int c) { int v = read_input(); int a = 1; return v; }");
-  {
-    std::string From = "int bothSrc(int c) { int v = read_input(); return v; }";
+      "int srcOnly(int c) { int v = read_input(); open(v); return v; }");
+  for (const auto &[From, To] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"int bothSrc(int c) { int v = read_input(); return v; }",
+            "int bothSrc(int c) { int v = read_input(); int b = 2; "
+            "return v; }"},
+           {"int snkOnly(int v) { remove(v); return 0; }",
+            "int snkOnly(int v) { remove(v); int c = 3; return 0; }"},
+           {"int snkCaller(int v) { int r = snkOnly(v); return r; }",
+            "int snkCaller(int v) { int r = snkOnly(v); int d = 4; "
+            "return r; }"},
+           {"int filler(int *p) { int *q = p; return *q; }",
+            "int filler(int *p) { int *q = p; int e = 5; return *q; }"}}) {
     size_t Pos = Src.find(From);
-    ASSERT_NE(Pos, std::string::npos);
-    Src.replace(Pos, From.size(),
-                "int bothSrc(int c) { int v = read_input(); int b = 2; "
-                "return v; }");
-    From = "int snkOnly(int v) { remove(v); return 0; }";
-    Pos = Src.find(From);
-    ASSERT_NE(Pos, std::string::npos);
-    Src.replace(Pos, From.size(),
-                "int snkOnly(int v) { remove(v); int c = 3; return 0; }");
+    ASSERT_NE(Pos, std::string::npos) << From;
+    Src.replace(Pos, From.size(), To);
   }
   loadRefreshSubject(Edited, Src);
 
-  svfa::RelevanceRefreshStats AutoStats;
-  svfa::RelevanceArtifact A = refreshAgainst(
-      Orig, Edited, svfa::RelevanceRefreshMode::Auto, AutoStats);
-  EXPECT_FALSE(AutoStats.Local);
-  EXPECT_EQ(AutoStats.DirtyFns, 3u);
-  EXPECT_EQ(AutoStats.ScannedFns, Edited.M.functions().size());
-
-  svfa::RelevanceRefreshStats LocalStats;
-  svfa::RelevanceArtifact L = refreshAgainst(
-      Orig, Edited, svfa::RelevanceRefreshMode::Local, LocalStats);
-  EXPECT_TRUE(LocalStats.Local);
-  EXPECT_EQ(LocalStats.ScannedFns, 3u);
+  svfa::RelevanceRefreshStats Stats;
+  svfa::RelevanceArtifact R = refreshAgainst(Orig, Edited, Stats);
+  EXPECT_TRUE(Stats.Local);
+  EXPECT_FALSE(Stats.ClosureReused);
+  EXPECT_EQ(Stats.DirtyFns, 5u);
+  EXPECT_EQ(Stats.ScannedFns, 5u);
+  EXPECT_GT(Stats.DirtyFns * 10, Edited.M.functions().size() * 3);
 
   svfa::RelevanceArtifact Cold =
       svfa::computeRelevanceArtifact(*Edited.CG, Edited.M, taintSpec());
-  EXPECT_EQ(refreshView(A), refreshView(Cold));
-  EXPECT_EQ(refreshView(L), refreshView(Cold));
+  EXPECT_EQ(refreshView(R), refreshView(Cold));
+  EXPECT_TRUE(R.Union.Fns.count(Edited.M.function("srcOnly")));
 }
 
 TEST(RelevanceSpecKeyTest, OrderInvariantAndKnobSensitive) {
@@ -879,41 +834,7 @@ TEST(CondensationLayoutTest, FrozenSpansReplayBottomUpOrder) {
   EXPECT_TRUE(SawPair);
 }
 
-#if !defined(_WIN32) && !defined(PINPOINT_TSAN)
-
-//===----------------------------------------------------------------------===
-// CLI harness (forked pinpointToolMain, as in LifecycleTest/DemandTest)
-//===----------------------------------------------------------------------===
-
-int runTool(const std::vector<std::string> &Args, const std::string &OutFile) {
-  pid_t Pid = fork();
-  if (Pid == 0) {
-    if (!std::freopen(OutFile.c_str(), "w", stdout))
-      std::exit(90);
-    if (!std::freopen("/dev/null", "w", stderr))
-      std::exit(91);
-    std::vector<std::string> Store = Args;
-    std::vector<char *> Argv;
-    static char Name[] = "pinpoint";
-    Argv.push_back(Name);
-    for (std::string &A : Store)
-      Argv.push_back(A.data());
-    std::exit(
-        tools::pinpointToolMain(static_cast<int>(Argv.size()), Argv.data()));
-  }
-  int Status = 0;
-  if (waitpid(Pid, &Status, 0) != Pid)
-    return -1000;
-  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1001;
-}
-
-/// Extracts `Key=<number>` from \p Out (first occurrence); -1 if absent.
-long long statValue(const std::string &Out, const std::string &Key) {
-  size_t Pos = Out.find(Key + "=");
-  if (Pos == std::string::npos)
-    return -1;
-  return std::atoll(Out.c_str() + Pos + Key.size() + 1);
-}
+#if PINPOINT_CLI_TESTS
 
 //===----------------------------------------------------------------------===
 // CLI differentials: sink-intersected runs vs --demand=off
@@ -980,10 +901,10 @@ TEST(DemandSinkCLI, DerefNarrowingDifferentialAcrossJobs) {
   const std::string Out = T.file("stats.out");
   ASSERT_EQ(runTool({"--checker=uaf", "--stats", Subject}, Out), 0);
   const std::string Text = readFile(Out);
-  EXPECT_EQ(statValue(Text, "relevant-fns"), 2) << Text;
-  EXPECT_EQ(statValue(Text, "skipped-fns"), 3) << Text;
-  EXPECT_EQ(statValue(Text, "source-fns"), 2) << Text;
-  EXPECT_EQ(statValue(Text, "sink-fns"), 2) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "relevant-fns"), 2) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "skipped-fns"), 3) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "source-fns"), 2) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "sink-fns"), 2) << Text;
 }
 
 TEST(DemandSinkCLI, UnionDifferentialAcrossJobs) {
@@ -1018,16 +939,16 @@ TEST(DemandSinkCLI, SinkConesPruneExactCounts) {
   // The sink intersection keeps exactly the meeting region (bothSrc,
   // bothSnk, bothCaller) out of eight functions; the source-only cone
   // would have kept five (srcOnly and srcCaller too).
-  EXPECT_EQ(statValue(Text, "relevant-fns"), 3) << Text;
-  EXPECT_EQ(statValue(Text, "skipped-fns"), 5) << Text;
-  EXPECT_EQ(statValue(Text, "source-fns"), 2) << Text;
-  EXPECT_EQ(statValue(Text, "sink-fns"), 2) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "relevant-fns"), 3) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "skipped-fns"), 5) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "source-fns"), 2) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "sink-fns"), 2) << Text;
   // The frozen condensation reports its arena footprint, and the pre-pass
   // really walked the module. (Counter fields are inherited from the test
   // process across fork(), so only >0 and cross-run deltas are asserted in
   // the CLI tests — never absolute counter values.)
-  EXPECT_GT(statValue(Text, "cg-csr-bytes"), 0) << Text;
-  EXPECT_GT(statValue(Text, "prepass-fns"), 0) << Text;
+  EXPECT_GT(statValue(Text, "[demand]", "cg-csr-bytes"), 0) << Text;
+  EXPECT_GT(statValue(Text, "[demand]", "prepass-fns"), 0) << Text;
 }
 
 //===----------------------------------------------------------------------===
@@ -1058,21 +979,21 @@ TEST(DemandSinkCLI, WarmRunReplaysPersistedRelevance) {
                     Warm),
             0);
   const std::string WarmText = readFile(Warm);
-  EXPECT_EQ(statValue(ColdText, "relevance-stored"),
-            statValue(WarmText, "relevance-stored") + 1)
+  EXPECT_EQ(statValue(ColdText, "[demand]", "relevance-stored"),
+            statValue(WarmText, "[demand]", "relevance-stored") + 1)
       << ColdText << WarmText;
-  EXPECT_EQ(statValue(WarmText, "relevance-replayed"),
-            statValue(ColdText, "relevance-replayed") + 1)
+  EXPECT_EQ(statValue(WarmText, "[demand]", "relevance-replayed"),
+            statValue(ColdText, "[demand]", "relevance-replayed") + 1)
       << ColdText << WarmText;
-  EXPECT_EQ(statValue(WarmText, "relevance-stale"),
-            statValue(ColdText, "relevance-stale"))
+  EXPECT_EQ(statValue(WarmText, "[demand]", "relevance-stale"),
+            statValue(ColdText, "[demand]", "relevance-stale"))
       << ColdText << WarmText;
-  EXPECT_EQ(statValue(ColdText, "prepass-fns"),
-            statValue(WarmText, "prepass-fns") + 8)
+  EXPECT_EQ(statValue(ColdText, "[demand]", "prepass-fns"),
+            statValue(WarmText, "[demand]", "prepass-fns") + 8)
       << ColdText << WarmText;
-  EXPECT_EQ(statValue(WarmText, "relevant-fns"), 3) << WarmText;
-  EXPECT_EQ(statValue(WarmText, "skipped-fns"), 5) << WarmText;
-  EXPECT_EQ(statValue(WarmText, "sink-fns"), 2) << WarmText;
+  EXPECT_EQ(statValue(WarmText, "[demand]", "relevant-fns"), 3) << WarmText;
+  EXPECT_EQ(statValue(WarmText, "[demand]", "skipped-fns"), 5) << WarmText;
+  EXPECT_EQ(statValue(WarmText, "[demand]", "sink-fns"), 2) << WarmText;
 }
 
 TEST(DemandSinkCLI, CorruptRelevanceEntryRecomputes) {
@@ -1110,15 +1031,16 @@ TEST(DemandSinkCLI, CorruptRelevanceEntryRecomputes) {
   EXPECT_NE(Text.find("cache-corrupt demand"), std::string::npos) << Text;
   // Deltas vs the cold run (identical inherited counter state): neither
   // run replayed, both ran the full pre-pass and stored an entry.
-  EXPECT_EQ(statValue(Text, "relevance-replayed"),
-            statValue(ColdText, "relevance-replayed"))
+  EXPECT_EQ(statValue(Text, "[demand]", "relevance-replayed"),
+            statValue(ColdText, "[demand]", "relevance-replayed"))
       << Text;
-  EXPECT_EQ(statValue(Text, "relevance-stored"),
-            statValue(ColdText, "relevance-stored"))
+  EXPECT_EQ(statValue(Text, "[demand]", "relevance-stored"),
+            statValue(ColdText, "[demand]", "relevance-stored"))
       << Text;
-  EXPECT_EQ(statValue(Text, "prepass-fns"), statValue(ColdText, "prepass-fns"))
+  EXPECT_EQ(statValue(Text, "[demand]", "prepass-fns"),
+            statValue(ColdText, "[demand]", "prepass-fns"))
       << Text;
-  EXPECT_EQ(statValue(Text, "relevant-fns"), 3) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "relevant-fns"), 3) << Text;
 
   // Report lines match the uncached exhaustive run.
   const std::string Ref = readFile(T.file("ref.out"));
@@ -1129,8 +1051,9 @@ TEST(DemandSinkCLI, CorruptRelevanceEntryRecomputes) {
                      "--cache-dir=" + Dir, Subject},
                     T.file("rewarm.out")),
             0);
-  EXPECT_EQ(statValue(readFile(T.file("rewarm.out")), "relevance-replayed"),
-            statValue(ColdText, "relevance-replayed") + 1);
+  EXPECT_EQ(statValue(readFile(T.file("rewarm.out")), "[demand]",
+                      "relevance-replayed"),
+            statValue(ColdText, "[demand]", "relevance-replayed") + 1);
 }
 
 TEST(DemandSinkCLI, SpecChangeStoresFreshRelevance) {
@@ -1153,14 +1076,14 @@ TEST(DemandSinkCLI, SpecChangeStoresFreshRelevance) {
                     Out),
             0);
   const std::string Text = readFile(Out);
-  EXPECT_EQ(statValue(Text, "relevance-stale"),
-            statValue(A, "relevance-stale") + 1)
+  EXPECT_EQ(statValue(Text, "[demand]", "relevance-stale"),
+            statValue(A, "[demand]", "relevance-stale") + 1)
       << Text;
-  EXPECT_EQ(statValue(Text, "relevance-replayed"),
-            statValue(A, "relevance-replayed"))
+  EXPECT_EQ(statValue(Text, "[demand]", "relevance-replayed"),
+            statValue(A, "[demand]", "relevance-replayed"))
       << Text;
-  EXPECT_EQ(statValue(Text, "relevance-stored"),
-            statValue(A, "relevance-stored"))
+  EXPECT_EQ(statValue(Text, "[demand]", "relevance-stored"),
+            statValue(A, "[demand]", "relevance-stored"))
       << Text;
   // The overwritten entry now serves the new spec.
   ASSERT_EQ(runTool({"--checker=taint-data", "--stats",
@@ -1168,11 +1091,11 @@ TEST(DemandSinkCLI, SpecChangeStoresFreshRelevance) {
                     T.file("c.out")),
             0);
   const std::string Again = readFile(T.file("c.out"));
-  EXPECT_EQ(statValue(Again, "relevance-replayed"),
-            statValue(A, "relevance-replayed") + 1)
+  EXPECT_EQ(statValue(Again, "[demand]", "relevance-replayed"),
+            statValue(A, "[demand]", "relevance-replayed") + 1)
       << Again;
-  EXPECT_EQ(statValue(Again, "relevance-stale"),
-            statValue(A, "relevance-stale"))
+  EXPECT_EQ(statValue(Again, "[demand]", "relevance-stale"),
+            statValue(A, "[demand]", "relevance-stale"))
       << Again;
 }
 
@@ -1235,28 +1158,24 @@ TEST(DemandSinkCLI, MemPlanIsIdenticalAcrossDemandModes) {
                     StatsOut),
             0);
   const std::string Text = readFile(StatsOut);
-  EXPECT_EQ(statValue(Text, "skipped-fns"), 12) << Text;
-  EXPECT_GT(statValue(Text, "mem-plan-degraded"), 0) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "skipped-fns"), 12) << Text;
+  EXPECT_GT(statValue(Text, "[lifecycle]", "mem-plan-degraded"), 0) << Text;
 }
 
 //===----------------------------------------------------------------------===
-// Edit-localised warm refresh through the CLI (--relevance-refresh)
+// Edit-localised warm refresh through the CLI
 //===----------------------------------------------------------------------===
 
 TEST(DemandSinkCLI, EditedWarmRunRefreshesLocally) {
   TempDir T("editwarm");
   const std::string Subject = T.file("subject.mc");
   std::ofstream(Subject) << sinkSubject();
-  const std::string DirA = T.file("cacheA"), DirB = T.file("cacheB");
+  const std::string DirA = T.file("cacheA");
 
-  // Two cold populates of the original subject (one per refresh policy).
+  // Cold populate of the original subject.
   ASSERT_EQ(runTool({"--checker=taint-path", "--stats",
                      "--cache-dir=" + DirA, Subject},
                     T.file("coldA.out")),
-            0);
-  ASSERT_EQ(runTool({"--checker=taint-path", "--stats",
-                     "--cache-dir=" + DirB, Subject},
-                    T.file("coldB.out")),
             0);
   const std::string ColdA = readFile(T.file("coldA.out"));
   EXPECT_NE(ColdA.find("refresh-mode=cold"), std::string::npos) << ColdA;
@@ -1283,19 +1202,20 @@ TEST(DemandSinkCLI, EditedWarmRunRefreshesLocally) {
   // Deltas vs the cold run (identical inherited counter state): exactly
   // one dirty function, one re-scanned function (vs all 8 cold), reused
   // edges, one more stale detection — and a refreshed entry stored.
-  EXPECT_EQ(statValue(Warm, "dirty-fns"), statValue(ColdA, "dirty-fns") + 1)
+  EXPECT_EQ(statValue(Warm, "[demand]", "dirty-fns"),
+            statValue(ColdA, "[demand]", "dirty-fns") + 1)
       << Warm;
-  EXPECT_EQ(statValue(Warm, "prepass-fns"),
-            statValue(ColdA, "prepass-fns") - 7)
+  EXPECT_EQ(statValue(Warm, "[demand]", "prepass-fns"),
+            statValue(ColdA, "[demand]", "prepass-fns") - 7)
       << Warm;
-  EXPECT_GT(statValue(Warm, "edges-reused"),
-            statValue(ColdA, "edges-reused"))
+  EXPECT_GT(statValue(Warm, "[demand]", "edges-reused"),
+            statValue(ColdA, "[demand]", "edges-reused"))
       << Warm;
-  EXPECT_EQ(statValue(Warm, "relevance-stale"),
-            statValue(ColdA, "relevance-stale") + 1)
+  EXPECT_EQ(statValue(Warm, "[demand]", "relevance-stale"),
+            statValue(ColdA, "[demand]", "relevance-stale") + 1)
       << Warm;
-  EXPECT_EQ(statValue(Warm, "relevance-stored"),
-            statValue(ColdA, "relevance-stored"))
+  EXPECT_EQ(statValue(Warm, "[demand]", "relevance-stored"),
+            statValue(ColdA, "[demand]", "relevance-stored"))
       << Warm;
 
   // The refreshed entry replays on the next warm run.
@@ -1306,19 +1226,22 @@ TEST(DemandSinkCLI, EditedWarmRunRefreshesLocally) {
   EXPECT_NE(readFile(T.file("rewarm.out")).find("refresh-mode=replay"),
             std::string::npos);
 
-  // --relevance-refresh=full on the same edit reruns the whole pre-pass:
-  // all 8 functions scanned, no dirty-diff bookkeeping at all.
-  ASSERT_EQ(runTool({"--checker=taint-path", "--stats",
-                     "--relevance-refresh=full", "--cache-dir=" + DirB,
-                     Subject},
-                    T.file("full.out")),
+  // An uncached run on the same edit is the reference: it walks the whole
+  // pre-pass (all 8 functions, no dirty-diff bookkeeping) and reports
+  // exactly what the locally refreshed warm run did.
+  ASSERT_EQ(runTool({"--checker=taint-path", "--stats", Subject},
+                    T.file("uncached.out")),
             0);
-  const std::string Full = readFile(T.file("full.out"));
-  EXPECT_NE(Full.find("refresh-mode=full"), std::string::npos) << Full;
-  EXPECT_EQ(statValue(Full, "prepass-fns"), statValue(ColdA, "prepass-fns"))
-      << Full;
-  EXPECT_EQ(statValue(Full, "dirty-fns"), statValue(ColdA, "dirty-fns"))
-      << Full;
+  const std::string Uncached = readFile(T.file("uncached.out"));
+  EXPECT_NE(Uncached.find("refresh-mode=cold"), std::string::npos)
+      << Uncached;
+  EXPECT_EQ(statValue(Uncached, "[demand]", "prepass-fns"),
+            statValue(ColdA, "[demand]", "prepass-fns"))
+      << Uncached;
+  EXPECT_EQ(statValue(Uncached, "[demand]", "dirty-fns"),
+            statValue(ColdA, "[demand]", "dirty-fns"))
+      << Uncached;
+  EXPECT_EQ(filterVolatile(Warm), filterVolatile(Uncached));
 }
 
 TEST(DemandSinkCLI, EditedWarmByteIdentityAcrossModes) {
@@ -1340,36 +1263,36 @@ TEST(DemandSinkCLI, EditedWarmByteIdentityAcrossModes) {
                  "if (c > 1) { free(p); } if (c > 2) { free(p); } "
                  "return c; }");
 
-  int Combo = 0;
+  // Per job count: the uncached cold run on the edited subject is the
+  // reference; warm cache A refreshes its relevance entry locally, warm
+  // cache B holds an older-format entry and reruns the full pre-pass.
   for (const char *Jobs : {"--jobs=1", "--jobs=4"}) {
-    for (const char *Sched : {"--schedule=fifo", "--schedule=steal"}) {
-      const std::string Tag = std::to_string(Combo++);
-      const std::string DirA = T.file("ca" + Tag), DirB = T.file("cb" + Tag);
-      std::ofstream(Subject, std::ios::trunc) << Orig;
-      ASSERT_EQ(runTool({All, Jobs, Sched, "--cache-dir=" + DirA, Subject},
-                        T.file("seed.out")),
-                0);
-      ASSERT_EQ(runTool({All, Jobs, Sched, "--cache-dir=" + DirB, Subject},
-                        T.file("seed.out")),
-                0);
-      std::ofstream(Subject, std::ios::trunc) << Edited;
-      const std::string C = T.file("c" + Tag + ".out"),
-                        W = T.file("w" + Tag + ".out"),
-                        F = T.file("f" + Tag + ".out");
-      ASSERT_EQ(runTool({All, Jobs, Sched, "--degradation-log", Subject}, C),
-                0);
-      ASSERT_EQ(runTool({All, Jobs, Sched, "--degradation-log",
-                         "--cache-dir=" + DirA, Subject},
-                        W),
-                0);
-      ASSERT_EQ(runTool({All, Jobs, Sched, "--degradation-log",
-                         "--relevance-refresh=full", "--cache-dir=" + DirB,
-                         Subject},
-                        F),
-                0);
-      EXPECT_EQ(readFile(C), readFile(W)) << Jobs << " " << Sched;
-      EXPECT_EQ(readFile(C), readFile(F)) << Jobs << " " << Sched;
-    }
+    const std::string Tag = Jobs + std::strlen("--jobs=");
+    const std::string DirA = T.file("ca" + Tag), DirB = T.file("cb" + Tag);
+    std::ofstream(Subject, std::ios::trunc) << Orig;
+    ASSERT_EQ(runTool({All, Jobs, "--cache-dir=" + DirA, Subject},
+                      T.file("seed.out")),
+              0);
+    ASSERT_EQ(runTool({All, Jobs, "--cache-dir=" + DirB, Subject},
+                      T.file("seed.out")),
+              0);
+    writeLegacyRelevanceEntry(
+        (std::filesystem::path(DirB) / "relevance").string(), 2);
+    std::ofstream(Subject, std::ios::trunc) << Edited;
+    const std::string C = T.file("c" + Tag + ".out"),
+                      W = T.file("w" + Tag + ".out"),
+                      F = T.file("f" + Tag + ".out");
+    ASSERT_EQ(runTool({All, Jobs, "--degradation-log", Subject}, C), 0);
+    ASSERT_EQ(runTool({All, Jobs, "--degradation-log", "--cache-dir=" + DirA,
+                       Subject},
+                      W),
+              0);
+    ASSERT_EQ(runTool({All, Jobs, "--degradation-log", "--cache-dir=" + DirB,
+                       Subject},
+                      F),
+              0);
+    EXPECT_EQ(readFile(C), readFile(W)) << Jobs;
+    EXPECT_EQ(readFile(C), readFile(F)) << Jobs;
   }
 }
 
@@ -1396,13 +1319,14 @@ TEST(DemandSinkCLI, VersionDowngradeRecomputesSilently) {
   const std::string Warm = readFile(T.file("warm.out"));
   EXPECT_EQ(Warm.find("cache-corrupt demand"), std::string::npos) << Warm;
   EXPECT_NE(Warm.find("refresh-mode=full"), std::string::npos) << Warm;
-  EXPECT_EQ(statValue(Warm, "relevance-stale"),
-            statValue(Cold, "relevance-stale") + 1)
+  EXPECT_EQ(statValue(Warm, "[demand]", "relevance-stale"),
+            statValue(Cold, "[demand]", "relevance-stale") + 1)
       << Warm;
-  EXPECT_EQ(statValue(Warm, "relevance-stored"),
-            statValue(Cold, "relevance-stored"))
+  EXPECT_EQ(statValue(Warm, "[demand]", "relevance-stored"),
+            statValue(Cold, "[demand]", "relevance-stored"))
       << Warm;
-  EXPECT_EQ(statValue(Warm, "prepass-fns"), statValue(Cold, "prepass-fns"))
+  EXPECT_EQ(statValue(Warm, "[demand]", "prepass-fns"),
+            statValue(Cold, "[demand]", "prepass-fns"))
       << Warm;
 
   // The overwritten v3 entry replays on the next run.
@@ -1410,8 +1334,9 @@ TEST(DemandSinkCLI, VersionDowngradeRecomputesSilently) {
                      "--cache-dir=" + Dir, Subject},
                     T.file("rewarm.out")),
             0);
-  EXPECT_EQ(statValue(readFile(T.file("rewarm.out")), "relevance-replayed"),
-            statValue(Cold, "relevance-replayed") + 1);
+  EXPECT_EQ(statValue(readFile(T.file("rewarm.out")), "[demand]",
+                      "relevance-replayed"),
+            statValue(Cold, "[demand]", "relevance-replayed") + 1);
 }
 
 TEST(DemandSinkCLI, OrphanTmpFilesAreSweptAtStartup) {
@@ -1426,8 +1351,9 @@ TEST(DemandSinkCLI, OrphanTmpFilesAreSweptAtStartup) {
             0);
   const std::string Cold = readFile(T.file("cold.out"));
 
-  // Count the real entries, then plant orphaned temp files of every store
-  // family (entry, relevance, sched-profile) as a crashed run would.
+  // Count the real entries, then plant orphaned temp files as a crashed run
+  // would: one per store family (entry, relevance) plus one left by an
+  // older build's since-retired scheduling-profile store.
   size_t Entries = 0;
   for (const auto &E : std::filesystem::directory_iterator(Dir))
     if (E.path().extension() == ".pps")
@@ -1443,7 +1369,9 @@ TEST(DemandSinkCLI, OrphanTmpFilesAreSweptAtStartup) {
                     T.file("warm.out")),
             0);
   const std::string Warm = readFile(T.file("warm.out"));
-  EXPECT_EQ(statValue(Warm, "gc-tmp"), statValue(Cold, "gc-tmp") + 3) << Warm;
+  EXPECT_EQ(statValue(Warm, "[cache]", "gc-tmp"),
+            statValue(Cold, "[cache]", "gc-tmp") + 3)
+      << Warm;
   // Orphans are gone, real entries and the relevance entry survived.
   size_t After = 0, Tmps = 0;
   for (const auto &E : std::filesystem::directory_iterator(Dir)) {
@@ -1456,11 +1384,11 @@ TEST(DemandSinkCLI, OrphanTmpFilesAreSweptAtStartup) {
   EXPECT_EQ(Tmps, 0u);
   EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(Dir) /
                                       "relevance"));
-  EXPECT_EQ(statValue(Warm, "relevance-replayed"),
-            statValue(Cold, "relevance-replayed") + 1)
+  EXPECT_EQ(statValue(Warm, "[demand]", "relevance-replayed"),
+            statValue(Cold, "[demand]", "relevance-replayed") + 1)
       << Warm;
 }
 
-#endif // !_WIN32 && !PINPOINT_TSAN
+#endif // PINPOINT_CLI_TESTS
 
 } // namespace

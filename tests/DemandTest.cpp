@@ -26,9 +26,11 @@
 ///    materialisation (unqueried functions build no rows).
 ///
 /// The CLI tests fork a child that calls `pinpointToolMain` directly (the
-/// LifecycleTest harness) and are skipped under TSan.
+/// tests/CliHarness.h harness) and are skipped under TSan.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "CliHarness.h"
 
 #include "checkers/Checker.h"
 #include "checkers/SpecialCheckers.h"
@@ -38,68 +40,23 @@
 #include "svfa/Demand.h"
 #include "svfa/GlobalSVFA.h"
 #include "svfa/ReachOracle.h"
-#include "tools/PinpointTool.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#if !defined(_WIN32)
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
-#if defined(__SANITIZE_THREAD__)
-#define PINPOINT_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PINPOINT_TSAN 1
-#endif
-#endif
-
 using namespace pinpoint;
+using namespace pinpoint::clitest;
 
 namespace {
 
 //===----------------------------------------------------------------------===
-// Harness
+// Subjects
 //===----------------------------------------------------------------------===
-
-class TempDir {
-public:
-  explicit TempDir(const std::string &Tag) {
-    Path = "demand_" + Tag + "_" +
-           std::to_string(Counter.fetch_add(1, std::memory_order_relaxed));
-    std::filesystem::remove_all(Path);
-    std::filesystem::create_directories(Path);
-  }
-  ~TempDir() {
-    std::error_code EC;
-    std::filesystem::remove_all(Path, EC);
-  }
-  std::string file(const std::string &Name) const {
-    return (std::filesystem::path(Path) / Name).string();
-  }
-
-private:
-  static inline std::atomic<uint64_t> Counter{0};
-  std::string Path;
-};
-
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  std::stringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
-}
 
 /// A subject with one source region per checker plus a disconnected chain
 /// of filler functions no checker can ever need: the fillers are pointer
@@ -157,62 +114,7 @@ std::string demandSubject() {
   return S;
 }
 
-#if !defined(_WIN32) && !defined(PINPOINT_TSAN)
-
-/// Forks a child running the production CLI entry point (stdout to
-/// \p OutFile, stderr to /dev/null); returns its exit code.
-int runTool(const std::vector<std::string> &Args, const std::string &OutFile) {
-  pid_t Pid = fork();
-  if (Pid == 0) {
-    if (!std::freopen(OutFile.c_str(), "w", stdout))
-      std::exit(90);
-    if (!std::freopen("/dev/null", "w", stderr))
-      std::exit(91);
-    std::vector<std::string> Store = Args;
-    std::vector<char *> Argv;
-    static char Name[] = "pinpoint";
-    Argv.push_back(Name);
-    for (std::string &A : Store)
-      Argv.push_back(A.data());
-    std::exit(
-        tools::pinpointToolMain(static_cast<int>(Argv.size()), Argv.data()));
-  }
-  int Status = 0;
-  if (waitpid(Pid, &Status, 0) != Pid)
-    return -1000;
-  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1001;
-}
-
-/// Strips the stats lines that reflect work performed rather than findings
-/// — the demand determinism contract exempts exactly these (they change
-/// when functions are skipped), mirroring the --jobs contract's exemption
-/// of the interleaving-dependent acceleration counters.
-std::string filterVolatile(const std::string &Out) {
-  static const char *const Volatile[] = {"[pipeline]",   "[phase]",
-                                         "[exprs]",      "[cache]",
-                                         "[lifecycle]",  "[demand]",
-                                         "[sched]"};
-  std::string Keep;
-  std::stringstream SS(Out);
-  std::string Line;
-  while (std::getline(SS, Line)) {
-    bool Drop = false;
-    for (const char *P : Volatile)
-      if (Line.rfind(P, 0) == 0)
-        Drop = true;
-    if (!Drop)
-      Keep += Line + "\n";
-  }
-  return Keep;
-}
-
-/// Extracts `Key=<number>` from \p Out (first occurrence); -1 if absent.
-long long statValue(const std::string &Out, const std::string &Key) {
-  size_t Pos = Out.find(Key + "=");
-  if (Pos == std::string::npos)
-    return -1;
-  return std::atoll(Out.c_str() + Pos + Key.size() + 1);
-}
+#if PINPOINT_CLI_TESTS
 
 //===----------------------------------------------------------------------===
 // CLI differential: --demand=on ≡ --demand=off
@@ -277,10 +179,10 @@ TEST(DemandCLI, SkipsTheDisconnectedFillers) {
   // uaf's only source function is uaf_df; it has no callers and no
   // module-level callees, so everything else (taints, nulls and the seven
   // fill* functions) is skipped.
-  EXPECT_EQ(statValue(Text, "relevant-fns"), 1) << Text;
-  EXPECT_EQ(statValue(Text, "skipped-fns"), 9) << Text;
-  EXPECT_EQ(statValue(Text, "source-fns"), 1) << Text;
-  EXPECT_GT(statValue(Text, "csr-bytes"), 0) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "relevant-fns"), 1) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "skipped-fns"), 9) << Text;
+  EXPECT_EQ(statValue(Text, "[demand]", "source-fns"), 1) << Text;
+  EXPECT_GT(statValue(Text, "[demand]", "csr-bytes"), 0) << Text;
 }
 
 //===----------------------------------------------------------------------===
@@ -321,16 +223,17 @@ TEST(DemandCLI, ColdWarmCacheDifferential) {
   // (skipped functions were never written).
   const std::string OnCold = readFile(T.file("on_cold.out"));
   const std::string OnWarm = readFile(T.file("on_warm.out"));
-  EXPECT_EQ(statValue(OnCold, "stored"), statValue(OnCold, "relevant-fns"))
+  EXPECT_EQ(statValue(OnCold, "[cache]", "stored"),
+            statValue(OnCold, "[demand]", "relevant-fns"))
       << OnCold;
-  // " hits" (with the space) targets the [cache] line, not the checker
-  // line's cache-hits counter.
-  EXPECT_EQ(statValue(OnWarm, " hits"), statValue(OnWarm, "relevant-fns"))
+  EXPECT_EQ(statValue(OnWarm, "[cache]", "hits"),
+            statValue(OnWarm, "[demand]", "relevant-fns"))
       << OnWarm;
-  EXPECT_EQ(statValue(OnWarm, "misses"), 0) << OnWarm;
+  EXPECT_EQ(statValue(OnWarm, "[cache]", "misses"), 0) << OnWarm;
   // The exhaustive run stored strictly more (the fillers too).
   const std::string OffCold = readFile(T.file("off_cold.out"));
-  EXPECT_GT(statValue(OffCold, "stored"), statValue(OnCold, "stored"));
+  EXPECT_GT(statValue(OffCold, "[cache]", "stored"),
+            statValue(OnCold, "[cache]", "stored"));
 }
 
 TEST(DemandCLI, CacheArtifactsAreModeIndependent) {
@@ -352,12 +255,13 @@ TEST(DemandCLI, CacheArtifactsAreModeIndependent) {
             0);
   EXPECT_EQ(filterVolatile(readFile(Cold)), filterVolatile(readFile(Warm)));
   const std::string WarmText = readFile(Warm);
-  EXPECT_EQ(statValue(WarmText, " hits"), statValue(WarmText, "relevant-fns"))
+  EXPECT_EQ(statValue(WarmText, "[cache]", "hits"),
+            statValue(WarmText, "[demand]", "relevant-fns"))
       << WarmText;
-  EXPECT_EQ(statValue(WarmText, "misses"), 0) << WarmText;
+  EXPECT_EQ(statValue(WarmText, "[cache]", "misses"), 0) << WarmText;
 }
 
-#endif // !_WIN32 && !PINPOINT_TSAN
+#endif // PINPOINT_CLI_TESTS
 
 //===----------------------------------------------------------------------===
 // Relevance computation

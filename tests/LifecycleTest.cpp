@@ -25,9 +25,12 @@
 ///
 /// The CLI tests fork a child that calls `pinpointToolMain` directly — the
 /// exact production code path including signal handlers and exit codes —
-/// and are skipped under TSan (fork + instrumented threads do not mix).
+/// through tests/CliHarness.h, and are skipped under TSan (fork +
+/// instrumented threads do not mix).
 ///
 //===----------------------------------------------------------------------===//
+
+#include "CliHarness.h"
 
 #include "checkers/Checker.h"
 #include "frontend/Parser.h"
@@ -39,70 +42,33 @@
 #include "support/SummaryCache.h"
 #include "support/ThreadPool.h"
 #include "svfa/GlobalSVFA.h"
-#include "tools/PinpointTool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#if !defined(_WIN32)
+#if PINPOINT_CLI_TESTS
 #include <csignal>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
-#if defined(__SANITIZE_THREAD__)
-#define PINPOINT_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PINPOINT_TSAN 1
-#endif
 #endif
 
 using namespace pinpoint;
+using namespace pinpoint::clitest;
 
 namespace {
 
 //===----------------------------------------------------------------------===
 // Harness
 //===----------------------------------------------------------------------===
-
-/// A scratch directory under the test working directory, removed on exit.
-class TempDir {
-public:
-  explicit TempDir(const std::string &Tag) {
-    Path = "lifecycle_" + Tag + "_" +
-           std::to_string(Counter.fetch_add(1, std::memory_order_relaxed));
-    std::filesystem::remove_all(Path);
-    std::filesystem::create_directories(Path);
-  }
-  ~TempDir() {
-    std::error_code EC;
-    std::filesystem::remove_all(Path, EC);
-  }
-  std::string file(const std::string &Name) const {
-    return (std::filesystem::path(Path) / Name).string();
-  }
-  const std::string &path() const { return Path; }
-
-private:
-  static inline std::atomic<uint64_t> Counter{0};
-  std::string Path;
-};
 
 /// A deterministic subject with one feasible use-after-free per function
 /// pair: enough independent SCCs for the scheduler, the cache and the
@@ -120,53 +86,7 @@ std::string pairSubject(int Pairs) {
   return S;
 }
 
-std::string readFile(const std::string &Path) {
-  std::ifstream In(Path);
-  std::stringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
-}
-
-#if !defined(_WIN32) && !defined(PINPOINT_TSAN)
-
-/// Forks a child that runs the production CLI entry point with \p Args,
-/// stdout redirected to \p OutFile (stderr to /dev/null). Returns the pid.
-pid_t spawnTool(const std::vector<std::string> &Args,
-                const std::string &OutFile) {
-  pid_t Pid = fork();
-  if (Pid != 0)
-    return Pid;
-  // Child: run the exact driver and exit with its code (exit(), not
-  // _exit(), so stdio flushes — the flush behaviour is under test).
-  if (!std::freopen(OutFile.c_str(), "w", stdout))
-    std::exit(90);
-  if (!std::freopen("/dev/null", "w", stderr))
-    std::exit(91);
-  std::vector<std::string> Store = Args;
-  std::vector<char *> Argv;
-  static char Name[] = "pinpoint";
-  Argv.push_back(Name);
-  for (std::string &A : Store)
-    Argv.push_back(A.data());
-  std::exit(tools::pinpointToolMain(static_cast<int>(Argv.size()),
-                                    Argv.data()));
-}
-
-/// Waits for the child; returns its exit code (or -signal if killed).
-int waitTool(pid_t Pid) {
-  int Status = 0;
-  if (waitpid(Pid, &Status, 0) != Pid)
-    return -1000;
-  if (WIFEXITED(Status))
-    return WEXITSTATUS(Status);
-  if (WIFSIGNALED(Status))
-    return -WTERMSIG(Status);
-  return -1001;
-}
-
-int runTool(const std::vector<std::string> &Args, const std::string &OutFile) {
-  return waitTool(spawnTool(Args, OutFile));
-}
+#if PINPOINT_CLI_TESTS
 
 size_t cacheEntryCount(const std::string &Dir) {
   size_t N = 0;
@@ -260,11 +180,8 @@ TEST(LifecycleCLI, InterruptedPlusResumedMatchesUninterrupted) {
                     T.file("stats.out")),
             0);
   const std::string Stats = readFile(T.file("stats.out"));
-  size_t Pos = Stats.find("resumed-sccs=");
-  ASSERT_NE(Pos, std::string::npos) << Stats;
-  EXPECT_GT(std::atoll(Stats.c_str() + Pos + std::strlen("resumed-sccs=")),
-            0)
-      << Stats;
+  ASSERT_GE(statValue(Stats, "[lifecycle]", "resumed-sccs"), 0) << Stats;
+  EXPECT_GT(statValue(Stats, "[lifecycle]", "resumed-sccs"), 0) << Stats;
 }
 
 TEST(LifecycleCLI, ExitCodeContract) {
@@ -278,6 +195,25 @@ TEST(LifecycleCLI, ExitCodeContract) {
   EXPECT_EQ(runTool({"--no-such-flag", Subject}, T.file("bad.out")), 2);
   EXPECT_EQ(runTool({T.file("missing.mc")}, T.file("miss.out")), 2);
   EXPECT_EQ(runTool({Subject}, T.file("ok.out")), 0);
+
+  // A numeric value that does not fit the setting it feeds is a usage
+  // error naming the flag — never wrapped into a negative timeout or a
+  // serial run. The largest value that fits is accepted.
+  for (const char *Bad :
+       {"--solver-timeout-ms=3000000000", "--jobs=4294967297",
+        "--retry-transient=4294967296", "--max-depth=65",
+        "--mem-budget-mb=9223372036854775807",
+        "--time-budget-ms=9223372036854775808"}) {
+    const std::string Err = T.file("range.err");
+    EXPECT_EQ(runTool({Bad, Subject}, T.file("range.out"), Err), 2) << Bad;
+    const std::string Arg = Bad;
+    EXPECT_NE(readFile(Err).find(Arg.substr(0, Arg.find('='))),
+              std::string::npos)
+        << Bad << ": " << readFile(Err);
+  }
+  for (const char *Edge : {"--solver-timeout-ms=2147483647",
+                           "--retry-transient=2147483647", "--max-depth=64"})
+    EXPECT_EQ(runTool({Edge, Subject}, T.file("edge.out")), 0) << Edge;
 }
 
 TEST(LifecycleCLI, MemBudgetDegradationIsDeterministicAcrossJobs) {
@@ -301,7 +237,7 @@ TEST(LifecycleCLI, MemBudgetDegradationIsDeterministicAcrossJobs) {
   EXPECT_EQ(J1, readFile(T.file("j1b.out")));
 }
 
-#endif // !_WIN32 && !PINPOINT_TSAN
+#endif // PINPOINT_CLI_TESTS
 
 //===----------------------------------------------------------------------===
 // Library-level memory governance

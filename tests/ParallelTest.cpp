@@ -261,7 +261,7 @@ TEST(ParallelDeterminismTest, WideSubjectPipelineMatchesSerialExactly) {
 }
 
 //===----------------------------------------------------------------------===
-// Schedule-mode determinism: fifo and steal agree at every width
+// Schedule determinism: every pool width reproduces the serial reports
 //===----------------------------------------------------------------------===
 
 /// A \p Layers x \p Width diamond lattice of singleton SCCs: every
@@ -296,15 +296,14 @@ std::string diamondLatticeSubject(unsigned Layers, unsigned Width) {
   return S;
 }
 
-/// runRendered with an explicit schedule mode; always pools (jobs=1 runs
-/// the parallel path on a single worker, not the serial loop).
-std::vector<std::string> runLattice(const std::string &Src, unsigned Jobs,
-                                    ThreadPool::Schedule Mode) {
+/// runRendered with a pool of \p Jobs workers attached to both the
+/// pipeline and the engine (a one-worker pool takes their serial paths).
+std::vector<std::string> runLattice(const std::string &Src, unsigned Jobs) {
   ir::Module M;
   std::vector<frontend::Diag> Diags;
   EXPECT_TRUE(frontend::parseModule(Src, M, Diags));
   smt::ExprContext Ctx;
-  ThreadPool Pool(Jobs, Mode);
+  ThreadPool Pool(Jobs);
   PipelineOptions PO;
   PO.Pool = &Pool;
   AnalyzedModule AM(M, Ctx, PO);
@@ -318,22 +317,15 @@ std::vector<std::string> runLattice(const std::string &Src, unsigned Jobs,
 }
 
 TEST(ParallelDeterminismTest, DiamondLatticeMatchesAcrossSchedules) {
-  // 10 x 5 = 50 SCCs. The serial loop is the reference; both disciplines
-  // at one, two and eight workers must reproduce its reports exactly —
-  // rank-priority dispatch and randomized stealing are scheduling detail,
-  // never output.
+  // 10 x 5 = 50 SCCs. The serial loop is the reference; pools of one, two
+  // and eight workers must reproduce its reports exactly — dispatch order
+  // is scheduling detail, never output.
   const std::string Src = diamondLatticeSubject(10, 5);
   const std::vector<std::string> Serial =
       runRendered(Src, checkers::useAfterFreeChecker(), 1);
   EXPECT_FALSE(Serial.empty()) << "lattice planted no findings";
-  for (ThreadPool::Schedule Mode :
-       {ThreadPool::Schedule::Fifo, ThreadPool::Schedule::Steal}) {
-    for (unsigned Jobs : {1u, 2u, 8u}) {
-      EXPECT_EQ(runLattice(Src, Jobs, Mode), Serial)
-          << (Mode == ThreadPool::Schedule::Fifo ? "fifo" : "steal")
-          << " jobs=" << Jobs;
-    }
-  }
+  for (unsigned Jobs : {1u, 2u, 8u})
+    EXPECT_EQ(runLattice(Src, Jobs), Serial) << "jobs=" << Jobs;
 }
 
 //===----------------------------------------------------------------------===

@@ -671,9 +671,6 @@ TEST_P(PipelineProperty, EditedWarmRefreshMatchesColdOnRandomEdits) {
     svfa::PipelineOptions PO;
     PO.Demand = &DS;
     PO.Cache = Cache;
-    // Force the dirty-cone path: small generated subjects can trip the
-    // ~30% auto threshold at K=3, and this sweep pins the local path.
-    PO.RelevanceRefresh = svfa::RelevanceRefreshMode::Local;
     svfa::AnalyzedModule AM(M, Ctx, PO);
     svfa::GlobalOptions GO;
     GO.Demand = true;
