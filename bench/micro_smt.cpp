@@ -9,8 +9,9 @@
 /// (DESIGN.md section 11) — the shared verdict cache plus conjunct slicing —
 /// on a pointer-heavy subject: the same use-after-free analysis runs once
 /// with the layer disabled (the no-cache ablation) and once enabled, and
-/// the bench reports backend-call reduction, cache hit-rate and the linear
-/// filter's kill-rate, then emits machine-readable `BENCH_smt.json`.
+/// the bench reports backend-call reduction, cache hit-rate, the linear
+/// filter's kill-rate and the per-call backend latency, then emits
+/// machine-readable `BENCH_smt.json`.
 ///
 /// The invariants the CI perf-smoke step relies on are *counts*, not wall
 /// clock: warm cache hit-rate > 0, sliced queries > 0, and backend calls
@@ -143,6 +144,10 @@ int main() {
           ? static_cast<double>(Off.SS.BackendCalls) / On.SS.BackendCalls
           : 0.0;
   const double QueriesPerSec = On.Sec > 0 ? On.SS.Queries / On.Sec : 0.0;
+  // Per-call backend latency, bounded from above: the ablation's whole
+  // checker time (search and filter included) over its backend calls.
+  const double BackendMsPerCall =
+      Off.SS.BackendCalls ? 1000.0 * Off.Sec / Off.SS.BackendCalls : 0.0;
 
   std::printf("%-26s %10s %10s\n", "metric", "accel OFF", "accel ON");
   hr();
@@ -161,6 +166,8 @@ int main() {
               (unsigned long long)On.SS.ComponentsRefuted);
   std::printf("%-26s %10zu %10zu\n", "reports", Off.NumReports,
               On.NumReports);
+  std::printf("%-26s %10.3f %10s\n", "backend ms/call (<=)", BackendMsPerCall,
+              "-");
   hr();
   std::printf("backend-call reduction: %.2fx  cache hit-rate: %.1f%%  "
               "linear kill-rate: %.1f%%  (%.0f queries/s)\n",
@@ -188,6 +195,7 @@ int main() {
   J.field("backend_calls_off", (unsigned long long)Off.SS.BackendCalls);
   J.field("backend_calls_on", (unsigned long long)On.SS.BackendCalls);
   J.field("backend_call_reduction", Reduction, 2);
+  J.field("backend_ms_per_call", BackendMsPerCall);
   J.field("cache_hits", (unsigned long long)On.SS.CacheHits);
   J.field("cache_hit_rate", HitRate);
   J.field("sliced_queries", (unsigned long long)On.SS.SlicedQueries);

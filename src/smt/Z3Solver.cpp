@@ -10,12 +10,23 @@
 /// Translation is memoised per node so shared subformulas are translated
 /// once.
 ///
+/// Each backend instance keeps one incremental Z3 solver for its lifetime
+/// and brackets every query in push/pop. The staged design (paper §3.1.1)
+/// only sends the backend small QF_LIA path conditions, and on those the
+/// solving is the cheap part: a fresh default solver (Z3's combined solver)
+/// probes the logic and builds its tactic pipeline on every first check,
+/// ≈11 ms per trivial query against ≈0.07 ms for the solve itself. The
+/// plain SMT core (`Z3_mk_simple_solver`) skips that pipeline, and reusing
+/// one across queries also skips solver construction (DESIGN.md §11 has the
+/// per-call costs). The context's `timeout` parameter bounds every check.
+///
 //===----------------------------------------------------------------------===//
 
 #include "smt/Solver.h"
 
 #if PINPOINT_HAS_Z3
 
+#include <cassert>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -28,23 +39,38 @@ class Z3Solver : public Solver {
 public:
   Z3Solver(ExprContext &Ctx, const SolverConfig &SC) : Ctx(Ctx) {
     Z3_config Cfg = Z3_mk_config();
-    // Per-query timeout in ms; 0 would mean "no limit", so clamp to 1.
-    std::string Timeout = std::to_string(SC.TimeoutMs > 0 ? SC.TimeoutMs : 1);
-    Z3_set_param_value(Cfg, "timeout", Timeout.c_str());
+    // Per-query timeout in ms. Z3 applies no limit while `timeout` is unset,
+    // which is what a non-positive budget means.
+    if (SC.TimeoutMs > 0)
+      Z3_set_param_value(Cfg, "timeout", std::to_string(SC.TimeoutMs).c_str());
     Z = Z3_mk_context(Cfg);
     Z3_del_config(Cfg);
     IntSort = Z3_mk_int_sort(Z);
     BoolSort = Z3_mk_bool_sort(Z);
+    S = Z3_mk_simple_solver(Z);
+    Z3_solver_inc_ref(Z, S);
   }
 
-  ~Z3Solver() override { Z3_del_context(Z); }
+  ~Z3Solver() override {
+    Z3_solver_dec_ref(Z, S);
+    Z3_del_context(Z);
+  }
+  Z3Solver(const Z3Solver &) = delete;
+  Z3Solver &operator=(const Z3Solver &) = delete;
 
   SatResult checkSat(const Expr *E) override {
-    Z3_solver S = Z3_mk_solver(Z);
-    Z3_solver_inc_ref(Z, S);
-    Z3_solver_assert(Z, S, translate(E));
+    // Translate before opening the scope, for two reasons. The memo's
+    // allocations may throw, and a scope left open would keep this query's
+    // assertion under every later query, turning their answers into false
+    // Unsats. And Z3 documents that, in a context from Z3_mk_context, an AST
+    // made inside a scope is not valid past its pop; the memo keeps ASTs
+    // across queries, so they are all made at scope level 0.
+    Z3_ast A = translate(E);
+    Z3_solver_push(Z, S);
+    Z3_solver_assert(Z, S, A);
     Z3_lbool R = Z3_solver_check(Z, S);
-    Z3_solver_dec_ref(Z, S);
+    Z3_solver_pop(Z, S, 1);
+    assert(Z3_solver_get_num_scopes(Z, S) == 0 && "query scope outlived it");
     if (R == Z3_L_TRUE)
       return SatResult::Sat;
     if (R == Z3_L_FALSE)
@@ -150,6 +176,7 @@ private:
 
   ExprContext &Ctx;
   Z3_context Z;
+  Z3_solver S; ///< The one solver; no scope is open between queries.
   Z3_sort IntSort, BoolSort;
   std::unordered_map<uint32_t, Z3_ast> Vars;
   std::unordered_map<const Expr *, Z3_ast> Memo;

@@ -56,7 +56,7 @@ struct Budget {
   int64_t FunctionWallMs = -1; ///< Per-function wall clock (global SVFA).
   uint64_t MaxClosureSteps = 0; ///< Per value-closure walk.
   uint64_t MaxPTASteps = 0;     ///< Per local points-to pass (statements).
-  int SolverTimeoutMs = 10000;  ///< Per SMT query (Z3 ms / MiniSolver-scaled).
+  int SolverTimeoutMs = 10000;  ///< Per Z3 query, in ms (<= 0: no limit).
   size_t MaxFunctionStmts = 0;  ///< Oversized-function pipeline skip.
   /// Governed-memory budget in MB (0 = unlimited). Crossing the modelled
   /// soft threshold pre-degrades the largest SCCs deterministically

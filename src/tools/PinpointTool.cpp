@@ -50,7 +50,9 @@
 ///     --time-budget-ms=N      whole-run wall clock; past it, remaining
 ///                             work degrades instead of running
 ///     --fn-budget-ms=N        per-function wall clock in the global stage
-///     --solver-timeout-ms=N   per-query SMT timeout (default 10000)
+///     --solver-timeout-ms=N   per-query Z3 timeout (default 10000;
+///                             0 = no limit); the MiniSolver is bounded by
+///                             its DPLL step budget instead
 ///     --max-closure-steps=N   step budget per value-closure walk
 ///     --max-pta-steps=N       step budget per local points-to pass
 ///     --max-fn-stmts=N        skip (degrade) functions larger than N stmts
@@ -161,7 +163,8 @@ void usage() {
       "resource governance:\n"
       "  --time-budget-ms=N       whole-run wall clock budget\n"
       "  --fn-budget-ms=N         per-function wall clock budget\n"
-      "  --solver-timeout-ms=N    per-query SMT timeout (default 10000)\n"
+      "  --solver-timeout-ms=N    per-query Z3 timeout (default 10000, "
+      "0 = no limit)\n"
       "  --max-closure-steps=N    step budget per value-closure walk\n"
       "  --max-pta-steps=N        step budget per points-to pass\n"
       "  --max-fn-stmts=N         degrade functions larger than N stmts\n"

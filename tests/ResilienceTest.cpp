@@ -46,6 +46,26 @@ constexpr const char *GuardedBugSrc = R"(
     return *p;
   })";
 
+/// A feasible guarded bug next to an infeasible one that only the SMT
+/// backend refutes: the free needs c > 5 and the use c < 3, two distinct
+/// atoms the linear filter cannot play against each other.
+constexpr const char *BackendRefutedSrc = R"(
+  int f(int *p, int c) {
+    if (c > 0) {
+      free(p);
+    }
+    return *p;
+  }
+  int g(int *q, int c) {
+    if (c > 5) {
+      free(q);
+    }
+    if (c < 3) {
+      return *q;
+    }
+    return 0;
+  })";
+
 class ResilienceTest : public ::testing::Test {
 protected:
   void parse(std::string_view Src) {
@@ -115,6 +135,33 @@ TEST_F(ResilienceTest, MiniSolverStepBudgetReturnsUnknown) {
   EXPECT_EQ(Tight->checkSat(E), smt::SatResult::Unknown);
   auto Roomy = smt::createMiniSolver(C, {.MaxSteps = 100000});
   EXPECT_EQ(Roomy->checkSat(E), smt::SatResult::Sat);
+}
+
+TEST_F(ResilienceTest, ZeroSolverTimeoutMeansUnbounded) {
+  smt::ExprContext Probe;
+  if (!smt::createZ3Solver(Probe))
+    GTEST_SKIP() << "Z3 unavailable";
+  parse(BackendRefutedSrc);
+  ResourceGovernor Default;
+  auto Expected = runUAF(Default);
+  ASSERT_EQ(Expected.size(), 1u);
+  EXPECT_EQ(Expected[0].SourceFn, "f");
+
+  // 0 means "no limit", not "give up at once": g's infeasible bug must
+  // still be refuted rather than kept as an Unknown report.
+  parse(BackendRefutedSrc);
+  Budget B;
+  B.SolverTimeoutMs = 0;
+  ResourceGovernor Unbounded(B);
+  auto Reports = runUAF(Unbounded);
+  ASSERT_EQ(Reports.size(), Expected.size());
+  for (size_t I = 0; I < Reports.size(); ++I) {
+    EXPECT_EQ(Reports[I].SourceFn, Expected[I].SourceFn);
+    EXPECT_EQ(Reports[I].Source.Line, Expected[I].Source.Line);
+    EXPECT_EQ(Reports[I].Sink.Line, Expected[I].Sink.Line);
+    EXPECT_EQ(Reports[I].Verdict, Expected[I].Verdict);
+  }
+  EXPECT_EQ(Unbounded.log().count(DegradationKind::SolverUnknown), 0u);
 }
 
 //===----------------------------------------------------------------------===

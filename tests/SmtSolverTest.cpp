@@ -266,6 +266,52 @@ TEST_P(BackendTest, BranchCorrelationSatisfiableSide) {
   EXPECT_EQ(S->checkSat(F), SatResult::Sat);
 }
 
+TEST_P(BackendTest, QueryDoesNotOutliveItsCheck) {
+  auto S = makeSolver();
+  if (!S)
+    GTEST_SKIP() << "backend unavailable";
+  const Expr *X = Ctx.freshIntVar("x");
+  // x > 0 ∧ x < 0, then x > 0 on the same instance: if the first query's
+  // assertion stayed behind, the second would come back Unsat.
+  EXPECT_EQ(S->checkSat(Ctx.mkAnd(Ctx.mkCmp(ExprKind::Gt, X, Ctx.getInt(0)),
+                                  Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(0)))),
+            SatResult::Unsat);
+  EXPECT_EQ(S->checkSat(Ctx.mkCmp(ExprKind::Gt, X, Ctx.getInt(0))),
+            SatResult::Sat);
+}
+
+TEST_P(BackendTest, TimedOutQueryLeavesInstanceUsable) {
+  if (std::string(GetParam().Name) != "z3")
+    GTEST_SKIP() << "wall-clock timeouts are a Z3 setting";
+  // Not 1 ms: under load Z3 4.8.12 sometimes drops a timeout that short
+  // (the check then runs until interrupted), and an easy query can itself
+  // overrun it. 100 ms is far above an easy query's ≈0.1 ms.
+  auto S = createZ3Solver(Ctx, {.TimeoutMs = 100});
+  if (!S)
+    GTEST_SKIP() << "backend unavailable";
+  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *Y = Ctx.freshIntVar("y");
+  const Expr *Z = Ctx.freshIntVar("z");
+  auto Cube = [&](const Expr *V) {
+    return Ctx.mkArith(ExprKind::Mul, V, Ctx.mkArith(ExprKind::Mul, V, V));
+  };
+  auto Positive = [&](const Expr *V) {
+    return Ctx.mkCmp(ExprKind::Gt, V, Ctx.getInt(0));
+  };
+  // x³ + y³ = z³ over positive integers: unsat (Fermat, n = 3), but past
+  // Z3's nonlinear integer reasoning, so the check runs into the timeout.
+  const Expr *Fermat = Ctx.mkAnd(
+      Ctx.mkAnd(Positive(X), Ctx.mkAnd(Positive(Y), Positive(Z))),
+      Ctx.mkEq(Ctx.mkArith(ExprKind::Add, Cube(X), Cube(Y)), Cube(Z)));
+  EXPECT_EQ(S->checkSat(Fermat), SatResult::Unknown);
+  // The timed-out query is gone; easy queries over the same variables get
+  // definite answers again.
+  EXPECT_EQ(S->checkSat(Ctx.mkAnd(Positive(X), Positive(Y))), SatResult::Sat);
+  EXPECT_EQ(S->checkSat(Ctx.mkAnd(Positive(X),
+                                  Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(0)))),
+            SatResult::Unsat);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, BackendTest,
                          ::testing::Values(BackendCase{"mini"},
                                            BackendCase{"z3"}));
