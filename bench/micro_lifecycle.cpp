@@ -20,7 +20,7 @@
 ///
 /// One-shot phases over shared state (a single subject, a mid-run cancel),
 /// which google-benchmark's repetition model would invalidate — a plain
-/// standalone bench like micro_cache/micro_smt. Emits BENCH_lifecycle.json.
+/// standalone bench like micro_cache. Emits BENCH_lifecycle.json.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -42,62 +42,74 @@ bool LinearSolver::intersects(const std::vector<uint32_t> &A,
   return false;
 }
 
-const LinearSolver::PN &LinearSolver::sets(const Expr *E) {
-  auto Found = Cache.find(E);
-  if (Found != Cache.end())
+const LinearSolver::PN &LinearSolver::sets(const Expr *E, bool Neg) {
+  auto Found = Cache[Neg].find(E);
+  if (Found != Cache[Neg].end())
     return Found->second;
 
   // Iterative post-order so huge shared DAGs do not overflow the stack.
-  std::vector<std::pair<const Expr *, bool>> Stack{{E, false}};
+  // Each node is evaluated under the polarity it occurs in: ¬ flips the
+  // polarity of its operand, so a negated compound is evaluated as its De
+  // Morgan dual and only atoms are ever negated directly.
+  struct Item {
+    const Expr *E;
+    bool Neg;
+    bool Visited;
+  };
+  std::vector<Item> Stack{{E, Neg, false}};
   while (!Stack.empty()) {
-    auto [Cur, Visited] = Stack.back();
+    auto [Cur, CurNeg, Visited] = Stack.back();
     Stack.pop_back();
-    if (Cache.count(Cur))
+    if (Cache[CurNeg].count(Cur))
       continue;
-    if (!Visited) {
-      Stack.push_back({Cur, true});
-      if (Cur->kind() == ExprKind::Not || Cur->kind() == ExprKind::And ||
-          Cur->kind() == ExprKind::Or)
+    const ExprKind K = Cur->kind();
+    // A negated atom needs no visit of its operand.
+    const bool NotAtom = K == ExprKind::Not && Cur->operand(0)->isAtom();
+    if (!Visited && !NotAtom) {
+      Stack.push_back({Cur, CurNeg, true});
+      if (K == ExprKind::Not || K == ExprKind::And || K == ExprKind::Or) {
+        const bool OpNeg = CurNeg != (K == ExprKind::Not);
         for (const Expr *Op : Cur->operands())
-          if (!Cache.count(Op))
-            Stack.push_back({Op, false});
+          if (!Cache[OpNeg].count(Op))
+            Stack.push_back({Op, OpNeg, false});
+      }
       continue;
     }
     PN Result;
-    switch (Cur->kind()) {
+    switch (K) {
     case ExprKind::True:
     case ExprKind::False:
       break; // Both sets empty; True/False are not atoms.
-    case ExprKind::Not: {
-      const PN &Sub = Cache[Cur->operand(0)];
-      Result.P = Sub.N;
-      Result.N = Sub.P;
+    case ExprKind::Not:
+      if (NotAtom)
+        (CurNeg ? Result.P : Result.N).push_back(Cur->operand(0)->id());
+      else
+        Result = Cache[!CurNeg][Cur->operand(0)];
       break;
-    }
-    case ExprKind::And: {
-      const PN &L = Cache[Cur->operand(0)];
-      const PN &R = Cache[Cur->operand(1)];
-      Result.P = unionOf(L.P, R.P);
-      Result.N = unionOf(L.N, R.N);
-      break;
-    }
+    case ExprKind::And:
     case ExprKind::Or: {
-      const PN &L = Cache[Cur->operand(0)];
-      const PN &R = Cache[Cur->operand(1)];
-      Result.P = intersectOf(L.P, R.P);
-      Result.N = intersectOf(L.N, R.N);
+      const PN &L = Cache[CurNeg][Cur->operand(0)];
+      const PN &R = Cache[CurNeg][Cur->operand(1)];
+      // ¬(C1 ∧ C2) = ¬C1 ∨ ¬C2 and ¬(C1 ∨ C2) = ¬C1 ∧ ¬C2.
+      if ((K == ExprKind::And) != CurNeg) {
+        Result.P = unionOf(L.P, R.P);
+        Result.N = unionOf(L.N, R.N);
+      } else {
+        Result.P = intersectOf(L.P, R.P);
+        Result.N = intersectOf(L.N, R.N);
+      }
       break;
     }
     default:
       // Atoms: boolean variables and comparisons. (Comparisons are treated
       // as opaque atoms; their arithmetic is the SMT backend's job.)
       if (Cur->isAtom())
-        Result.P.push_back(Cur->id());
+        (CurNeg ? Result.N : Result.P).push_back(Cur->id());
       break;
     }
-    Cache.emplace(Cur, std::move(Result));
+    Cache[CurNeg].emplace(Cur, std::move(Result));
   }
-  return Cache[E];
+  return Cache[Neg][E];
 }
 
 bool LinearSolver::isObviouslyUnsat(const Expr *E) {

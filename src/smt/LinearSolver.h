@@ -10,7 +10,7 @@
 /// N(C), under the rules
 ///
 ///   C = a        : P = {a},          N = {}
-///   C = ¬C1      : P = N(C1),        N = P(C1)
+///   C = ¬a       : P = {},           N = {a}
 ///   C = C1 ∧ C2  : P = P1 ∪ P2,      N = N1 ∪ N2
 ///   C = C1 ∨ C2  : P = P1 ∩ P2,      N = N1 ∩ N2
 ///
@@ -20,8 +20,13 @@
 /// most SMT work; the quasi path-sensitive points-to analysis uses it as its
 /// only decision procedure.
 ///
-/// Atom sets are memoised per hash-consed Expr node, so repeated queries over
-/// shared subformulas stay cheap.
+/// A negated compound is first rewritten by De Morgan, ¬(C1 ∧ C2) =
+/// ¬C1 ∨ ¬C2 and ¬(C1 ∨ C2) = ¬C1 ∧ ¬C2, so ¬ reaches only atoms. Swapping
+/// P and N under a negated compound would be unsound: a ∧ ¬(a ∧ b) is
+/// satisfiable, yet the swap puts a in both sets.
+///
+/// Atom sets are memoised per hash-consed Expr node and polarity, so
+/// repeated queries over shared subformulas stay cheap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,14 +59,15 @@ public:
   }
 
   /// Number of cache entries (for tests / stats).
-  size_t cacheSize() const { return Cache.size(); }
+  size_t cacheSize() const { return Cache[0].size() + Cache[1].size(); }
 
 private:
   struct PN {
     std::vector<uint32_t> P, N; // Sorted atom ids.
   };
 
-  const PN &sets(const Expr *E);
+  /// P/N of \p E, or of ¬E when \p Neg is set.
+  const PN &sets(const Expr *E, bool Neg = false);
   static std::vector<uint32_t> unionOf(const std::vector<uint32_t> &A,
                                        const std::vector<uint32_t> &B);
   static std::vector<uint32_t> intersectOf(const std::vector<uint32_t> &A,
@@ -70,7 +76,8 @@ private:
                          const std::vector<uint32_t> &B);
 
   ExprContext &Ctx;
-  std::unordered_map<const Expr *, PN> Cache;
+  /// Memo per polarity: [0] for E itself, [1] for ¬E.
+  std::unordered_map<const Expr *, PN> Cache[2];
 };
 
 } // namespace pinpoint::smt

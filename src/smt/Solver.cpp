@@ -10,9 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <thread>
-#include <unordered_set>
 
 namespace pinpoint::smt {
 
@@ -25,67 +23,11 @@ SatResult StagedSolver::checkSat(const Expr *E) {
     return SatResult::Unsat;
   }
   ++S.BackendQueries;
-  SatResult R = solveFull(E);
-  // Per-query outcome counters: a cache hit replays exactly the verdict the
-  // backend stage would recompute (backends are deterministic on definite
-  // answers and Unknown is never cached), so these stay deterministic even
-  // when the shared cache makes hit/miss patterns interleaving-dependent.
+  SatResult R = discharge(E);
   if (R == SatResult::Unsat)
     ++S.BackendUnsat;
   if (R == SatResult::Unknown)
     ++S.BackendUnknown;
-  return R;
-}
-
-SatResult StagedSolver::solveFull(const Expr *E) {
-  if (Cache) {
-    if (auto V = Cache->lookup(E)) {
-      ++S.CacheHits;
-      return *V;
-    }
-  }
-  SatResult R;
-  std::vector<const Expr *> Comps;
-  if (UseSlicing && sliceComponents(E, Comps)) {
-    ++S.SlicedQueries;
-    // Variable-disjoint components: models over disjoint vocabularies merge
-    // into one model of the conjunction, so all-sat composes to sat; any
-    // unsat component refutes the whole query; otherwise the query is
-    // unresolved (some component unknown) and stays Unknown.
-    bool AnyUnknown = false;
-    R = SatResult::Sat;
-    for (const Expr *C : Comps) {
-      SatResult CR = solveComponent(C);
-      if (CR == SatResult::Unsat) {
-        ++S.ComponentsRefuted;
-        R = SatResult::Unsat;
-        break;
-      }
-      if (CR == SatResult::Unknown)
-        AnyUnknown = true;
-    }
-    if (R == SatResult::Sat && AnyUnknown)
-      R = SatResult::Unknown;
-  } else {
-    R = discharge(E);
-  }
-  // Unknown is run-state (timeouts, step budgets, injected faults), not a
-  // property of the formula — caching it would freeze a transient failure.
-  if (Cache && R != SatResult::Unknown)
-    Cache->store(E, R);
-  return R;
-}
-
-SatResult StagedSolver::solveComponent(const Expr *C) {
-  if (Cache) {
-    if (auto V = Cache->lookup(C)) {
-      ++S.CacheHits;
-      return *V;
-    }
-  }
-  SatResult R = discharge(C);
-  if (Cache && R != SatResult::Unknown)
-    Cache->store(C, R);
   return R;
 }
 
@@ -137,82 +79,6 @@ SatResult StagedSolver::discharge(const Expr *E) {
         std::chrono::milliseconds(std::min<long>(1L << std::min(Attempt, 4),
                                                  16L)));
   }
-}
-
-const std::vector<uint32_t> &StagedSolver::varsOf(const Expr *E) {
-  auto It = VarsMemo.find(E);
-  if (It != VarsMemo.end())
-    return It->second;
-  std::vector<uint32_t> Vars;
-  Ctx.collectVars(E, Vars);
-  return VarsMemo.emplace(E, std::move(Vars)).first->second;
-}
-
-bool StagedSolver::sliceComponents(const Expr *E,
-                                   std::vector<const Expr *> &Out) {
-  if (E->kind() != ExprKind::And)
-    return false;
-
-  // Flatten the nested And spine into distinct conjuncts, left-to-right.
-  // Hash-consing makes pointer identity the dedup key.
-  std::vector<const Expr *> Conjs;
-  std::unordered_set<const Expr *> SeenConj;
-  std::vector<const Expr *> Stack{E};
-  while (!Stack.empty()) {
-    const Expr *Cur = Stack.back();
-    Stack.pop_back();
-    if (Cur->kind() == ExprKind::And) {
-      auto Ops = Cur->operands();
-      for (size_t I = Ops.size(); I-- > 0;)
-        Stack.push_back(Ops[I]);
-    } else if (SeenConj.insert(Cur).second) {
-      Conjs.push_back(Cur);
-    }
-  }
-  if (Conjs.size() < 2)
-    return false;
-
-  // Union-find over conjunct indices: two conjuncts that mention the same
-  // variable must stay in one component (sharing an *atom* implies sharing
-  // its variables, so partitioning by varId is the finest sound cut — atoms
-  // like x>0 and x<5 are distinct nodes yet must not be separated).
-  std::vector<uint32_t> Parent(Conjs.size());
-  std::iota(Parent.begin(), Parent.end(), 0u);
-  auto find = [&](uint32_t X) {
-    while (Parent[X] != X) {
-      Parent[X] = Parent[Parent[X]];
-      X = Parent[X];
-    }
-    return X;
-  };
-  auto unite = [&](uint32_t A, uint32_t B) { Parent[find(A)] = find(B); };
-
-  std::unordered_map<uint32_t, uint32_t> VarOwner; // varId -> conjunct idx
-  for (uint32_t I = 0; I < Conjs.size(); ++I)
-    for (uint32_t V : varsOf(Conjs[I])) {
-      auto [It, New] = VarOwner.emplace(V, I);
-      if (!New)
-        unite(I, It->second);
-    }
-
-  // Group conjuncts by root, components ordered by their first conjunct's
-  // position so the rebuilt exprs are deterministic given E's structure.
-  std::unordered_map<uint32_t, size_t> GroupOf;
-  std::vector<std::vector<const Expr *>> Groups;
-  for (uint32_t I = 0; I < Conjs.size(); ++I) {
-    uint32_t Root = find(I);
-    auto [It, New] = GroupOf.emplace(Root, Groups.size());
-    if (New)
-      Groups.emplace_back();
-    Groups[It->second].push_back(Conjs[I]);
-  }
-  if (Groups.size() < 2)
-    return false;
-
-  Out.reserve(Groups.size());
-  for (const std::vector<const Expr *> &G : Groups)
-    Out.push_back(Ctx.mkAndN(G));
-  return true;
 }
 
 std::unique_ptr<Solver> createDefaultSolver(ExprContext &Ctx,

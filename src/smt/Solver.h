@@ -15,13 +15,6 @@
 /// filter cannot refute. It keeps the counters the ablation benchmark
 /// (bench/ablation_linear_solver) reports.
 ///
-/// Between the filter and the backend sits the query-acceleration layer
-/// (DESIGN.md section 11): the surviving conjunction is sliced into
-/// variable-disjoint connected components that are discharged independently
-/// (any unsat component refutes the whole query; all-sat composes to sat),
-/// and both full queries and components consult a shared `QueryCache` of
-/// definite verdicts before paying for a backend call.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PINPOINT_SMT_SOLVER_H
@@ -29,12 +22,10 @@
 
 #include "smt/Expr.h"
 #include "smt/LinearSolver.h"
-#include "smt/QueryCache.h"
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace pinpoint {
 class ResourceGovernor;
@@ -93,31 +84,22 @@ public:
   /// answer and drives fault injection of forced-Unknown queries.
   StagedSolver(ExprContext &Ctx, std::unique_ptr<Solver> Backend,
                bool UseLinearFilter = true, ResourceGovernor *Gov = nullptr)
-      : Ctx(Ctx), Linear(Ctx), Backend(std::move(Backend)),
+      : Linear(Ctx), Backend(std::move(Backend)),
         UseLinearFilter(UseLinearFilter), Gov(Gov) {}
 
   SatResult checkSat(const Expr *E) override;
   const char *name() const override { return "staged"; }
 
   /// Tags subsequent queries with the function they originate from, so
-  /// degradation events carry the function name regardless of which thread
-  /// the query ran on. One StagedSolver instance is single-thread-owned
-  /// (parallel discharge builds one per chunk), so a plain member suffices.
+  /// degradation events carry the function name. One StagedSolver instance
+  /// is single-thread-owned (each checker's engine owns one and decides its
+  /// candidates inline), so a plain member suffices.
   void setQueryOrigin(std::string Fn) { Origin = std::move(Fn); }
 
-  /// Attaches a shared verdict cache (not owned; may outlive many staged
-  /// solvers). nullptr disables caching. The cache may be shared across
-  /// threads; this solver itself stays single-thread-owned.
-  void setQueryCache(QueryCache *C) { Cache = C; }
-  /// Enables/disables conjunct slicing (on by default; an ablation knob).
-  void setSlicing(bool On) { UseSlicing = On; }
-
-  /// Statistics for the ablation study. The first six fields predate the
-  /// acceleration layer and keep their per-*query* semantics — a cache hit
-  /// replays the verdict the backend stage would have produced, so they are
-  /// deterministic even when cache hit patterns are not (shared cache under
-  /// --jobs). The acceleration counters below them are interleaving-
-  /// dependent by nature and exempt from cross-run determinism.
+  /// Statistics for the ablation study, counted per query. Each engine
+  /// asks its queries in generation order on one solver, so the counts do
+  /// not depend on the job count (short of partial-rate fault injection,
+  /// whose draws concurrently running checkers share).
   struct Stats {
     uint64_t Queries = 0;        ///< Total checkSat calls.
     uint64_t LinearUnsat = 0;    ///< Refuted by the linear filter alone.
@@ -125,11 +107,12 @@ public:
     uint64_t BackendUnsat = 0;   ///< Backend-stage queries found unsat.
     uint64_t BackendUnknown = 0; ///< Backend-stage unknowns (incl. injected).
     uint64_t InjectedUnknown = 0; ///< Unknowns forced by fault injection.
-    // Acceleration layer (DESIGN.md section 11).
-    uint64_t BackendCalls = 0; ///< Actual backend invocations (post cache).
-    uint64_t CacheHits = 0;    ///< Full-query + component verdicts replayed.
-    uint64_t SlicedQueries = 0; ///< Queries split into >1 component.
-    uint64_t ComponentsRefuted = 0; ///< Unsat components refuting a query.
+    /// Backend-stage discharges; always equal to BackendQueries. Kept only
+    /// for the end-to-end benchmark's `smt.backend_calls` field.
+    uint64_t BackendCalls = 0;
+    /// Always 0 (there is no verdict cache). Kept only for the end-to-end
+    /// benchmark's `smt.cache_hits` field.
+    uint64_t CacheHits = 0;
     // Resilience layer (DESIGN.md section 12).
     uint64_t Retries = 0; ///< Backend attempts repeated after a transient.
     uint64_t TransientFailures = 0; ///< Calls degraded: retries exhausted.
@@ -137,28 +120,15 @@ public:
   const Stats &stats() const { return S; }
 
 private:
-  /// Backend stage for one fall-through query: cache, slicing, composition.
-  SatResult solveFull(const Expr *E);
-  /// One variable-disjoint component: cache consult + backend discharge.
-  SatResult solveComponent(const Expr *C);
-  /// Uncached backend invocation (fault injection + degradation notes).
+  /// Backend stage for one fall-through query (fault injection, transient
+  /// retry, degradation notes).
   SatResult discharge(const Expr *E);
-  /// Flattens the top-level conjunction of \p E and partitions the
-  /// conjuncts into variable-disjoint connected components. Returns false
-  /// (leaving \p Out untouched) when there is nothing to slice.
-  bool sliceComponents(const Expr *E, std::vector<const Expr *> &Out);
-  /// Memoised sorted distinct variable ids of a conjunct.
-  const std::vector<uint32_t> &varsOf(const Expr *E);
 
-  ExprContext &Ctx;
   LinearSolver Linear;
   std::unique_ptr<Solver> Backend;
   bool UseLinearFilter;
-  bool UseSlicing = true;
   ResourceGovernor *Gov;
-  QueryCache *Cache = nullptr; ///< Shared verdict cache; nullptr = off.
   std::string Origin; ///< Function the current query is discharged for.
-  std::unordered_map<const Expr *, std::vector<uint32_t>> VarsMemo;
   Stats S;
 };
 

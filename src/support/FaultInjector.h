@@ -81,10 +81,11 @@ public:
   bool enabled() const { return Enabled; }
 
   /// True when the next SMT backend query should be degraded to Unknown.
-  /// Advances the (internally locked) RNG stream; under `--jobs N` the
-  /// draw order follows query completion order, so only the degenerate
-  /// rates 0 and 100 are deterministic across job counts — tests that
-  /// compare parallel against serial output use exactly those.
+  /// Advances the (internally locked) RNG stream. Each engine decides its
+  /// candidates inline, so within one engine the draws follow candidate
+  /// generation order at any `--jobs`. Only checkers that run concurrently
+  /// (several checkers at `--jobs>1`) interleave their draws on the shared
+  /// stream; there, only the rates 0 and 100 are deterministic.
   bool injectSolverUnknown() {
     if (!Enabled || SolverUnknownPct == 0)
       return false;
@@ -95,8 +96,9 @@ public:
   /// True when backend attempt number \p Attempt (0-based, per call) of the
   /// current SMT discharge should fail transiently. `transient-fails=K`
   /// fails attempts 0..K-1 of every call deterministically; otherwise
-  /// `transient=P` draws per attempt (probabilistic — only 0 and 100 are
-  /// deterministic across job counts, like injectSolverUnknown).
+  /// `transient=P` draws per attempt from the same stream, in the same
+  /// order as injectSolverUnknown: generation order within one engine,
+  /// interleaved only across concurrently running checkers.
   bool injectSolverTransient(int Attempt) {
     if (!Enabled)
       return false;

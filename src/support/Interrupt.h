@@ -8,7 +8,7 @@
 /// The cancellation half of the run-lifecycle resilience layer (DESIGN.md
 /// section 12). A `CancelToken` is a lock-free flag that long-running stages
 /// poll at task boundaries: the pipeline's SCC tasks, the global SVFA's
-/// per-function loop, every chunked SMT discharge loop and the checker
+/// per-function loop and per-candidate SMT discharge, and the checker
 /// fan-out all check it and unwind cleanly — results computed so far are
 /// kept, remaining work degrades exactly like a budget hit, and the driver
 /// can still flush a partial report, stats, the degradation log and every

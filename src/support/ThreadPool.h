@@ -79,9 +79,8 @@ public:
   const CancelToken &shutdownToken() const { return Shutdown; }
 
   /// Scheduling counters, monotone over the pool's lifetime. They reflect
-  /// nondeterministic interleaving (like the SMT acceleration counters),
-  /// are exempt from the cross-run determinism contract, and feed the
-  /// `[sched]` stats line.
+  /// nondeterministic interleaving, are exempt from the cross-run
+  /// determinism contract, and feed the `[sched]` stats line.
   struct SchedStats {
     uint64_t LocalPops = 0; ///< Always 0: workers own no local queue.
     uint64_t InboxPops = 0; ///< Tasks popped from the shared queue.

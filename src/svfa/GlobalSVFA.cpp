@@ -9,13 +9,11 @@
 #include "support/Arena.h"
 #include "support/ResourceGovernor.h"
 #include "support/Span.h"
-#include "support/ThreadPool.h"
 #include "svfa/Demand.h"
 #include "svfa/ReachOracle.h"
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -107,30 +105,11 @@ public:
                smt::createDefaultSolver(
                    AM.context(),
                    smt::SolverConfig{.TimeoutMs = Gov.solverTimeoutMs()}),
-               Opts.UseLinearFilter, &Gov) {
-    if (Opts.SolverCache)
-      Solver.setQueryCache(&QCache);
-    Solver.setSlicing(Opts.SolverSlicing);
-  }
+               Opts.UseLinearFilter, &Gov) {}
 
   std::vector<Report> run();
   const smt::StagedSolver::Stats &solverStats() const {
-    // Fold in the per-chunk solvers of the parallel discharge (all zero on
-    // the serial path, making this the plain inline stats).
-    Merged = Solver.stats();
-    Merged.Queries += Deferred.Queries;
-    Merged.LinearUnsat += Deferred.LinearUnsat;
-    Merged.BackendQueries += Deferred.BackendQueries;
-    Merged.BackendUnsat += Deferred.BackendUnsat;
-    Merged.BackendUnknown += Deferred.BackendUnknown;
-    Merged.InjectedUnknown += Deferred.InjectedUnknown;
-    Merged.BackendCalls += Deferred.BackendCalls;
-    Merged.CacheHits += Deferred.CacheHits;
-    Merged.SlicedQueries += Deferred.SlicedQueries;
-    Merged.ComponentsRefuted += Deferred.ComponentsRefuted;
-    Merged.Retries += Deferred.Retries;
-    Merged.TransientFailures += Deferred.TransientFailures;
-    return Merged;
+    return Solver.stats();
   }
 
 private:
@@ -277,14 +256,6 @@ private:
                     const std::string &SinkFn);
   const smt::Expr *assemble(const CondBundle &B);
 
-  /// True when SMT discharge is deferred to the end of run() and fanned out
-  /// across the pool (candidate *generation* always stays serial: summaries
-  /// are order-dependent).
-  bool deferSolving() const {
-    return Opts.PathSensitive && Opts.Pool && Opts.Pool->workers() > 1;
-  }
-  void dischargePending();
-
   AnalyzedModule &AM;
   const checkers::CheckerSpec Spec; // By value: callers often pass temporaries.
   GlobalOptions Opts;
@@ -293,9 +264,6 @@ private:
   ContextTable CT;
   smt::LinearSolver Linear;
   ResourceGovernor &Gov;
-  /// One verdict cache per run, shared by the inline solver and every
-  /// parallel discharge chunk (declared before Solver so it outlives it).
-  smt::QueryCache QCache;
   smt::StagedSolver Solver;
 
   /// Hot per-function caches: accessed only by point lookup (never
@@ -322,19 +290,6 @@ private:
       CDCache;
   std::vector<Report> Reports;
   std::set<std::tuple<std::string, uint32_t, uint32_t>> Reported;
-
-  /// Candidates awaiting SMT discharge under deferSolving(): the fully
-  /// assembled formula plus everything needed to commit the report in
-  /// generation order afterwards.
-  struct PendingCandidate {
-    Report R;
-    const smt::Expr *Full;
-    std::tuple<std::string, uint32_t, uint32_t> Key;
-  };
-  std::vector<PendingCandidate> Pending;
-  /// Accumulated stats of the per-chunk solvers (parallel discharge only).
-  smt::StagedSolver::Stats Deferred;
-  mutable smt::StagedSolver::Stats Merged; ///< Scratch for solverStats().
 };
 
 //===----------------------------------------------------------------------===
@@ -854,16 +809,6 @@ void GlobalSVFA::Impl::addCandidate(const Function *F, const SourceEvent &Ev,
 
   if (Opts.PathSensitive) {
     const smt::Expr *Full = assemble(B);
-    if (deferSolving()) {
-      // Parallel mode: assemble now (summaries/contexts are only coherent
-      // during serial generation), solve later across the pool. Note the
-      // dedup asymmetry: a later candidate whose key would have been
-      // reported inline still lands in Pending here, so S.Candidates and
-      // query counts can exceed the serial run's — the committed report
-      // list cannot (dischargePending re-checks the key in order).
-      Pending.push_back({std::move(R), Full, std::move(Key)});
-      return;
-    }
     // Cancelled runs stop paying for SMT: the candidate is kept soundily
     // as Unknown, exactly like a solver timeout.
     if (Gov.cancelled()) {
@@ -885,122 +830,6 @@ void GlobalSVFA::Impl::addCandidate(const Function *F, const SourceEvent &Ev,
   }
   Reported.insert(Key);
   Reports.push_back(std::move(R));
-}
-
-void GlobalSVFA::Impl::dischargePending() {
-  if (Pending.empty())
-    return;
-  ThreadPool &Pool = *Opts.Pool;
-  const size_t N = Pending.size();
-  std::vector<smt::SatResult> Verdicts(N, smt::SatResult::Sat);
-  // A few chunks per worker balances uneven query costs without paying a
-  // solver construction per candidate.
-  const size_t NumChunks = std::min<size_t>(N, size_t(Pool.workers()) * 4);
-  std::mutex StatsMu;
-
-  // Cross-function batching (DESIGN.md section 14). Contiguous chunking
-  // follows generation order, which clusters one source function's
-  // candidates into one chunk — a function with the expensive queries
-  // serializes the discharge on one worker. Instead, probe the run-wide
-  // verdict cache once per candidate (a pure lookup, no solver counters)
-  // and deal the *misses* — the candidates that will actually pay a solve —
-  // round-robin across chunks regardless of originating function.
-  // Duplicate miss formulas (interned, so pointer-comparable) go to the
-  // same chunk: its sequential solve warms the shared cache for the
-  // duplicates instead of two chunks racing the backend on one query.
-  // Cache-known candidates are dealt round-robin too; they cost one cache
-  // hit wherever they land. Every candidate still flows through a chunk
-  // solver's checkSat, so the deterministic stats fields count exactly as
-  // before — only the chunk assignment changed, and verdicts are still
-  // committed in generation order below.
-  std::vector<std::vector<size_t>> Chunks(NumChunks);
-  {
-    std::unordered_map<const smt::Expr *, size_t> MissChunk;
-    size_t NextMiss = 0, NextHit = 0;
-    for (size_t I = 0; I < N; ++I) {
-      const smt::Expr *E = Pending[I].Full;
-      if (Opts.SolverCache && QCache.lookup(E)) {
-        Chunks[NextHit++ % NumChunks].push_back(I);
-        continue;
-      }
-      auto [It, Fresh] = MissChunk.try_emplace(E, NextMiss % NumChunks);
-      if (Fresh)
-        ++NextMiss;
-      Chunks[It->second].push_back(I);
-    }
-    // Per-chunk generation order (entries were appended ascending, so this
-    // holds already; assert-in-spirit, kept explicit for clarity).
-    for (std::vector<size_t> &C : Chunks)
-      std::sort(C.begin(), C.end());
-  }
-
-  ThreadPool::TaskGroup G(Pool);
-  for (size_t C = 0; C < NumChunks; ++C) {
-    if (Chunks[C].empty())
-      continue;
-    G.spawn([this, Chunk = std::move(Chunks[C]), &Verdicts, &StatsMu] {
-      // Each chunk owns its StagedSolver (and thereby its Z3 context /
-      // MiniSolver state), so chunks never share backend state — only the
-      // run-wide QueryCache, which is sharded and thread-safe, so a
-      // component refuted in one chunk is a cache hit in every other.
-      smt::StagedSolver ChunkSolver(
-          Ctx,
-          smt::createDefaultSolver(
-              Ctx, smt::SolverConfig{.TimeoutMs = Gov.solverTimeoutMs()}),
-          Opts.UseLinearFilter, &Gov);
-      if (Opts.SolverCache)
-        ChunkSolver.setQueryCache(&QCache);
-      ChunkSolver.setSlicing(Opts.SolverSlicing);
-      for (size_t K = 0; K < Chunk.size(); ++K) {
-        // Per-query cancellation poll: the chunk drains by downgrading its
-        // remaining candidates to Unknown (kept soundily, tagged in the
-        // report) instead of abandoning slots at their Sat default.
-        if (Gov.cancelled()) {
-          for (size_t J = K; J < Chunk.size(); ++J)
-            Verdicts[Chunk[J]] = smt::SatResult::Unknown;
-          break;
-        }
-        const size_t I = Chunk[K];
-        ChunkSolver.setQueryOrigin(Pending[I].R.SourceFn);
-        Verdicts[I] = ChunkSolver.checkSat(Pending[I].Full);
-      }
-      const smt::StagedSolver::Stats &CS = ChunkSolver.stats();
-      std::lock_guard<std::mutex> L(StatsMu);
-      Deferred.Queries += CS.Queries;
-      Deferred.LinearUnsat += CS.LinearUnsat;
-      Deferred.BackendQueries += CS.BackendQueries;
-      Deferred.BackendUnsat += CS.BackendUnsat;
-      Deferred.BackendUnknown += CS.BackendUnknown;
-      Deferred.InjectedUnknown += CS.InjectedUnknown;
-      Deferred.BackendCalls += CS.BackendCalls;
-      Deferred.CacheHits += CS.CacheHits;
-      Deferred.SlicedQueries += CS.SlicedQueries;
-      Deferred.ComponentsRefuted += CS.ComponentsRefuted;
-      Deferred.Retries += CS.Retries;
-      Deferred.TransientFailures += CS.TransientFailures;
-    });
-  }
-  G.wait();
-
-  // Serial commit in generation order with the same key-dedup rule the
-  // inline path applies, so the report list is identical to a serial run.
-  for (size_t I = 0; I < N; ++I) {
-    PendingCandidate &PC = Pending[I];
-    if (Reported.count(PC.Key))
-      continue;
-    PC.R.Verdict = Verdicts[I];
-    if (PC.R.Verdict == smt::SatResult::Unsat) {
-      ++S.SolverUnsat;
-      continue;
-    }
-    if (PC.R.Verdict == smt::SatResult::Unknown)
-      ++S.SolverUnknown;
-    else
-      ++S.SolverSat;
-    Reported.insert(PC.Key);
-    Reports.push_back(std::move(PC.R));
-  }
-  Pending.clear();
 }
 
 std::vector<Report> GlobalSVFA::Impl::run() {
@@ -1078,7 +907,6 @@ std::vector<Report> GlobalSVFA::Impl::run() {
       Gov.note(DegradationKind::FunctionFailed, "svfa", F->name(), Ex.what());
     }
   }
-  dischargePending();
   return std::move(Reports);
 }
 

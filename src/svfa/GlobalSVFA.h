@@ -68,14 +68,6 @@ struct GlobalOptions {
   bool PathSensitive = true;
   /// Linear pre-filter in the staged solver (ablation knob).
   bool UseLinearFilter = true;
-  /// Shared verdict cache in the staged solver: one QueryCache per run,
-  /// consulted by the inline path and every parallel discharge chunk
-  /// (ablation knob; CLI --solver-cache).
-  bool SolverCache = true;
-  /// Conjunct slicing in the staged solver: variable-disjoint components
-  /// discharged independently (ablation knob; toggled with SolverCache by
-  /// the CLI, separable here for the four-way ablation bench).
-  bool SolverSlicing = true;
   /// Demand-driven mode: skip summary construction for functions the
   /// relevance pre-pass (svfa/Demand.h) proves irrelevant to this
   /// checker. The engine computes its own per-checker relevance set (a
@@ -86,11 +78,10 @@ struct GlobalOptions {
   /// Budgets, degradation log and fault injection (see
   /// support/ResourceGovernor.h); nullptr = ungoverned.
   ResourceGovernor *Governor = nullptr;
-  /// Worker pool for parallel candidate discharge: generation stays
-  /// serial (summaries are order-dependent), but the SMT queries of the
-  /// collected candidates fan out one task per chunk and commit in
-  /// generation order, so the report list is identical to the serial
-  /// path. nullptr (or a 1-worker pool) = solve inline as always.
+  /// Worker pool for the per-SCC pipeline that `checkModule()` builds. The
+  /// engine itself does not read it: it generates candidates serially
+  /// (summaries are order-dependent) and decides each one inline with its
+  /// single staged solver.
   ThreadPool *Pool = nullptr;
 };
 

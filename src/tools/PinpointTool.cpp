@@ -14,11 +14,6 @@
 ///     --max-depth=N     calling-context depth (default 6)
 ///     --no-path-sensitivity   skip the SMT feasibility stage
 ///     --no-linear-filter      disable the linear-time pre-filter
-///     --solver-cache=MODE     on | off (default on): the query-acceleration
-///                       layer in the staged solver — shared verdict cache +
-///                       conjunct slicing (DESIGN.md section 11). Reports
-///                       are byte-identical across modes; only speed and
-///                       the acceleration counters change.
 ///     --demand=MODE     on | off (default on): demand-driven value-flow
 ///                       slicing (DESIGN.md section 13). A relevance
 ///                       pre-pass over the call graph skips summary
@@ -121,7 +116,6 @@ struct Options {
   long long MaxDepth = 6;
   bool PathSensitive = true;
   bool LinearFilter = true;
-  bool SolverCache = true;
   bool Demand = true;
   bool DumpIR = false;
   bool Stats = false;
@@ -148,8 +142,6 @@ void usage() {
       "  --max-depth=N            calling context depth (default 6)\n"
       "  --no-path-sensitivity    report all candidates (no SMT stage)\n"
       "  --no-linear-filter       disable the linear-time pre-filter\n"
-      "  --solver-cache=MODE      on | off (default on): SMT verdict cache "
-      "+ conjunct slicing\n"
       "  --demand=MODE            on | off (default on): demand-driven "
       "value-flow slicing\n"
       "  --dump-ir                print the transformed IR\n"
@@ -265,16 +257,6 @@ ParseResult parseArgs(int Argc, char **Argv, Options &O) {
                      O.CacheMode.c_str());
         return ParseResult::Error;
       }
-    } else if (A.rfind("--solver-cache=", 0) == 0) {
-      const std::string Mode = A.substr(std::strlen("--solver-cache="));
-      if (Mode != "on" && Mode != "off") {
-        std::fprintf(stderr,
-                     "error: invalid --solver-cache value '%s' (expected on "
-                     "or off)\n",
-                     Mode.c_str());
-        return ParseResult::Error;
-      }
-      O.SolverCache = Mode == "on";
     } else if (A.rfind("--demand=", 0) == 0) {
       const std::string Mode = A.substr(std::strlen("--demand="));
       if (Mode != "on" && Mode != "off") {
@@ -475,11 +457,8 @@ int pinpointToolMain(int Argc, char **Argv) {
     GO.MaxContextDepth = static_cast<int>(O.MaxDepth);
     GO.PathSensitive = O.PathSensitive;
     GO.UseLinearFilter = O.LinearFilter;
-    GO.SolverCache = O.SolverCache;
-    GO.SolverSlicing = O.SolverCache;
     GO.Demand = O.Demand;
     GO.Governor = &Gov;
-    GO.Pool = Pool.get();
 
     // Each checker's results land in an indexed slot; with a pool the
     // checkers run concurrently (they share only thread-safe state: the
@@ -491,7 +470,6 @@ int pinpointToolMain(int Argc, char **Argv) {
       svfa::GlobalSVFA::Stats EngineStats;
       smt::StagedSolver::Stats SolverStats;
       bool Failed = false;
-      bool Unknown = false;
       std::string Error;
     };
     std::vector<CheckerRun> Runs(O.Checkers.size());
@@ -511,10 +489,7 @@ int pinpointToolMain(int Argc, char **Argv) {
           Slot.Reports = checkers::checkMemoryLeaks(AM);
         } else {
           checkers::CheckerSpec Spec;
-          if (!specFor(Name, Spec)) {
-            Slot.Unknown = true;
-            return;
-          }
+          specFor(Name, Spec); // parseArgs has rejected unknown names.
           svfa::GlobalSVFA Engine(AM, Spec, GO);
           Slot.Reports = Engine.run();
           Slot.EngineStats = Engine.stats();
@@ -550,10 +525,6 @@ int pinpointToolMain(int Argc, char **Argv) {
     for (size_t Idx = 0; Idx < O.Checkers.size(); ++Idx) {
       const std::string &Name = O.Checkers[Idx];
       CheckerRun &Slot = Runs[Idx];
-      if (Slot.Unknown) {
-        std::fprintf(stderr, "unknown checker: %s\n", Name.c_str());
-        return 2;
-      }
       if (Slot.Failed) {
         std::fprintf(stderr, "warning: checker %s failed (%s); continuing\n",
                      Name.c_str(), Slot.Error.c_str());
@@ -577,13 +548,13 @@ int pinpointToolMain(int Argc, char **Argv) {
       TotalRetries += SolverStats.Retries;
       TotalTransientFailures += SolverStats.TransientFailures;
       if (O.Stats && Name != "leak") {
-        // The trailing acceleration counters (backend-calls onward) are
-        // interleaving-dependent under --jobs with the shared cache; every
-        // field before them is deterministic.
+        // Every field is deterministic: each engine generates and decides
+        // its candidates in one serial order, whatever --jobs is. The one
+        // exception is a partial-rate --fault-inject stream: checkers that
+        // run concurrently draw from it in interleaved order.
         std::printf("[%s] events=%llu candidates=%llu sat=%llu unsat=%llu "
                     "unknown=%llu linear-pruned=%llu smt-queries=%llu "
-                    "isolated-failures=%llu backend-calls=%llu "
-                    "cache-hits=%llu sliced=%llu comps-refuted=%llu\n",
+                    "isolated-failures=%llu\n",
                     Name.c_str(), (unsigned long long)EngineStats.Events,
                     (unsigned long long)EngineStats.Candidates,
                     (unsigned long long)EngineStats.SolverSat,
@@ -591,11 +562,7 @@ int pinpointToolMain(int Argc, char **Argv) {
                     (unsigned long long)EngineStats.SolverUnknown,
                     (unsigned long long)EngineStats.LinearPruned,
                     (unsigned long long)SolverStats.BackendQueries,
-                    (unsigned long long)EngineStats.IsolatedFailures,
-                    (unsigned long long)SolverStats.BackendCalls,
-                    (unsigned long long)SolverStats.CacheHits,
-                    (unsigned long long)SolverStats.SlicedQueries,
-                    (unsigned long long)SolverStats.ComponentsRefuted);
+                    (unsigned long long)EngineStats.IsolatedFailures);
       }
     }
 

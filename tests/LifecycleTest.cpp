@@ -193,6 +193,14 @@ TEST(LifecycleCLI, ExitCodeContract) {
   EXPECT_NE(readFile(T.file("help.out")).find("exit codes:"),
             std::string::npos);
   EXPECT_EQ(runTool({"--no-such-flag", Subject}, T.file("bad.out")), 2);
+  // The retired verdict-cache switch is an unknown option like any other.
+  for (const char *Retired : {"--solver-cache=on", "--solver-cache=off"}) {
+    const std::string Err = T.file("retired.err");
+    EXPECT_EQ(runTool({Retired, Subject}, T.file("retired.out"), Err), 2)
+        << Retired;
+    EXPECT_NE(readFile(Err).find("unknown option"), std::string::npos)
+        << Retired << ": " << readFile(Err);
+  }
   EXPECT_EQ(runTool({T.file("missing.mc")}, T.file("miss.out")), 2);
   EXPECT_EQ(runTool({Subject}, T.file("ok.out")), 0);
 
@@ -434,13 +442,8 @@ const smt::Expr *backendQuery(smt::ExprContext &Ctx) {
 }
 
 smt::StagedSolver makeSolver(smt::ExprContext &Ctx, ResourceGovernor &Gov) {
-  smt::StagedSolver S(Ctx, smt::createMiniSolver(Ctx),
-                      /*UseLinearFilter=*/true, &Gov);
-  // One backend discharge per query: conjunct slicing would otherwise
-  // split the test formula into per-component discharges, each with its
-  // own retry loop, making the retry accounting below component-shaped.
-  S.setSlicing(false);
-  return S;
+  return smt::StagedSolver(Ctx, smt::createMiniSolver(Ctx),
+                           /*UseLinearFilter=*/true, &Gov);
 }
 
 ResourceGovernor makeGov(int RetryTransient, const std::string &FaultSpec) {

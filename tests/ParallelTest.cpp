@@ -12,7 +12,8 @@
 ///    helping-wait that makes nested TaskGroup waits deadlock-free even on a
 ///    one-worker pool);
 ///  * report-level determinism — analysing generator subjects with a
-///    4-worker pool yields exactly the serial run's reports, in order;
+///    4-worker pool yields exactly the serial run's reports, in order,
+///    and the same checker counters;
 ///  * fault isolation under parallelism — injected per-function failures
 ///    stay confined to their function with workers running concurrently;
 ///  * degradation events carrying the function name, so logs stay
@@ -78,9 +79,9 @@ TEST(ThreadPoolTest, ExceptionPropagatesAndPoolSurvives) {
 }
 
 TEST(ThreadPoolTest, NestedWaitDoesNotDeadlockOnOneWorker) {
-  // The scheduler nests waits (a pool task runs a TaskGroup of its own, as
-  // GlobalSVFA's deferred discharge does inside a checker task). With one
-  // worker that deadlocks unless wait() helps run queued tasks inline.
+  // Nested waits (a pool task that runs a TaskGroup of its own, as a
+  // checker task would if its work fanned out) deadlock on a one-worker
+  // pool unless wait() helps run queued tasks inline.
   ThreadPool Pool(1);
   std::atomic<int> Inner{0};
   ThreadPool::TaskGroup Outer(Pool);
@@ -123,13 +124,19 @@ std::string render(const Report &R) {
   return Out;
 }
 
+/// One engine run: its rendered reports and the counters the CLI's
+/// deterministic `[checker]` fields come from.
+struct EngineRun {
+  std::vector<std::string> Reports;
+  GlobalSVFA::Stats Engine;
+  smt::StagedSolver::Stats Solver;
+};
+
 /// Parses \p Src fresh (the pipeline mutates the module) and runs \p Spec
 /// with a \p Jobs-worker pool (Jobs <= 1: the serial path).
-std::vector<std::string> runRendered(const std::string &Src,
-                                     const checkers::CheckerSpec &Spec,
-                                     unsigned Jobs,
-                                     const std::string &FaultSpec = "",
-                                     Budget Bud = {}) {
+EngineRun runEngine(const std::string &Src, const checkers::CheckerSpec &Spec,
+                    unsigned Jobs, const std::string &FaultSpec = "",
+                    Budget Bud = {}) {
   ir::Module M;
   std::vector<frontend::Diag> Diags;
   EXPECT_TRUE(frontend::parseModule(Src, M, Diags));
@@ -158,10 +165,20 @@ std::vector<std::string> runRendered(const std::string &Src,
   GO.Pool = Pool.get();
   GlobalSVFA Engine(AM, Spec, GO);
 
-  std::vector<std::string> Out;
+  EngineRun Out;
   for (const Report &R : Engine.run())
-    Out.push_back(render(R));
+    Out.Reports.push_back(render(R));
+  Out.Engine = Engine.stats();
+  Out.Solver = Engine.solverStats();
   return Out;
+}
+
+std::vector<std::string> runRendered(const std::string &Src,
+                                     const checkers::CheckerSpec &Spec,
+                                     unsigned Jobs,
+                                     const std::string &FaultSpec = "",
+                                     Budget Bud = {}) {
+  return runEngine(Src, Spec, Jobs, FaultSpec, Bud).Reports;
 }
 
 workload::WorkloadConfig subjectConfig(uint64_t Seed) {
@@ -258,6 +275,33 @@ TEST(ParallelDeterminismTest, WideSubjectPipelineMatchesSerialExactly) {
     for (int Rep = 0; Rep < 2; ++Rep)
       EXPECT_EQ(Serial, pipelineFingerprint(W.Source, Jobs))
           << "jobs " << Jobs << ", rep " << Rep;
+}
+
+TEST(ParallelDeterminismTest, TwoSinksOnOneLineCountMatchesSerial) {
+  // Both loads on the return line are sinks of the one free, so they share
+  // a report key: the first candidate is reported and the second is
+  // deduplicated before it reaches the solver. The checker counters must
+  // say so at every pool width, not only the report list.
+  constexpr const char *Src = R"(
+    int twoloads(int *p, int c) {
+      int *q = p;
+      int *r = p;
+      if (c > 0) {
+        free(p);
+      }
+      return *q + *r;
+    })";
+  const checkers::CheckerSpec Spec = checkers::useAfterFreeChecker();
+  const EngineRun Serial = runEngine(Src, Spec, 1);
+  const EngineRun Parallel = runEngine(Src, Spec, 4);
+  ASSERT_EQ(Serial.Reports.size(), 1u);
+  EXPECT_EQ(Serial.Engine.Candidates.load(), 1u);
+  EXPECT_EQ(Serial.Solver.Queries, 1u);
+  EXPECT_EQ(Parallel.Reports, Serial.Reports);
+  EXPECT_EQ(Parallel.Engine.Candidates.load(),
+            Serial.Engine.Candidates.load());
+  EXPECT_EQ(Parallel.Solver.Queries, Serial.Solver.Queries);
+  EXPECT_EQ(Parallel.Solver.BackendQueries, Serial.Solver.BackendQueries);
 }
 
 //===----------------------------------------------------------------------===
@@ -379,8 +423,7 @@ TEST(ParallelFaultTest, PipelineThrowIsolatedUnderJobs4) {
 }
 
 TEST(ParallelFaultTest, ForcedSolverUnknownMatchesSerial) {
-  // solver-unknown=100 is one of the two injection rates that stay
-  // deterministic under parallel discharge (every draw fires).
+  // Every draw fires at solver-unknown=100, whatever the draw order.
   std::vector<std::string> Serial =
       runRendered(GuardedBugSrc, checkers::useAfterFreeChecker(), 1,
                   "seed=7,solver-unknown=100");
@@ -390,6 +433,36 @@ TEST(ParallelFaultTest, ForcedSolverUnknownMatchesSerial) {
   EXPECT_EQ(Serial, Parallel);
   ASSERT_EQ(Parallel.size(), 1u);
   EXPECT_NE(Parallel[0].find("unknown"), std::string::npos);
+}
+
+/// \p N functions, each with one guarded use-after-free whose path
+/// condition passes the linear filter and goes to the backend.
+std::string guardedBugsSubject(unsigned N) {
+  std::string S;
+  for (unsigned I = 0; I < N; ++I)
+    S += "int g" + std::to_string(I) + "(int *p, int c) { if (c > " +
+         std::to_string(I) + ") { free(p); } return *p; }\n";
+  return S;
+}
+
+TEST(ParallelFaultTest, PartialSolverUnknownMatchesSerial) {
+  // A partial rate draws once per backend query. The engine decides each
+  // candidate inline, in generation order, so a pool changes neither which
+  // query takes which draw nor the resulting verdicts.
+  const std::string Src = guardedBugsSubject(24);
+  const checkers::CheckerSpec Spec = checkers::useAfterFreeChecker();
+  const std::string Faults = "seed=7,solver-unknown=50";
+  const EngineRun Serial = runEngine(Src, Spec, 1, Faults);
+  ASSERT_EQ(Serial.Reports.size(), 24u);
+  // Both verdicts occur, so the comparison below is not vacuous.
+  EXPECT_GT(Serial.Engine.SolverSat.load(), 0u);
+  EXPECT_GT(Serial.Engine.SolverUnknown.load(), 0u);
+  for (int Rep = 0; Rep < 3; ++Rep) {
+    const EngineRun Parallel = runEngine(Src, Spec, 4, Faults);
+    EXPECT_EQ(Parallel.Reports, Serial.Reports) << "rep " << Rep;
+    EXPECT_EQ(Parallel.Solver.InjectedUnknown, Serial.Solver.InjectedUnknown)
+        << "rep " << Rep;
+  }
 }
 
 //===----------------------------------------------------------------------===

@@ -15,7 +15,6 @@
 #include "ir/CallGraph.h"
 #include "ir/Verifier.h"
 #include "smt/LinearSolver.h"
-#include "smt/QueryCache.h"
 #include "smt/Solver.h"
 #include "support/RNG.h"
 #include "support/ResourceGovernor.h"
@@ -127,16 +126,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SolverAgreement,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 //===----------------------------------------------------------------------===
-// Query-acceleration equivalence (DESIGN.md section 11)
+// Staged-vs-direct equivalence (paper Section 3.1.1)
 //===----------------------------------------------------------------------===
 
 /// Sweeps random *grouped* conjunctions — each conjunct drawn from one of
-/// several FormulaGen instances with disjoint fresh variable pools, so the
-/// slicer reliably finds multiple variable-disjoint components — and checks
-/// that the accelerated staged solver (slicing + shared verdict cache, the
-/// linear filter disabled to isolate the layer) agrees with a direct
-/// backend call on every formula, including on verbatim replays.
-class AccelEquivalence : public ::testing::TestWithParam<uint64_t> {
+/// several FormulaGen instances with disjoint fresh variable pools — and
+/// checks that the staged solver (linear filter on) agrees with a direct
+/// backend call on every definite verdict. A disagreement on a filtered
+/// query means the filter refuted a satisfiable formula; one on a
+/// fall-through query means the staged path changed what the backend saw.
+class StagedEquivalence : public ::testing::TestWithParam<uint64_t> {
 protected:
   /// Builds a random conjunction of 2–5 group-local subformulas.
   const smt::Expr *genGrouped(smt::ExprContext &Ctx,
@@ -150,32 +149,37 @@ protected:
     return F;
   }
 
+  std::vector<FormulaGen> makeGroups(smt::ExprContext &Ctx, uint64_t Mul) {
+    std::vector<FormulaGen> Groups;
+    for (uint64_t G = 0; G < 3; ++G)
+      Groups.emplace_back(Ctx, GetParam() * Mul + G);
+    return Groups;
+  }
+
   void runAgainst(smt::ExprContext &Ctx, std::unique_ptr<smt::Solver> Direct,
                   std::unique_ptr<smt::Solver> Backend) {
     smt::StagedSolver Staged(Ctx, std::move(Backend),
-                             /*UseLinearFilter=*/false);
-    smt::QueryCache QC;
-    Staged.setQueryCache(&QC);
-    std::vector<FormulaGen> Groups;
-    for (uint64_t G = 0; G < 3; ++G)
-      Groups.emplace_back(Ctx, GetParam() * 131 + G);
+                             /*UseLinearFilter=*/true);
+    std::vector<FormulaGen> Groups = makeGroups(Ctx, 131);
     RNG Rand(GetParam() ^ 0xACCE1u);
     for (int I = 0; I < 30; ++I) {
       const smt::Expr *F = genGrouped(Ctx, Groups, Rand);
       smt::SatResult RD = Direct->checkSat(F);
       smt::SatResult RS = Staged.checkSat(F);
-      // A verbatim replay must reproduce the verdict from the cache.
+      // A verbatim replay must give the same verdict: the backend keeps no
+      // state from one query to the next.
       EXPECT_EQ(Staged.checkSat(F), RS) << Ctx.toString(F);
       if (RD == smt::SatResult::Unknown || RS == smt::SatResult::Unknown)
         continue; // Budget-dependent; only definite verdicts must agree.
       EXPECT_EQ(RS, RD) << Ctx.toString(F);
     }
-    EXPECT_GT(Staged.stats().SlicedQueries, 0u);
-    EXPECT_GT(Staged.stats().CacheHits, 0u);
+    // Both stages must have decided some queries, or the sweep is vacuous.
+    EXPECT_GT(Staged.stats().LinearUnsat, 0u);
+    EXPECT_GT(Staged.stats().BackendQueries, 0u);
   }
 };
 
-TEST_P(AccelEquivalence, SlicedCachedMatchesDirectMiniSolver) {
+TEST_P(StagedEquivalence, StagedMatchesDirectMiniSolver) {
   smt::ExprContext Ctx;
   // A tight step budget keeps adversarial DPLL instances cheap: they
   // degrade to Unknown, which the sweep skips (only definite verdicts
@@ -186,7 +190,7 @@ TEST_P(AccelEquivalence, SlicedCachedMatchesDirectMiniSolver) {
              smt::createMiniSolver(Ctx, Cfg));
 }
 
-TEST_P(AccelEquivalence, SlicedCachedMatchesDirectZ3) {
+TEST_P(StagedEquivalence, StagedMatchesDirectZ3) {
   smt::ExprContext Ctx;
   auto Direct = smt::createZ3Solver(Ctx);
   if (!Direct)
@@ -194,10 +198,10 @@ TEST_P(AccelEquivalence, SlicedCachedMatchesDirectZ3) {
   runAgainst(Ctx, std::move(Direct), smt::createZ3Solver(Ctx));
 }
 
-TEST_P(AccelEquivalence, InjectedUnknownDegradesPerComponent) {
-  // Under 100% forced-Unknown injection no discharge may produce a definite
-  // verdict, so nothing is ever cached and every fall-through query degrades
-  // to Unknown — with a degradation event per injected component.
+TEST_P(StagedEquivalence, InjectedUnknownDegradesEveryBackendQuery) {
+  // Under 100% forced-Unknown injection every query that falls through the
+  // linear filter degrades to Unknown, with one injected fault (and one
+  // degradation event) per backend query.
   FaultInjector FI;
   std::string Err;
   ASSERT_TRUE(FI.parse(
@@ -206,34 +210,26 @@ TEST_P(AccelEquivalence, InjectedUnknownDegradesPerComponent) {
   ResourceGovernor Gov({}, std::move(FI));
   smt::ExprContext Ctx;
   smt::StagedSolver Staged(Ctx, smt::createMiniSolver(Ctx),
-                           /*UseLinearFilter=*/false, &Gov);
-  smt::QueryCache QC;
-  Staged.setQueryCache(&QC);
-  std::vector<FormulaGen> Groups;
-  for (uint64_t G = 0; G < 3; ++G)
-    Groups.emplace_back(Ctx, GetParam() * 257 + G);
+                           /*UseLinearFilter=*/true, &Gov);
+  std::vector<FormulaGen> Groups = makeGroups(Ctx, 257);
   RNG Rand(GetParam() ^ 0xFA117u);
   for (int I = 0; I < 20; ++I) {
-    const smt::Expr *F = nullptr;
-    int NumConj = 2 + static_cast<int>(Rand.below(4));
-    for (int C = 0; C < NumConj; ++C) {
-      const smt::Expr *Part = Groups[Rand.below(Groups.size())].gen(2);
-      F = F ? Ctx.mkAnd(F, Part) : Part;
+    const smt::Expr *F = genGrouped(Ctx, Groups, Rand);
+    const uint64_t Before = Staged.stats().BackendQueries;
+    smt::SatResult R = Staged.checkSat(F);
+    if (Staged.stats().BackendQueries > Before) {
+      EXPECT_EQ(R, smt::SatResult::Unknown) << Ctx.toString(F);
     }
-    Staged.checkSat(F);
   }
   const auto &St = Staged.stats();
   ASSERT_GT(St.BackendQueries, 0u);
-  EXPECT_EQ(St.BackendUnknown, St.BackendQueries); // all degraded
-  EXPECT_EQ(St.InjectedUnknown, St.BackendCalls);  // every discharge injected
-  // Sliced queries inject (and log) once per attempted component.
-  EXPECT_GE(St.InjectedUnknown, St.BackendUnknown);
-  EXPECT_EQ(St.CacheHits, 0u);
-  EXPECT_EQ(QC.size(), 0u); // Unknown is never cached
+  EXPECT_EQ(St.BackendUnknown, St.BackendQueries);
+  EXPECT_EQ(St.InjectedUnknown, St.BackendQueries);
+  EXPECT_EQ(Gov.log().events().size(), St.InjectedUnknown);
   EXPECT_TRUE(Gov.degraded());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, AccelEquivalence,
+INSTANTIATE_TEST_SUITE_P(Seeds, StagedEquivalence,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 //===----------------------------------------------------------------------===

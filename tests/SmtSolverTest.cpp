@@ -12,14 +12,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "smt/LinearSolver.h"
-#include "smt/QueryCache.h"
 #include "smt/Solver.h"
-#include "support/ResourceGovernor.h"
 
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <thread>
 
 namespace pinpoint::smt {
 namespace {
@@ -51,12 +46,31 @@ TEST_F(LinearTest, SatisfiableConjunctionPasses) {
 }
 
 TEST_F(LinearTest, PaperRuleForNegation) {
-  // P(¬C) = N(C), N(¬C) = P(C).
+  // P(¬a) = ∅, N(¬a) = {a}.
   const Expr *A = Ctx.freshBoolVar("a");
   const Expr *NotA = Ctx.mkNot(A);
   EXPECT_EQ(LS.positiveAtoms(NotA).size(), 0u);
   EXPECT_EQ(LS.negativeAtoms(NotA).size(), 1u);
   EXPECT_EQ(LS.negativeAtoms(NotA)[0], A->id());
+}
+
+TEST_F(LinearTest, NegatedConjunctionFixesNoAtom) {
+  // ¬(a ∧ b) = ¬a ∨ ¬b forces neither atom false, so a ∧ ¬(a ∧ b) — which
+  // is satisfiable with b false — must not look like a contradiction.
+  const Expr *A = Ctx.freshBoolVar("a");
+  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *NotAnd = Ctx.mkNot(Ctx.mkAnd(A, B));
+  EXPECT_TRUE(LS.negativeAtoms(NotAnd).empty());
+  EXPECT_FALSE(LS.isObviouslyUnsat(Ctx.mkAnd(A, NotAnd)));
+}
+
+TEST_F(LinearTest, NegatedDisjunctionNegatesEachDisjunct) {
+  // ¬(a ∨ b) = ¬a ∧ ¬b, so conjoined with a it is an easy contradiction.
+  const Expr *A = Ctx.freshBoolVar("a");
+  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *NotOr = Ctx.mkNot(Ctx.mkOr(A, B));
+  EXPECT_EQ(LS.negativeAtoms(NotOr).size(), 2u);
+  EXPECT_TRUE(LS.isObviouslyUnsat(Ctx.mkAnd(A, NotOr)));
 }
 
 TEST_F(LinearTest, PaperRuleForConjunctionIsUnion) {
@@ -371,177 +385,6 @@ TEST(StagedSolver, FilterCanBeDisabled) {
   EXPECT_EQ(S.checkSat(Easy), SatResult::Unsat);
   EXPECT_EQ(S.stats().LinearUnsat, 0u);
   EXPECT_EQ(S.stats().BackendQueries, 1u);
-}
-
-//===----------------------------------------------------------------------===
-// Query acceleration: verdict cache + conjunct slicing (DESIGN.md section 11)
-//===----------------------------------------------------------------------===
-
-/// (x < 5 ∧ x > 7) — passes the P/N filter (distinct atoms) but is
-/// backend-refutable, and forms one variable-connected component.
-static const Expr *hardUnsat(ExprContext &Ctx, const Expr *X) {
-  return Ctx.mkAnd(Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(5)),
-                   Ctx.mkCmp(ExprKind::Gt, X, Ctx.getInt(7)));
-}
-
-TEST(QueryAccel, SlicingRefutesViaDisjointComponent) {
-  ExprContext Ctx;
-  StagedSolver S(Ctx, createMiniSolver(Ctx));
-  QueryCache QC;
-  S.setQueryCache(&QC);
-  const Expr *X = Ctx.freshIntVar("x");
-  const Expr *B = Ctx.freshBoolVar("b");
-  // ((x<5 ∧ x>7) ∧ b) splits into the x-component and the b-component;
-  // the x-component alone refutes the query, short-circuiting before the
-  // b-component is ever discharged.
-  const Expr *Q = Ctx.mkAnd(hardUnsat(Ctx, X), B);
-  EXPECT_EQ(S.checkSat(Q), SatResult::Unsat);
-  EXPECT_EQ(S.stats().SlicedQueries, 1u);
-  EXPECT_EQ(S.stats().ComponentsRefuted, 1u);
-  // Component order follows mkAnd's canonicalised operand order, so the
-  // b-component may be discharged (Sat) before the x-component refutes.
-  EXPECT_LE(S.stats().BackendCalls, 2u);
-  // The pre-existing per-query counters keep their semantics.
-  EXPECT_EQ(S.stats().BackendQueries, 1u);
-  EXPECT_EQ(S.stats().BackendUnsat, 1u);
-}
-
-TEST(QueryAccel, SatVerdictsComposeAcrossComponents) {
-  ExprContext Ctx;
-  StagedSolver S(Ctx, createMiniSolver(Ctx));
-  QueryCache QC;
-  S.setQueryCache(&QC);
-  const Expr *X = Ctx.freshIntVar("x");
-  const Expr *B = Ctx.freshBoolVar("b");
-  // b ∧ x<5: two variable-disjoint components, both satisfiable — their
-  // models merge, so the composed verdict is Sat.
-  const Expr *Q = Ctx.mkAnd(B, Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(5)));
-  EXPECT_EQ(S.checkSat(Q), SatResult::Sat);
-  EXPECT_EQ(S.stats().SlicedQueries, 1u);
-  EXPECT_EQ(S.stats().BackendCalls, 2u); // one per component
-  // A verbatim repeat replays the full-query verdict from the cache.
-  EXPECT_EQ(S.checkSat(Q), SatResult::Sat);
-  EXPECT_EQ(S.stats().BackendCalls, 2u);
-  EXPECT_GE(S.stats().CacheHits, 1u);
-}
-
-TEST(QueryAccel, CacheReplaysFullQueryVerdict) {
-  ExprContext Ctx;
-  StagedSolver S(Ctx, createMiniSolver(Ctx));
-  QueryCache QC;
-  S.setQueryCache(&QC);
-  const Expr *X = Ctx.freshIntVar("x");
-  const Expr *Q = hardUnsat(Ctx, X);
-  EXPECT_EQ(S.checkSat(Q), SatResult::Unsat);
-  EXPECT_EQ(S.stats().BackendCalls, 1u);
-  EXPECT_EQ(S.checkSat(Q), SatResult::Unsat);
-  EXPECT_EQ(S.stats().BackendCalls, 1u); // replayed, not recomputed
-  EXPECT_EQ(S.stats().CacheHits, 1u);
-  // Per-query counters advance as if the backend had run again.
-  EXPECT_EQ(S.stats().BackendQueries, 2u);
-  EXPECT_EQ(S.stats().BackendUnsat, 2u);
-}
-
-TEST(QueryAccel, ComponentVerdictReusedAcrossQueries) {
-  ExprContext Ctx;
-  StagedSolver S(Ctx, createMiniSolver(Ctx));
-  QueryCache QC;
-  S.setQueryCache(&QC);
-  const Expr *X = Ctx.freshIntVar("x");
-  const Expr *B = Ctx.freshBoolVar("b");
-  const Expr *C = Ctx.freshBoolVar("c");
-  EXPECT_EQ(S.checkSat(Ctx.mkAnd(hardUnsat(Ctx, X), B)), SatResult::Unsat);
-  const uint64_t CallsAfterQ1 = S.stats().BackendCalls;
-  // A *different* query sharing the unsat x-component: the component's
-  // cached verdict refutes it with at most the fresh c-component's
-  // discharge as new backend work — the x-component is never re-solved.
-  EXPECT_EQ(S.checkSat(Ctx.mkAnd(hardUnsat(Ctx, X), C)), SatResult::Unsat);
-  EXPECT_LE(S.stats().BackendCalls, CallsAfterQ1 + 1);
-  EXPECT_EQ(S.stats().CacheHits, 1u);
-  EXPECT_EQ(S.stats().ComponentsRefuted, 2u);
-  EXPECT_EQ(S.stats().SlicedQueries, 2u);
-}
-
-TEST(QueryAccel, SharedCacheAcrossSolverInstances) {
-  // Mirrors the parallel discharge path: per-chunk StagedSolvers sharing
-  // one run-wide QueryCache over the same ExprContext.
-  ExprContext Ctx;
-  QueryCache QC;
-  const Expr *Q = hardUnsat(Ctx, Ctx.freshIntVar("x"));
-  StagedSolver S1(Ctx, createMiniSolver(Ctx));
-  S1.setQueryCache(&QC);
-  EXPECT_EQ(S1.checkSat(Q), SatResult::Unsat);
-  EXPECT_EQ(S1.stats().BackendCalls, 1u);
-  StagedSolver S2(Ctx, createMiniSolver(Ctx));
-  S2.setQueryCache(&QC);
-  EXPECT_EQ(S2.checkSat(Q), SatResult::Unsat);
-  EXPECT_EQ(S2.stats().BackendCalls, 0u);
-  EXPECT_EQ(S2.stats().CacheHits, 1u);
-}
-
-TEST(QueryAccel, UnknownIsNeverCached) {
-  // Force every backend discharge to Unknown: the verdict depends on run
-  // state (budgets / injection), so it must never be replayed later.
-  FaultInjector FI;
-  std::string Err;
-  ASSERT_TRUE(FI.parse("seed=1,solver-unknown=100", Err)) << Err;
-  ResourceGovernor Gov({}, std::move(FI));
-  ExprContext Ctx;
-  StagedSolver S(Ctx, createMiniSolver(Ctx), /*UseLinearFilter=*/true, &Gov);
-  QueryCache QC;
-  S.setQueryCache(&QC);
-  const Expr *Q = hardUnsat(Ctx, Ctx.freshIntVar("x"));
-  EXPECT_EQ(S.checkSat(Q), SatResult::Unknown);
-  EXPECT_EQ(S.checkSat(Q), SatResult::Unknown);
-  EXPECT_EQ(QC.size(), 0u);
-  EXPECT_EQ(S.stats().CacheHits, 0u);
-  EXPECT_EQ(S.stats().InjectedUnknown, 2u);
-  EXPECT_TRUE(Gov.degraded());
-}
-
-TEST(QueryAccel, SlicingCanBeDisabledIndependently) {
-  ExprContext Ctx;
-  StagedSolver S(Ctx, createMiniSolver(Ctx));
-  QueryCache QC;
-  S.setQueryCache(&QC);
-  S.setSlicing(false);
-  const Expr *Q =
-      Ctx.mkAnd(hardUnsat(Ctx, Ctx.freshIntVar("x")), Ctx.freshBoolVar("b"));
-  EXPECT_EQ(S.checkSat(Q), SatResult::Unsat);
-  EXPECT_EQ(S.stats().SlicedQueries, 0u);
-  EXPECT_EQ(S.stats().BackendCalls, 1u); // whole query in one discharge
-  EXPECT_EQ(S.checkSat(Q), SatResult::Unsat);
-  EXPECT_EQ(S.stats().CacheHits, 1u); // caching still active
-}
-
-TEST(QueryCacheTest, ConcurrentStoreLookupIsCoherent) {
-  // The cache is the only structure shared across --jobs discharge
-  // chunks; hammer it from several threads. Every thread stores the same
-  // verdict per key (as real runs do — verdicts are deterministic facts
-  // about interned formulas), so every successful lookup must agree.
-  ExprContext Ctx;
-  QueryCache QC;
-  std::vector<const Expr *> Keys;
-  for (int I = 0; I < 256; ++I)
-    Keys.push_back(
-        Ctx.mkCmp(ExprKind::Lt, Ctx.freshIntVar("v"), Ctx.getInt(I)));
-  std::atomic<uint64_t> Mismatches{0};
-  std::vector<std::thread> Threads;
-  for (int T = 0; T < 8; ++T)
-    Threads.emplace_back([&QC, &Keys, &Mismatches] {
-      for (int Round = 0; Round < 50; ++Round)
-        for (size_t I = 0; I < Keys.size(); ++I) {
-          SatResult Want = I % 2 ? SatResult::Sat : SatResult::Unsat;
-          QC.store(Keys[I], Want);
-          auto Got = QC.lookup(Keys[I]);
-          if (!Got || *Got != Want)
-            ++Mismatches;
-        }
-    });
-  for (auto &T : Threads)
-    T.join();
-  EXPECT_EQ(Mismatches.load(), 0u);
-  EXPECT_EQ(QC.size(), Keys.size());
 }
 
 } // namespace
