@@ -134,6 +134,9 @@ public:
   /// The symbol of \p V (delegates to the symbol map).
   const smt::Expr *symbol(const ir::Value *V) { return Syms[V]; }
 
+  /// IR variables whose symbols occur in \p E (gate support variables).
+  std::vector<const ir::Variable *> gateIRVars(const smt::Expr *E) const;
+
   //===--- Statistics -------------------------------------------------------
 
   size_t numVertices() const { return VertexId.size(); }
@@ -176,8 +179,6 @@ private:
   /// Packs \p Info into the arena and returns the frozen record.
   const LocalDef *freezeDef(LocalDefInfo &&Info);
   const LocalDef &localDef(const ir::Variable *V);
-  /// IR variables whose symbols occur in \p E (gate support variables).
-  std::vector<const ir::Variable *> gateIRVars(const smt::Expr *E) const;
 
   const ir::Function &F;
   ir::SymbolMap &Syms;

@@ -7,6 +7,7 @@
 #include "smt/Expr.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace pinpoint::smt {
 
@@ -25,29 +26,43 @@ uint64_t ExprContext::hashKey(ExprKind K, std::span<const Expr *const> Ops,
   return H;
 }
 
+void ExprContext::InternShard::grow() {
+  std::vector<Slot> Old = std::move(Slots);
+  const size_t Cap = Old.empty() ? 16 : Old.size() * 2;
+  Slots.assign(Cap, Slot{});
+  Shift = 64 - static_cast<unsigned>(std::countr_zero(Cap));
+  const size_t Mask = Cap - 1;
+  for (const Slot &S : Old) {
+    if (!S.E)
+      continue;
+    size_t Pos = probe(S.Hash);
+    while (Slots[Pos].E)
+      Pos = (Pos + 1) & Mask;
+    Slots[Pos] = S;
+  }
+}
+
 const Expr *ExprContext::intern(ExprKind K, std::span<const Expr *const> Ops,
                                 uint32_t Var, int64_t Const) {
   uint64_t H = hashKey(K, Ops, Var, Const);
-  // Fold the high bits in so shard selection is not the low bits of the
-  // same hash the per-shard table uses.
+  // Fold the high bits in; the shard's table probes from the bits this
+  // leaves free (InternShard::probe).
   InternShard &S = Shards[(H ^ (H >> 32)) % NumInternShards];
   std::lock_guard<std::mutex> L(S.Mu);
-  auto &Bucket = S.Table[H];
-  for (const Expr *E : Bucket) {
-    if (E->Kind != K || E->NumOps != Ops.size())
+  if ((S.Used + 1) * 4 > S.Slots.size() * 3)
+    S.grow();
+  const size_t Mask = S.Slots.size() - 1;
+  size_t Pos = S.probe(H);
+  for (; S.Slots[Pos].E; Pos = (Pos + 1) & Mask) {
+    const Expr *E = S.Slots[Pos].E;
+    if (S.Slots[Pos].Hash != H || E->Kind != K || E->NumOps != Ops.size())
       continue;
     if ((K == ExprKind::BoolVar || K == ExprKind::IntVar) &&
         E->VarOrConst.Var != Var)
       continue;
     if (K == ExprKind::IntConst && E->VarOrConst.Const != Const)
       continue;
-    bool Same = true;
-    for (unsigned I = 0; I < Ops.size(); ++I)
-      if (E->Ops[I] != Ops[I]) {
-        Same = false;
-        break;
-      }
-    if (Same)
+    if (std::equal(Ops.begin(), Ops.end(), E->Ops))
       return E;
   }
 
@@ -75,7 +90,8 @@ const Expr *ExprContext::intern(ExprKind K, std::span<const Expr *const> Ops,
     E->VarOrConst.Var = Var;
   else if (K == ExprKind::IntConst)
     E->VarOrConst.Const = Const;
-  Bucket.push_back(E);
+  S.Slots[Pos] = {H, E};
+  ++S.Used;
   return E;
 }
 
@@ -86,19 +102,6 @@ size_t ExprContext::bytesUsed() const {
     N += S.Mem.bytesUsed();
   }
   return N;
-}
-
-ExprContext::InternStats ExprContext::internStats() const {
-  InternStats St;
-  St.Nodes = numNodes();
-  for (const InternShard &S : Shards) {
-    std::lock_guard<std::mutex> L(S.Mu);
-    St.TableSlots += S.Table.size();
-    for (const auto &[Key, Chain] : S.Table)
-      St.MaxChain = std::max(St.MaxChain, Chain.size());
-    St.ArenaBytes += S.Mem.bytesUsed();
-  }
-  return St;
 }
 
 const Expr *ExprContext::freshBoolVar(std::string Name) {
@@ -288,40 +291,39 @@ const Expr *ExprContext::mkIte(const Expr *Cond, const Expr *Then,
   return intern(ExprKind::Ite, Ops, 0, 0);
 }
 
-const Expr *ExprContext::substitute(
-    const Expr *E, const std::unordered_map<uint32_t, const Expr *> &Map) {
-  std::unordered_map<const Expr *, const Expr *> Memo;
+const Expr *ExprContext::substitute(const Expr *E, SubstScratch &S) {
+  S.beginRewrite(E);
   // Iterative post-order over the DAG to avoid deep recursion.
-  std::vector<std::pair<const Expr *, bool>> Stack{{E, false}};
+  auto &Stack = S.Stack;
+  Stack.assign(1, {E, false});
   while (!Stack.empty()) {
     auto [Cur, Visited] = Stack.back();
     Stack.pop_back();
-    if (Memo.count(Cur))
+    if (S.done(Cur))
       continue;
     if (!Visited) {
       Stack.push_back({Cur, true});
       for (const Expr *Op : Cur->operands())
-        if (!Memo.count(Op))
+        if (!S.done(Op))
           Stack.push_back({Op, false});
       continue;
     }
+    auto Sub = [&](unsigned I) { return S.memo(Cur->operand(I)); };
     const Expr *New = Cur;
     switch (Cur->kind()) {
     case ExprKind::BoolVar:
-    case ExprKind::IntVar: {
-      auto It = Map.find(Cur->varId());
-      if (It != Map.end())
-        New = It->second;
+    case ExprKind::IntVar:
+      if (const Expr *Repl = S.mapped(Cur->varId()))
+        New = Repl;
       break;
-    }
     case ExprKind::Not:
-      New = mkNot(Memo[Cur->operand(0)]);
+      New = mkNot(Sub(0));
       break;
     case ExprKind::And:
-      New = mkAnd(Memo[Cur->operand(0)], Memo[Cur->operand(1)]);
+      New = mkAnd(Sub(0), Sub(1));
       break;
     case ExprKind::Or:
-      New = mkOr(Memo[Cur->operand(0)], Memo[Cur->operand(1)]);
+      New = mkOr(Sub(0), Sub(1));
       break;
     case ExprKind::Eq:
     case ExprKind::Ne:
@@ -329,43 +331,49 @@ const Expr *ExprContext::substitute(
     case ExprKind::Le:
     case ExprKind::Gt:
     case ExprKind::Ge:
-      New = mkCmp(Cur->kind(), Memo[Cur->operand(0)], Memo[Cur->operand(1)]);
+      New = mkCmp(Cur->kind(), Sub(0), Sub(1));
       break;
     case ExprKind::Add:
     case ExprKind::Sub:
     case ExprKind::Mul:
-      New = mkArith(Cur->kind(), Memo[Cur->operand(0)], Memo[Cur->operand(1)]);
+      New = mkArith(Cur->kind(), Sub(0), Sub(1));
       break;
     case ExprKind::Neg:
-      New = mkNeg(Memo[Cur->operand(0)]);
+      New = mkNeg(Sub(0));
       break;
     case ExprKind::Ite:
-      New = mkIte(toBoolExpr(Memo[Cur->operand(0)]),
-                  toIntExpr(Memo[Cur->operand(1)]),
-                  toIntExpr(Memo[Cur->operand(2)]));
+      New = mkIte(toBoolExpr(Sub(0)), toIntExpr(Sub(1)), toIntExpr(Sub(2)));
       break;
     default:
       break; // True/False/IntConst are fixed points.
     }
-    Memo[Cur] = New;
+    S.setMemo(Cur, New);
   }
-  return Memo[E];
+  return S.memo(E);
 }
 
 void ExprContext::collectVars(const Expr *E,
                               std::vector<uint32_t> &Out) const {
-  std::vector<const Expr *> Stack{E};
-  std::unordered_map<const Expr *, bool> Seen;
-  while (!Stack.empty()) {
-    const Expr *Cur = Stack.back();
-    Stack.pop_back();
-    if (Seen[Cur])
+  // Ids are topological, so a max-heap on ids pops every node after all of
+  // its parents: the copies a shared node gets from several parents are
+  // all queued before the first one pops, and they pop back to back. Only
+  // the first is expanded, so no visited set is needed.
+  auto Lower = [](const Expr *A, const Expr *B) { return A->id() < B->id(); };
+  std::vector<const Expr *> Heap{E};
+  const Expr *Last = nullptr;
+  while (!Heap.empty()) {
+    std::pop_heap(Heap.begin(), Heap.end(), Lower);
+    const Expr *Cur = Heap.back();
+    Heap.pop_back();
+    if (Cur == Last)
       continue;
-    Seen[Cur] = true;
+    Last = Cur;
     if (Cur->kind() == ExprKind::BoolVar || Cur->kind() == ExprKind::IntVar)
       Out.push_back(Cur->varId());
-    for (const Expr *Op : Cur->operands())
-      Stack.push_back(Op);
+    for (const Expr *Op : Cur->operands()) {
+      Heap.push_back(Op);
+      std::push_heap(Heap.begin(), Heap.end(), Lower);
+    }
   }
   std::sort(Out.begin(), Out.end());
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());

@@ -15,14 +15,18 @@
 /// per node.
 ///
 /// One `ExprContext` is shared by every task of a `--jobs N` run. Interning
-/// is sharded: the node hash selects one of a fixed set of buckets, each
-/// with its own mutex and arena, so concurrent `mk*` calls on unrelated
-/// conditions rarely contend while hash-consing stays global (a condition
-/// built by two workers is still one node). Node ids come from one atomic
+/// is sharded: the node hash selects one of a fixed set of shards, each
+/// with its own mutex, arena and open-addressed table, so concurrent `mk*`
+/// calls on unrelated conditions rarely contend while hash-consing stays
+/// global (a condition built by two workers is still one node). Nodes are
+/// trivially destructible and live in the shard arenas; a table slot is a
+/// (hash, node) pair, so dropping a context frees a few slabs and arrays
+/// per shard, not one heap block per node. Node ids come from one atomic
 /// counter — ids are *allocation-order* dependent and therefore not stable
 /// across job counts; nothing downstream may key semantic decisions on the
 /// numeric id (canonicalisation uses ids only to pick one of two orders of
-/// the same pointer pair, which is per-pair deterministic).
+/// the same pointer pair, which is per-pair deterministic). Ids are
+/// topological, though: every operand is numbered before its parent.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +35,7 @@
 
 #include "support/Arena.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cassert>
@@ -128,6 +133,61 @@ private:
   const Expr *const *Ops = nullptr;
 };
 
+/// Working memory for ExprContext::substitute: the variable map and the
+/// rewrite's per-node memo, as dense arrays indexed by variable id and by
+/// Expr id. Each slot records the epoch it was written in, so clearing is
+/// O(1) and an owner that substitutes many times (svfa::ContextTable, one
+/// per engine) sizes the arrays once. A one-off caller may use a local
+/// scratch; it costs O(largest id touched). Not thread-safe.
+class SubstScratch {
+public:
+  /// Forgets every variable mapping.
+  void clearVars() { bump(VarEpoch, Vars); }
+  /// Maps variable \p VarId to \p Repl for the following substitute calls.
+  void mapVar(uint32_t VarId, const Expr *Repl) {
+    if (VarId >= Vars.size())
+      Vars.resize(std::max<size_t>(VarId + 1, Vars.size() * 2));
+    Vars[VarId] = {Repl, VarEpoch};
+  }
+
+private:
+  friend class ExprContext;
+  struct Slot {
+    const Expr *Val = nullptr;
+    uint32_t Epoch = 0; ///< Live iff equal to the array's current epoch.
+  };
+
+  /// The image of \p VarId, or null when it is not mapped.
+  const Expr *mapped(uint32_t VarId) const {
+    return VarId < Vars.size() && Vars[VarId].Epoch == VarEpoch
+               ? Vars[VarId].Val
+               : nullptr;
+  }
+  /// Starts a rewrite of \p Root: forgets the memo and makes room for
+  /// every node under it (ids are topological, so none exceeds Root's).
+  void beginRewrite(const Expr *Root) {
+    bump(NodeEpoch, Nodes);
+    if (Root->id() >= Nodes.size())
+      Nodes.resize(std::max<size_t>(Root->id() + 1, Nodes.size() * 2));
+  }
+  bool done(const Expr *E) const { return Nodes[E->id()].Epoch == NodeEpoch; }
+  const Expr *memo(const Expr *E) const { return Nodes[E->id()].Val; }
+  void setMemo(const Expr *E, const Expr *V) { Nodes[E->id()] = {V, NodeEpoch}; }
+
+  /// Advances \p Epoch; on wrap-around, really clears \p Slots so no stale
+  /// slot can match the restarted epoch.
+  static void bump(uint32_t &Epoch, std::vector<Slot> &Slots) {
+    if (++Epoch == 0) {
+      std::fill(Slots.begin(), Slots.end(), Slot{});
+      Epoch = 1;
+    }
+  }
+
+  std::vector<Slot> Vars, Nodes;
+  uint32_t VarEpoch = 1, NodeEpoch = 1;
+  std::vector<std::pair<const Expr *, bool>> Stack;
+};
+
 /// Owning context: sharded arenas + interning tables and a variable
 /// registry. All Expr pointers remain valid for the lifetime of the
 /// context. Thread-safe (see the file comment for the sharding scheme).
@@ -206,12 +266,12 @@ public:
   // Substitution / cloning
   //===--------------------------------------------------------------------===
 
-  /// Rewrites \p E, replacing each variable id present in \p Map with the
-  /// mapped expression. Memoised per call.
-  const Expr *substitute(const Expr *E,
-                         const std::unordered_map<uint32_t, const Expr *> &Map);
+  /// Rewrites \p E, replacing each variable that \p S maps (see
+  /// SubstScratch::mapVar) with its image. Memoised per call in \p S.
+  const Expr *substitute(const Expr *E, SubstScratch &S);
 
-  /// Collects the distinct variable ids occurring in \p E.
+  /// Appends the distinct variable ids occurring in \p E to \p Out and
+  /// sorts it. Needs no visited set: see the definition.
   void collectVars(const Expr *E, std::vector<uint32_t> &Out) const;
 
   /// Renders \p E as a string (tests & debugging).
@@ -220,16 +280,15 @@ public:
   size_t numNodes() const { return NextId.load(std::memory_order_relaxed); }
   size_t bytesUsed() const;
 
-  /// Intern-table observability (--stats): how full the hash-consing
-  /// tables are and what the nodes cost. Taken under the shard locks, so
-  /// the snapshot is consistent per shard (cheap: 64 small tables).
+  /// Intern observability (--stats): the node count and the arena bytes
+  /// behind the nodes. Reads counters only, one lock per shard.
   struct InternStats {
     size_t Nodes = 0;      ///< Interned expression nodes.
-    size_t TableSlots = 0; ///< Occupied hash keys across all shards.
-    size_t MaxChain = 0;   ///< Longest same-hash collision chain.
     size_t ArenaBytes = 0; ///< Arena memory backing the nodes.
   };
-  InternStats internStats() const;
+  InternStats internStats() const {
+    return {numNodes(), bytesUsed()};
+  }
 
 private:
   const Expr *intern(ExprKind K, std::span<const Expr *const> Ops,
@@ -237,12 +296,28 @@ private:
   uint64_t hashKey(ExprKind K, std::span<const Expr *const> Ops, uint32_t Var,
                    int64_t Const) const;
 
-  /// One interning bucket: the table and the arena its nodes live in. Each
-  /// node is created and deduplicated entirely under its shard's lock.
+  /// One interning shard: an open-addressed, linear-probing table of its
+  /// nodes and the arena they live in. Each node is created and
+  /// deduplicated entirely under the shard's lock.
   struct InternShard {
+    struct Slot {
+      uint64_t Hash = 0;
+      const Expr *E = nullptr; ///< Null marks an empty slot.
+    };
     mutable std::mutex Mu;
-    std::unordered_map<uint64_t, std::vector<const Expr *>> Table;
+    std::vector<Slot> Slots; ///< Empty or a power of two; ≤ 3/4 full.
+    size_t Used = 0;
+    unsigned Shift = 64; ///< 64 - log2(Slots.size()).
     Arena Mem;
+
+    /// First probe position of \p H: a Fibonacci mix of H >> 6. Shard
+    /// selection reads bits 0–5 of H xor bits 32–37, so dropping bits 0–5
+    /// leaves nothing that is constant within one shard.
+    size_t probe(uint64_t H) const {
+      return static_cast<size_t>(((H >> 6) * 0x9e3779b97f4a7c15ULL) >> Shift);
+    }
+    /// Doubles the table (the first call allocates it) and reinserts.
+    void grow();
   };
   static constexpr size_t NumInternShards = 64;
 

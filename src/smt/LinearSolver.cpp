@@ -10,26 +10,47 @@
 
 namespace pinpoint::smt {
 
-std::vector<uint32_t> LinearSolver::unionOf(const std::vector<uint32_t> &A,
-                                            const std::vector<uint32_t> &B) {
-  std::vector<uint32_t> Out;
-  Out.reserve(A.size() + B.size());
+LinearSolver::AtomSet LinearSolver::keep(AtomSet Ids) {
+  if (Ids.empty())
+    return {};
+  uint32_t *Copy = Mem.allocArray<uint32_t>(Ids.size());
+  std::copy(Ids.begin(), Ids.end(), Copy);
+  return {Copy, Ids.size()};
+}
+
+LinearSolver::AtomSet LinearSolver::unionOf(AtomSet A, AtomSet B) {
+  if (B.empty() || A.data() == B.data())
+    return A;
+  if (A.empty())
+    return B;
+  Merged.clear();
   std::set_union(A.begin(), A.end(), B.begin(), B.end(),
-                 std::back_inserter(Out));
-  return Out;
+                 std::back_inserter(Merged));
+  // The union contains both operands; equal size means equal sets.
+  if (Merged.size() == A.size())
+    return A;
+  if (Merged.size() == B.size())
+    return B;
+  return keep(Merged);
 }
 
-std::vector<uint32_t>
-LinearSolver::intersectOf(const std::vector<uint32_t> &A,
-                          const std::vector<uint32_t> &B) {
-  std::vector<uint32_t> Out;
+LinearSolver::AtomSet LinearSolver::intersectOf(AtomSet A, AtomSet B) {
+  if (A.empty() || B.empty())
+    return {};
+  if (A.data() == B.data())
+    return A;
+  Merged.clear();
   std::set_intersection(A.begin(), A.end(), B.begin(), B.end(),
-                        std::back_inserter(Out));
-  return Out;
+                        std::back_inserter(Merged));
+  // The intersection is contained in both operands.
+  if (Merged.size() == A.size())
+    return A;
+  if (Merged.size() == B.size())
+    return B;
+  return keep(Merged);
 }
 
-bool LinearSolver::intersects(const std::vector<uint32_t> &A,
-                              const std::vector<uint32_t> &B) {
+bool LinearSolver::intersects(AtomSet A, AtomSet B) {
   auto IA = A.begin(), IB = B.begin();
   while (IA != A.end() && IB != B.end()) {
     if (*IA < *IB)
@@ -42,10 +63,9 @@ bool LinearSolver::intersects(const std::vector<uint32_t> &A,
   return false;
 }
 
-const LinearSolver::PN &LinearSolver::sets(const Expr *E, bool Neg) {
-  auto Found = Cache[Neg].find(E);
-  if (Found != Cache[Neg].end())
-    return Found->second;
+LinearSolver::PN LinearSolver::sets(const Expr *E, bool Neg) {
+  if (const PN *Found = Memo[Neg].find(E))
+    return *Found;
 
   // Iterative post-order so huge shared DAGs do not overflow the stack.
   // Each node is evaluated under the polarity it occurs in: ¬ flips the
@@ -60,7 +80,7 @@ const LinearSolver::PN &LinearSolver::sets(const Expr *E, bool Neg) {
   while (!Stack.empty()) {
     auto [Cur, CurNeg, Visited] = Stack.back();
     Stack.pop_back();
-    if (Cache[CurNeg].count(Cur))
+    if (Memo[CurNeg].find(Cur))
       continue;
     const ExprKind K = Cur->kind();
     // A negated atom needs no visit of its operand.
@@ -70,7 +90,7 @@ const LinearSolver::PN &LinearSolver::sets(const Expr *E, bool Neg) {
       if (K == ExprKind::Not || K == ExprKind::And || K == ExprKind::Or) {
         const bool OpNeg = CurNeg != (K == ExprKind::Not);
         for (const Expr *Op : Cur->operands())
-          if (!Cache[OpNeg].count(Op))
+          if (!Memo[OpNeg].find(Op))
             Stack.push_back({Op, OpNeg, false});
       }
       continue;
@@ -81,15 +101,18 @@ const LinearSolver::PN &LinearSolver::sets(const Expr *E, bool Neg) {
     case ExprKind::False:
       break; // Both sets empty; True/False are not atoms.
     case ExprKind::Not:
-      if (NotAtom)
-        (CurNeg ? Result.P : Result.N).push_back(Cur->operand(0)->id());
-      else
-        Result = Cache[!CurNeg][Cur->operand(0)];
+      if (NotAtom) {
+        const uint32_t Id = Cur->operand(0)->id();
+        (CurNeg ? Result.P : Result.N) = keep({&Id, 1});
+      } else {
+        Result = *Memo[!CurNeg].find(Cur->operand(0));
+      }
       break;
     case ExprKind::And:
     case ExprKind::Or: {
-      const PN &L = Cache[CurNeg][Cur->operand(0)];
-      const PN &R = Cache[CurNeg][Cur->operand(1)];
+      // Copies: the insert below may move the table's slots.
+      const PN L = *Memo[CurNeg].find(Cur->operand(0));
+      const PN R = *Memo[CurNeg].find(Cur->operand(1));
       // ¬(C1 ∧ C2) = ¬C1 ∨ ¬C2 and ¬(C1 ∨ C2) = ¬C1 ∧ ¬C2.
       if ((K == ExprKind::And) != CurNeg) {
         Result.P = unionOf(L.P, R.P);
@@ -103,19 +126,21 @@ const LinearSolver::PN &LinearSolver::sets(const Expr *E, bool Neg) {
     default:
       // Atoms: boolean variables and comparisons. (Comparisons are treated
       // as opaque atoms; their arithmetic is the SMT backend's job.)
-      if (Cur->isAtom())
-        (CurNeg ? Result.N : Result.P).push_back(Cur->id());
+      if (Cur->isAtom()) {
+        const uint32_t Id = Cur->id();
+        (CurNeg ? Result.N : Result.P) = keep({&Id, 1});
+      }
       break;
     }
-    Cache[CurNeg].emplace(Cur, std::move(Result));
+    Memo[CurNeg].insert(Cur, Result);
   }
-  return Cache[Neg][E];
+  return *Memo[Neg].find(E);
 }
 
 bool LinearSolver::isObviouslyUnsat(const Expr *E) {
   if (E->isFalse())
     return true;
-  const PN &S = sets(E);
+  const PN S = sets(E);
   return intersects(S.P, S.N);
 }
 

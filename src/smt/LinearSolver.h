@@ -26,7 +26,11 @@
 /// satisfiable, yet the swap puts a in both sets.
 ///
 /// Atom sets are memoised per hash-consed Expr node and polarity, so
-/// repeated queries over shared subformulas stay cheap.
+/// repeated queries over shared subformulas stay cheap. The memo is flat: one
+/// open-addressed node -> (P, N) map per polarity, with every set a span
+/// into an arena the solver owns. A union or intersection equal to one of
+/// its operands reuses that operand's span, so the shared sets of a
+/// hash-consed DAG are stored once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,8 +38,10 @@
 #define PINPOINT_SMT_LINEARSOLVER_H
 
 #include "smt/Expr.h"
+#include "support/Arena.h"
+#include "support/FlatMap.h"
 
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace pinpoint::smt {
@@ -49,35 +55,43 @@ public:
   /// (some atom occurs in both P(C) and N(C)), i.e. is "easily" UNSAT.
   bool isObviouslyUnsat(const Expr *E);
 
-  /// The positive atom set P(C), as sorted atom node ids.
-  const std::vector<uint32_t> &positiveAtoms(const Expr *E) {
-    return sets(E).P;
-  }
+  /// The positive atom set P(C), as sorted atom node ids. The span stays
+  /// valid for the solver's lifetime.
+  std::span<const uint32_t> positiveAtoms(const Expr *E) { return sets(E).P; }
   /// The negative atom set N(C), as sorted atom node ids.
-  const std::vector<uint32_t> &negativeAtoms(const Expr *E) {
-    return sets(E).N;
-  }
+  std::span<const uint32_t> negativeAtoms(const Expr *E) { return sets(E).N; }
 
   /// Number of cache entries (for tests / stats).
-  size_t cacheSize() const { return Cache[0].size() + Cache[1].size(); }
+  size_t cacheSize() const { return Memo[0].size() + Memo[1].size(); }
 
 private:
+  using AtomSet = std::span<const uint32_t>; ///< Sorted atom ids.
   struct PN {
-    std::vector<uint32_t> P, N; // Sorted atom ids.
+    AtomSet P, N;
   };
 
+  struct ById {
+    uint64_t operator()(const Expr *E) const { return E->id(); }
+  };
+  /// One polarity's memo. Lookups hand out copies: slots move on insert.
+  using Table = FlatMap<const Expr *, PN, ById>;
+
   /// P/N of \p E, or of ¬E when \p Neg is set.
-  const PN &sets(const Expr *E, bool Neg = false);
-  static std::vector<uint32_t> unionOf(const std::vector<uint32_t> &A,
-                                       const std::vector<uint32_t> &B);
-  static std::vector<uint32_t> intersectOf(const std::vector<uint32_t> &A,
-                                           const std::vector<uint32_t> &B);
-  static bool intersects(const std::vector<uint32_t> &A,
-                         const std::vector<uint32_t> &B);
+  PN sets(const Expr *E, bool Neg = false);
+  AtomSet unionOf(AtomSet A, AtomSet B);
+  AtomSet intersectOf(AtomSet A, AtomSet B);
+  /// An arena copy of \p Ids.
+  AtomSet keep(AtomSet Ids);
+  static bool intersects(AtomSet A, AtomSet B);
 
   ExprContext &Ctx;
+  /// Backs every atom set. Unreported: the memo is not governed memory,
+  /// so it stays out of the ledger that `--mem-budget-mb` and the
+  /// arena-peak statistics read.
+  Arena Mem{/*Reported=*/false};
   /// Memo per polarity: [0] for E itself, [1] for ¬E.
-  std::unordered_map<const Expr *, PN> Cache[2];
+  Table Memo[2];
+  std::vector<uint32_t> Merged; ///< Set-operation output before keep().
 };
 
 } // namespace pinpoint::smt

@@ -30,10 +30,9 @@ const Context *ContextTable::push(const Context *Parent,
 const smt::Expr *ContextTable::mappedVar(uint32_t SymVarId,
                                          const Function *Callee,
                                          const Context *C) {
-  auto Key = std::make_pair(C, SymVarId);
-  auto It = Clones.find(Key);
-  if (It != Clones.end())
-    return It->second;
+  const uint64_t Key = static_cast<uint64_t>(C->Id) << 32 | SymVarId;
+  if (const smt::Expr *const *Known = Clones.find(Key))
+    return *Known;
 
   const smt::Expr *Repl = nullptr;
   const Variable *IRVar = Syms.irVar(SymVarId);
@@ -54,7 +53,7 @@ const smt::Expr *ContextTable::mappedVar(uint32_t SymVarId,
     Repl = Ctx.varIsBool(SymVarId) ? Ctx.freshBoolVar(std::move(Name))
                                    : Ctx.freshIntVar(std::move(Name));
   }
-  Clones.emplace(Key, Repl);
+  Clones.insert(Key, Repl);
   return Repl;
 }
 
@@ -63,14 +62,22 @@ const smt::Expr *ContextTable::instantiate(const smt::Expr *E,
                                            const Context *C) {
   if (!C)
     return E; // Top context: identity.
-  std::vector<uint32_t> Vars;
+  // A leaf is its own rewrite. This is also the only way mappedVar ->
+  // symbolIn re-enters (a symbol is a leaf), so Vars and Scratch below are
+  // never in use twice.
+  if (E->numOperands() == 0) {
+    bool IsVar = E->kind() == smt::ExprKind::BoolVar ||
+                 E->kind() == smt::ExprKind::IntVar;
+    return IsVar ? mappedVar(E->varId(), Callee, C) : E;
+  }
+  Vars.clear();
   Ctx.collectVars(E, Vars);
   if (Vars.empty())
     return E;
-  std::unordered_map<uint32_t, const smt::Expr *> Map;
+  Scratch.clearVars();
   for (uint32_t V : Vars)
-    Map[V] = mappedVar(V, Callee, C);
-  return Ctx.substitute(E, Map);
+    Scratch.mapVar(V, mappedVar(V, Callee, C));
+  return Ctx.substitute(E, Scratch);
 }
 
 const smt::Expr *ContextTable::symbolIn(const Value *V,

@@ -23,6 +23,7 @@
 #include "ir/Conditions.h"
 #include "ir/IR.h"
 #include "smt/Expr.h"
+#include "support/FlatMap.h"
 
 #include <map>
 #include <vector>
@@ -56,7 +57,9 @@ public:
   /// callee formal parameters become the caller-side symbols of the actual
   /// arguments (themselves instantiated into the parent context); all other
   /// variables get fresh clones, cached per (context, variable).
-  /// \p Callee is the function the expression belongs to.
+  /// \p Callee is the function the expression belongs to. Two phases, in
+  /// this order: map the sorted variable ids (which mints the clones), then
+  /// rewrite \p E bottom-up; both reuse the table's one scratch.
   const smt::Expr *instantiate(const smt::Expr *E, const ir::Function *Callee,
                                const Context *C);
 
@@ -77,8 +80,15 @@ private:
            std::unique_ptr<Context>>
       Interned;
   std::vector<Context *> Contexts;
-  /// Clone cache: (context, symbolic var id) -> replacement expression.
-  std::map<std::pair<const Context *, uint32_t>, const smt::Expr *> Clones;
+  struct KeyHash {
+    uint64_t operator()(uint64_t K) const { return K; }
+  };
+  /// Clone cache: (context id << 32 | symbolic var id) -> replacement
+  /// expression. Context ids start at 1, so no key is the empty key 0.
+  FlatMap<uint64_t, const smt::Expr *, KeyHash> Clones;
+  /// instantiate()'s working memory (it explains why one copy suffices).
+  std::vector<uint32_t> Vars;
+  smt::SubstScratch Scratch;
   uint32_t NextId = 1;
 };
 

@@ -237,10 +237,6 @@ private:
   valueClosure(const Function *F, const Variable *Start,
                const CondBundle &StartB);
 
-  /// IR variables whose symbols occur in \p E (support for DD expansion).
-  std::vector<const Variable *> gateVars(const smt::Expr *E,
-                                         const Function *F);
-
   //===--- Per-function analysis --------------------------------------------
 
   void analyzeFunction(const Function *F);
@@ -289,7 +285,8 @@ private:
                      FnStmtHash>
       CDCache;
   std::vector<Report> Reports;
-  std::set<std::tuple<std::string, uint32_t, uint32_t>> Reported;
+  /// Surviving (source fn, sink fn, source line, sink line) keys.
+  std::set<std::tuple<std::string, std::string, uint32_t, uint32_t>> Reported;
 };
 
 //===----------------------------------------------------------------------===
@@ -348,7 +345,7 @@ GlobalSVFA::Impl::valueClosure(const Function *F, const Variable *Start,
       if (!C)
         return;
       NB.C = C;
-      for (const Variable *GV : gateVars(E.Cond, F))
+      for (const Variable *GV : Seg.gateIRVars(E.Cond))
         NB.Vars.push_back({F, GV, nullptr});
       if (E.Via) {
         const seg::Closure &CD = controlCondOf(F, E.Via);
@@ -452,22 +449,6 @@ GlobalSVFA::Impl::valueClosure(const Function *F, const Variable *Start,
 //===----------------------------------------------------------------------===
 // Per-function analysis
 //===----------------------------------------------------------------------===
-
-std::vector<const Variable *>
-gateVarsImpl(ir::SymbolMap &Syms, smt::ExprContext &Ctx, const smt::Expr *E) {
-  std::vector<uint32_t> SymVars;
-  Ctx.collectVars(E, SymVars);
-  std::vector<const Variable *> Out;
-  for (uint32_t Id : SymVars)
-    if (const Variable *V = Syms.irVar(Id))
-      Out.push_back(V);
-  return Out;
-}
-
-std::vector<const Variable *>
-GlobalSVFA::Impl::gateVars(const smt::Expr *E, const Function *) {
-  return gateVarsImpl(AM.symbols(), Ctx, E);
-}
 
 void GlobalSVFA::Impl::paramSummaries(const Function *F, FnSummaries &Sum) {
   seg::SEG &Seg = segOf(F);
@@ -790,8 +771,9 @@ void GlobalSVFA::Impl::addCandidate(const Function *F, const SourceEvent &Ev,
                                     const CondBundle &B, SourceLoc SinkLoc,
                                     const std::string &SinkFn) {
   (void)F;
-  auto Key = std::make_tuple(Spec.Name + Ev.LocFn + SinkFn, Ev.Loc.Line,
-                             SinkLoc.Line);
+  // Separate fields: concatenated names would make source `a` with sink
+  // `bc` collide with source `ab` with sink `c`.
+  auto Key = std::make_tuple(Ev.LocFn, SinkFn, Ev.Loc.Line, SinkLoc.Line);
   // Deduplicate only *surviving* reports: an infeasible candidate for the
   // same (source, sink) must not shadow a feasible one reached through a
   // different value-flow path.

@@ -584,14 +584,12 @@ int pinpointToolMain(int Argc, char **Argv) {
                   ParseSec, PS.SSA, PS.Prepass,
                   std::max(0.0, PipelineSec - PS.SSA - PS.Prepass),
                   DischargeSec, ReportT.seconds());
-      // Intern-table health of the shared expression context: node ids are
-      // allocation-order dependent, so these figures may differ across
-      // --jobs values (new observability counters, not a determinism
-      // surface).
+      // Size of the shared expression context: work performed, not
+      // findings, so like [pipeline] it is exempt from the cross-run
+      // determinism contract (harnesses filter it).
       const smt::ExprContext::InternStats IS = Ctx.internStats();
-      std::printf("[exprs] nodes=%zu table-slots=%zu max-chain=%zu "
-                  "arena-mb=%.1f\n",
-                  IS.Nodes, IS.TableSlots, IS.MaxChain, IS.ArenaBytes / 1e6);
+      std::printf("[exprs] nodes=%zu arena-mb=%.1f\n", IS.Nodes,
+                  IS.ArenaBytes / 1e6);
       if (Cache) {
         Counters &C = Counters::get();
         std::printf("[cache] hits=%lld misses=%lld invalidated=%lld "

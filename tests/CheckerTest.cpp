@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace pinpoint::ir;
 
 namespace pinpoint::svfa {
@@ -201,6 +203,23 @@ TEST_F(CheckerTest, FreedValueReturnedVF2) {
   ASSERT_EQ(Reports.size(), 1u);
   EXPECT_EQ(Reports[0].SourceFn, "make_dangling");
   EXPECT_EQ(Reports[0].SinkFn, "caller");
+}
+
+TEST_F(CheckerTest, FunctionNamesDoNotRunTogetherInTheReportKey) {
+  // Source `a` with sink `bc` and source `ab` with sink `c`, each pair on
+  // the same two lines: two different bugs, so neither may shadow the
+  // other when surviving reports are deduplicated.
+  auto Reports = checkUAF(
+      "void a(int *p) { free(p); } void ab(int *p) { free(p); }\n"
+      "int bc(int *p) { return *p; } int c(int *p) { return *p; }\n"
+      "int main1(int *x) { a(x); return bc(x); }\n"
+      "int main2(int *y) { ab(y); return c(y); }\n");
+  ASSERT_EQ(Reports.size(), 2u);
+  std::set<std::pair<std::string, std::string>> Pairs;
+  for (const Report &R : Reports)
+    Pairs.insert({R.SourceFn, R.SinkFn});
+  EXPECT_EQ(Pairs, (std::set<std::pair<std::string, std::string>>{
+                       {"a", "bc"}, {"ab", "c"}}));
 }
 
 TEST_F(CheckerTest, FlowThroughCalleeVF1) {

@@ -136,6 +136,31 @@ TEST_F(ContextTest, NestedContextsChainSubstitution) {
   EXPECT_EQ(Inst, A);
 }
 
+TEST_F(ContextTest, CompoundInstantiationRecursesThroughEveryParameter) {
+  // Mapping each of h's parameters two frames up recurses mappedVar ->
+  // symbolIn -> instantiate while the outer, compound instantiation is
+  // between its two phases. Whichever parameter maps second, the first
+  // one's mapping must survive that recursion.
+  analyze(R"(
+    int h(int z1, int z2) { return z1 + z2; }
+    int g(int y1, int y2) { return h(y1, y2); }
+    int f(int a1, int a2) { return g(a1, a2); }
+  )");
+  Function *H = M->function("h");
+  Function *F = M->function("f");
+  const Context *C2 = CT->push(CT->push(CT->top(), callIn("f", "g")),
+                               callIn("g", "h"));
+  auto sym = [&](Function *Fn, int I) {
+    return AM->symbols()[Fn->params()[I]];
+  };
+  auto shape = [&](const smt::Expr *P, const smt::Expr *Q) {
+    return Ctx.mkAnd(Ctx.mkCmp(smt::ExprKind::Lt, P, Q),
+                     Ctx.mkCmp(smt::ExprKind::Gt, P, Ctx.getInt(0)));
+  };
+  const smt::Expr *Inst = CT->instantiate(shape(sym(H, 0), sym(H, 1)), H, C2);
+  EXPECT_EQ(Inst, shape(sym(F, 0), sym(F, 1)));
+}
+
 TEST_F(ContextTest, ContextSensitivityDistinguishesCallSites) {
   // End-to-end: the same callee frees its argument only under its boolean
   // parameter; one call site passes true-ish condition, the other false.

@@ -25,9 +25,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <set>
 
 using namespace pinpoint::ir;
 
@@ -123,6 +127,230 @@ TEST_P(SolverAgreement, MiniSolverAgreesWithZ3) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverAgreement,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+//===----------------------------------------------------------------------===
+// Flat memos vs naive recursions on random DAGs
+//===----------------------------------------------------------------------===
+
+/// Grows a random hash-consed DAG: every new node combines members of the
+/// pools of earlier nodes, so subterms are shared far more than in
+/// FormulaGen's trees.
+class DagGen {
+public:
+  DagGen(smt::ExprContext &Ctx, uint64_t Seed) : Ctx(Ctx), Rand(Seed) {
+    Ints = {Ctx.getInt(0), Ctx.getInt(1), Ctx.getInt(-2)};
+  }
+
+  /// Adds one fresh variable of each sort.
+  void addVars() {
+    BoolVars.push_back(Ctx.freshBoolVar("b" + std::to_string(BoolVars.size())));
+    IntVars.push_back(Ctx.freshIntVar("i" + std::to_string(IntVars.size())));
+    Bools.push_back(BoolVars.back());
+    Ints.push_back(IntVars.back());
+  }
+
+  /// Adds \p N random nodes (fewer when a constructor folds to a known one).
+  void grow(int N) {
+    using K = smt::ExprKind;
+    for (int I = 0; I < N; ++I) {
+      switch (Rand.below(8)) {
+      case 0:
+        Ints.push_back(Ctx.mkArith(Rand.chance(1, 2) ? K::Add : K::Sub,
+                                   pickInt(), pickInt()));
+        break;
+      case 1:
+        Ints.push_back(Ctx.mkIte(pickBool(), pickInt(), pickInt()));
+        break;
+      case 2:
+      case 3:
+        Bools.push_back(Ctx.mkCmp(
+            static_cast<K>(static_cast<int>(K::Eq) + Rand.below(6)),
+            pickInt(), pickInt()));
+        break;
+      case 4:
+      case 5:
+        Bools.push_back(Ctx.mkAnd(pickBool(), pickBool()));
+        break;
+      case 6:
+        Bools.push_back(Ctx.mkOr(pickBool(), pickBool()));
+        break;
+      default:
+        Bools.push_back(Ctx.mkNot(pickBool()));
+        break;
+      }
+    }
+  }
+
+  const smt::Expr *pickBool() { return Bools[Rand.below(Bools.size())]; }
+  const smt::Expr *pickInt() { return Ints[Rand.below(Ints.size())]; }
+
+  smt::ExprContext &Ctx;
+  RNG Rand;
+  std::vector<const smt::Expr *> Bools, Ints, BoolVars, IntVars;
+};
+
+/// Number of nodes in \p E unfolded into a tree, saturating at \p Cap. The
+/// naive references below walk the tree, so the sweeps skip larger roots.
+uint64_t treeSize(const smt::Expr *E, uint64_t Cap,
+                  std::map<const smt::Expr *, uint64_t> &Memo) {
+  auto It = Memo.find(E);
+  if (It != Memo.end())
+    return It->second;
+  uint64_t N = 1;
+  for (const smt::Expr *Op : E->operands())
+    N = std::min(Cap, N + treeSize(Op, Cap, Memo));
+  return Memo[E] = N;
+}
+
+using AtomSets = std::pair<std::set<uint32_t>, std::set<uint32_t>>;
+
+/// P/N of \p E (of ¬E when \p Neg) by the rules of paper Section 3.1.1, with
+/// De Morgan for a negated compound, and no memo.
+AtomSets naivePN(const smt::Expr *E, bool Neg) {
+  using K = smt::ExprKind;
+  auto Atom = [](uint32_t Id, bool Negated) {
+    return Negated ? AtomSets{{}, {Id}} : AtomSets{{Id}, {}};
+  };
+  switch (E->kind()) {
+  case K::Not:
+    if (E->operand(0)->isAtom())
+      return Atom(E->operand(0)->id(), !Neg);
+    return naivePN(E->operand(0), !Neg);
+  case K::And:
+  case K::Or: {
+    AtomSets L = naivePN(E->operand(0), Neg), R = naivePN(E->operand(1), Neg);
+    if ((E->kind() == K::And) != Neg) {
+      L.first.insert(R.first.begin(), R.first.end());
+      L.second.insert(R.second.begin(), R.second.end());
+      return L;
+    }
+    AtomSets Both;
+    std::set_intersection(L.first.begin(), L.first.end(), R.first.begin(),
+                          R.first.end(),
+                          std::inserter(Both.first, Both.first.end()));
+    std::set_intersection(L.second.begin(), L.second.end(), R.second.begin(),
+                          R.second.end(),
+                          std::inserter(Both.second, Both.second.end()));
+    return Both;
+  }
+  default:
+    return E->isAtom() ? Atom(E->id(), Neg) : AtomSets{};
+  }
+}
+
+/// \p E with every variable in \p Map replaced by its image, rebuilt through
+/// the same constructors as ExprContext::substitute, with no memo.
+const smt::Expr *naiveSubst(smt::ExprContext &Ctx, const smt::Expr *E,
+                            const std::map<uint32_t, const smt::Expr *> &Map) {
+  using K = smt::ExprKind;
+  auto Sub = [&](unsigned I) { return naiveSubst(Ctx, E->operand(I), Map); };
+  switch (E->kind()) {
+  case K::BoolVar:
+  case K::IntVar: {
+    auto It = Map.find(E->varId());
+    return It == Map.end() ? E : It->second;
+  }
+  case K::Not:
+    return Ctx.mkNot(Sub(0));
+  case K::And:
+    return Ctx.mkAnd(Sub(0), Sub(1));
+  case K::Or:
+    return Ctx.mkOr(Sub(0), Sub(1));
+  case K::Add:
+  case K::Sub:
+  case K::Mul:
+    return Ctx.mkArith(E->kind(), Sub(0), Sub(1));
+  case K::Neg:
+    return Ctx.mkNeg(Sub(0));
+  case K::Ite:
+    return Ctx.mkIte(Ctx.toBoolExpr(Sub(0)), Ctx.toIntExpr(Sub(1)),
+                     Ctx.toIntExpr(Sub(2)));
+  default:
+    if (E->kind() >= K::Eq && E->kind() <= K::Ge)
+      return Ctx.mkCmp(E->kind(), Sub(0), Sub(1));
+    return E; // True/False/IntConst.
+  }
+}
+
+class DagSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(DagSweep, LinearMemoMatchesNaiveRecursion) {
+  // One solver across the sweep, so its memo tables grow and its shared
+  // spans are reused between queries, as in the engine.
+  smt::ExprContext Ctx;
+  DagGen G(Ctx, GetParam());
+  smt::LinearSolver Linear(Ctx);
+  std::map<const smt::Expr *, uint64_t> Sizes;
+  int Checked = 0;
+  for (int Round = 0; Round < 6; ++Round) {
+    G.addVars();
+    G.grow(120);
+    for (int I = 0; I < 40; ++I) {
+      const smt::Expr *E = G.pickBool();
+      if (treeSize(E, 4096, Sizes) >= 4096)
+        continue;
+      for (bool Neg : {false, true}) {
+        const smt::Expr *Q = Neg ? Ctx.mkNot(E) : E;
+        const auto [P, N] = naivePN(E, Neg);
+        auto GotP = Linear.positiveAtoms(Q), GotN = Linear.negativeAtoms(Q);
+        ASSERT_EQ(std::vector<uint32_t>(GotP.begin(), GotP.end()),
+                  std::vector<uint32_t>(P.begin(), P.end()))
+            << Ctx.toString(Q);
+        ASSERT_EQ(std::vector<uint32_t>(GotN.begin(), GotN.end()),
+                  std::vector<uint32_t>(N.begin(), N.end()))
+            << Ctx.toString(Q);
+        std::vector<uint32_t> Common;
+        std::set_intersection(P.begin(), P.end(), N.begin(), N.end(),
+                              std::back_inserter(Common));
+        EXPECT_EQ(Linear.isObviouslyUnsat(Q), Q->isFalse() || !Common.empty())
+            << Ctx.toString(Q);
+        ++Checked;
+      }
+    }
+  }
+  EXPECT_GT(Checked, 200);
+}
+
+TEST_P(DagSweep, ReusedScratchSubstituteMatchesNaive) {
+  // One scratch for the whole sweep. Each round first grows the DAG, so
+  // the next rewrites reach node and variable ids past the scratch's
+  // arrays, and then draws a new mapping, so the last round's must be
+  // forgotten.
+  smt::ExprContext Ctx;
+  DagGen G(Ctx, GetParam() ^ 0xd1b5);
+  smt::SubstScratch Scratch;
+  std::map<const smt::Expr *, uint64_t> Sizes;
+  int Rewritten = 0;
+  for (int Round = 0; Round < 8; ++Round) {
+    G.addVars();
+    G.grow(80);
+    std::map<uint32_t, const smt::Expr *> Map;
+    Scratch.clearVars();
+    auto mapSome = [&](const std::vector<const smt::Expr *> &Vars,
+                       bool Bool) {
+      for (const smt::Expr *V : Vars)
+        if (G.Rand.chance(1, 2)) {
+          const smt::Expr *Image = Bool ? G.pickBool() : G.pickInt();
+          Map[V->varId()] = Image;
+          Scratch.mapVar(V->varId(), Image);
+        }
+    };
+    mapSome(G.BoolVars, true);
+    mapSome(G.IntVars, false);
+    for (int I = 0; I < 30; ++I) {
+      const smt::Expr *E = I % 2 ? G.pickBool() : G.pickInt();
+      if (treeSize(E, 4096, Sizes) >= 4096)
+        continue;
+      const smt::Expr *Want = naiveSubst(Ctx, E, Map);
+      ASSERT_EQ(Ctx.substitute(E, Scratch), Want) << Ctx.toString(E);
+      ++Rewritten;
+    }
+  }
+  EXPECT_GT(Rewritten, 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DagSweep,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 //===----------------------------------------------------------------------===

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace pinpoint::smt {
 namespace {
 
@@ -104,23 +108,25 @@ TEST_F(ExprTest, SubstituteReplacesVariables) {
   const Expr *X = Ctx.freshIntVar("x");
   const Expr *Y = Ctx.freshIntVar("y");
   const Expr *F = Ctx.mkCmp(ExprKind::Lt, X, Y);
-  std::unordered_map<uint32_t, const Expr *> Map{{X->varId(), Ctx.getInt(1)}};
-  const Expr *G = Ctx.substitute(F, Map);
+  SubstScratch S;
+  S.mapVar(X->varId(), Ctx.getInt(1));
+  const Expr *G = Ctx.substitute(F, S);
   EXPECT_EQ(G, Ctx.mkCmp(ExprKind::Lt, Ctx.getInt(1), Y));
 }
 
 TEST_F(ExprTest, SubstituteSimplifiesResult) {
   const Expr *X = Ctx.freshIntVar("x");
   const Expr *F = Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(5));
-  std::unordered_map<uint32_t, const Expr *> Map{{X->varId(), Ctx.getInt(1)}};
-  EXPECT_EQ(Ctx.substitute(F, Map), Ctx.getTrue());
+  SubstScratch S;
+  S.mapVar(X->varId(), Ctx.getInt(1));
+  EXPECT_EQ(Ctx.substitute(F, S), Ctx.getTrue());
 }
 
 TEST_F(ExprTest, SubstituteIsIdentityWithoutHits) {
   const Expr *A = Ctx.freshBoolVar("a");
   const Expr *B = Ctx.freshBoolVar("b");
   const Expr *F = Ctx.mkOr(A, Ctx.mkNot(B));
-  std::unordered_map<uint32_t, const Expr *> Empty;
+  SubstScratch Empty;
   EXPECT_EQ(Ctx.substitute(F, Empty), F);
 }
 
@@ -167,6 +173,90 @@ TEST_F(ExprTest, NodeCountGrowsOnlyForNewStructure) {
   EXPECT_EQ(N1, N0 + 1);
 }
 
+TEST_F(ExprTest, InternTableGrowthKeepsHashConsing) {
+  // ~210K nodes: every one of the 64 shards doubles its table many times.
+  // Rebuilding each comparison must find the node built first.
+  const Expr *X = Ctx.freshIntVar("x");
+  std::vector<const Expr *> Built;
+  for (int64_t I = 0; I < 70000; ++I) {
+    const Expr *C = Ctx.getInt(I);
+    Built.push_back(Ctx.mkCmp(ExprKind::Lt, X, C));
+    Built.push_back(Ctx.mkCmp(ExprKind::Gt, X, C));
+  }
+  const size_t N = Ctx.numNodes();
+  ASSERT_GE(N, 200000u);
+  for (int64_t I = 0; I < 70000; ++I) {
+    const Expr *C = Ctx.getInt(I);
+    ASSERT_EQ(Ctx.mkCmp(ExprKind::Lt, X, C), Built[2 * I]) << I;
+    ASSERT_EQ(Ctx.mkCmp(ExprKind::Gt, X, C), Built[2 * I + 1]) << I;
+  }
+  EXPECT_EQ(Ctx.numNodes(), N);
+}
+
+/// Builds node family member \p I over \p Bs (16 bools) and \p Xs (8 ints).
+/// Members share subterms, so threads building the family race on the
+/// same nodes.
+const Expr *familyMember(ExprContext &Ctx, const std::vector<const Expr *> &Bs,
+                         const std::vector<const Expr *> &Xs, int I) {
+  const Expr *A = Ctx.mkAnd(Bs[I % 16], Ctx.mkNot(Bs[(I / 16) % 16]));
+  const Expr *Cmp = Ctx.mkCmp(ExprKind::Lt, Xs[I % 8], Ctx.getInt(I % 50));
+  const Expr *Eq = Ctx.mkEq(Xs[I % 8], Xs[(I + 1) % 8]);
+  return Ctx.mkAnd(Ctx.mkOr(A, Cmp), Eq);
+}
+
+TEST(ExprConcurrencyTest, ThreadsInterningOneFamilyGetOneNodeEach) {
+  constexpr int Members = 3000, Threads = 4;
+  auto makeVars = [](ExprContext &Ctx, std::vector<const Expr *> &Bs,
+                     std::vector<const Expr *> &Xs) {
+    for (int I = 0; I < 16; ++I)
+      Bs.push_back(Ctx.freshBoolVar("b" + std::to_string(I)));
+    for (int I = 0; I < 8; ++I)
+      Xs.push_back(Ctx.freshIntVar("x" + std::to_string(I)));
+  };
+
+  // Serial reference: the node count of one build in a fresh context.
+  ExprContext Serial;
+  std::vector<const Expr *> SB, SX;
+  makeVars(Serial, SB, SX);
+  for (int I = 0; I < Members; ++I)
+    familyMember(Serial, SB, SX, I);
+
+  ExprContext Ctx;
+  std::vector<const Expr *> Bs, Xs;
+  makeVars(Ctx, Bs, Xs);
+  // Each thread visits the members in its own order: forwards, backwards,
+  // evens then odds, and a stride-7 permutation.
+  auto order = [](int T, int K) {
+    switch (T) {
+    case 0:
+      return K;
+    case 1:
+      return Members - 1 - K;
+    case 2:
+      return K < Members / 2 ? 2 * K : 2 * (K - Members / 2) + 1;
+    default:
+      return (K * 7) % Members;
+    }
+  };
+  std::vector<std::vector<const Expr *>> Got(
+      Threads, std::vector<const Expr *>(Members));
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (int K = 0; K < Members; ++K) {
+        int I = order(T, K);
+        Got[T][I] = familyMember(Ctx, Bs, Xs, I);
+      }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+
+  for (int T = 1; T < Threads; ++T)
+    for (int I = 0; I < Members; ++I)
+      ASSERT_EQ(Got[T][I], Got[0][I]) << "thread " << T << " member " << I;
+  EXPECT_EQ(Ctx.numNodes(), Serial.numNodes());
+}
+
 
 TEST_F(ExprTest, IteFoldsConstantsAndEqualArms) {
   const Expr *B = Ctx.freshBoolVar("b");
@@ -195,8 +285,9 @@ TEST_F(ExprTest, SubstituteThroughIte) {
   const Expr *B = Ctx.freshBoolVar("b");
   const Expr *X = Ctx.freshIntVar("x");
   const Expr *I = Ctx.mkIte(B, X, Ctx.getInt(0));
-  std::unordered_map<uint32_t, const Expr *> Map{{B->varId(), Ctx.getTrue()}};
-  EXPECT_EQ(Ctx.substitute(I, Map), X);
+  SubstScratch S;
+  S.mapVar(B->varId(), Ctx.getTrue());
+  EXPECT_EQ(Ctx.substitute(I, S), X);
 }
 
 } // namespace
