@@ -85,7 +85,7 @@ struct RunResult {
   size_t Fns = 0;
   std::vector<std::string> Reports;
   std::string RefreshMode;
-  int64_t DirtyDelta = 0, PrepassDelta = 0, EdgesDelta = 0;
+  int64_t DirtyDelta = 0, PrepassDelta = 0;
   int64_t HitsDelta = 0, MissesDelta = 0;
 };
 
@@ -105,7 +105,6 @@ RunResult run(const workload::Workload &W, SummaryCache *Cache) {
   Counters &C = Counters::get();
   const int64_t Dirty = C.value("demand.dirty-fns");
   const int64_t Prepass = C.value("demand.prepass-fns");
-  const int64_t Edges = C.value("demand.edges-reused");
   const int64_t Hits = C.value("cache.hits");
   const int64_t Misses = C.value("cache.misses");
 
@@ -127,7 +126,6 @@ RunResult run(const workload::Workload &W, SummaryCache *Cache) {
   R.RefreshMode = AM.relevanceRefreshMode();
   R.DirtyDelta = C.value("demand.dirty-fns") - Dirty;
   R.PrepassDelta = C.value("demand.prepass-fns") - Prepass;
-  R.EdgesDelta = C.value("demand.edges-reused") - Edges;
   R.HitsDelta = C.value("cache.hits") - Hits;
   R.MissesDelta = C.value("cache.misses") - Misses;
   std::sort(R.Reports.begin(), R.Reports.end());
@@ -197,9 +195,9 @@ int main() {
               Ref.Sec, (long long)Ref.PrepassDelta, "-", "-");
   hr();
   std::printf("warm_edit_speedup: %.2fx   refresh-mode=%s dirty-fns=%lld "
-              "(cone=%lld) edges-reused=%lld\n",
+              "(cone=%lld)\n",
               Speedup, Warm.RefreshMode.c_str(), (long long)Warm.DirtyDelta,
-              (long long)DirtyConeFns, (long long)Warm.EdgesDelta);
+              (long long)DirtyConeFns);
   std::printf("reports identical warm-edit vs cold-on-edited: %s\n",
               Identical ? "yes" : "NO (incremental determinism violation!)");
 
@@ -215,7 +213,6 @@ int main() {
   J.field("refresh_mode", Warm.RefreshMode.c_str());
   J.field("dirty_fns", (long long)Warm.DirtyDelta);
   J.field("prepass_fns_warm", (long long)Warm.PrepassDelta);
-  J.field("edges_reused", (long long)Warm.EdgesDelta);
   J.field("cache_hits_warm", (long long)Warm.HitsDelta);
   J.field("cache_misses_warm", (long long)Warm.MissesDelta);
   J.field("reports", Warm.Reports.size());

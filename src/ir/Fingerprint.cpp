@@ -147,17 +147,13 @@ uint64_t fingerprintFunction(const Function &F) {
   return H.digest();
 }
 
-ModuleFingerprints fingerprintModule(const Module &M) {
-  ModuleFingerprints MF;
-  Hasher SubjectH;
-  MF.PerFn.reserve(M.functions().size());
-  for (const Function *F : M.functions()) {
-    uint64_t FP = fingerprintFunction(*F);
-    MF.PerFn.emplace(F, FP);
-    SubjectH.u64(FP);
-  }
-  MF.Subject = SubjectH.digest();
-  return MF;
+std::unordered_map<const Function *, uint64_t>
+fingerprintModule(const Module &M) {
+  std::unordered_map<const Function *, uint64_t> FP;
+  FP.reserve(M.functions().size());
+  for (const Function *F : M.functions())
+    FP.emplace(F, fingerprintFunction(*F));
+  return FP;
 }
 
 } // namespace pinpoint::ir

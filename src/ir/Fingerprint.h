@@ -33,16 +33,12 @@ class Module;
 /// The structural, location-independent content hash of \p F.
 uint64_t fingerprintFunction(const Function &F);
 
-/// Every function's fingerprint plus the whole-subject digest composed from
-/// them in module order. One sweep feeds every consumer — SCC content keys,
-/// the run journal's subject fingerprint, and the per-function relevance
-/// records — so a module is never hashed twice per run.
-struct ModuleFingerprints {
-  uint64_t Subject = 0;
-  std::unordered_map<const Function *, uint64_t> PerFn;
-};
-
-ModuleFingerprints fingerprintModule(const Module &M);
+/// Every function's fingerprint. One sweep feeds both consumers — the
+/// summary cache's SCC content keys and the relevance entry's per-function
+/// records — so a module is never hashed twice per run, and a run without
+/// `--cache-dir` never hashes it at all.
+std::unordered_map<const Function *, uint64_t>
+fingerprintModule(const Module &M);
 
 } // namespace pinpoint::ir
 

@@ -55,8 +55,8 @@ bool SummaryCache::prepare(std::string &Err) const {
     return false;
   }
   // Sweep temp files orphaned by a crash between write and rename (every
-  // store in this directory — entries, relevance, journal — goes
-  // through a `<final>.tmp<counter>` rename). Startup is the one moment no
+  // store in this directory goes through `store`'s `<final>.tmp<counter>`
+  // rename; older builds' stores did too). Startup is the one moment no
   // store of ours is in flight; a concurrent process losing an in-flight
   // tmp just sees its rename fail and reports an unstored entry, which is
   // the same contract as any other I/O failure.

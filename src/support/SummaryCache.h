@@ -6,10 +6,12 @@
 ///
 /// \file
 /// The on-disk half of incremental reanalysis (`--cache-dir`): a directory
-/// of per-function entry files, one per analysed function, in a versioned
-/// binary format. This layer is deliberately IR-agnostic — it stores opaque
-/// payload bytes against a (function name, content key) pair; encoding and
-/// decoding the pipeline artifacts lives in svfa/SummaryIO.
+/// of entry files in a versioned binary format, one per analysed function
+/// plus the demand pre-pass's seed table under a reserved name that no
+/// function can take (svfa/Demand). It is the only store in the directory.
+/// This layer is deliberately IR-agnostic — it stores opaque payload bytes
+/// against a (name, content key) pair; encoding and decoding the pipeline
+/// artifacts lives in svfa/SummaryIO, the seed table's in svfa/Demand.
 ///
 /// Entry file layout (little-endian, see support/Serializer.h):
 ///
@@ -58,7 +60,8 @@ public:
   /// crashed run's atomic write-then-rename left orphaned (counted in the
   /// `cache.gc-tmp` stat). Returns false (with \p Err set) only if the
   /// directory cannot be created; a missing directory in read mode is not
-  /// an error — every probe simply misses.
+  /// an error — every probe simply misses. Files this class did not write
+  /// (such as an older build's leftovers) are never read.
   bool prepare(std::string &Err) const;
 
   enum class LoadStatus : uint8_t {

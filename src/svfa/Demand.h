@@ -32,22 +32,20 @@
 /// The pre-pass result is the union `R = ∪_c R_c` — the pipeline analyzes
 /// the union once and each engine run consumes its own checker's slice.
 ///
-/// R is closed under SCC membership by construction (members of one SCC are
-/// mutually reachable through calls), so the per-SCC pipeline schedule
-/// never splits a condensation node.
+/// The computation has two steps. A statement scan gives every function
+/// its seed row (`SeedTable`); then the cones are reachability over the
+/// call-graph condensation, the DAG the bottom-up pipeline walks. SCC ids
+/// are topological (callees first), so per checker one ascending sweep
+/// marks the two caller cones and one descending sweep closes their
+/// intersection under callees — one byte per SCC, no worklists. R is
+/// therefore closed under SCC membership by construction, and the per-SCC
+/// pipeline schedule never splits a condensation node.
 ///
-/// With `--cache-dir`, the computed artifact is persisted into a versioned,
-/// checksummed `relevance` entry keyed on the subject fingerprint and a
-/// spec key, so warm runs replay the sets without re-walking the module
-/// (`demand.relevance-{stored,replayed,stale}` counters).
-///
-/// Since v3 the entry also carries a per-function record section: each
-/// function's seed membership (source/sink/deref/leak bits per checker) and
-/// its outgoing call-edge list, keyed on that function's post-SSA
-/// fingerprint. An edit no longer throws the whole pre-pass away — a warm
-/// run diffs fingerprints, re-scans only the dirty functions, reuses every
-/// clean function's seeds and edges, and recomputes the cones from the
-/// merged seed table (`refreshRelevanceArtifact`, DESIGN.md section 15).
+/// With `--cache-dir`, only the seeds persist: one summary-cache entry
+/// under a reserved name holds every function's name, post-SSA fingerprint
+/// and seed row (DESIGN.md section 15). A warm run takes the rows of
+/// functions whose fingerprint still matches from it, scans the rest, and
+/// always recomputes the cones.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,6 +54,7 @@
 
 #include "checkers/Checker.h"
 #include "ir/CallGraph.h"
+#include "support/SummaryCache.h"
 
 #include <cstdint>
 #include <map>
@@ -99,153 +98,113 @@ struct RelevanceSet {
   bool relevant(const ir::Function *F) const { return All || Fns.count(F); }
 };
 
-/// One function's persisted pre-pass facts, keyed on its post-SSA
-/// fingerprint. A warm run reuses the seed bits and call edges verbatim
-/// while the fingerprint still matches, so only edited functions pay a
-/// statement scan.
-struct FunctionRecord {
-  uint64_t FP = 0;
-  /// Bit 0: leak source (malloc with receiver). Bit 1: deref host (seed of
-  /// every DerefIsSink checker's sink cone). Scanned only when the spec
-  /// needs them; the spec key guards reuse, so the convention is stable.
-  uint8_t Flags = 0;
-  /// Parallel to RelevanceRecords::Checkers. Bit 0: contains a source site
-  /// of that checker. Bit 1: contains a syntactic sink site.
-  std::vector<uint8_t> SeedBits;
-  /// Sorted names of resolved callees (the live call-graph edge list).
-  std::vector<std::string> Callees;
-
-  static constexpr uint8_t LeakSrcFlag = 1;
-  static constexpr uint8_t DerefHostFlag = 2;
-};
-
-/// The per-function record table the v3 `relevance` entry persists beside
-/// the union sets. `Checkers` is the sorted CheckerSpec name list the seed
-/// bits index into (the leak pseudo-checker lives in FunctionRecord::Flags).
-struct RelevanceRecords {
-  std::vector<std::string> Checkers;
-  std::map<std::string, FunctionRecord> Fns;
-};
-
 /// The full pre-pass result: the union set the pipeline analyzes plus the
-/// per-checker slices the engines consume. This is what the `relevance`
-/// cache entry round-trips.
+/// per-checker slices the engines consume.
 struct RelevanceArtifact {
   RelevanceSet Union;
-  /// Keyed by CheckerSpec::Name. Each entry is All=false.
+  /// Keyed by CheckerSpec::Name (and "leak"). Each entry is All=false.
   std::map<std::string, RelevanceSet> PerChecker;
-  /// The per-function seed/edge table backing warm-run refresh.
-  RelevanceRecords Records;
 };
+
+/// Every function's seeds, one row per function of `CG.bottomUpOrder()` —
+/// the members of the condensation's SCCs in ascending id, so each SCC's
+/// rows are contiguous. A row is a flags byte followed by one byte per
+/// checker of the spec, sorted by name (the order relevanceSpecKey hashes).
+/// The leak source and deref-host flags are scanned only when the spec
+/// needs them; the spec key guards reuse, so the layout is stable per key.
+struct SeedTable {
+  /// Flags byte: a malloc call with a receiver (leak source).
+  static constexpr uint8_t LeakSource = 1;
+  /// Flags byte: a non-synthetic load or store (deref-sink cone seed).
+  static constexpr uint8_t DerefHost = 2;
+  /// Checker byte: a source site of that checker.
+  static constexpr uint8_t Source = 1;
+  /// Checker byte: a syntactic sink site of that checker.
+  static constexpr uint8_t Sink = 2;
+
+  size_t Stride = 1;
+  std::vector<uint8_t> Rows;
+
+  uint8_t *row(size_t I) { return Rows.data() + I * Stride; }
+  const uint8_t *row(size_t I) const { return Rows.data() + I * Stride; }
+};
+
+/// Scans every function of \p CG for the seeds of \p Spec.
+SeedTable scanSeeds(const ir::CallGraph &CG, const DemandSpec &Spec);
+
+/// The cones of \p Spec from \p Seeds: per checker, an ascending sweep over
+/// `CG.sccs()` marks callers*(Src) and callers*(Snk), and a descending
+/// sweep closes their intersection under callees.
+RelevanceArtifact relevanceFromSeeds(const ir::CallGraph &CG,
+                                     const DemandSpec &Spec,
+                                     const SeedTable &Seeds);
+
+/// Scans every function and returns the union set and per-checker slices.
+RelevanceArtifact computeRelevanceArtifact(const ir::CallGraph &CG,
+                                           const DemandSpec &Spec);
 
 /// Walks \p CG from the source/sink sites described by \p Spec and returns
 /// the bidirectional relevant set (All = false).
 RelevanceSet computeRelevance(const ir::CallGraph &CG, ir::Module &M,
                               const DemandSpec &Spec);
 
-/// As computeRelevance, but also returns the per-checker slices and the
-/// per-function records. \p FnFP, when non-null, supplies precomputed
-/// post-SSA fingerprints (the pipeline computes them once for SCC keys);
-/// otherwise fingerprints are taken here.
-RelevanceArtifact computeRelevanceArtifact(
-    const ir::CallGraph &CG, ir::Module &M, const DemandSpec &Spec,
-    const std::unordered_map<const ir::Function *, uint64_t> *FnFP = nullptr);
-
 //===----------------------------------------------------------------------===
-// Edit-localised refresh (DESIGN.md section 15)
+// The relevance entry (DESIGN.md section 15)
 //===----------------------------------------------------------------------===
-
-/// What a refresh did, for the [demand] stats line.
-struct RelevanceRefreshStats {
-  /// Functions whose fingerprint changed or that are new in this module.
-  std::unordered_set<const ir::Function *> Dirty;
-  size_t DirtyFns = 0;
-  /// Functions whose statements were actually re-scanned for seeds — the
-  /// dirty set on the local path, the whole module on the full fallback.
-  size_t ScannedFns = 0;
-  /// Call edges carried over from clean functions' records.
-  size_t EdgesReused = 0;
-  /// True when the dirty-cone path ran (false = full fallback on an
-  /// incompatible record table).
-  bool Local = false;
-  /// True when the diff proved the seed table and edge list unchanged and
-  /// the previous closure results were adopted without recomputation.
-  bool ClosureReused = false;
-};
-
-/// A persisted entry parsed but not resolved against any module: the record
-/// table plus the stored result sets as sorted name lists. This is what a
-/// stale-subject load surfaces for refresh — stored names may no longer
-/// resolve in the edited module, so resolution is deferred.
-struct StoredRelevance {
-  struct NamedSet {
-    uint64_t SourceFns = 0, SinkFns = 0;
-    std::vector<std::string> Names;
-  };
-  NamedSet Union;
-  std::vector<std::pair<std::string, NamedSet>> PerChecker;
-  RelevanceRecords Records;
-};
-
-/// Rebuilds the artifact for the *current* module from a previous run's
-/// persisted entry: functions whose fingerprint still matches reuse their
-/// persisted seed bits and call edges, dirty functions are re-scanned, and
-/// the callers*/callees* cones are recomputed over the live call graph from
-/// the merged seed table — or adopted wholesale from the stored sets when
-/// the diff shows no seed or edge delta at all. Falls back to the full
-/// pre-pass only when the stored record table's checker list does not
-/// match the live spec (the table is read from disk, so it is checked).
-RelevanceArtifact refreshRelevanceArtifact(
-    const ir::CallGraph &CG, ir::Module &M, const DemandSpec &Spec,
-    const StoredRelevance &Prev,
-    const std::unordered_map<const ir::Function *, uint64_t> &FnFP,
-    RelevanceRefreshStats &Stats);
-
-//===----------------------------------------------------------------------===
-// Persistence (the `relevance` cache entry)
-//===----------------------------------------------------------------------===
-
-enum class RelevanceLoadStatus {
-  Missing, ///< No entry on disk.
-  Corrupt, ///< Unreadable: bad magic/version/checksum/payload.
-  Stale,   ///< Well-formed, but for a different subject or demand spec.
-  Ok,      ///< Replayed.
-};
 
 /// Deterministic key over everything that shapes the pre-pass result apart
-/// from the subject itself: every checker spec field plus the leak and
-/// sink-cone knobs. A persisted artifact is only replayed when both the
-/// subject fingerprint and this key match.
+/// from the subject itself: the entry's payload version, every checker spec
+/// field, and the leak and sink-cone knobs. It is the relevance entry's
+/// summary-cache content key, so an entry for another spec (and so another
+/// seed-row layout) loads as Stale.
 uint64_t relevanceSpecKey(const DemandSpec &Spec);
 
-/// Loads the `relevance` entry from cache directory \p Dir. On Ok, \p Out
-/// holds the replayed artifact with function pointers resolved against
-/// \p M; any name that no longer resolves makes the entry Corrupt.
-RelevanceLoadStatus loadRelevance(const std::string &Dir, uint64_t SubjectFP,
-                                  uint64_t SpecKey, const ir::Module &M,
-                                  RelevanceArtifact &Out);
+/// The reserved summary-cache name of the relevance entry. No MiniC
+/// identifier can take it, so no function's entry shares its file.
+extern const char *const RelevanceEntryName;
 
-/// Extended load for the warm-refresh path.
-struct RelevanceLoadResult {
-  RelevanceLoadStatus Status = RelevanceLoadStatus::Missing;
-  /// Resolved artifact; filled only when Status == Ok.
-  RelevanceArtifact Artifact;
-  /// The unresolved entry; filled when StoredUsable.
-  StoredRelevance Stored;
-  /// True for a Stale entry whose spec key matches and whose payload parsed
-  /// (subject fingerprint differs): `Stored` can seed a localized refresh.
-  /// Version- or spec-mismatched entries are never usable — their seed-bit
-  /// layout belongs to another format or checker set.
-  bool StoredUsable = false;
+/// The relevance entry, decoded: the stored run's seed rows plus each
+/// stored function's post-SSA fingerprint and row, by name.
+struct StoredSeeds {
+  struct Record {
+    uint64_t FP = 0;
+    size_t Row = 0;
+  };
+  SeedTable Seeds;
+  std::unordered_map<std::string, Record> Fns;
 };
 
-RelevanceLoadResult loadRelevanceEx(const std::string &Dir, uint64_t SubjectFP,
-                                    uint64_t SpecKey, const ir::Module &M);
+/// Loads the relevance entry for \p Spec from \p Cache into \p Out:
+/// Missing, Corrupt (the summary cache's integrity checks or the payload's
+/// decoding failed), Stale (an entry for another spec), or Ok. Never
+/// touches the cache.* counters: the entry is not a function summary.
+SummaryCache::LoadStatus loadRelevanceSeeds(const SummaryCache &Cache,
+                                            const DemandSpec &Spec,
+                                            StoredSeeds &Out);
 
-/// Atomically (tmp + rename) stores \p A as the `relevance` entry in \p Dir.
-/// Returns false on I/O failure.
-bool storeRelevance(const std::string &Dir, uint64_t SubjectFP,
-                    uint64_t SpecKey, const RelevanceArtifact &A);
+/// Stores \p Seeds (rows of `CG.bottomUpOrder()`) with the functions'
+/// names and fingerprints \p FP as the relevance entry. Returns false when
+/// the cache is read-only or the write failed.
+bool storeRelevanceSeeds(
+    const SummaryCache &Cache, const DemandSpec &Spec,
+    const ir::CallGraph &CG, const SeedTable &Seeds,
+    const std::unordered_map<const ir::Function *, uint64_t> &FP);
+
+/// The live module's seeds, refreshed from a stored entry.
+struct SeedRefresh {
+  SeedTable Seeds;
+  /// Functions that are new or whose fingerprint changed: the ones scanned.
+  size_t DirtyFns = 0;
+  /// Some stored record names a function the module no longer defines.
+  bool Deleted = false;
+};
+
+/// Takes each function's row from \p Prev when its name and fingerprint
+/// match a stored record, and scans the rest.
+SeedRefresh
+refreshSeeds(const ir::CallGraph &CG, const DemandSpec &Spec,
+             const StoredSeeds &Prev,
+             const std::unordered_map<const ir::Function *, uint64_t> &FP);
 
 } // namespace pinpoint::svfa
 

@@ -823,10 +823,10 @@ std::vector<Report> GlobalSVFA::Impl::run() {
   // byte-identical either way.
   RelevanceSet Rel;
   if (Opts.Demand) {
-    // The pipeline's pre-pass already computed (or replayed from the
-    // persisted relevance entry) this checker's slice; reuse it rather
-    // than re-walking the call graph. The fallback covers library users
-    // who run an engine over a pipeline built without a demand spec.
+    // The pipeline's pre-pass already computed this checker's slice;
+    // reuse it rather than re-walking the call graph. The fallback covers
+    // library users who run an engine over a pipeline built without a
+    // demand spec.
     if (const RelevanceSet *PreSliced = AM.checkerRelevance(Spec.Name)) {
       Rel = *PreSliced;
     } else {

@@ -9,7 +9,6 @@
 #include "ir/SSA.h"
 #include "support/Hasher.h"
 #include "support/ResourceGovernor.h"
-#include "support/RunJournal.h"
 #include "support/Statistics.h"
 #include "support/SummaryCache.h"
 #include "support/ThreadPool.h"
@@ -18,9 +17,9 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
 
 namespace pinpoint::svfa {
 
@@ -35,7 +34,7 @@ size_t countStmts(const ir::Function &F) {
 
 } // namespace
 
-void AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
+bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
                                 bool CalleeTainted, ResourceGovernor &Gov,
                                 const PipelineOptions &Opts,
                                 transform::InterfaceMap &Interfaces,
@@ -51,7 +50,7 @@ void AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
     Skip.F = F;
     Skip.Skipped = true;
     Fns.at(F) = std::move(Skip);
-    return;
+    return false;
   }
 
   // Fault-injected pacing: slows every function down so lifecycle tests can
@@ -152,7 +151,7 @@ void AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
               Counters::get().add("cache.hits", 1);
               chargeGoverned(Info);
               Fns.at(F) = std::move(Info);
-              return;
+              return true;
             }
             Gov.note(DegradationKind::CacheCorrupt, "cache", F->name(), Err);
             Counters::get().add("cache.corrupt", 1);
@@ -212,7 +211,7 @@ void AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
 
       chargeGoverned(Info);
       Fns.at(F) = std::move(Info);
-      return;
+      return false;
     } catch (const std::exception &Ex) {
       Gov.note(DegradationKind::FunctionFailed, "pipeline", F->name(),
                Ex.what());
@@ -241,6 +240,7 @@ void AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
   Interfaces.set(F, Info.Interface);
   chargeGoverned(Info);
   Fns.at(F) = std::move(Info);
+  return false;
 }
 
 void AnalyzedModule::chargeGoverned(const AnalyzedFunction &Info) {
@@ -325,52 +325,6 @@ void AnalyzedModule::planMemoryPressure(
     MemPlanDegrade.clear();
 }
 
-void AnalyzedModule::finishLifecycle(
-    const std::vector<ir::CallGraph::SCCNode> &SCCs) {
-  if (!Cache)
-    return;
-
-  // Resume accounting: SCCs whose key the previous run (same subject, same
-  // cache directory) already completed are the ones this run replays
-  // instead of recomputing — the `resumed-sccs` stat.
-  RunJournal Prev;
-  if (Prev.load(Cache->directory()) && Prev.SubjectFingerprint == SubjectFP) {
-    std::unordered_set<uint64_t> Done;
-    for (const RunJournal::Entry &E : Prev.SCCs)
-      if (E.Completed)
-        Done.insert(E.Key);
-    for (uint64_t K : SCCKeys)
-      if (Done.count(K))
-        ++Resumed;
-  }
-
-  // Completed = every member ran undegraded and no nondeterministic taint
-  // anywhere below — exactly the SCCs a rerun may trust from the cache.
-  Records.resize(SCCs.size());
-  for (size_t I = 0; I < SCCs.size(); ++I) {
-    bool Completed = SCCTaint[I] == 0;
-    // Demand-skipped SCCs are honestly incomplete: they stored no cache
-    // artifacts, so a later exhaustive (or differently-checkered) run must
-    // not count them as resumable.
-    for (const ir::Function *F : SCCs[I].Members)
-      Completed =
-          Completed && !Fns.at(F).Degraded && !Fns.at(F).Skipped;
-    Records[I] = {SCCKeys[I], Completed};
-  }
-
-  // Rewrite the journal even on interrupted runs: flushing the completed
-  // set is what makes a warm rerun resume rather than start over. Failure
-  // to write is harmless (the next run just resumes less).
-  if (Cache->writable()) {
-    RunJournal J;
-    J.SubjectFingerprint = SubjectFP;
-    J.SCCs.reserve(Records.size());
-    for (const SCCRecord &R : Records)
-      J.SCCs.push_back({R.Key, R.Completed});
-    J.store(Cache->directory());
-  }
-}
-
 AnalyzedModule::~AnalyzedModule() {
   // Balance the governed-memory ledger so sequential AnalyzedModules in one
   // process (tests, benchmarks) do not accumulate phantom bytes.
@@ -414,7 +368,7 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
   SCCOwnTaint.assign(SCCs.size(), 0);
   SCCTaint.assign(SCCs.size(), 0);
   Cache = Opts.Cache;
-  ir::ModuleFingerprints FnFP;
+  std::unordered_map<const ir::Function *, uint64_t> FnFP;
   if (Cache) {
     // Transitive content keys over the condensation. SCC ids are
     // topological (callee < caller), so one ascending pass sees every
@@ -428,20 +382,16 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
     ConfigH.u64(static_cast<uint64_t>(Gov.budget().MaxFunctionStmts));
     uint64_t ConfigKey = ConfigH.digest();
 
-    // One fingerprint sweep feeds the SCC keys, the whole-subject
-    // fingerprint (run journal + relevance entry: an artifact from a
-    // different subject must never feed the resume accounting or the
-    // pre-pass replay, even when individual SCC keys happen to collide
-    // across subjects), and the per-function relevance records' dirty diff.
+    // One fingerprint sweep feeds the SCC keys and the relevance entry's
+    // per-function records.
     FnFP = ir::fingerprintModule(M);
-    SubjectFP = FnFP.Subject;
 
     SCCKeys.resize(SCCs.size());
     for (size_t I = 0; I < SCCs.size(); ++I) {
       Hasher H;
       H.u64(ConfigKey);
       for (const ir::Function *F : SCCs[I].Members)
-        H.u64(FnFP.PerFn.at(F));
+        H.u64(FnFP.at(F));
       for (size_t Callee : SCCs[I].CalleeSCCs)
         H.u64(SCCKeys[Callee]);
       SCCKeys[I] = H.digest();
@@ -452,80 +402,62 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
   // summary work, so skipped functions pay only their part of the graph
   // walk. The set is a pure function of the subject and the checker union,
   // independent of job count and cache state. With a cache directory, the
-  // artifact is persisted keyed on (subject fingerprint, spec key): warm
-  // runs replay it and skip the pre-pass entirely.
+  // per-function seeds persist in the relevance entry: a warm run scans
+  // only the functions the entry does not match (DESIGN.md section 15).
   if (Opts.Demand) {
     DemandOn = true;
     auto PrepassStart = std::chrono::steady_clock::now();
-    uint64_t SpecKey = 0;
-    bool Done = false;
+    const DemandSpec &Spec = *Opts.Demand;
+    Counters &C = Counters::get();
     RefreshMode = "cold";
-    if (Cache) {
-      SpecKey = relevanceSpecKey(*Opts.Demand);
-      RelevanceLoadResult LR =
-          loadRelevanceEx(Cache->directory(), SubjectFP, SpecKey, M);
-      switch (LR.Status) {
-      case RelevanceLoadStatus::Ok:
-        Rel = std::move(LR.Artifact.Union);
-        PerChecker = std::move(LR.Artifact.PerChecker);
-        Done = true;
+    std::optional<SeedTable> Seeds;
+    bool Store = Cache != nullptr;
+    StoredSeeds Prev;
+    switch (Cache ? loadRelevanceSeeds(*Cache, Spec, Prev)
+                  : SummaryCache::LoadStatus::Missing) {
+    case SummaryCache::LoadStatus::Ok: {
+      // Diff by (name, fingerprint): only new and edited functions are
+      // scanned. Nothing dirty and nothing deleted replays the entry as is.
+      SeedRefresh R = refreshSeeds(*CG, Spec, Prev, FnFP);
+      DirtyFns = R.DirtyFns;
+      if (R.DirtyFns == 0 && !R.Deleted) {
         RefreshMode = "replay";
-        Counters::get().add("demand.relevance-replayed", 1);
-        break;
-      case RelevanceLoadStatus::Stale: {
-        // Different subject or checker set: the entry cannot replay.
-        Counters::get().add("demand.relevance-stale", 1);
-        RefreshMode = "full";
-        if (LR.StoredUsable) {
-          // Same spec, edited subject: diff per-function fingerprints and
-          // rebuild from the dirty frontier instead of re-walking the
-          // whole module (DESIGN.md section 15).
-          RelevanceRefreshStats RS;
-          RelevanceArtifact A =
-              refreshRelevanceArtifact(*CG, M, *Opts.Demand, LR.Stored,
-                                       FnFP.PerFn, RS);
-          Counters::get().add("demand.prepass-fns",
-                              static_cast<int64_t>(RS.ScannedFns));
-          Counters::get().add("demand.dirty-fns",
-                              static_cast<int64_t>(RS.DirtyFns));
-          Counters::get().add("demand.edges-reused",
-                              static_cast<int64_t>(RS.EdgesReused));
-          DirtyFns = RS.DirtyFns;
-          ReusedEdges = RS.EdgesReused;
-          if (RS.Local)
-            RefreshMode = "local";
-          if (Cache->writable() &&
-              storeRelevance(Cache->directory(), SubjectFP, SpecKey, A))
-            Counters::get().add("demand.relevance-stored", 1);
-          Rel = std::move(A.Union);
-          PerChecker = std::move(A.PerChecker);
-          Done = true;
-        }
-        break;
+        C.add("demand.relevance-replayed", 1);
+        Store = false;
+      } else {
+        RefreshMode = "local";
+        C.add("demand.relevance-stale", 1);
       }
-      case RelevanceLoadStatus::Corrupt:
-        Gov.note(DegradationKind::CacheCorrupt, "demand", "",
-                 "relevance entry unreadable; recomputing pre-pass");
-        Counters::get().add("cache.corrupt", 1);
-        RefreshMode = "full";
-        break;
-      case RelevanceLoadStatus::Missing:
-        break;
-      }
+      C.add("demand.prepass-fns", static_cast<int64_t>(R.DirtyFns));
+      C.add("demand.dirty-fns", static_cast<int64_t>(R.DirtyFns));
+      Seeds = std::move(R.Seeds);
+      break;
     }
-    if (!Done) {
-      RelevanceArtifact A = computeRelevanceArtifact(
-          *CG, M, *Opts.Demand, Cache ? &FnFP.PerFn : nullptr);
-      // Pre-pass cost proxy: functions walked computing the sets. Zero on
-      // a warm replay — the CI smoke greps exactly that.
-      Counters::get().add("demand.prepass-fns",
-                          static_cast<int64_t>(M.functions().size()));
-      if (Cache && Cache->writable() &&
-          storeRelevance(Cache->directory(), SubjectFP, SpecKey, A))
-        Counters::get().add("demand.relevance-stored", 1);
-      Rel = std::move(A.Union);
-      PerChecker = std::move(A.PerChecker);
+    case SummaryCache::LoadStatus::Stale:
+      // Another checker set: its seed rows are not ours.
+      C.add("demand.relevance-stale", 1);
+      RefreshMode = "full";
+      break;
+    case SummaryCache::LoadStatus::Corrupt:
+      Gov.note(DegradationKind::CacheCorrupt, "demand", "",
+               "relevance entry unreadable; recomputing pre-pass");
+      C.add("cache.corrupt", 1);
+      RefreshMode = "full";
+      break;
+    case SummaryCache::LoadStatus::Missing:
+      break;
     }
+    if (!Seeds) {
+      Seeds = scanSeeds(*CG, Spec);
+      // Pre-pass cost proxy: functions scanned for seeds. Zero on a warm
+      // replay — the CI smoke greps exactly that.
+      C.add("demand.prepass-fns", static_cast<int64_t>(M.functions().size()));
+    }
+    if (Store && storeRelevanceSeeds(*Cache, Spec, *CG, *Seeds, FnFP))
+      C.add("demand.relevance-stored", 1);
+    RelevanceArtifact A = relevanceFromSeeds(*CG, Spec, *Seeds);
+    Rel = std::move(A.Union);
+    PerChecker = std::move(A.PerChecker);
     for (const ir::Function *F : CG->bottomUpOrder())
       Rel.relevant(F) ? ++RelevantFns : ++SkippedFns;
     Phases.Prepass = std::chrono::duration<double>(
@@ -552,6 +484,7 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
 
   RunState RS;
   SCCCostUs.assign(SCCs.size(), 0);
+  std::atomic<size_t> ResumedSCCs{0};
 
   // Analyses SCC I's members in order, then records its cost and taint.
   // Callee taints were finalised by callee SCCs, which all completed
@@ -562,14 +495,17 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
     for (size_t Callee : SCCs[I].CalleeSCCs)
       CalleeTainted |= SCCTaint[Callee] != 0;
     auto T0 = std::chrono::steady_clock::now();
+    bool AllReplayed = true;
     for (ir::Function *F : SCCs[I].Members)
-      analyzeOne(F, I, CalleeTainted, Gov, Opts, Interfaces, RS);
+      AllReplayed &= analyzeOne(F, I, CalleeTainted, Gov, Opts, Interfaces, RS);
     SCCCostUs[I] = std::max<uint64_t>(
         1, static_cast<uint64_t>(
                std::chrono::duration_cast<std::chrono::microseconds>(
                    std::chrono::steady_clock::now() - T0)
                    .count()));
     SCCTaint[I] = (SCCOwnTaint[I] || CalleeTainted) ? 1 : 0;
+    if (AllReplayed)
+      ResumedSCCs.fetch_add(1, std::memory_order_relaxed);
   };
 
   if (!Opts.Pool || Opts.Pool->workers() <= 1) {
@@ -578,7 +514,7 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
     // plus the per-SCC taint bookkeeping the cache needs.
     for (size_t I = 0; I < SCCs.size(); ++I)
       AnalyzeSCC(I);
-    finishLifecycle(SCCs);
+    Resumed = ResumedSCCs.load();
     return;
   }
 
@@ -613,7 +549,7 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
       G.spawn([&RunSCC, I] { RunSCC(I); });
 
   G.wait();
-  finishLifecycle(SCCs);
+  Resumed = ResumedSCCs.load();
 }
 
 size_t AnalyzedModule::totalSEGEdges() const {

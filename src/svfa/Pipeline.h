@@ -127,19 +127,9 @@ public:
 
   //===--- Run-lifecycle state (DESIGN.md section 12) ---------------------===
 
-  /// Per-SCC completion record for the run journal. Completed means every
-  /// member ran the full pipeline (or replayed from cache) undegraded, so a
-  /// rerun with the same cache resumes past it.
-  struct SCCRecord {
-    uint64_t Key = 0;
-    bool Completed = false;
-  };
-  /// Empty when no summary cache is configured (keys need the cache).
-  const std::vector<SCCRecord> &sccRecords() const { return Records; }
-  /// Post-SSA fingerprint of the whole subject (0 without a cache).
-  uint64_t subjectFingerprint() const { return SubjectFP; }
-  /// SCCs of this run whose keys a previous run's journal had already
-  /// completed — the `resumed-sccs` stat.
+  /// SCCs whose members all replayed from the summary cache in this run —
+  /// the `resumed-sccs` stat. A demand-skipped SCC analysed nothing, so it
+  /// never counts.
   size_t resumedSCCs() const { return Resumed; }
   /// SCCs the deterministic memory plan pre-degraded for --mem-budget-mb.
   size_t memPlanDegradedSCCs() const { return MemPlanDegraded; }
@@ -161,28 +151,27 @@ public:
   /// Functions that directly contain a syntactic sink site of a
   /// sink-sliced checker (0 when every checker fell back to source-only).
   size_t sinkFunctions() const { return Rel.SinkFns; }
-  /// The per-checker relevance slice the pre-pass computed (or replayed
-  /// from the cache) alongside the union, keyed by CheckerSpec::Name;
-  /// nullptr when demand is off or the checker was not in the spec. Engine
-  /// runs consume this instead of re-walking the call graph.
+  /// The per-checker relevance slice the pre-pass computed alongside the
+  /// union, keyed by CheckerSpec::Name; nullptr when demand is off or the
+  /// checker was not in the spec. Engine runs consume this instead of
+  /// re-walking the call graph.
   const RelevanceSet *checkerRelevance(const std::string &Name) const {
     auto It = PerChecker.find(Name);
     return It == PerChecker.end() ? nullptr : &It->second;
   }
-  /// How this run obtained its relevance sets: "off" (no demand), "cold"
-  /// (computed with no usable persisted entry), "replay" (exact warm hit),
-  /// "local" (edit-localised refresh from per-function records), or "full"
-  /// (stale entry, full recompute) — the [demand] refresh-mode field.
+  /// Where this run's seeds came from: "off" (no demand), "cold" (no
+  /// relevance entry: full scan), "replay" (every function matched the
+  /// entry: no scan), "local" (only new or edited functions scanned), or
+  /// "full" (entry for another spec, or unreadable: full scan) — the
+  /// [demand] refresh-mode field. The cones are always recomputed.
   const std::string &relevanceRefreshMode() const { return RefreshMode; }
-  /// Functions whose fingerprint the warm refresh found changed/new, and
-  /// call edges it carried over from clean records (both 0 outside the
-  /// refresh path) — the [demand] dirty-fns / edges-reused fields.
+  /// Functions the relevance entry's diff found new or edited (0 outside
+  /// the "replay"/"local" modes) — the [demand] dirty-fns field.
   size_t dirtyFunctions() const { return DirtyFns; }
-  size_t reusedEdges() const { return ReusedEdges; }
 
   /// Wall seconds of the constructor's serial stages, for the [phase]
-  /// stats line: SSA construction and the demand pre-pass (load / refresh
-  /// / compute / store). The remainder of the constructor is the per-SCC
+  /// stats line: SSA construction and the demand pre-pass (load / scan /
+  /// cones / store). The remainder of the constructor is the per-SCC
   /// pipeline itself.
   struct PhaseSeconds {
     double SSA = 0, Prepass = 0;
@@ -205,7 +194,8 @@ private:
   /// \p CalleeTainted is true when any transitive callee SCC degraded
   /// nondeterministically this run, which disables both cache probe and
   /// store for F (its cached artifacts assume healthy callee interfaces).
-  void analyzeOne(ir::Function *F, size_t SCCId, bool CalleeTainted,
+  /// Returns true when F replayed from the summary cache.
+  bool analyzeOne(ir::Function *F, size_t SCCId, bool CalleeTainted,
                   ResourceGovernor &Gov, const PipelineOptions &Opts,
                   transform::InterfaceMap &Interfaces, RunState &RS);
 
@@ -220,10 +210,6 @@ private:
   /// degraded-SCC set is identical across runs and job counts.
   void planMemoryPressure(const std::vector<ir::CallGraph::SCCNode> &SCCs,
                           ResourceGovernor &Gov);
-
-  /// Post-analysis lifecycle bookkeeping: completion records, resume
-  /// counting against the previous journal, journal rewrite.
-  void finishLifecycle(const std::vector<ir::CallGraph::SCCNode> &SCCs);
 
   ir::Module &M;
   smt::ExprContext &Ctx;
@@ -251,8 +237,6 @@ private:
   /// Run-lifecycle state (DESIGN.md section 12).
   std::vector<uint8_t> MemPlanDegrade; ///< Plan-degraded SCCs (empty = none).
   size_t MemPlanDegraded = 0;
-  std::vector<SCCRecord> Records;
-  uint64_t SubjectFP = 0;
   size_t Resumed = 0;
   /// Demand state: the relevance set and its summary counts (all inert
   /// when no DemandSpec was supplied).
@@ -261,7 +245,7 @@ private:
   bool DemandOn = false;
   size_t RelevantFns = 0, SkippedFns = 0;
   std::string RefreshMode = "off";
-  size_t DirtyFns = 0, ReusedEdges = 0;
+  size_t DirtyFns = 0;
   PhaseSeconds Phases;
   /// The set the memory plan is keyed on (All = true models everything;
   /// see PipelineOptions::PlanDemand).

@@ -21,8 +21,8 @@
 ///                       bidirectional source/sink cones of every enabled
 ///                       checker (checkers without syntactic sinks fall
 ///                       back to the source-only cone). With --cache-dir,
-///                       the computed relevance is persisted and warm runs
-///                       replay it instead of re-walking the graph.
+///                       every function's seeds are persisted and warm
+///                       runs re-scan only new or edited functions.
 ///                       Reports and the degradation log are byte-identical
 ///                       across modes; only speed, memory and the [demand]
 ///                       counters change.
@@ -34,10 +34,11 @@
 ///     --cache-dir=PATH  persistent function-summary cache for incremental
 ///                       reanalysis; unchanged call-graph SCCs load their
 ///                       pipeline artifacts instead of rebuilding. Reports
-///                       are byte-identical to a from-scratch run. The
-///                       directory also holds the run journal: an
-///                       interrupted run records its completed SCCs so a
-///                       rerun resumes instead of starting over.
+///                       are byte-identical to a from-scratch run. Entries
+///                       are written as SCCs complete, so a rerun after an
+///                       interrupt resumes instead of starting over. The
+///                       directory holds only summary entries (`*.pps`),
+///                       one of them the demand pre-pass's seed table.
 ///     --cache=MODE      off | read | readwrite (default readwrite when
 ///                       --cache-dir is given)
 ///
@@ -516,8 +517,8 @@ int pinpointToolMain(int Argc, char **Argv) {
     Timer ReportT;
 
     // --- Flush. Every post-analysis exit goes through this block so an
-    // interrupted run still emits its partial report, statistics,
-    // degradation log and run journal (written by the pipeline above).
+    // interrupted run still emits its partial report, statistics and
+    // degradation log.
     const bool Interrupted = Gov.cancelled();
 
     int TotalReports = 0;
@@ -611,8 +612,7 @@ int pinpointToolMain(int Argc, char **Argv) {
                     "source-fns=%zu sink-fns=%zu lazy-reach-rows=%lld "
                     "csr-bytes=%lld cg-csr-bytes=%lld relevance-stored=%lld "
                     "relevance-replayed=%lld relevance-stale=%lld "
-                    "prepass-fns=%lld dirty-fns=%lld edges-reused=%lld "
-                    "refresh-mode=%s\n",
+                    "prepass-fns=%lld dirty-fns=%lld refresh-mode=%s\n",
                     AM.relevantFunctions(), AM.skippedFunctions(),
                     AM.sourceFunctions(), AM.sinkFunctions(),
                     (long long)C.value("svfa.lazy-reach-rows"),
@@ -623,7 +623,6 @@ int pinpointToolMain(int Argc, char **Argv) {
                     (long long)C.value("demand.relevance-stale"),
                     (long long)C.value("demand.prepass-fns"),
                     (long long)C.value("demand.dirty-fns"),
-                    (long long)C.value("demand.edges-reused"),
                     AM.relevanceRefreshMode().c_str());
       }
       // Run-lifecycle counters, gated on something in the layer being

@@ -14,14 +14,13 @@
 ///  * the syntactic-sink predicate, the deref-host sink seeding for deref-
 ///    sink checkers (use-after-free, null-deref), and the source-only leak
 ///    cone;
-///  * the persisted `relevance` cache entry: round-trip, staleness on
-///    subject or spec change, corruption detection, and the warm-run replay
-///    that skips the pre-pass entirely;
-///  * the edit-localised warm refresh (DESIGN.md section 15): the v3
-///    per-function record section, the dirty-fingerprint diff, seed/edge
-///    reuse for clean functions, the closure-reuse fast path, the local
-///    path at a high dirty fraction, and the rule that v1/v2 entries
-///    reload as Stale (recompute silently) rather than Corrupt;
+///  * the relevance entry, the summary-cache entry that persists every
+///    function's seeds: round-trip, staleness on a spec change, corruption
+///    detection, records for deleted functions, leftovers of older builds,
+///    and the warm-run replay that skips the seed scan entirely;
+///  * the edit-localised warm refresh (DESIGN.md section 15): the
+///    fingerprint diff, seed reuse for clean functions, and cones that
+///    match a cold pre-pass at any dirty fraction;
 ///  * CLI differentials proving sink-intersected runs emit byte-identical
 ///    reports and degradation logs to `--demand=off` at --jobs 1 and 4
 ///    (per checker and for the union run);
@@ -44,6 +43,7 @@
 #include "support/Hasher.h"
 #include "support/Serializer.h"
 #include "support/Statistics.h"
+#include "support/SummaryCache.h"
 #include "svfa/Demand.h"
 #include "svfa/GlobalSVFA.h"
 
@@ -55,6 +55,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 using namespace pinpoint;
@@ -268,7 +269,7 @@ TEST_F(SinkRelevanceTest, UnionIsPerCheckerIntersectThenUnion) {
   svfa::DemandSpec DS;
   DS.Checkers.push_back(checkers::pathTraversalChecker());
   DS.Checkers.push_back(checkers::dataTransmissionChecker());
-  svfa::RelevanceArtifact A = svfa::computeRelevanceArtifact(*CG, M, DS);
+  svfa::RelevanceArtifact A = svfa::computeRelevanceArtifact(*CG, DS);
 
   // Each checker intersects its own cones before the union: srcOnly is in
   // taint-path's source cone and tdSnk is in taint-data's sink cone, but
@@ -346,230 +347,14 @@ TEST_F(SinkRelevanceTest, SlicedReportsMatchExhaustiveOnTheSinkSubject) {
 }
 
 //===----------------------------------------------------------------------===
-// Persisted relevance (the `relevance` cache entry)
+// Persisted seeds (the relevance entry)
 //===----------------------------------------------------------------------===
 
-class RelevancePersistTest : public SinkRelevanceTest {
-protected:
-  svfa::DemandSpec taintSpec() {
-    svfa::DemandSpec DS;
-    DS.Checkers.push_back(checkers::pathTraversalChecker());
-    return DS;
-  }
-  /// Name-set view of an artifact (union + per-checker), for equality.
-  std::vector<std::vector<std::string>> view(svfa::RelevanceArtifact &A) {
-    std::vector<std::vector<std::string>> Out;
-    Out.push_back(names(A.Union));
-    for (auto &[Name, Set] : A.PerChecker) {
-      Out.push_back({Name});
-      Out.push_back(names(Set));
-    }
-    return Out;
-  }
-};
+using FingerprintMap = std::unordered_map<const ir::Function *, uint64_t>;
 
-TEST_F(RelevancePersistTest, RoundTrip) {
-  parse(sinkSubject());
-  TempDir T("roundtrip");
-  svfa::DemandSpec DS = taintSpec();
-  const uint64_t Key = svfa::relevanceSpecKey(DS);
-  svfa::RelevanceArtifact A = svfa::computeRelevanceArtifact(*CG, M, DS);
-  ASSERT_TRUE(svfa::storeRelevance(T.file(""), 0x5EED, Key, A));
-
-  svfa::RelevanceArtifact B;
-  ASSERT_EQ(svfa::loadRelevance(T.file(""), 0x5EED, Key, M, B),
-            svfa::RelevanceLoadStatus::Ok);
-  EXPECT_EQ(view(A), view(B));
-  EXPECT_FALSE(B.Union.All);
-  EXPECT_EQ(B.Union.SourceFns, A.Union.SourceFns);
-  EXPECT_EQ(B.Union.SinkFns, A.Union.SinkFns);
-}
-
-TEST_F(RelevancePersistTest, SubjectOrSpecMismatchIsStale) {
-  parse(sinkSubject());
-  TempDir T("stale");
-  svfa::DemandSpec DS = taintSpec();
-  const uint64_t Key = svfa::relevanceSpecKey(DS);
-  svfa::RelevanceArtifact A = svfa::computeRelevanceArtifact(*CG, M, DS);
-  ASSERT_TRUE(svfa::storeRelevance(T.file(""), 0x5EED, Key, A));
-
-  svfa::RelevanceArtifact B;
-  // Same spec, different subject fingerprint.
-  EXPECT_EQ(svfa::loadRelevance(T.file(""), 0xBAD, Key, M, B),
-            svfa::RelevanceLoadStatus::Stale);
-  // Same subject, different demand spec.
-  EXPECT_EQ(svfa::loadRelevance(T.file(""), 0x5EED, Key ^ 1, M, B),
-            svfa::RelevanceLoadStatus::Stale);
-}
-
-TEST_F(RelevancePersistTest, MissingEntry) {
-  parse(sinkSubject());
-  TempDir T("missing");
-  svfa::RelevanceArtifact B;
-  EXPECT_EQ(svfa::loadRelevance(T.file(""), 1, 2, M, B),
-            svfa::RelevanceLoadStatus::Missing);
-}
-
-TEST_F(RelevancePersistTest, CorruptBytesAreDetected) {
-  parse(sinkSubject());
-  TempDir T("corrupt");
-  svfa::DemandSpec DS = taintSpec();
-  const uint64_t Key = svfa::relevanceSpecKey(DS);
-  svfa::RelevanceArtifact A = svfa::computeRelevanceArtifact(*CG, M, DS);
-  ASSERT_TRUE(svfa::storeRelevance(T.file(""), 7, Key, A));
-  const std::string Entry = T.file("relevance");
-  const std::string Orig = readFile(Entry);
-  ASSERT_GT(Orig.size(), 8u);
-
-  // Every single-byte flip anywhere in the file must be caught — header,
-  // key fields and payload are all under the checksum (a flip in the
-  // stored fingerprint must read as corruption, not staleness).
-  for (size_t Pos : {size_t(0), Orig.size() / 2, Orig.size() - 1}) {
-    std::string Bad = Orig;
-    Bad[Pos] = static_cast<char>(Bad[Pos] ^ 0x40);
-    std::ofstream(Entry, std::ios::binary | std::ios::trunc) << Bad;
-    svfa::RelevanceArtifact B;
-    EXPECT_EQ(svfa::loadRelevance(T.file(""), 7, Key, M, B),
-              svfa::RelevanceLoadStatus::Corrupt)
-        << "flip at " << Pos;
-  }
-  // Truncation too.
-  std::ofstream(Entry, std::ios::binary | std::ios::trunc)
-      << Orig.substr(0, Orig.size() / 2);
-  svfa::RelevanceArtifact B;
-  EXPECT_EQ(svfa::loadRelevance(T.file(""), 7, Key, M, B),
-            svfa::RelevanceLoadStatus::Corrupt);
-}
-
-TEST_F(RelevancePersistTest, UnknownFunctionNameIsCorrupt) {
-  parse(sinkSubject());
-  TempDir T("unknown");
-  svfa::DemandSpec DS = taintSpec();
-  const uint64_t Key = svfa::relevanceSpecKey(DS);
-  svfa::RelevanceArtifact A = svfa::computeRelevanceArtifact(*CG, M, DS);
-  ASSERT_TRUE(svfa::storeRelevance(T.file(""), 9, Key, A));
-
-  // A module that lacks the stored functions cannot resolve the entry:
-  // name resolution failure is corruption, never a silent partial replay.
-  ir::Module Other;
-  std::vector<frontend::Diag> Diags;
-  ASSERT_TRUE(frontend::parseModule("int unrelated(int *p) { return *p; }\n",
-                                    Other, Diags));
-  svfa::RelevanceArtifact B;
-  EXPECT_EQ(svfa::loadRelevance(T.file(""), 9, Key, Other, B),
-            svfa::RelevanceLoadStatus::Corrupt);
-}
-
-TEST_F(RelevancePersistTest, V3RecordsRoundTrip) {
-  parse(sinkSubject());
-  TempDir T("records");
-  svfa::DemandSpec DS = taintSpec();
-  const uint64_t Key = svfa::relevanceSpecKey(DS);
-  ir::ModuleFingerprints FP = ir::fingerprintModule(M);
-  svfa::RelevanceArtifact A =
-      svfa::computeRelevanceArtifact(*CG, M, DS, &FP.PerFn);
-  // The record table covers every function with its live fingerprint.
-  ASSERT_EQ(A.Records.Checkers.size(), 1u);
-  ASSERT_EQ(A.Records.Fns.size(), M.functions().size());
-  for (const ir::Function *F : M.functions())
-    EXPECT_EQ(A.Records.Fns.at(F->name()).FP, FP.PerFn.at(F)) << F->name();
-  // srcCaller's single resolved callee is recorded by name.
-  EXPECT_EQ(A.Records.Fns.at("srcCaller").Callees,
-            std::vector<std::string>{"srcOnly"});
-
-  ASSERT_TRUE(svfa::storeRelevance(T.file(""), FP.Subject, Key, A));
-  svfa::RelevanceLoadResult R =
-      svfa::loadRelevanceEx(T.file(""), FP.Subject, Key, M);
-  ASSERT_EQ(R.Status, svfa::RelevanceLoadStatus::Ok);
-  ASSERT_EQ(R.Artifact.Records.Fns.size(), A.Records.Fns.size());
-  for (const auto &[Name, Rec] : A.Records.Fns) {
-    const svfa::FunctionRecord &Got = R.Artifact.Records.Fns.at(Name);
-    EXPECT_EQ(Got.FP, Rec.FP) << Name;
-    EXPECT_EQ(Got.Flags, Rec.Flags) << Name;
-    EXPECT_EQ(Got.SeedBits, Rec.SeedBits) << Name;
-    EXPECT_EQ(Got.Callees, Rec.Callees) << Name;
-  }
-
-  // A stale-subject load surfaces the unresolved entry for refresh.
-  svfa::RelevanceLoadResult S =
-      svfa::loadRelevanceEx(T.file(""), FP.Subject ^ 1, Key, M);
-  EXPECT_EQ(S.Status, svfa::RelevanceLoadStatus::Stale);
-  EXPECT_TRUE(S.StoredUsable);
-  EXPECT_EQ(S.Stored.Records.Fns.size(), A.Records.Fns.size());
-  // ... but a stale-spec load never exposes records: the seed-bit layout
-  // belongs to another checker set.
-  svfa::RelevanceLoadResult K =
-      svfa::loadRelevanceEx(T.file(""), FP.Subject, Key ^ 1, M);
-  EXPECT_EQ(K.Status, svfa::RelevanceLoadStatus::Stale);
-  EXPECT_FALSE(K.StoredUsable);
-}
-
-/// Writes a well-formed `relevance` entry with an arbitrary (older) format
-/// version: correct magic, checksummed payload — only the version differs.
-void writeLegacyRelevanceEntry(const std::string &Path, uint32_t Version) {
-  ByteWriter PW;
-  PW.u32(0);
-  std::vector<uint8_t> Payload = PW.take();
-  ByteWriter W;
-  const char Magic[4] = {'P', 'P', 'R', 'L'};
-  for (char C : Magic)
-    W.u8(static_cast<uint8_t>(C));
-  W.u32(Version);
-  W.u64(0); // subject fingerprint (never reached)
-  W.u64(0); // spec key (never reached)
-  W.u64(Hasher().bytes(Payload.data(), Payload.size()).digest());
-  W.u32(static_cast<uint32_t>(Payload.size()));
-  std::vector<uint8_t> Bytes = W.take();
-  Bytes.insert(Bytes.end(), Payload.begin(), Payload.end());
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  Out.write(reinterpret_cast<const char *>(Bytes.data()),
-            static_cast<std::streamsize>(Bytes.size()));
-}
-
-TEST_F(RelevancePersistTest, OlderFormatVersionsReloadAsStale) {
-  parse(sinkSubject());
-  TempDir T("downgrade");
-  svfa::DemandSpec DS = taintSpec();
-  const uint64_t Key = svfa::relevanceSpecKey(DS);
-  // A v1 or v2 entry is an honest leftover of an older build, not damage:
-  // it must read as Stale (silent recompute), never Corrupt — and it can
-  // never seed a refresh, whose seed-bit layout is v3-only.
-  for (uint32_t Version : {1u, 2u}) {
-    writeLegacyRelevanceEntry(T.file("relevance"), Version);
-    svfa::RelevanceArtifact B;
-    EXPECT_EQ(svfa::loadRelevance(T.file(""), 0x5EED, Key, M, B),
-              svfa::RelevanceLoadStatus::Stale)
-        << "version " << Version;
-    svfa::RelevanceLoadResult R =
-        svfa::loadRelevanceEx(T.file(""), 0x5EED, Key, M);
-    EXPECT_EQ(R.Status, svfa::RelevanceLoadStatus::Stale);
-    EXPECT_FALSE(R.StoredUsable) << "version " << Version;
-  }
-}
-
-//===----------------------------------------------------------------------===
-// Edit-localised refresh (DESIGN.md section 15)
-//===----------------------------------------------------------------------===
-
-/// One parsed subject with its call graph and fingerprints — refresh tests
-/// hold two of these (the stored world and the edited world).
-struct RefreshSubject {
-  ir::Module M;
-  std::unique_ptr<ir::CallGraph> CG;
-  ir::ModuleFingerprints FP;
-};
-
-void loadRefreshSubject(RefreshSubject &S, const std::string &Src) {
-  std::vector<frontend::Diag> Diags;
-  ASSERT_TRUE(frontend::parseModule(Src, S.M, Diags))
-      << (Diags.empty() ? "" : Diags[0].str());
-  S.CG = std::make_unique<ir::CallGraph>(S.M);
-  S.FP = ir::fingerprintModule(S.M);
-}
-
-/// Module-independent equality view of a relevance set: seed counts plus
-/// sorted member names.
-std::vector<std::string> refreshSetView(const svfa::RelevanceSet &S) {
+/// Seed-count plus sorted-name view of a relevance set, independent of the
+/// module it points into.
+std::vector<std::string> setView(const svfa::RelevanceSet &S) {
   std::vector<std::string> Out;
   Out.push_back("src=" + std::to_string(S.SourceFns) +
                 " snk=" + std::to_string(S.SinkFns));
@@ -581,15 +366,284 @@ std::vector<std::string> refreshSetView(const svfa::RelevanceSet &S) {
   return Out;
 }
 
+/// The union and every per-checker slice of \p A, for equality.
 std::vector<std::vector<std::string>>
-refreshView(const svfa::RelevanceArtifact &A) {
+artifactView(const svfa::RelevanceArtifact &A) {
   std::vector<std::vector<std::string>> Out;
-  Out.push_back(refreshSetView(A.Union));
+  Out.push_back(setView(A.Union));
   for (const auto &[Name, S] : A.PerChecker) {
     Out.push_back({Name});
-    Out.push_back(refreshSetView(S));
+    Out.push_back(setView(S));
   }
   return Out;
+}
+
+svfa::DemandSpec taintSpec() {
+  svfa::DemandSpec DS;
+  DS.Checkers.push_back(checkers::pathTraversalChecker());
+  return DS;
+}
+
+class RelevancePersistTest : public SinkRelevanceTest {
+protected:
+  /// Scans the parsed module and stores its seeds into \p Cache.
+  svfa::SeedTable storeSeeds(const SummaryCache &Cache,
+                             const svfa::DemandSpec &DS) {
+    FP = ir::fingerprintModule(M);
+    svfa::SeedTable Seeds = svfa::scanSeeds(*CG, DS);
+    EXPECT_TRUE(svfa::storeRelevanceSeeds(Cache, DS, *CG, Seeds, FP));
+    return Seeds;
+  }
+
+  FingerprintMap FP;
+};
+
+TEST_F(RelevancePersistTest, RoundTrip) {
+  parse(sinkSubject());
+  TempDir T("roundtrip");
+  SummaryCache Cache(T.path(), SummaryCache::Mode::ReadWrite);
+  const svfa::DemandSpec DS = taintSpec();
+  const svfa::SeedTable Seeds = storeSeeds(Cache, DS);
+  svfa::StoredSeeds S;
+  ASSERT_EQ(svfa::loadRelevanceSeeds(Cache, DS, S),
+            SummaryCache::LoadStatus::Ok);
+  ASSERT_EQ(S.Seeds.Stride, Seeds.Stride);
+
+  // Refreshing the same module from the entry scans nothing and rebuilds
+  // the cold artifact exactly.
+  svfa::SeedRefresh R = svfa::refreshSeeds(*CG, DS, S, FP);
+  EXPECT_EQ(R.DirtyFns, 0u);
+  EXPECT_FALSE(R.Deleted);
+  EXPECT_EQ(R.Seeds.Rows, Seeds.Rows);
+  EXPECT_EQ(artifactView(svfa::relevanceFromSeeds(*CG, DS, R.Seeds)),
+            artifactView(svfa::computeRelevanceArtifact(*CG, DS)));
+
+  // The entry is one summary-cache entry, in a file of its own: a function
+  // called `relevance` would not share it.
+  size_t Files = 0;
+  for (const auto &E : std::filesystem::directory_iterator(T.path())) {
+    EXPECT_EQ(E.path().extension(), ".pps") << E.path();
+    ++Files;
+  }
+  EXPECT_EQ(Files, 1u);
+  EXPECT_NE(Cache.entryPath(svfa::RelevanceEntryName),
+            Cache.entryPath("relevance"));
+}
+
+/// The entry's per-function records (name, fingerprint, seed row) survive
+/// a store and a load unchanged.
+TEST_F(RelevancePersistTest, V3RecordsRoundTrip) {
+  parse(sinkSubject());
+  TempDir T("records");
+  SummaryCache Cache(T.path(), SummaryCache::Mode::ReadWrite);
+  const svfa::DemandSpec DS = taintSpec();
+  const svfa::SeedTable Seeds = storeSeeds(Cache, DS);
+
+  // Every function's record carries its live fingerprint and seed row.
+  svfa::StoredSeeds S;
+  ASSERT_EQ(svfa::loadRelevanceSeeds(Cache, DS, S),
+            SummaryCache::LoadStatus::Ok);
+  ASSERT_EQ(S.Seeds.Stride, Seeds.Stride);
+  ASSERT_EQ(S.Fns.size(), M.functions().size());
+  const std::vector<ir::Function *> &Order = CG->bottomUpOrder();
+  for (size_t I = 0; I < Order.size(); ++I) {
+    const svfa::StoredSeeds::Record &Rec = S.Fns.at(Order[I]->name());
+    EXPECT_EQ(Rec.FP, FP.at(Order[I])) << Order[I]->name();
+    EXPECT_TRUE(std::equal(Seeds.row(I), Seeds.row(I) + Seeds.Stride,
+                           S.Seeds.row(Rec.Row)))
+        << Order[I]->name();
+  }
+  // bothSnk calls open: a syntactic sink of the spec's one checker.
+  EXPECT_EQ(S.Seeds.row(S.Fns.at("bothSnk").Row)[1], svfa::SeedTable::Sink);
+
+  // Storing the seeds refreshed from the loaded records writes the entry's
+  // bytes again, exactly.
+  const std::string Entry = Cache.entryPath(svfa::RelevanceEntryName);
+  const std::string Orig = readFile(Entry);
+  svfa::SeedRefresh R = svfa::refreshSeeds(*CG, DS, S, FP);
+  ASSERT_TRUE(svfa::storeRelevanceSeeds(Cache, DS, *CG, R.Seeds, FP));
+  EXPECT_EQ(readFile(Entry), Orig);
+}
+
+TEST_F(RelevancePersistTest, SubjectOrSpecMismatchIsStale) {
+  parse(sinkSubject());
+  TempDir T("stale");
+  SummaryCache Cache(T.path(), SummaryCache::Mode::ReadWrite);
+  const svfa::DemandSpec DS = taintSpec();
+  storeSeeds(Cache, DS);
+
+  // Another demand spec lays its seed rows out differently: the entry is
+  // well-formed but Stale, and never decoded.
+  svfa::StoredSeeds S;
+  svfa::DemandSpec Other;
+  Other.Checkers.push_back(checkers::dataTransmissionChecker());
+  EXPECT_EQ(svfa::loadRelevanceSeeds(Cache, Other, S),
+            SummaryCache::LoadStatus::Stale);
+  svfa::DemandSpec NoSink = DS;
+  NoSink.UseSinkCones = false;
+  EXPECT_EQ(svfa::loadRelevanceSeeds(Cache, NoSink, S),
+            SummaryCache::LoadStatus::Stale);
+  EXPECT_TRUE(S.Fns.empty());
+
+  // Another subject under the same spec: every record is stale. No
+  // function matches a stored (name, fingerprint), so every one is
+  // scanned, and the stored functions read as deleted.
+  ir::Module M2;
+  std::vector<frontend::Diag> Diags;
+  ASSERT_TRUE(frontend::parseModule(
+      "int reader(int c) { int v = read_input(); open(v); return v; }\n"
+      "int top(int c) { int r = reader(c); return r; }\n",
+      M2, Diags));
+  ir::CallGraph CG2(M2);
+  ASSERT_EQ(svfa::loadRelevanceSeeds(Cache, DS, S),
+            SummaryCache::LoadStatus::Ok);
+  svfa::SeedRefresh R = svfa::refreshSeeds(CG2, DS, S, ir::fingerprintModule(M2));
+  EXPECT_EQ(R.DirtyFns, 2u);
+  EXPECT_TRUE(R.Deleted);
+  EXPECT_EQ(artifactView(svfa::relevanceFromSeeds(CG2, DS, R.Seeds)),
+            artifactView(svfa::computeRelevanceArtifact(CG2, DS)));
+}
+
+TEST_F(RelevancePersistTest, MissingEntry) {
+  parse(sinkSubject());
+  TempDir T("missing");
+  svfa::StoredSeeds S;
+  SummaryCache Cache(T.path(), SummaryCache::Mode::ReadWrite);
+  EXPECT_EQ(svfa::loadRelevanceSeeds(Cache, taintSpec(), S),
+            SummaryCache::LoadStatus::Missing);
+  // A read-only cache over a directory that does not exist just misses.
+  SummaryCache Absent(T.file("absent"), SummaryCache::Mode::Read);
+  EXPECT_EQ(svfa::loadRelevanceSeeds(Absent, taintSpec(), S),
+            SummaryCache::LoadStatus::Missing);
+}
+
+TEST_F(RelevancePersistTest, CorruptBytesAreDetected) {
+  parse(sinkSubject());
+  TempDir T("corrupt");
+  SummaryCache Cache(T.path(), SummaryCache::Mode::ReadWrite);
+  const svfa::DemandSpec DS = taintSpec();
+  storeSeeds(Cache, DS);
+  const std::string Entry = Cache.entryPath(svfa::RelevanceEntryName);
+  const std::string Orig = readFile(Entry);
+  // The summary-cache frame: magic, version, key, name, checksum, size.
+  const size_t KeyAt = 8, NameAt = 20;
+  const size_t NameEnd = NameAt + std::strlen(svfa::RelevanceEntryName);
+  ASSERT_GT(Orig.size(), NameEnd + 12);
+
+  // Every single-byte flip is caught and the entry never replays. A flip
+  // in the content key reads as another spec's entry (Stale); one in the
+  // name or its length as another entry's file (Missing) unless the parse
+  // runs off the end; every other flip — frame, checksum or payload — is
+  // Corrupt. Each of them recomputes the pre-pass.
+  for (size_t Pos = 0; Pos < Orig.size(); ++Pos) {
+    std::string Bad = Orig;
+    Bad[Pos] = static_cast<char>(Bad[Pos] ^ 0x40);
+    std::ofstream(Entry, std::ios::binary | std::ios::trunc) << Bad;
+    svfa::StoredSeeds S;
+    const SummaryCache::LoadStatus Got =
+        svfa::loadRelevanceSeeds(Cache, DS, S);
+    if (Pos >= KeyAt && Pos < KeyAt + 8)
+      EXPECT_EQ(Got, SummaryCache::LoadStatus::Stale) << "flip at " << Pos;
+    else if (Pos >= NameAt - 4 && Pos < NameEnd)
+      EXPECT_TRUE(Got == SummaryCache::LoadStatus::Missing ||
+                  Got == SummaryCache::LoadStatus::Corrupt)
+          << "flip at " << Pos;
+    else
+      EXPECT_EQ(Got, SummaryCache::LoadStatus::Corrupt) << "flip at " << Pos;
+  }
+  // Truncation too.
+  std::ofstream(Entry, std::ios::binary | std::ios::trunc)
+      << Orig.substr(0, Orig.size() / 2);
+  svfa::StoredSeeds S;
+  EXPECT_EQ(svfa::loadRelevanceSeeds(Cache, DS, S),
+            SummaryCache::LoadStatus::Corrupt);
+}
+
+TEST_F(RelevancePersistTest, RecordForMissingFunctionIsIgnored) {
+  parse(sinkSubject());
+  TempDir T("deleted");
+  SummaryCache Cache(T.path(), SummaryCache::Mode::ReadWrite);
+  const svfa::DemandSpec DS = taintSpec();
+  storeSeeds(Cache, DS);
+
+  // The same subject without filler: filler's record names nothing, so it
+  // is skipped; every surviving function matches and nothing is scanned.
+  ir::Module M2;
+  std::vector<frontend::Diag> Diags;
+  std::string Src = sinkSubject();
+  const std::string Filler = "int filler(int *p) { int *q = p; return *q; }\n";
+  Src.erase(Src.find(Filler), Filler.size());
+  ASSERT_TRUE(frontend::parseModule(Src, M2, Diags));
+  ir::CallGraph CG2(M2);
+  svfa::StoredSeeds S;
+  ASSERT_EQ(svfa::loadRelevanceSeeds(Cache, DS, S),
+            SummaryCache::LoadStatus::Ok);
+  ASSERT_EQ(S.Fns.count("filler"), 1u);
+  svfa::SeedRefresh R =
+      svfa::refreshSeeds(CG2, DS, S, ir::fingerprintModule(M2));
+  EXPECT_EQ(R.DirtyFns, 0u);
+  EXPECT_TRUE(R.Deleted);
+  EXPECT_EQ(R.Seeds.Rows, svfa::scanSeeds(CG2, DS).Rows);
+  EXPECT_EQ(artifactView(svfa::relevanceFromSeeds(CG2, DS, R.Seeds)),
+            artifactView(svfa::computeRelevanceArtifact(CG2, DS)));
+}
+
+/// Files an older build left in a cache directory: its standalone
+/// `relevance` entry (own magic, version 3, checksummed payload) and its
+/// text run journal.
+void writeLeftoverFiles(const std::string &Dir) {
+  ByteWriter PW;
+  PW.u32(0);
+  std::vector<uint8_t> Payload = PW.take();
+  ByteWriter W;
+  for (char C : {'P', 'P', 'R', 'L'})
+    W.u8(static_cast<uint8_t>(C));
+  W.u32(3);
+  W.u64(0); // subject fingerprint
+  W.u64(0); // spec key
+  W.u64(Hasher().bytes(Payload.data(), Payload.size()).digest());
+  W.u32(static_cast<uint32_t>(Payload.size()));
+  std::vector<uint8_t> Bytes = W.take();
+  Bytes.insert(Bytes.end(), Payload.begin(), Payload.end());
+  std::ofstream Rel((std::filesystem::path(Dir) / "relevance").string(),
+                    std::ios::binary | std::ios::trunc);
+  Rel.write(reinterpret_cast<const char *>(Bytes.data()),
+            static_cast<std::streamsize>(Bytes.size()));
+  std::ofstream((std::filesystem::path(Dir) / "run-journal").string())
+      << std::string{'P', 'P', 'R', 'J'}
+      << " 1 0000000000000001\n0000000000000002 completed\n";
+}
+
+TEST_F(RelevancePersistTest, LeftoverRelevanceFileIsNeverRead) {
+  parse(sinkSubject());
+  TempDir T("leftover");
+  writeLeftoverFiles(T.path());
+  // Neither file is a summary-cache entry: the loader never opens them,
+  // so the entry is simply Missing — not Stale, not Corrupt.
+  SummaryCache Cache(T.path(), SummaryCache::Mode::ReadWrite);
+  svfa::StoredSeeds S;
+  EXPECT_EQ(svfa::loadRelevanceSeeds(Cache, taintSpec(), S),
+            SummaryCache::LoadStatus::Missing);
+}
+
+//===----------------------------------------------------------------------===
+// Edit-localised refresh (DESIGN.md section 15)
+//===----------------------------------------------------------------------===
+
+/// One parsed subject with its call graph and fingerprints — refresh tests
+/// hold two of these (the stored world and the edited world).
+struct RefreshSubject {
+  ir::Module M;
+  std::unique_ptr<ir::CallGraph> CG;
+  FingerprintMap FP;
+};
+
+void loadRefreshSubject(RefreshSubject &S, const std::string &Src) {
+  std::vector<frontend::Diag> Diags;
+  ASSERT_TRUE(frontend::parseModule(Src, S.M, Diags))
+      << (Diags.empty() ? "" : Diags[0].str());
+  S.CG = std::make_unique<ir::CallGraph>(S.M);
+  S.FP = ir::fingerprintModule(S.M);
 }
 
 /// sinkSubject with \p From replaced by \p To.
@@ -604,29 +658,28 @@ std::string editedSinkSubject(const std::string &From, const std::string &To) {
 
 class RelevanceRefreshTest : public ::testing::Test {
 protected:
-  svfa::DemandSpec taintSpec() {
-    svfa::DemandSpec DS;
-    DS.Checkers.push_back(checkers::pathTraversalChecker());
-    return DS;
-  }
-  /// Stores the original subject's artifact, reloads it against the edited
-  /// subject (asserting Stale + StoredUsable), and returns the refreshed
-  /// artifact for comparison against a cold compute on the edited module.
+  /// Stores the original subject's seeds, refreshes them against the
+  /// edited subject, and checks the result against a cold pre-pass on the
+  /// edited module: the same seed table and the same cones. Returns the
+  /// refreshed artifact.
   svfa::RelevanceArtifact refreshAgainst(RefreshSubject &Orig,
                                          RefreshSubject &Edited,
-                                         svfa::RelevanceRefreshStats &Stats) {
+                                         svfa::SeedRefresh &Stats) {
     TempDir T("refresh");
-    svfa::DemandSpec DS = taintSpec();
-    const uint64_t Key = svfa::relevanceSpecKey(DS);
+    SummaryCache Cache(T.path(), SummaryCache::Mode::ReadWrite);
+    const svfa::DemandSpec DS = taintSpec();
+    EXPECT_TRUE(svfa::storeRelevanceSeeds(
+        Cache, DS, *Orig.CG, svfa::scanSeeds(*Orig.CG, DS), Orig.FP));
+    svfa::StoredSeeds Prev;
+    EXPECT_EQ(svfa::loadRelevanceSeeds(Cache, DS, Prev),
+              SummaryCache::LoadStatus::Ok);
+    Stats = svfa::refreshSeeds(*Edited.CG, DS, Prev, Edited.FP);
+    EXPECT_EQ(Stats.Seeds.Rows, svfa::scanSeeds(*Edited.CG, DS).Rows);
     svfa::RelevanceArtifact A =
-        svfa::computeRelevanceArtifact(*Orig.CG, Orig.M, DS, &Orig.FP.PerFn);
-    EXPECT_TRUE(svfa::storeRelevance(T.file(""), Orig.FP.Subject, Key, A));
-    svfa::RelevanceLoadResult L =
-        svfa::loadRelevanceEx(T.file(""), Edited.FP.Subject, Key, Edited.M);
-    EXPECT_EQ(L.Status, svfa::RelevanceLoadStatus::Stale);
-    EXPECT_TRUE(L.StoredUsable);
-    return svfa::refreshRelevanceArtifact(*Edited.CG, Edited.M, DS, L.Stored,
-                                          Edited.FP.PerFn, Stats);
+        svfa::relevanceFromSeeds(*Edited.CG, DS, Stats.Seeds);
+    EXPECT_EQ(artifactView(A),
+              artifactView(svfa::computeRelevanceArtifact(*Edited.CG, DS)));
+    return A;
   }
 };
 
@@ -634,101 +687,76 @@ TEST_F(RelevanceRefreshTest, LocalRefreshMatchesColdOnSeedChangingEdit) {
   RefreshSubject Orig, Edited;
   loadRefreshSubject(Orig, sinkSubject());
   // srcOnly gains a sink call: its region flips from pruned to relevant,
-  // so the cones genuinely have to be recomputed from the merged seeds.
+  // so the cones genuinely change with the merged seeds.
   loadRefreshSubject(
       Edited,
       editedSinkSubject(
           "int srcOnly(int c) { int v = read_input(); return v; }",
           "int srcOnly(int c) { int v = read_input(); open(v); return v; }"));
 
-  svfa::RelevanceRefreshStats Stats;
+  svfa::SeedRefresh Stats;
   svfa::RelevanceArtifact R = refreshAgainst(Orig, Edited, Stats);
-  EXPECT_TRUE(Stats.Local);
-  EXPECT_FALSE(Stats.ClosureReused);
   EXPECT_EQ(Stats.DirtyFns, 1u);
-  EXPECT_EQ(Stats.ScannedFns, 1u);
-  EXPECT_GT(Stats.EdgesReused, 0u);
-  ASSERT_EQ(Stats.Dirty.size(), 1u);
-  EXPECT_EQ((*Stats.Dirty.begin())->name(), "srcOnly");
-
-  svfa::RelevanceArtifact Cold =
-      svfa::computeRelevanceArtifact(*Edited.CG, Edited.M, taintSpec());
-  EXPECT_EQ(refreshView(R), refreshView(Cold));
+  EXPECT_FALSE(Stats.Deleted);
   // The refresh really changed the result: the srcOnly region is now kept.
   EXPECT_TRUE(R.Union.Fns.count(Edited.M.function("srcOnly")));
   EXPECT_TRUE(R.Union.Fns.count(Edited.M.function("srcCaller")));
 
-  // The refreshed artifact round-trips as a first-class v3 entry.
+  // The refreshed seeds, stored again, replay on the edited subject.
   TempDir T("restore");
-  const uint64_t Key = svfa::relevanceSpecKey(taintSpec());
-  ASSERT_TRUE(svfa::storeRelevance(T.file(""), Edited.FP.Subject, Key, R));
-  svfa::RelevanceArtifact Re;
-  EXPECT_EQ(svfa::loadRelevance(T.file(""), Edited.FP.Subject, Key, Edited.M,
-                                Re),
-            svfa::RelevanceLoadStatus::Ok);
-  EXPECT_EQ(refreshView(Re), refreshView(Cold));
+  SummaryCache Cache(T.path(), SummaryCache::Mode::ReadWrite);
+  ASSERT_TRUE(svfa::storeRelevanceSeeds(Cache, taintSpec(), *Edited.CG,
+                                        Stats.Seeds, Edited.FP));
+  svfa::StoredSeeds Re;
+  ASSERT_EQ(svfa::loadRelevanceSeeds(Cache, taintSpec(), Re),
+            SummaryCache::LoadStatus::Ok);
+  svfa::SeedRefresh Again =
+      svfa::refreshSeeds(*Edited.CG, taintSpec(), Re, Edited.FP);
+  EXPECT_EQ(Again.DirtyFns, 0u);
+  EXPECT_FALSE(Again.Deleted);
 }
 
-TEST_F(RelevanceRefreshTest, ConeNeutralEditReusesStoredClosure) {
+TEST_F(RelevanceRefreshTest, ConeNeutralEditMatchesCold) {
   RefreshSubject Orig, Edited;
   loadRefreshSubject(Orig, sinkSubject());
   // A body edit that touches no source/sink/call site: one function is
-  // dirty, but the merged seed table and edge lists are unchanged, so the
-  // stored closure results are adopted without walking a single cone.
+  // dirty and scanned, the other seven rows come from the entry.
   loadRefreshSubject(
       Edited, editedSinkSubject(
                   "int srcOnly(int c) { int v = read_input(); return v; }",
                   "int srcOnly(int c) { int v = read_input(); int zq = 7; "
                   "return v; }"));
 
-  svfa::RelevanceRefreshStats Stats;
-  svfa::RelevanceArtifact R = refreshAgainst(Orig, Edited, Stats);
-  EXPECT_TRUE(Stats.Local);
-  EXPECT_TRUE(Stats.ClosureReused);
+  svfa::SeedRefresh Stats;
+  refreshAgainst(Orig, Edited, Stats);
   EXPECT_EQ(Stats.DirtyFns, 1u);
-  EXPECT_EQ(Stats.ScannedFns, 1u);
-
-  svfa::RelevanceArtifact Cold =
-      svfa::computeRelevanceArtifact(*Edited.CG, Edited.M, taintSpec());
-  EXPECT_EQ(refreshView(R), refreshView(Cold));
-  // The adopted records still carry the *new* fingerprint, so the stored
-  // refresh replays on the next run instead of re-dirtying srcOnly.
-  EXPECT_EQ(R.Records.Fns.at("srcOnly").FP,
-            Edited.FP.PerFn.at(Edited.M.function("srcOnly")));
+  EXPECT_FALSE(Stats.Deleted);
 }
 
 TEST_F(RelevanceRefreshTest, AddedAndDeletedFunctionsForceConeRecompute) {
   RefreshSubject Orig, Edited;
   loadRefreshSubject(Orig, sinkSubject());
   // filler disappears and a new caller of srcCaller appears: definition-set
-  // changes can re/un-resolve call edges anywhere, so the closure-reuse
-  // fast path must be refused even though the edit is small.
+  // changes can re/un-resolve call edges anywhere. The cones come from the
+  // live call graph on every run, so the edit is just one scan.
   std::string Src = editedSinkSubject(
       "int filler(int *p) { int *q = p; return *q; }\n", "");
   Src += "int extra(int c) { int r = srcCaller(c); return r; }\n";
   loadRefreshSubject(Edited, Src);
 
-  svfa::RelevanceRefreshStats Stats;
-  svfa::RelevanceArtifact R = refreshAgainst(Orig, Edited, Stats);
-  EXPECT_TRUE(Stats.Local);
-  EXPECT_FALSE(Stats.ClosureReused);
+  svfa::SeedRefresh Stats;
+  refreshAgainst(Orig, Edited, Stats);
   EXPECT_EQ(Stats.DirtyFns, 1u); // only the new definition is dirty
-  ASSERT_EQ(Stats.Dirty.size(), 1u);
-  EXPECT_EQ((*Stats.Dirty.begin())->name(), "extra");
-
-  svfa::RelevanceArtifact Cold =
-      svfa::computeRelevanceArtifact(*Edited.CG, Edited.M, taintSpec());
-  EXPECT_EQ(refreshView(R), refreshView(Cold));
+  EXPECT_TRUE(Stats.Deleted);
 }
 
 TEST_F(RelevanceRefreshTest, HighDirtyFractionStaysLocal) {
   RefreshSubject Orig, Edited;
   loadRefreshSubject(Orig, sinkSubject());
   // Five of eight functions edited (62%), one of them seed-changing
-  // (srcOnly gains a sink): the dirty-cone path still runs — re-scanning
-  // exactly the dirty functions and recomputing the cones — and lands on
-  // the cold artifact. No dirty fraction sends a compatible table to the
-  // full pre-pass.
+  // (srcOnly gains a sink): exactly the dirty functions are scanned and
+  // the result is the cold artifact. No dirty fraction sends a matching
+  // entry to the full pre-pass.
   std::string Src = editedSinkSubject(
       "int srcOnly(int c) { int v = read_input(); return v; }",
       "int srcOnly(int c) { int v = read_input(); open(v); return v; }");
@@ -750,17 +778,11 @@ TEST_F(RelevanceRefreshTest, HighDirtyFractionStaysLocal) {
   }
   loadRefreshSubject(Edited, Src);
 
-  svfa::RelevanceRefreshStats Stats;
+  svfa::SeedRefresh Stats;
   svfa::RelevanceArtifact R = refreshAgainst(Orig, Edited, Stats);
-  EXPECT_TRUE(Stats.Local);
-  EXPECT_FALSE(Stats.ClosureReused);
   EXPECT_EQ(Stats.DirtyFns, 5u);
-  EXPECT_EQ(Stats.ScannedFns, 5u);
+  EXPECT_FALSE(Stats.Deleted);
   EXPECT_GT(Stats.DirtyFns * 10, Edited.M.functions().size() * 3);
-
-  svfa::RelevanceArtifact Cold =
-      svfa::computeRelevanceArtifact(*Edited.CG, Edited.M, taintSpec());
-  EXPECT_EQ(refreshView(R), refreshView(Cold));
   EXPECT_TRUE(R.Union.Fns.count(Edited.M.function("srcOnly")));
 }
 
@@ -1013,8 +1035,8 @@ TEST(DemandSinkCLI, CorruptRelevanceEntryRecomputes) {
             0);
 
   // Flip one payload byte of the persisted entry.
-  const std::string Entry =
-      (std::filesystem::path(Dir) / "relevance").string();
+  const std::string Entry = SummaryCache(Dir, SummaryCache::Mode::Read)
+                                .entryPath(svfa::RelevanceEntryName);
   std::string Bytes = readFile(Entry);
   ASSERT_GT(Bytes.size(), 4u);
   Bytes[Bytes.size() - 2] = static_cast<char>(Bytes[Bytes.size() - 2] ^ 0x7f);
@@ -1200,16 +1222,13 @@ TEST(DemandSinkCLI, EditedWarmRunRefreshesLocally) {
   const std::string Warm = readFile(T.file("warm.out"));
   EXPECT_NE(Warm.find("refresh-mode=local"), std::string::npos) << Warm;
   // Deltas vs the cold run (identical inherited counter state): exactly
-  // one dirty function, one re-scanned function (vs all 8 cold), reused
-  // edges, one more stale detection — and a refreshed entry stored.
+  // one dirty function, one re-scanned function (vs all 8 cold), one more
+  // stale detection — and a refreshed entry stored.
   EXPECT_EQ(statValue(Warm, "[demand]", "dirty-fns"),
             statValue(ColdA, "[demand]", "dirty-fns") + 1)
       << Warm;
   EXPECT_EQ(statValue(Warm, "[demand]", "prepass-fns"),
             statValue(ColdA, "[demand]", "prepass-fns") - 7)
-      << Warm;
-  EXPECT_GT(statValue(Warm, "[demand]", "edges-reused"),
-            statValue(ColdA, "[demand]", "edges-reused"))
       << Warm;
   EXPECT_EQ(statValue(Warm, "[demand]", "relevance-stale"),
             statValue(ColdA, "[demand]", "relevance-stale") + 1)
@@ -1226,9 +1245,9 @@ TEST(DemandSinkCLI, EditedWarmRunRefreshesLocally) {
   EXPECT_NE(readFile(T.file("rewarm.out")).find("refresh-mode=replay"),
             std::string::npos);
 
-  // An uncached run on the same edit is the reference: it walks the whole
-  // pre-pass (all 8 functions, no dirty-diff bookkeeping) and reports
-  // exactly what the locally refreshed warm run did.
+  // An uncached run on the same edit is the reference: it scans all 8
+  // functions (no fingerprints, no diff) and reports exactly what the
+  // locally refreshed warm run did.
   ASSERT_EQ(runTool({"--checker=taint-path", "--stats", Subject},
                     T.file("uncached.out")),
             0);
@@ -1265,7 +1284,8 @@ TEST(DemandSinkCLI, EditedWarmByteIdentityAcrossModes) {
 
   // Per job count: the uncached cold run on the edited subject is the
   // reference; warm cache A refreshes its relevance entry locally, warm
-  // cache B holds an older-format entry and reruns the full pre-pass.
+  // cache B was populated under another checker set, so its entry is for
+  // another spec and the run rescans every function.
   for (const char *Jobs : {"--jobs=1", "--jobs=4"}) {
     const std::string Tag = Jobs + std::strlen("--jobs=");
     const std::string DirA = T.file("ca" + Tag), DirB = T.file("cb" + Tag);
@@ -1273,11 +1293,10 @@ TEST(DemandSinkCLI, EditedWarmByteIdentityAcrossModes) {
     ASSERT_EQ(runTool({All, Jobs, "--cache-dir=" + DirA, Subject},
                       T.file("seed.out")),
               0);
-    ASSERT_EQ(runTool({All, Jobs, "--cache-dir=" + DirB, Subject},
+    ASSERT_EQ(runTool({"--checker=df,taint-path", Jobs, "--cache-dir=" + DirB,
+                       Subject},
                       T.file("seed.out")),
               0);
-    writeLegacyRelevanceEntry(
-        (std::filesystem::path(DirB) / "relevance").string(), 2);
     std::ofstream(Subject, std::ios::trunc) << Edited;
     const std::string C = T.file("c" + Tag + ".out"),
                       W = T.file("w" + Tag + ".out"),
@@ -1294,49 +1313,66 @@ TEST(DemandSinkCLI, EditedWarmByteIdentityAcrossModes) {
     EXPECT_EQ(readFile(C), readFile(W)) << Jobs;
     EXPECT_EQ(readFile(C), readFile(F)) << Jobs;
   }
+
+  // The refresh modes behind the two warm runs.
+  std::ofstream(Subject, std::ios::trunc) << Orig;
+  const std::string DirA = T.file("modesA"), DirB = T.file("modesB");
+  ASSERT_EQ(runTool({All, "--cache-dir=" + DirA, Subject}, T.file("s.out")),
+            0);
+  ASSERT_EQ(runTool({"--checker=df,taint-path", "--cache-dir=" + DirB,
+                     Subject},
+                    T.file("s.out")),
+            0);
+  std::ofstream(Subject, std::ios::trunc) << Edited;
+  ASSERT_EQ(runTool({All, "--stats", "--cache-dir=" + DirA, Subject},
+                    T.file("ma.out")),
+            0);
+  ASSERT_EQ(runTool({All, "--stats", "--cache-dir=" + DirB, Subject},
+                    T.file("mb.out")),
+            0);
+  EXPECT_NE(readFile(T.file("ma.out")).find("refresh-mode=local"),
+            std::string::npos);
+  EXPECT_NE(readFile(T.file("mb.out")).find("refresh-mode=full"),
+            std::string::npos);
 }
 
-TEST(DemandSinkCLI, VersionDowngradeRecomputesSilently) {
-  TempDir T("downgradecli");
+TEST(DemandSinkCLI, LeftoverRelevanceAndJournalAreIgnored) {
+  TempDir T("leftovercli");
   const std::string Subject = T.file("subject.mc");
   std::ofstream(Subject) << sinkSubject();
   const std::string Dir = T.file("cache");
+  std::filesystem::create_directories(Dir);
+  writeLeftoverFiles(Dir);
 
+  // Reference: no cache at all.
+  ASSERT_EQ(runTool({"--checker=taint-path", "--stats", "--degradation-log",
+                     Subject},
+                    T.file("ref.out")),
+            0);
+  const std::string Ref = readFile(T.file("ref.out"));
+
+  // An older build's relevance file and run journal are never read: the
+  // run is cold — no stale entry, no corruption — and reports exactly
+  // what the uncached run does.
   ASSERT_EQ(runTool({"--checker=taint-path", "--stats", "--degradation-log",
                      "--cache-dir=" + Dir, Subject},
                     T.file("cold.out")),
             0);
   const std::string Cold = readFile(T.file("cold.out"));
+  EXPECT_NE(Cold.find("refresh-mode=cold"), std::string::npos) << Cold;
+  EXPECT_EQ(Cold.find("cache-corrupt"), std::string::npos) << Cold;
+  EXPECT_EQ(statValue(Cold, "[demand]", "relevance-stale"),
+            statValue(Ref, "[demand]", "relevance-stale"))
+      << Cold;
+  EXPECT_EQ(filterVolatile(Cold), filterVolatile(Ref));
 
-  // Replace the entry with a well-formed v2-era one: an honest leftover of
-  // an older build, which must recompute silently — stale, not corrupt.
-  writeLegacyRelevanceEntry(
-      (std::filesystem::path(Dir) / "relevance").string(), 2);
-  ASSERT_EQ(runTool({"--checker=taint-path", "--stats", "--degradation-log",
+  // The entry that run stored replays on the next one.
+  ASSERT_EQ(runTool({"--checker=taint-path", "--stats",
                      "--cache-dir=" + Dir, Subject},
                     T.file("warm.out")),
             0);
-  const std::string Warm = readFile(T.file("warm.out"));
-  EXPECT_EQ(Warm.find("cache-corrupt demand"), std::string::npos) << Warm;
-  EXPECT_NE(Warm.find("refresh-mode=full"), std::string::npos) << Warm;
-  EXPECT_EQ(statValue(Warm, "[demand]", "relevance-stale"),
-            statValue(Cold, "[demand]", "relevance-stale") + 1)
-      << Warm;
-  EXPECT_EQ(statValue(Warm, "[demand]", "relevance-stored"),
-            statValue(Cold, "[demand]", "relevance-stored"))
-      << Warm;
-  EXPECT_EQ(statValue(Warm, "[demand]", "prepass-fns"),
-            statValue(Cold, "[demand]", "prepass-fns"))
-      << Warm;
-
-  // The overwritten v3 entry replays on the next run.
-  ASSERT_EQ(runTool({"--checker=taint-path", "--stats",
-                     "--cache-dir=" + Dir, Subject},
-                    T.file("rewarm.out")),
-            0);
-  EXPECT_EQ(statValue(readFile(T.file("rewarm.out")), "[demand]",
-                      "relevance-replayed"),
-            statValue(Cold, "[demand]", "relevance-replayed") + 1);
+  EXPECT_NE(readFile(T.file("warm.out")).find("refresh-mode=replay"),
+            std::string::npos);
 }
 
 TEST(DemandSinkCLI, OrphanTmpFilesAreSweptAtStartup) {
@@ -1382,8 +1418,9 @@ TEST(DemandSinkCLI, OrphanTmpFilesAreSweptAtStartup) {
   }
   EXPECT_EQ(After, Entries);
   EXPECT_EQ(Tmps, 0u);
-  EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(Dir) /
-                                      "relevance"));
+  EXPECT_TRUE(std::filesystem::exists(
+      SummaryCache(Dir, SummaryCache::Mode::Read)
+          .entryPath(svfa::RelevanceEntryName)));
   EXPECT_EQ(statValue(Warm, "[demand]", "relevance-replayed"),
             statValue(Cold, "[demand]", "relevance-replayed") + 1)
       << Warm;

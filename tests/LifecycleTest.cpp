@@ -9,10 +9,11 @@
 ///
 ///  * SIGTERM mid-run: the forked CLI child exits with code 3 and a
 ///    well-formed partial report ([partial] trailer, stats, degradation
-///    log), having flushed completed-SCC cache entries and the run journal;
+///    log), having flushed completed-SCC cache entries;
 ///  * interrupt/resume: an interrupted run followed by a warm rerun over
 ///    the same cache directory is byte-identical to an uninterrupted run,
-///    at --jobs 1 and 4, and the resumed run reports `resumed-sccs`;
+///    at --jobs 1 and 4, and the resumed run reports `resumed-sccs`, which
+///    counts exactly the SCCs whose members all replayed from the cache;
 ///  * memory governance: an undersized --mem-budget-mb yields the same
 ///    MemoryPressure degradation set across runs and job counts, and the
 ///    per-structure accounting balances when the module is destroyed;
@@ -20,8 +21,7 @@
 ///    degrades everything, logs once, stores nothing in the summary cache;
 ///  * transient-fault retry: bounded retries recover from injected
 ///    transient backend failures, exhaustion degrades to Unknown with a
-///    SolverTransient event, and 100%-transient injection still terminates;
-///  * the run journal round-trips and tolerates corruption.
+///    SolverTransient event, and 100%-transient injection still terminates.
 ///
 /// The CLI tests fork a child that calls `pinpointToolMain` directly — the
 /// exact production code path including signal handlers and exit codes —
@@ -37,7 +37,6 @@
 #include "smt/Solver.h"
 #include "support/Interrupt.h"
 #include "support/ResourceGovernor.h"
-#include "support/RunJournal.h"
 #include "support/Statistics.h"
 #include "support/SummaryCache.h"
 #include "support/ThreadPool.h"
@@ -142,14 +141,11 @@ TEST(LifecycleCLI, SigtermFlushesPartialReportAndExits3) {
   EXPECT_NE(Out.find("[governor]"), std::string::npos) << Out;
   EXPECT_NE(Out.find("cancelled"), std::string::npos) << Out;
 
-  // Completed SCCs were flushed: cache entries and the run journal exist.
+  // Completed SCCs were flushed as summary-cache entries, and the
+  // directory holds nothing else.
   EXPECT_GE(cacheEntryCount(CacheDir), size_t(4));
-  RunJournal J;
-  ASSERT_TRUE(J.load(CacheDir));
-  size_t Completed = 0;
-  for (const RunJournal::Entry &E : J.SCCs)
-    Completed += E.Completed;
-  EXPECT_GT(Completed, size_t(0));
+  for (const auto &E : std::filesystem::directory_iterator(CacheDir))
+    EXPECT_EQ(E.path().extension(), ".pps") << E.path();
 }
 
 TEST(LifecycleCLI, InterruptedPlusResumedMatchesUninterrupted) {
@@ -182,6 +178,55 @@ TEST(LifecycleCLI, InterruptedPlusResumedMatchesUninterrupted) {
   const std::string Stats = readFile(T.file("stats.out"));
   ASSERT_GE(statValue(Stats, "[lifecycle]", "resumed-sccs"), 0) << Stats;
   EXPECT_GT(statValue(Stats, "[lifecycle]", "resumed-sccs"), 0) << Stats;
+}
+
+TEST(LifecycleCLI, ResumedSCCsCountOnlyFullyReplayedSCCs) {
+  TempDir T("resumedcount");
+  const std::string Subject = T.file("subject.mc");
+  // pairSubject, a recursion pair (one SCC of two relevant members), and
+  // disconnected fillers the default checkers' pre-pass skips.
+  constexpr int Pairs = 6, Fillers = 5;
+  std::string Src = pairSubject(Pairs);
+  Src += "void recA(int *p, int c) { if (c > 0) { free(p); } "
+         "if (c > 1) { recB(p, c); } }\n"
+         "void recB(int *p, int c) { if (c > 2) { int x = *p; } "
+         "if (c > 3) { recA(p, c); } }\n";
+  for (int I = 0; I < Fillers; ++I)
+    Src += "int pad" + std::to_string(I) +
+           "(int *p) { int *q = p; return *q; }\n";
+  std::ofstream(Subject) << Src;
+  const std::string CacheDir = T.file("cache");
+
+  // Populate exhaustively: every function, fillers included, is stored.
+  ASSERT_EQ(runTool({"--demand=off", "--cache-dir=" + CacheDir, Subject},
+                    T.file("populate.out")),
+            0);
+
+  // The default run skips the fillers and replays every analysed function:
+  // the 2 * Pairs singleton SCCs and the recursion pair count, the filler
+  // SCCs analysed nothing and do not.
+  ASSERT_EQ(runTool({"--stats", "--cache-dir=" + CacheDir, Subject},
+                    T.file("warm.out")),
+            0);
+  const std::string Warm = readFile(T.file("warm.out"));
+  EXPECT_EQ(statValue(Warm, "[demand]", "skipped-fns"), Fillers) << Warm;
+  EXPECT_EQ(statValue(Warm, "[demand]", "relevant-fns"), 2 * Pairs + 2)
+      << Warm;
+  EXPECT_EQ(statValue(Warm, "[lifecycle]", "resumed-sccs"), 2 * Pairs + 1)
+      << Warm;
+
+  // An edit to use0 re-analyses use0 and its caller: those two SCCs did
+  // not replay, every other relevant one did.
+  std::string Edited = Src;
+  const std::string From = "void use0(int *p, int c) {";
+  Edited.replace(Edited.find(From), From.size(), From + " int zq = 7;");
+  std::ofstream(Subject, std::ios::trunc) << Edited;
+  ASSERT_EQ(runTool({"--stats", "--cache-dir=" + CacheDir, Subject},
+                    T.file("edit.out")),
+            0);
+  const std::string Edit = readFile(T.file("edit.out"));
+  EXPECT_EQ(statValue(Edit, "[lifecycle]", "resumed-sccs"), 2 * Pairs - 1)
+      << Edit;
 }
 
 TEST(LifecycleCLI, ExitCodeContract) {
@@ -503,49 +548,6 @@ TEST(LifecycleRetry, ZeroRetriesFailImmediately) {
   EXPECT_EQ(S.checkSat(backendQuery(Ctx)), smt::SatResult::Unknown);
   EXPECT_EQ(S.stats().Retries, 0u);
   EXPECT_EQ(S.stats().TransientFailures, 1u);
-}
-
-//===----------------------------------------------------------------------===
-// Run journal
-//===----------------------------------------------------------------------===
-
-TEST(RunJournalTest, RoundTripsEntries) {
-  TempDir T("journal");
-  RunJournal J;
-  J.SubjectFingerprint = 0xdeadbeefcafef00dull;
-  J.SCCs = {{0x1111, true}, {0x2222, false}, {0xffffffffffffffffull, true}};
-  ASSERT_TRUE(J.store(T.path()));
-
-  RunJournal L;
-  ASSERT_TRUE(L.load(T.path()));
-  EXPECT_EQ(L.SubjectFingerprint, J.SubjectFingerprint);
-  ASSERT_EQ(L.SCCs.size(), size_t(3));
-  EXPECT_EQ(L.SCCs[0].Key, 0x1111u);
-  EXPECT_TRUE(L.SCCs[0].Completed);
-  EXPECT_EQ(L.SCCs[1].Key, 0x2222u);
-  EXPECT_FALSE(L.SCCs[1].Completed);
-  EXPECT_EQ(L.SCCs[2].Key, 0xffffffffffffffffull);
-}
-
-TEST(RunJournalTest, MissingAndCorruptFilesAreNotErrors) {
-  TempDir T("journalbad");
-  RunJournal J;
-  EXPECT_FALSE(J.load(T.path())); // Missing: clean slate, no throw.
-  EXPECT_EQ(J.SCCs.size(), size_t(0));
-
-  std::ofstream(RunJournal::path(T.path())) << "not a journal at all\n";
-  EXPECT_FALSE(J.load(T.path()));
-  EXPECT_EQ(J.SCCs.size(), size_t(0));
-
-  std::ofstream(RunJournal::path(T.path()))
-      << "PPRJ 1 0000000000000001\nzzzz completed\n";
-  EXPECT_FALSE(J.load(T.path()));
-  EXPECT_EQ(J.SCCs.size(), size_t(0));
-
-  // Wrong version: rejected, never misinterpreted.
-  std::ofstream(RunJournal::path(T.path()))
-      << "PPRJ 999 0000000000000001\n0000000000000002 completed\n";
-  EXPECT_FALSE(J.load(T.path()));
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "checkers/SpecialCheckers.h"
 #include "frontend/Parser.h"
 #include "ir/CallGraph.h"
 #include "ir/Verifier.h"
@@ -20,6 +21,7 @@
 #include "support/ResourceGovernor.h"
 #include "support/Statistics.h"
 #include "support/SummaryCache.h"
+#include "svfa/Demand.h"
 #include "svfa/GlobalSVFA.h"
 #include "workload/Evaluate.h"
 
@@ -805,8 +807,8 @@ TEST_P(PipelineProperty, CorruptRelevanceEntryFallsBackToFreshPrePass) {
   }
 
   // One byte flip in the middle of the entry.
-  const std::string Entry =
-      (std::filesystem::path(Dir) / "relevance").string();
+  const std::string Entry = SummaryCache(Dir, SummaryCache::Mode::Read)
+                                .entryPath(svfa::RelevanceEntryName);
   ASSERT_TRUE(std::filesystem::exists(Entry));
   {
     std::fstream F(Entry, std::ios::in | std::ios::out | std::ios::binary);
@@ -951,6 +953,178 @@ TEST_P(PipelineProperty, EditedWarmRefreshMatchesColdOnRandomEdits) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+//===----------------------------------------------------------------------===
+// Relevance cones against a naive closure
+//===----------------------------------------------------------------------===
+
+/// The pre-pass's condensation sweeps against a function-level worklist
+/// closure written here, on random call graphs with recursion cycles, for
+/// every subset of {uaf, df, null-deref, taint-path, leak} with the sink
+/// cones on and off.
+class ConeSweep : public ::testing::TestWithParam<uint64_t> {
+protected:
+  /// A random module: each function holds a few random seed statements and
+  /// calls a few random functions, so cycles of every length appear; the
+  /// first and last function always call each other.
+  static std::string randomModule(uint64_t Seed) {
+    RNG Rand(Seed);
+    const int N = 16 + static_cast<int>(Rand.below(16));
+    const char *const Seeds[] = {
+        "free(p);",                   // uaf/df source, df sink
+        "int d@ = *p;",               // deref host
+        "int *m@ = malloc(4);",       // leak source
+        "int t@ = read_input();",     // taint-path source
+        "open(c);",                   // taint-path sink
+        "int *z@ = null;",            // null-deref source
+        "int *l@ = lookup();",        // null-deref source
+    };
+    std::string S;
+    for (int F = 0; F < N; ++F) {
+      S += "int f" + std::to_string(F) + "(int *p, int c) {\n";
+      for (uint64_t K = Rand.below(3); K > 0; --K) {
+        std::string Stmt = Seeds[Rand.below(std::size(Seeds))];
+        size_t At = Stmt.find('@');
+        if (At != std::string::npos)
+          Stmt.replace(At, 1, std::to_string(K));
+        S += "  " + Stmt + "\n";
+      }
+      for (uint64_t K = Rand.below(4); K > 0; --K)
+        S += "  int r" + std::to_string(K) + " = f" +
+             std::to_string(Rand.below(N)) + "(p, c);\n";
+      if (F == 0 || F == N - 1)
+        S += "  int back = f" + std::to_string(N - 1 - F) + "(p, c);\n";
+      S += "  return 0;\n}\n";
+    }
+    return S;
+  }
+
+  using FnSet = std::set<const Function *>;
+
+  /// Closes \p Set under callers (Up) or callees, one function at a time.
+  static void close(const CallGraph &CG, FnSet &Set, bool Up) {
+    std::vector<const Function *> Work(Set.begin(), Set.end());
+    while (!Work.empty()) {
+      Function *F = const_cast<Function *>(Work.back());
+      Work.pop_back();
+      for (Function *G : Up ? CG.callers(F) : CG.callees(F))
+        if (Set.insert(G).second)
+          Work.push_back(G);
+    }
+  }
+
+  static bool hasLeakSource(const Function &F) {
+    for (const BasicBlock *B : F.blocks())
+      for (const Stmt *S : B->stmts())
+        if (const auto *C = dyn_cast<CallStmt>(S))
+          if (C->calleeName() == intrinsics::Malloc && C->receiver())
+            return true;
+    return false;
+  }
+
+  /// The reference slice: callees*(callers*(Src) ∩ callers*(Snk)), or
+  /// callees*(callers*(Src)) without a sink cone.
+  static FnSet slice(const CallGraph &CG, const FnSet &Src,
+                     const FnSet *Snk) {
+    FnSet Core = Src;
+    close(CG, Core, /*Up=*/true);
+    if (Snk) {
+      FnSet SnkCone = *Snk;
+      close(CG, SnkCone, /*Up=*/true);
+      FnSet Both;
+      for (const Function *F : Core)
+        if (SnkCone.count(F))
+          Both.insert(F);
+      Core = std::move(Both);
+    }
+    close(CG, Core, /*Up=*/false);
+    return Core;
+  }
+
+  static FnSet members(const svfa::RelevanceSet &R) {
+    return FnSet(R.Fns.begin(), R.Fns.end());
+  }
+};
+
+TEST_P(ConeSweep, SweepsMatchNaiveClosure) {
+  Module M;
+  std::vector<frontend::Diag> Diags;
+  ASSERT_TRUE(frontend::parseModule(randomModule(GetParam()), M, Diags))
+      << (Diags.empty() ? "" : Diags[0].str());
+  CallGraph CG(M);
+  ASSERT_LT(CG.numSCCs(), M.functions().size()) << "no recursion cycle";
+
+  const std::vector<checkers::CheckerSpec> Pool = {
+      checkers::useAfterFreeChecker(), checkers::doubleFreeChecker(),
+      checkers::nullDerefChecker(), checkers::pathTraversalChecker()};
+  size_t Nonempty = 0;
+  for (unsigned Mask = 1; Mask < 32; ++Mask) {
+    for (bool SinkCones : {true, false}) {
+      svfa::DemandSpec DS;
+      for (size_t I = 0; I < Pool.size(); ++I)
+        if (Mask & (1u << I))
+          DS.Checkers.push_back(Pool[I]);
+      DS.LeakSources = Mask & 16u;
+      DS.UseSinkCones = SinkCones;
+      const svfa::RelevanceArtifact A = svfa::computeRelevanceArtifact(CG, DS);
+      const std::string Tag = "mask=" + std::to_string(Mask) +
+                              " sinks=" + std::to_string(SinkCones);
+
+      FnSet Union, UnionSrc, UnionSnk;
+      size_t Slices = 0;
+      auto expectSlice = [&](const std::string &Name, const FnSet &Src,
+                             const FnSet *Snk) {
+        FnSet Want = slice(CG, Src, Snk);
+        Union.insert(Want.begin(), Want.end());
+        UnionSrc.insert(Src.begin(), Src.end());
+        if (Snk)
+          UnionSnk.insert(Snk->begin(), Snk->end());
+        ++Slices;
+        auto It = A.PerChecker.find(Name);
+        ASSERT_NE(It, A.PerChecker.end()) << Tag << " " << Name;
+        EXPECT_FALSE(It->second.All);
+        EXPECT_EQ(members(It->second), Want) << Tag << " " << Name;
+        EXPECT_EQ(It->second.SourceFns, Src.size()) << Tag << " " << Name;
+        EXPECT_EQ(It->second.SinkFns, Snk ? Snk->size() : 0)
+            << Tag << " " << Name;
+      };
+      for (const checkers::CheckerSpec &CS : DS.Checkers) {
+        FnSet Src, Snk;
+        for (const Function *F : M.functions()) {
+          if (CS.hasSourceSite(*F))
+            Src.insert(F);
+          if (CS.hasSyntacticSinks() ? CS.hasSinkSite(*F)
+                                     : CS.hasDerefSite(*F))
+            Snk.insert(F);
+        }
+        const bool UseSnk =
+            SinkCones && (CS.hasSyntacticSinks() || CS.DerefIsSink);
+        expectSlice(CS.Name, Src, UseSnk ? &Snk : nullptr);
+      }
+      if (DS.LeakSources) {
+        FnSet Src;
+        for (const Function *F : M.functions())
+          if (hasLeakSource(*F))
+            Src.insert(F);
+        expectSlice("leak", Src, nullptr);
+      }
+
+      EXPECT_EQ(A.PerChecker.size(), Slices) << Tag;
+      EXPECT_FALSE(A.Union.All);
+      EXPECT_EQ(members(A.Union), Union) << Tag;
+      EXPECT_EQ(A.Union.SourceFns, UnionSrc.size()) << Tag;
+      EXPECT_EQ(A.Union.SinkFns, UnionSnk.size()) << Tag;
+      // computeRelevance is the union.
+      EXPECT_EQ(members(svfa::computeRelevance(CG, M, DS)), Union) << Tag;
+      Nonempty += !Union.empty() && Union.size() < M.functions().size();
+    }
+  }
+  // Non-vacuity: many configurations keep some functions and skip others.
+  EXPECT_GE(Nonempty, 8u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ConeSweep,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 //===----------------------------------------------------------------------===
 // Malformed-input robustness (run-lifecycle resilience)
