@@ -144,7 +144,7 @@ ModeResult runSliced(const workload::Workload &W,
   svfa::GlobalOptions GO;
   GO.Demand = Mode != SliceMode::Exhaustive;
 
-  MemStats::get().resetPeaks();
+  MemStats::get().resetPeak();
   const int64_t Base = MemStats::get().liveBytes();
   Timer T;
   svfa::AnalyzedModule AM(*M, Ctx, PO);

@@ -10,8 +10,8 @@
 ///
 ///  * governance overhead — end-to-end analysis time with no governor
 ///    features vs. with a (generous) `--mem-budget-mb`, i.e. the price of
-///    the memory plan, the governed-memory charging and the hard-threshold
-///    polls when nothing actually degrades;
+///    the memory plan and the hard-threshold polls when nothing actually
+///    degrades;
 ///  * cancellation drain latency — wall time from `cancel()` on a paced
 ///    mid-flight parallel run until the pipeline unwinds and returns,
 ///    which bounds how stale a flushed partial report can be;

@@ -65,7 +65,13 @@ int main() {
   const auto &Info = AM.info(F);
 
   // Quasi path-sensitive points-to: the load *cell sees {q under sel,
-  // p under !sel}.
+  // p under !sel}. The pipeline folds these dependences into the SEG and
+  // keeps no points-to result, so the final pass re-runs here with the
+  // function's connector bindings.
+  pta::PTAConfig Cfg;
+  Cfg.AuxParams = Info.Interface.auxBindings();
+  pta::PointsToResult PTA =
+      pta::runPointsTo(*F, AM.symbols(), *Info.Conds, Cfg);
   const ir::LoadStmt *Load = nullptr;
   for (ir::BasicBlock *B : F->blocks())
     for (ir::Stmt *S : B->stmts())
@@ -73,7 +79,7 @@ int main() {
         if (L->derefs() == 1 && !L->isSynthetic() && !Load)
           Load = L; // First real load: the read of *cell.
   std::printf("layer 3 (pta): the load of *cell may observe:\n");
-  for (const auto &[CV, Cond] : Info.PTA.loadDeps(Load))
+  for (const auto &[CV, Cond] : PTA.loadDeps(Load))
     std::printf("   %s under %s\n",
                 CV.isInitial() ? "<initial>" : CV.V->str().c_str(),
                 Ctx.toString(Cond).c_str());

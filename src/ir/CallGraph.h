@@ -78,8 +78,7 @@ private:
   std::vector<SCCNode> SCCs;
   size_t NumSCCs = 0;
   /// Backs the frozen SCCNode arrays. Not reported to the MemStats arena
-  /// ledger: condensation bytes are tracked via the cg.csr-bytes counter,
-  /// like the SEG's CSR arena.
+  /// ledger: condensation bytes are tracked via the cg.csr-bytes counter.
   Arena Mem{/*Reported=*/false};
 
   // Tarjan state.

@@ -60,6 +60,10 @@ struct PTAConfig {
 /// An access path *(param, k).
 using ParamPath = std::pair<const ir::Variable *, int>;
 
+/// Per-load data dependences: the values each load may observe, with
+/// conditions — the only points-to output the SEG consumes.
+using LoadDepMap = std::map<const ir::LoadStmt *, ValSet>;
+
 class PointsToResult {
 public:
   /// Values a load may observe, with conditions. Entries with a null IR
@@ -89,39 +93,14 @@ public:
   /// True when the pass stopped early on its step budget.
   bool truncated() const { return Truncated; }
 
-  /// Total conditional entries held (points-to tuples + load dependences) —
-  /// the cardinality the memory governor charges against `--mem-budget-mb`
-  /// via `MemStats::notePTEntries` (see support/Statistics.h).
-  size_t numGovernedEntries() const {
-    size_t N = 0;
-    for (const auto &[L, Vals] : LoadDeps)
-      N += Vals.size();
-    for (const auto &[V, Pts] : VarPts)
-      N += Pts.size();
-    return N;
-  }
-
-  /// Measured heap footprint of the retained outputs: tree nodes plus
-  /// vector payloads. This is the byte figure the governor charges (the
-  /// entry *count* above feeds the balance assertions only).
-  size_t memoryBytes() const {
-    // Node overhead of the red-black trees: three links + color word.
-    const size_t MapNode = 4 * sizeof(void *);
-    size_t N = 0;
-    for (const auto &[L, Vals] : LoadDeps)
-      N += MapNode + sizeof(const ir::LoadStmt *) + sizeof(ValSet) +
-           Vals.capacity() * sizeof(ValSet::value_type);
-    for (const auto &[V, Pts] : VarPts)
-      N += MapNode + sizeof(const ir::Variable *) + sizeof(PtsSet) +
-           Pts.capacity() * sizeof(PtsSet::value_type);
-    N += (Refs.size() + Mods.size()) * (MapNode + sizeof(ParamPath));
-    return N;
-  }
+  /// Moves the per-load dependences out, for the SEG built from them. The
+  /// memory objects of initial-content entries die with this result; the
+  /// SEG skips those entries without reading their origin.
+  LoadDepMap takeLoadDeps() && { return std::move(LoadDeps); }
 
 private:
   friend class PointsToAnalysis;
-  friend class PointsToRebuilder;
-  std::map<const ir::LoadStmt *, ValSet> LoadDeps;
+  LoadDepMap LoadDeps;
   std::map<const ir::Variable *, PtsSet> VarPts;
   std::set<ParamPath> Refs, Mods;
   uint64_t CondsChecked = 0, CondsPruned = 0;
@@ -134,26 +113,6 @@ private:
 PointsToResult runPointsTo(const ir::Function &F, ir::SymbolMap &Syms,
                            ir::ConditionMap &Conds,
                            const PTAConfig &Config = {});
-
-/// Reconstitutes a `PointsToResult` from cached artifacts (the incremental
-/// summary cache, svfa/SummaryIO). Only the outputs with downstream
-/// consumers are restored: per-load dependences (the SEG's only points-to
-/// input), the REF/MOD sets and the truncation flag. Per-variable points-to
-/// sets and the linear-filter statistics stay empty — nothing outside the
-/// pta stage reads them.
-class PointsToRebuilder {
-public:
-  static PointsToResult build(std::map<const ir::LoadStmt *, ValSet> LoadDeps,
-                              std::set<ParamPath> Refs,
-                              std::set<ParamPath> Mods, bool Truncated) {
-    PointsToResult R;
-    R.LoadDeps = std::move(LoadDeps);
-    R.Refs = std::move(Refs);
-    R.Mods = std::move(Mods);
-    R.Truncated = Truncated;
-    return R;
-  }
-};
 
 } // namespace pinpoint::pta
 

@@ -14,9 +14,9 @@ using namespace pinpoint::ir;
 namespace pinpoint::seg {
 
 SEG::SEG(const Function &F, SymbolMap &Syms, ConditionMap &Conds,
-         const pta::PointsToResult &PTA)
+         const pta::LoadDepMap &LoadDeps)
     : F(F), Syms(Syms), Conds(Conds), Ctx(Syms.context()) {
-  build(PTA);
+  build(LoadDeps);
   freeze();
 }
 
@@ -118,18 +118,7 @@ void SEG::freeze() {
                       static_cast<int64_t>(Mem.bytesUsed()));
 }
 
-size_t SEG::memoryBytes() const {
-  // CSR storage is exact (arena-reserved); the id index and call list are
-  // estimated from container geometry (bucket array + one node per entry).
-  const size_t MapNode =
-      sizeof(std::pair<const Variable *, uint32_t>) + 2 * sizeof(void *);
-  return Mem.bytesReserved() + VertexId.size() * MapNode +
-         VertexId.bucket_count() * sizeof(void *) +
-         VertexOrder.capacity() * sizeof(const Variable *) +
-         Calls.capacity() * sizeof(const CallStmt *);
-}
-
-void SEG::build(const pta::PointsToResult &PTA) {
+void SEG::build(const pta::LoadDepMap &LoadDeps) {
   for (const BasicBlock *B : F.blocks()) {
     for (const Stmt *S : B->stmts()) {
       switch (S->stmtKind()) {
@@ -165,12 +154,14 @@ void SEG::build(const pta::PointsToResult &PTA) {
       case Stmt::SK_Load: {
         const auto *L = cast<LoadStmt>(S);
         addUse(L->addr(), S, UseKind::DerefAddr, -1);
-        // The load's symbolic definition comes from the points-to results:
+        // The load's symbolic definition comes from its dependences:
         // ∧_j (cond_j ⇒ dst = val_j); initial (opaque) contents leave the
         // destination unconstrained under their condition.
         LocalDefInfo D;
         D.Constraint = Ctx.getTrue();
-        for (auto &[CV, C] : PTA.loadDeps(L)) {
+        static const pta::ValSet NoDeps;
+        auto It = LoadDeps.find(L);
+        for (auto &[CV, C] : It == LoadDeps.end() ? NoDeps : It->second) {
           if (CV.isInitial())
             continue;
           addFlow(CV.V, L->dst(), C, /*Direct=*/true, S);

@@ -84,9 +84,9 @@ struct Closure {
 class SEG {
 public:
   /// Builds the SEG for \p F (post-SSA, post-transform) from the final
-  /// points-to results.
+  /// per-load data dependences (points-to pass 2's, or a cache replay's).
   SEG(const ir::Function &F, ir::SymbolMap &Syms, ir::ConditionMap &Conds,
-      const pta::PointsToResult &PTA);
+      const pta::LoadDepMap &LoadDeps);
 
   const ir::Function &function() const { return F; }
 
@@ -141,9 +141,6 @@ public:
 
   size_t numVertices() const { return VertexId.size(); }
   size_t numEdges() const { return EdgeCount; }
-  /// Measured heap footprint of the frozen graph: CSR arena bytes plus the
-  /// vertex-id index and call list. Feeds `MemStats::noteSEGNodes`.
-  size_t memoryBytes() const;
 
 private:
   /// A symbolic definition in its frozen form: the dependence list is an
@@ -167,7 +164,7 @@ private:
     int OpenRecvIndex = 0;
   };
 
-  void build(const pta::PointsToResult &PTA);
+  void build(const pta::LoadDepMap &LoadDeps);
   void freeze();
   const Closure &ddImpl(const ir::Variable *V);
   Closure controlCondImpl(const ir::Stmt *S);
@@ -216,14 +213,13 @@ private:
   std::unordered_map<const ir::Variable *, uint32_t> VertexId;
   std::vector<const ir::Variable *> VertexOrder;
   /// Frozen CSR adjacency: `*Off` has numVertices()+1 entries; row i of
-  /// the edge array is [Off[i], Off[i+1]). All storage lives in `Mem`.
-  /// The arena is unreported — its bytes are charged through the
-  /// per-structure `noteSEGNodes` channel instead (see Pipeline).
+  /// the edge array is [Off[i], Off[i+1]). All storage lives in `Mem`,
+  /// a reported arena: its slabs count towards the governed memory.
   const uint32_t *FlowOutOff = nullptr, *FlowInOff = nullptr,
                  *UsesOff = nullptr;
   const FlowEdge *FlowOutE = nullptr, *FlowInE = nullptr;
   const Use *UsesE = nullptr;
-  Arena Mem{/*Reported=*/false};
+  Arena Mem;
   /// Frozen symbolic definitions, indexed by vertex id (nullptr = not yet
   /// materialised; slots fill lazily under QueryMu). Variables that never
   /// became vertices (e.g. a load destination with no incoming flow) land

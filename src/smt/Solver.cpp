@@ -6,7 +6,6 @@
 
 #include "smt/Solver.h"
 #include "support/ResourceGovernor.h"
-#include "support/Statistics.h"
 
 #include <algorithm>
 #include <chrono>
@@ -73,7 +72,6 @@ SatResult StagedSolver::discharge(const Expr *E) {
       return SatResult::Unknown;
     }
     ++S.Retries;
-    Counters::get().add("solver.retries");
     // Capped exponential backoff: 1, 2, 4, 8, then 16 ms per further retry.
     std::this_thread::sleep_for(
         std::chrono::milliseconds(std::min<long>(1L << std::min(Attempt, 4),

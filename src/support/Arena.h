@@ -30,10 +30,10 @@ class Arena {
 public:
   Arena() = default;
   /// \p Reported controls whether slab bytes flow into the global
-  /// `MemStats` arena ledger. Pass false for arenas whose bytes are already
-  /// charged through another channel (e.g. the SEG CSR arena, charged as
-  /// per-structure bytes via `noteSEGNodes`), so governance never counts
-  /// the same byte twice.
+  /// `MemStats` arena ledger, which `--mem-budget-mb` and the arena-peak
+  /// statistics read. Pass false for arenas that are not governed memory
+  /// (the linear-filter memo, the engine's frozen summaries, the call-graph
+  /// condensation).
   explicit Arena(bool Reported) : Reported(Reported) {}
   Arena(const Arena &) = delete;
   Arena &operator=(const Arena &) = delete;

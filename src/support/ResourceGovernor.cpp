@@ -74,13 +74,12 @@ std::string DegradationLog::summary() const {
 
 void ResourceGovernor::note(DegradationKind K, std::string Stage,
                             std::string Function, std::string Detail) {
-  Counters::get().add(std::string("governor.") + toString(K));
   Log.note(K, std::move(Stage), std::move(Function), std::move(Detail));
 }
 
 bool ResourceGovernor::memHardExceeded() const {
   return B.MemBudgetMB > 0 &&
-         MemStats::get().governedBytes() > B.MemBudgetMB * 1024 * 1024;
+         MemStats::get().liveBytes() > B.MemBudgetMB * 1024 * 1024;
 }
 
 ResourceGovernor &ResourceGovernor::ungoverned() {

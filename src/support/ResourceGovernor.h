@@ -13,9 +13,9 @@
 ///    budgets for the value-closure walk and the local points-to pass, the
 ///    per-query SMT timeout, and a size cap on analysed functions;
 ///  * a `DegradationLog` — every budget hit, solver Unknown, isolated
-///    failure or injected fault is recorded as a structured event (and
-///    mirrored into the global `Counters` under `governor.*`), so a
-///    degraded run says exactly *what* was given up;
+///    failure or injected fault is recorded as a structured event with a
+///    per-kind count (the `[governor]` stats line), so a degraded run says
+///    exactly *what* was given up;
 ///  * a `FaultInjector` — deterministic forcing of the degradation paths.
 ///
 /// The contract across the pipeline: exceeding a budget never aborts the
@@ -136,7 +136,7 @@ public:
   DegradationLog &log() { return Log; }
   const DegradationLog &log() const { return Log; }
 
-  /// Records a degradation event (and bumps the `governor.<kind>` counter).
+  /// Records a degradation event in the log.
   /// \p Function names the function the event degraded in ("" = run-level).
   void note(DegradationKind K, std::string Stage, std::string Function,
             std::string Detail);
@@ -165,10 +165,10 @@ public:
 
   //===--- Governed-memory budget -----------------------------------------===
 
-  /// True when the live governed bytes (arena + per-structure accounting in
-  /// MemStats) exceed the hard memory budget. The reactive backstop behind
-  /// the deterministic pre-degradation plan: actual usage is interleaving-
-  /// dependent, so this fires only when the model under-estimated.
+  /// True when the live arena bytes (the MemStats ledger) exceed the hard
+  /// memory budget. The reactive backstop behind the deterministic
+  /// pre-degradation plan: actual usage is interleaving-dependent, so this
+  /// fires only when the model under-estimated.
   bool memHardExceeded() const;
 
   //===--- Function-level wall clock --------------------------------------===

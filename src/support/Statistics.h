@@ -28,9 +28,9 @@ namespace pinpoint {
 /// Global named counters. Thread-safe: `add` may be called concurrently
 /// from pipeline/checker tasks under `--jobs N` (the name is hashed to one
 /// of a fixed set of internally-locked shards, so unrelated counters do
-/// not contend). Reads (`value`, `snapshot`) take the shard locks and are
-/// linearizable per counter; `snapshot` is *not* an atomic cut across
-/// counters — take it when the pool is quiescent for exact totals.
+/// not contend). `value` takes the shard lock and is linearizable per
+/// counter; read several counters when the pool is quiescent for exact
+/// totals.
 class Counters {
 public:
   static Counters &get();
@@ -53,17 +53,6 @@ public:
       std::lock_guard<std::mutex> L(S.Mu);
       S.Map.clear();
     }
-  }
-
-  /// Merged copy of every counter, sorted by name.
-  std::map<std::string, int64_t> snapshot() const {
-    std::map<std::string, int64_t> Out;
-    for (const Shard &S : Shards) {
-      std::lock_guard<std::mutex> L(S.Mu);
-      for (const auto &[Name, V] : S.Map)
-        Out[Name] += V;
-    }
-    return Out;
   }
 
 private:
@@ -94,82 +83,34 @@ private:
 /// Thread-safe: arenas on concurrent analysis tasks report through atomics
 /// (the peak is maintained with a CAS loop, so it never under-reports).
 ///
-/// Beyond arenas, the memory governor (`--mem-budget-mb`) also needs the
-/// big non-arena structures accounted: points-to sets and SEG vertices live
-/// in heap containers the arena counter never sees. Their owners charge
-/// per-structure deltas (entry/node counts times a coarse byte weight)
-/// through `notePTEntries`/`noteSEGNodes` and discharge them on
-/// destruction; `governedBytes()` is the budget the governor polls and
-/// `peakGovernedBytes()` feeds the `mem.peak-governed` stat.
+/// This is also the ledger the memory governor (`--mem-budget-mb`) polls.
+/// The IR and every function's SEG live in reported arenas, and an arena
+/// discharges its own bytes when it is destroyed, so the ledger balances
+/// without any bookkeeping by the arenas' owners.
 class MemStats {
 public:
   static MemStats &get();
 
   void noteArenaBytes(int64_t Delta) {
     int64_t Now = Live.fetch_add(Delta, std::memory_order_relaxed) + Delta;
-    raisePeak(Peak, Now);
-    raisePeak(GovernedPeak,
-              Now + Struct.load(std::memory_order_relaxed));
+    int64_t Seen = Peak.load(std::memory_order_relaxed);
+    while (Now > Seen && !Peak.compare_exchange_weak(
+                             Seen, Now, std::memory_order_relaxed)) {
+    }
   }
   int64_t liveBytes() const { return Live.load(std::memory_order_relaxed); }
   int64_t peakBytes() const { return Peak.load(std::memory_order_relaxed); }
+  /// Rebases the high-water mark to the current live total, so a harness
+  /// phase reports its own peak.
   void resetPeak() { Peak.store(liveBytes(), std::memory_order_relaxed); }
-  /// Rebases both high-water marks to the current live totals. Used by the
-  /// benchmark harness between phases so each phase reports its own peak.
-  void resetPeaks() {
-    Peak.store(liveBytes(), std::memory_order_relaxed);
-    GovernedPeak.store(governedBytes(), std::memory_order_relaxed);
-  }
-
-  /// Per-structure accounting hooks (negative deltas discharge). \p Bytes
-  /// is the owner's *measured* heap cost for those \p N entries — container
-  /// node overhead included — not a fixed per-entry weight, so
-  /// `planMemoryPressure` orders SCCs by what they actually cost.
-  void notePTEntries(int64_t N, int64_t Bytes) {
-    PTEntries.fetch_add(N, std::memory_order_relaxed);
-    noteStructBytes(Bytes);
-  }
-  void noteSEGNodes(int64_t N, int64_t Bytes) {
-    SEGNodes.fetch_add(N, std::memory_order_relaxed);
-    noteStructBytes(Bytes);
-  }
-  int64_t ptEntries() const {
-    return PTEntries.load(std::memory_order_relaxed);
-  }
-  int64_t segNodes() const { return SEGNodes.load(std::memory_order_relaxed); }
-
-  /// Everything the memory governor charges against `--mem-budget-mb`:
-  /// live arena bytes plus the weighted per-structure accounting.
-  int64_t governedBytes() const {
-    return Live.load(std::memory_order_relaxed) +
-           Struct.load(std::memory_order_relaxed);
-  }
-  int64_t peakGovernedBytes() const {
-    return GovernedPeak.load(std::memory_order_relaxed);
-  }
 
   /// Reads VmHWM (peak resident set) from /proc/self/status, in bytes.
   /// Returns 0 if unavailable.
   static int64_t processPeakRSS();
 
 private:
-  void noteStructBytes(int64_t Delta) {
-    int64_t Now = Struct.fetch_add(Delta, std::memory_order_relaxed) + Delta;
-    raisePeak(GovernedPeak, Now + Live.load(std::memory_order_relaxed));
-  }
-  static void raisePeak(std::atomic<int64_t> &P, int64_t Now) {
-    int64_t Seen = P.load(std::memory_order_relaxed);
-    while (Now > Seen &&
-           !P.compare_exchange_weak(Seen, Now, std::memory_order_relaxed)) {
-    }
-  }
-
   std::atomic<int64_t> Live{0};
   std::atomic<int64_t> Peak{0};
-  std::atomic<int64_t> Struct{0}; ///< Weighted per-structure bytes.
-  std::atomic<int64_t> GovernedPeak{0};
-  std::atomic<int64_t> PTEntries{0};
-  std::atomic<int64_t> SEGNodes{0};
 };
 
 } // namespace pinpoint

@@ -119,6 +119,11 @@ bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
 
       Info.Conds = std::make_unique<ir::ConditionMap>(*F, Syms);
 
+      // The SEG's points-to input: replayed from the summary cache on a
+      // hit, moved out of pass 2's result on a miss.
+      pta::LoadDepMap LoadDeps;
+      bool Hit = false;
+
       // Cache probe: on a key match, replay the stored interface + load
       // dependences instead of running both points-to passes. Any
       // integrity failure falls back to the full rebuild below — the cache
@@ -139,23 +144,19 @@ bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
             std::string Err;
             if (decodeFunctionSummary(L.Payload, E, Err) &&
                 validateSummary(E, *F, Err)) {
-              replayFunctionSummary(*F, E, Syms, Info.Interface, Info.PTA);
+              replayFunctionSummary(*F, E, Syms, Info.Interface, LoadDeps);
               Interfaces.set(F, Info.Interface);
               if (E.NoteTruncated)
                 Gov.note(DegradationKind::PTATruncated, "pipeline", F->name(),
                          "points-to step budget hit");
-              Info.Seg =
-                  std::make_unique<seg::SEG>(*F, Syms, *Info.Conds, Info.PTA);
-              Counters::get().add("seg.edges",
-                                  static_cast<int64_t>(Info.Seg->numEdges()));
               Counters::get().add("cache.hits", 1);
-              chargeGoverned(Info);
-              Fns.at(F) = std::move(Info);
-              return true;
+              Hit = true;
+            } else {
+              Gov.note(DegradationKind::CacheCorrupt, "cache", F->name(),
+                       Err);
+              Counters::get().add("cache.corrupt", 1);
+              Counters::get().add("cache.misses", 1);
             }
-            Gov.note(DegradationKind::CacheCorrupt, "cache", F->name(), Err);
-            Counters::get().add("cache.corrupt", 1);
-            Counters::get().add("cache.misses", 1);
           } else if (L.Status == SummaryCache::LoadStatus::Corrupt) {
             Gov.note(DegradationKind::CacheCorrupt, "cache", F->name(),
                      L.Detail);
@@ -170,48 +171,50 @@ bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
         }
       }
 
-      // Pass 1: discover this function's own side effects.
-      pta::PTAConfig Cfg1;
-      Cfg1.UseLinearFilter = Opts.UseLinearFilter;
-      Cfg1.MaxSteps = Gov.budget().MaxPTASteps;
-      pta::PointsToResult Pass1 = pta::runPointsTo(*F, Syms, *Info.Conds, Cfg1);
+      if (!Hit) {
+        // Pass 1: discover this function's own side effects.
+        pta::PTAConfig Cfg1;
+        Cfg1.UseLinearFilter = Opts.UseLinearFilter;
+        Cfg1.MaxSteps = Gov.budget().MaxPTASteps;
+        pta::PointsToResult Pass1 =
+            pta::runPointsTo(*F, Syms, *Info.Conds, Cfg1);
 
-      // Materialise the connector interface (Fig. 3(a)).
-      Info.Interface = transform::applyInterfaceTransform(*F, Pass1);
-      Interfaces.set(F, Info.Interface);
+        // Materialise the connector interface (Fig. 3(a)).
+        Info.Interface = transform::applyInterfaceTransform(*F, Pass1);
+        Interfaces.set(F, Info.Interface);
 
-      // Pass 2: final points-to with the Aux bindings in place.
-      pta::PTAConfig Cfg2;
-      Cfg2.UseLinearFilter = Opts.UseLinearFilter;
-      Cfg2.MaxSteps = Gov.budget().MaxPTASteps;
-      Cfg2.AuxParams = Info.Interface.auxBindings();
-      Info.PTA = pta::runPointsTo(*F, Syms, *Info.Conds, Cfg2);
+        // Pass 2: final points-to with the Aux bindings in place.
+        pta::PTAConfig Cfg2;
+        Cfg2.UseLinearFilter = Opts.UseLinearFilter;
+        Cfg2.MaxSteps = Gov.budget().MaxPTASteps;
+        Cfg2.AuxParams = Info.Interface.auxBindings();
+        pta::PointsToResult Final =
+            pta::runPointsTo(*F, Syms, *Info.Conds, Cfg2);
 
-      if (Pass1.truncated() || Info.PTA.truncated())
-        Gov.note(DegradationKind::PTATruncated, "pipeline", F->name(),
-                 "points-to step budget hit");
+        const bool Truncated = Pass1.truncated() || Final.truncated();
+        if (Truncated)
+          Gov.note(DegradationKind::PTATruncated, "pipeline", F->name(),
+                   "points-to step budget hit");
 
-      Info.Seg = std::make_unique<seg::SEG>(*F, Syms, *Info.Conds, Info.PTA);
-      Counters::get().add("seg.edges",
-                          static_cast<int64_t>(Info.Seg->numEdges()));
-
-      // Persist the freshly-built artifacts. Tainted chains are never
-      // stored: their interfaces reflect this run's nondeterministic
-      // degradation, not the keyed source content. Unrepresentable
-      // summaries are silently skipped (the function just stays uncached).
-      if (Cache && Cache->writable() && !CalleeTainted &&
-          !SCCOwnTaint[SCCId]) {
-        std::vector<uint8_t> Payload;
-        if (encodeFunctionSummary(*F, Info, Syms,
-                                  Pass1.truncated() || Info.PTA.truncated(),
-                                  Payload) &&
-            Cache->store(F->name(), SCCKeys[SCCId], Payload))
-          Counters::get().add("cache.stored", 1);
+        // Persist the freshly-built artifacts. Tainted chains are never
+        // stored: their interfaces reflect this run's nondeterministic
+        // degradation, not the keyed source content. Unrepresentable
+        // summaries are silently skipped (the function just stays
+        // uncached).
+        if (Cache && Cache->writable() && !CalleeTainted &&
+            !SCCOwnTaint[SCCId]) {
+          std::vector<uint8_t> Payload;
+          if (encodeFunctionSummary(*F, Info.Interface, Final, Syms,
+                                    Truncated, Payload) &&
+              Cache->store(F->name(), SCCKeys[SCCId], Payload))
+            Counters::get().add("cache.stored", 1);
+        }
+        LoadDeps = std::move(Final).takeLoadDeps();
       }
 
-      chargeGoverned(Info);
+      Info.Seg = std::make_unique<seg::SEG>(*F, Syms, *Info.Conds, LoadDeps);
       Fns.at(F) = std::move(Info);
-      return false;
+      return Hit;
     } catch (const std::exception &Ex) {
       Gov.note(DegradationKind::FunctionFailed, "pipeline", F->name(),
                Ex.what());
@@ -222,14 +225,14 @@ bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
   }
 
   // Conservative fallback: no connectors (callers see no side effects),
-  // empty points-to (SEG keeps only direct def-use flow). Best effort —
+  // no load dependences (the SEG keeps only direct def-use flow). Best effort —
   // a degraded function can still surface its local value-flow bugs.
   Info.Degraded = true;
   try {
     Info.Conds = std::make_unique<ir::ConditionMap>(*F, Syms);
     Info.Interface = transform::FunctionInterface();
-    Info.PTA = pta::PointsToResult();
-    Info.Seg = std::make_unique<seg::SEG>(*F, Syms, *Info.Conds, Info.PTA);
+    Info.Seg = std::make_unique<seg::SEG>(*F, Syms, *Info.Conds,
+                                          pta::LoadDepMap());
   } catch (const std::exception &Ex) {
     Gov.note(DegradationKind::FunctionSkipped, "pipeline", F->name(),
              std::string("fallback failed: ") + Ex.what());
@@ -238,29 +241,8 @@ bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
     Info.Seg = nullptr;
   }
   Interfaces.set(F, Info.Interface);
-  chargeGoverned(Info);
   Fns.at(F) = std::move(Info);
   return false;
-}
-
-void AnalyzedModule::chargeGoverned(const AnalyzedFunction &Info) {
-  MemStats &MS = MemStats::get();
-  int64_t PT = static_cast<int64_t>(Info.PTA.numGovernedEntries());
-  int64_t PTB = static_cast<int64_t>(Info.PTA.memoryBytes());
-  if (PT || PTB) {
-    MS.notePTEntries(PT, PTB);
-    PTCharge.fetch_add(PT, std::memory_order_relaxed);
-    PTChargeBytes.fetch_add(PTB, std::memory_order_relaxed);
-  }
-  if (Info.Seg) {
-    int64_t SG = static_cast<int64_t>(Info.Seg->numVertices());
-    int64_t SGB = static_cast<int64_t>(Info.Seg->memoryBytes());
-    if (SG || SGB) {
-      MS.noteSEGNodes(SG, SGB);
-      SEGCharge.fetch_add(SG, std::memory_order_relaxed);
-      SEGChargeBytes.fetch_add(SGB, std::memory_order_relaxed);
-    }
-  }
 }
 
 void AnalyzedModule::planMemoryPressure(
@@ -269,12 +251,13 @@ void AnalyzedModule::planMemoryPressure(
   if (BudgetMB <= 0 || SCCs.empty())
     return;
 
-  // Byte model: the per-function pipeline's footprint is dominated by the
-  // conditional points-to sets and the SEG, both roughly linear in statement
-  // count; the fallback keeps only the SSA'd IR and a def-use SEG. The
-  // estimate only has to *rank* SCCs consistently — it is a pure function of
-  // the subject and the budget, never of measured usage, so the plan (and
-  // with it the degraded-SCC set) is identical across runs and job counts.
+  // Byte model: a fully analysed function keeps its SEG and builds its
+  // conditional points-to sets on the way there, both roughly linear in
+  // statement count; the fallback keeps only the SSA'd IR and a def-use
+  // SEG. The estimate only has to *rank* SCCs consistently — it is a pure
+  // function of the subject and the budget, never of measured usage, so
+  // the plan (and with it the degraded-SCC set) is identical across runs
+  // and job counts.
   constexpr int64_t FnBaseBytes = 16384;
   constexpr int64_t FullBytesPerStmt = 4096;
   constexpr int64_t FallbackBytesPerStmt = 256;
@@ -323,20 +306,6 @@ void AnalyzedModule::planMemoryPressure(
   }
   if (MemPlanDegraded == 0)
     MemPlanDegrade.clear();
-}
-
-AnalyzedModule::~AnalyzedModule() {
-  // Balance the governed-memory ledger so sequential AnalyzedModules in one
-  // process (tests, benchmarks) do not accumulate phantom bytes.
-  MemStats &MS = MemStats::get();
-  int64_t PT = PTCharge.load(std::memory_order_relaxed);
-  int64_t PTB = PTChargeBytes.load(std::memory_order_relaxed);
-  if (PT || PTB)
-    MS.notePTEntries(-PT, -PTB);
-  int64_t SG = SEGCharge.load(std::memory_order_relaxed);
-  int64_t SGB = SEGChargeBytes.load(std::memory_order_relaxed);
-  if (SG || SGB)
-    MS.noteSEGNodes(-SG, -SGB);
 }
 
 AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,

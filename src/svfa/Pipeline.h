@@ -12,9 +12,11 @@
 ///   path-sensitive points-to (pass 1) → Mod/Ref → interface transform
 ///   (Aux params / returns) → points-to pass 2 → SEG.
 ///
-/// The result, `AnalyzedModule`, owns per-function condition maps, final
-/// points-to results, connector interfaces and SEGs — everything the global
-/// value-flow stage (GlobalSVFA) and the checkers consume.
+/// The result, `AnalyzedModule`, owns per-function condition maps,
+/// connector interfaces and SEGs — everything the global value-flow stage
+/// (GlobalSVFA) and the checkers consume. Points-to results are
+/// intermediates: pass 2's load dependences are folded into the SEG and the
+/// result is dropped.
 ///
 /// With a `ThreadPool` in the options, the per-function stages run as a
 /// dependency-aware schedule over the call-graph condensation: each SCC is
@@ -56,14 +58,14 @@ namespace pinpoint::svfa {
 struct AnalyzedFunction {
   ir::Function *F = nullptr;
   std::unique_ptr<ir::ConditionMap> Conds;
-  pta::PointsToResult PTA; ///< Final (post-transform) points-to results.
   transform::FunctionInterface Interface;
   std::unique_ptr<seg::SEG> Seg;
   /// The full per-function pipeline was not run (oversized function, budget
   /// exhaustion, or an isolated failure): the connector interface is empty
-  /// — callers see no side effects — and points-to is empty, so the SEG
-  /// carries only direct def-use flow. Seg is null only if even the
-  /// conservative fallback failed; consumers must skip such functions.
+  /// — callers see no side effects — and the SEG is built without load
+  /// dependences, so it carries only direct def-use flow. Seg is null only
+  /// if even the conservative fallback failed; consumers must skip such
+  /// functions.
   bool Degraded = false;
   /// The demand pre-pass proved this function irrelevant to every enabled
   /// checker: nothing ran at all (no points-to, no interface, no SEG) and
@@ -103,8 +105,6 @@ class AnalyzedModule {
 public:
   AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
                  const PipelineOptions &Opts = {});
-  /// Discharges this module's governed-memory accounting (see MemStats).
-  ~AnalyzedModule();
 
   ir::Module &module() { return M; }
   const ir::CallGraph &callGraph() const { return *CG; }
@@ -199,10 +199,6 @@ private:
                   ResourceGovernor &Gov, const PipelineOptions &Opts,
                   transform::InterfaceMap &Interfaces, RunState &RS);
 
-  /// Charges \p Info's points-to entries and SEG vertices to the governed-
-  /// memory accounting (discharged again by the destructor).
-  void chargeGoverned(const AnalyzedFunction &Info);
-
   /// Builds the deterministic memory-pressure plan: with a memory budget
   /// set, pre-degrades the largest not-yet-analyzed SCCs (by modelled byte
   /// estimate, ties to the smaller id) until the model fits the soft
@@ -250,15 +246,6 @@ private:
   /// The set the memory plan is keyed on (All = true models everything;
   /// see PipelineOptions::PlanDemand).
   RelevanceSet PlanRel;
-
-  /// Governed-memory charges to discharge at destruction (atomic: charged
-  /// from concurrent SCC tasks). Counts and measured bytes are ledgered
-  /// separately: counts feed the accounting-balance assertions, bytes the
-  /// governor.
-  std::atomic<int64_t> PTCharge{0};
-  std::atomic<int64_t> SEGCharge{0};
-  std::atomic<int64_t> PTChargeBytes{0};
-  std::atomic<int64_t> SEGChargeBytes{0};
 };
 
 } // namespace pinpoint::svfa

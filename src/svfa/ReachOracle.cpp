@@ -26,67 +26,6 @@ void ReachOracle::ensureBuilt() {
     Index.emplace(Blocks[I], static_cast<uint32_t>(I));
   RowBuilt.assign(NumBlocks, 0);
   Rows.resize(NumBlocks);
-
-  // Iterative Tarjan over block indices; component ids are completion
-  // order, which gives the topological invariant reaches() prunes with.
-  Comp.assign(NumBlocks, UINT32_MAX);
-  std::vector<uint32_t> Idx(NumBlocks, UINT32_MAX), Low(NumBlocks, 0);
-  std::vector<uint8_t> OnStack(NumBlocks, 0);
-  std::vector<uint32_t> Stack;
-  uint32_t NextIdx = 0, NextComp = 0;
-
-  struct Frame {
-    uint32_t Node;
-    size_t SuccPos;
-  };
-  std::vector<Frame> Call;
-  for (uint32_t Root = 0; Root < NumBlocks; ++Root) {
-    if (Idx[Root] != UINT32_MAX)
-      continue;
-    Call.push_back({Root, 0});
-    while (!Call.empty()) {
-      // Re-fetch per iteration: Call may reallocate on the push below.
-      uint32_t U = Call.back().Node;
-      if (Call.back().SuccPos == 0) {
-        Idx[U] = Low[U] = NextIdx++;
-        Stack.push_back(U);
-        OnStack[U] = 1;
-      }
-      const std::vector<BasicBlock *> &Succs = Blocks[U]->succs();
-      bool Descended = false;
-      while (Call.back().SuccPos < Succs.size()) {
-        uint32_t V = Index.at(Succs[Call.back().SuccPos]);
-        ++Call.back().SuccPos;
-        if (Idx[V] == UINT32_MAX) {
-          Call.push_back({V, 0});
-          Descended = true;
-          break;
-        }
-        if (OnStack[V] && Idx[V] < Low[U])
-          Low[U] = Idx[V];
-      }
-      if (Descended)
-        continue;
-      // U finished: pop its component if it is a root.
-      if (Low[U] == Idx[U]) {
-        for (;;) {
-          uint32_t W = Stack.back();
-          Stack.pop_back();
-          OnStack[W] = 0;
-          Comp[W] = NextComp;
-          if (W == U)
-            break;
-        }
-        ++NextComp;
-      }
-      Call.pop_back();
-      if (!Call.empty()) {
-        uint32_t Parent = Call.back().Node;
-        if (Low[U] < Low[Parent])
-          Low[Parent] = Low[U];
-      }
-    }
-  }
 }
 
 void ReachOracle::buildRow(uint32_t Row) {
@@ -116,18 +55,15 @@ void ReachOracle::buildRow(uint32_t Row) {
 bool ReachOracle::reaches(const Stmt *A, const Stmt *B) {
   if (A == B)
     return false;
+  const uint32_t OrderA = F.stmtOrder(A), OrderB = F.stmtOrder(B);
   if (A->parent() == B->parent())
-    return F.stmtOrder(A) < F.stmtOrder(B);
+    return OrderA < OrderB;
+  // Reverse-post-order numbers over an acyclic CFG: every path leads to
+  // larger numbers, so a target numbered below the source is unreachable.
+  if (OrderB < OrderA)
+    return false;
   ensureBuilt();
   const uint32_t From = Index.at(A->parent()), To = Index.at(B->parent());
-  // Completion-order ids: a path to a different component only ever
-  // reaches smaller ids, so a larger target id is unreachable O(1); a
-  // shared component of two distinct blocks is cyclic, hence mutually
-  // reachable.
-  if (Comp[To] > Comp[From])
-    return false;
-  if (Comp[To] == Comp[From])
-    return true;
   if (!RowBuilt[From])
     buildRow(From);
   return (Rows[From][To >> 6] >> (To & 63)) & 1;

@@ -11,25 +11,23 @@
 ///
 /// Two layers, both exact:
 ///
-///  1. A condensation interval check answers most queries O(1): block
-///     component ids are Tarjan completion order, so a cross-component
-///     edge always goes to a *smaller* id — `comp(To) > comp(From)` proves
-///     unreachability without touching a bitset, and two distinct blocks
-///     sharing a (necessarily cyclic) component are mutually reachable.
-///     Subject CFGs are acyclic (loops unroll at lowering), making the
-///     no-path fast path the common case.
+///  1. Statement order answers most queries O(1): `Function::stmtOrder` is
+///     a reverse-post-order numbering from the entry, and subject CFGs are
+///     acyclic (loops unroll at lowering; the verifier rejects cycles), so
+///     every CFG path leads to larger numbers — a target numbered below
+///     the source is unreachable without touching a bitset.
 ///
-///  2. Only ties (`comp(To) < comp(From)`) fall through to the bitset DFS —
+///  2. Only forward cross-block queries fall through to the bitset DFS —
 ///     and its rows are built lazily, one row per *queried* source block,
 ///     so functions whose events never consult the oracle (or consult it
 ///     from few blocks) never pay the O(B^2/8) matrix. Row builds count
 ///     into the `svfa.lazy-reach-rows` stat.
 ///
-/// Construction itself is lazy too: the per-function Tarjan pass runs at
-/// the first cross-block `reaches()` query, not when the oracle object is
-/// made — a non-temporal checker (or a function whose events all share a
-/// block, answered by statement order alone) never pays it. Builds count
-/// into `svfa.reach-oracles-built`.
+/// Construction itself is lazy too: the block index is built at the first
+/// query that needs a row, not when the oracle object is made — a
+/// non-temporal checker (or a function whose queries statement order
+/// answers alone) never pays it. Builds count into
+/// `svfa.reach-oracles-built`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,19 +52,15 @@ public:
   bool reaches(const ir::Stmt *A, const ir::Stmt *B);
 
 private:
-  /// Runs the deferred block indexing + Tarjan condensation on the first
-  /// cross-block query (same-block queries need only statement order).
+  /// Runs the deferred block indexing on the first query that needs a row.
   void ensureBuilt();
   void buildRow(uint32_t Row);
 
   bool Built = false;
   const ir::Function &F;
   std::unordered_map<const ir::BasicBlock *, uint32_t> Index;
-  /// Condensation component of each block, in Tarjan completion order:
-  /// any CFG path from u to a different component lands on a smaller id.
-  std::vector<uint32_t> Comp;
   /// One bitset row per *queried* source block; unqueried rows stay
-  /// unallocated (a function never consulted costs only the Comp vector).
+  /// unallocated.
   std::vector<std::vector<uint64_t>> Rows;
   std::vector<uint8_t> RowBuilt; ///< Which rows are materialised.
   size_t Words = 0;              ///< Words per row.

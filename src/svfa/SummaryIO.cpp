@@ -7,7 +7,6 @@
 #include "svfa/SummaryIO.h"
 #include "support/Serializer.h"
 
-#include <map>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -120,8 +119,10 @@ unsigned expectedArity(smt::ExprKind K) {
 
 } // namespace
 
-bool encodeFunctionSummary(const Function &F, const AnalyzedFunction &Info,
-                           ir::SymbolMap &Syms, bool NoteTruncated,
+bool encodeFunctionSummary(const Function &F,
+                           const transform::FunctionInterface &Interface,
+                           const pta::PointsToResult &Final,
+                           const ir::SymbolMap &Syms, bool NoteTruncated,
                            std::vector<uint8_t> &Out) {
   std::vector<const LoadStmt *> Loads = loadsInOrder(F);
 
@@ -132,7 +133,7 @@ bool encodeFunctionSummary(const Function &F, const AnalyzedFunction &Info,
   };
   std::vector<FunctionSummaryEntry::LoadEntry> Entries;
   for (uint32_t LI = 0; LI < Loads.size(); ++LI) {
-    const pta::ValSet &Deps = Info.PTA.loadDeps(Loads[LI]);
+    const pta::ValSet &Deps = Final.loadDeps(Loads[LI]);
     FunctionSummaryEntry::LoadEntry LE;
     LE.LoadIdx = LI;
     for (const auto &CE : Deps) {
@@ -172,7 +173,7 @@ bool encodeFunctionSummary(const Function &F, const AnalyzedFunction &Info,
   // Pass 2: serialise.
   ByteWriter W;
   W.boolean(NoteTruncated);
-  W.boolean(Info.PTA.truncated());
+  W.boolean(Final.truncated());
 
   auto writePaths = [&](const std::vector<pta::ParamPath> &Paths) {
     W.u32(static_cast<uint32_t>(Paths.size()));
@@ -181,8 +182,8 @@ bool encodeFunctionSummary(const Function &F, const AnalyzedFunction &Info,
       W.u32(static_cast<uint32_t>(P.second));
     }
   };
-  writePaths(Info.Interface.RefPaths);
-  writePaths(Info.Interface.ModPaths);
+  writePaths(Interface.RefPaths);
+  writePaths(Interface.ModPaths);
 
   W.u32(static_cast<uint32_t>(Loads.size()));
 
@@ -241,7 +242,9 @@ bool decodeFunctionSummary(const std::vector<uint8_t> &Payload,
   try {
     ByteReader R(Payload);
     Out.NoteTruncated = R.boolean();
-    Out.ResultTruncated = R.boolean();
+    // Pass 2's own truncation flag: part of the format, never replayed
+    // (nothing downstream of the SEG reads it).
+    (void)R.boolean();
 
     auto readPaths = [&](std::vector<std::pair<uint32_t, uint32_t>> &Paths) {
       uint32_t N = R.u32();
@@ -388,7 +391,7 @@ bool validateSummary(const FunctionSummaryEntry &E, const Function &F,
 void replayFunctionSummary(Function &F, const FunctionSummaryEntry &E,
                            ir::SymbolMap &Syms,
                            transform::FunctionInterface &InterfaceOut,
-                           pta::PointsToResult &PTAOut) {
+                           pta::LoadDepMap &LoadDepsOut) {
   smt::ExprContext &Ctx = Syms.context();
   Module &M = *F.parent();
 
@@ -485,7 +488,7 @@ void replayFunctionSummary(Function &F, const FunctionSummaryEntry &E,
     NodeExprs.push_back(Built);
   }
 
-  std::map<const LoadStmt *, pta::ValSet> LoadDeps;
+  LoadDepsOut.clear();
   for (const auto &LE : E.Loads) {
     pta::ValSet VS;
     VS.reserve(LE.Vals.size());
@@ -507,13 +510,8 @@ void replayFunctionSummary(Function &F, const FunctionSummaryEntry &E,
       }
       VS.push_back({CV, NodeExprs[DV.CondIdx]});
     }
-    LoadDeps.emplace(Loads[LE.LoadIdx], std::move(VS));
+    LoadDepsOut.emplace(Loads[LE.LoadIdx], std::move(VS));
   }
-
-  std::set<pta::ParamPath> Refs(RefV.begin(), RefV.end());
-  std::set<pta::ParamPath> Mods(ModV.begin(), ModV.end());
-  PTAOut = pta::PointsToRebuilder::build(std::move(LoadDeps), std::move(Refs),
-                                         std::move(Mods), E.ResultTruncated);
 }
 
 } // namespace pinpoint::svfa

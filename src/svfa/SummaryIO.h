@@ -36,7 +36,6 @@
 #include "ir/Conditions.h"
 #include "ir/IR.h"
 #include "pta/PointsTo.h"
-#include "svfa/Pipeline.h"
 #include "transform/Connectors.h"
 
 #include <cstdint>
@@ -51,8 +50,6 @@ struct FunctionSummaryEntry {
   /// Replay a PTATruncated degradation note (a deterministic consequence of
   /// the configured step budget, so it is cacheable).
   bool NoteTruncated = false;
-  /// The reconstituted result's truncated() flag.
-  bool ResultTruncated = false;
 
   /// Access paths as (original parameter index, deref level).
   std::vector<std::pair<uint32_t, uint32_t>> RefPaths, ModPaths;
@@ -84,12 +81,15 @@ struct FunctionSummaryEntry {
   std::vector<LoadEntry> Loads;
 };
 
-/// Encodes \p Info's artifacts (the function must be fully transformed).
-/// Returns false when the artifacts are not representable — e.g. a load-dep
-/// condition mentions a symbolic variable with no IR backing — in which
-/// case the function is simply not cached.
-bool encodeFunctionSummary(const ir::Function &F, const AnalyzedFunction &Info,
-                           ir::SymbolMap &Syms, bool NoteTruncated,
+/// Encodes \p F's connector interface and points-to pass 2's result
+/// \p Final (the function must be fully transformed). Returns false when
+/// the artifacts are not representable — e.g. a load-dep condition
+/// mentions a symbolic variable with no IR backing — in which case the
+/// function is simply not cached.
+bool encodeFunctionSummary(const ir::Function &F,
+                           const transform::FunctionInterface &Interface,
+                           const pta::PointsToResult &Final,
+                           const ir::SymbolMap &Syms, bool NoteTruncated,
                            std::vector<uint8_t> &Out);
 
 /// Decodes \p Payload. Returns false (with \p Err) on malformed bytes.
@@ -105,13 +105,14 @@ bool validateSummary(const FunctionSummaryEntry &E, const ir::Function &F,
                      std::string &Err);
 
 /// Replays \p E onto \p F (call-site rewriting must already have run):
-/// applies the interface transform, rebuilds the load-dependence conditions
-/// and reconstitutes the points-to result. Throws std::runtime_error on a
-/// residual mismatch (stale-but-key-matching entry, i.e. a hash collision).
+/// applies the interface transform and rebuilds the per-load dependences
+/// with their conditions, which is all the SEG reads. Throws
+/// std::runtime_error on a residual mismatch (stale-but-key-matching entry,
+/// i.e. a hash collision).
 void replayFunctionSummary(ir::Function &F, const FunctionSummaryEntry &E,
                            ir::SymbolMap &Syms,
                            transform::FunctionInterface &InterfaceOut,
-                           pta::PointsToResult &PTAOut);
+                           pta::LoadDepMap &LoadDepsOut);
 
 } // namespace pinpoint::svfa
 

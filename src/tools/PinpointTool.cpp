@@ -633,7 +633,7 @@ int pinpointToolMain(int Argc, char **Argv) {
         std::printf("[lifecycle] mem.peak-governed=%.1fMB "
                     "mem-plan-degraded=%zu resumed-sccs=%zu "
                     "solver.retries=%llu transient-failures=%llu\n",
-                    MemStats::get().peakGovernedBytes() / 1e6,
+                    MemStats::get().peakBytes() / 1e6,
                     AM.memPlanDegradedSCCs(), AM.resumedSCCs(),
                     (unsigned long long)TotalRetries,
                     (unsigned long long)TotalTransientFailures);

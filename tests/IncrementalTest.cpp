@@ -317,6 +317,138 @@ TEST(IncrementalDifferentialTest, EditedRunMatchesColdAndReusesCleanSCCs) {
 }
 
 //===----------------------------------------------------------------------===
+// Warm SEGs equal cold SEGs
+//===----------------------------------------------------------------------===
+
+/// Renders a condition with every symbolic variable replaced by the IR
+/// variable it stands for, so conditions interned in two separate
+/// expression contexts compare structurally. Variables without IR backing
+/// (never part of a cached entry) render as a bare "fresh".
+class StructuralRenderer {
+public:
+  explicit StructuralRenderer(const ir::SymbolMap &Syms) : Syms(Syms) {}
+
+  const std::string &operator()(const smt::Expr *E) {
+    auto It = Memo.find(E);
+    if (It != Memo.end())
+      return It->second;
+    std::string Out;
+    switch (E->kind()) {
+    case smt::ExprKind::True:
+      Out = "true";
+      break;
+    case smt::ExprKind::False:
+      Out = "false";
+      break;
+    case smt::ExprKind::IntConst:
+      Out = std::to_string(E->constValue());
+      break;
+    case smt::ExprKind::BoolVar:
+    case smt::ExprKind::IntVar: {
+      const ir::Variable *V = Syms.irVar(E->varId());
+      Out = V ? V->parent()->name() + "." + V->name() + "#" +
+                    std::to_string(V->id())
+              : "fresh";
+      break;
+    }
+    default:
+      Out = "(" + std::to_string(static_cast<int>(E->kind()));
+      for (const smt::Expr *Op : E->operands())
+        Out += " " + (*this)(Op);
+      Out += ")";
+      break;
+    }
+    return Memo.emplace(E, std::move(Out)).first->second;
+  }
+
+private:
+  const ir::SymbolMap &Syms;
+  std::map<const smt::Expr *, std::string> Memo;
+};
+
+/// What the warm/cold comparison reads of one function's SEG.
+struct SEGShape {
+  size_t Vertices = 0, Edges = 0;
+  /// Per load, in block order: the flow-in edges of its destination as
+  /// "source if condition", in edge order.
+  std::vector<std::vector<std::string>> LoadFlowIns;
+};
+
+/// Runs the pipeline over \p Src with \p Cache and returns every SEG's
+/// shape by function name; \p Delta receives the run's cache counters.
+std::map<std::string, SEGShape> segShapes(const std::string &Src,
+                                          SummaryCache &Cache,
+                                          CacheCounters &Delta) {
+  CacheCounters Before = CacheCounters::now();
+  ir::Module M;
+  std::vector<frontend::Diag> Diags;
+  EXPECT_TRUE(frontend::parseModule(Src, M, Diags));
+  std::string Err;
+  EXPECT_TRUE(Cache.prepare(Err)) << Err;
+  smt::ExprContext Ctx;
+  PipelineOptions PO;
+  PO.Cache = &Cache;
+  AnalyzedModule AM(M, Ctx, PO);
+  StructuralRenderer Render(AM.symbols());
+  std::map<std::string, SEGShape> Out;
+  for (const ir::Function *F : M.functions()) {
+    const seg::SEG *Seg = AM.info(F).Seg.get();
+    if (!Seg)
+      continue;
+    SEGShape &Shape = Out[F->name()];
+    Shape.Vertices = Seg->numVertices();
+    Shape.Edges = Seg->numEdges();
+    for (const ir::BasicBlock *B : F->blocks())
+      for (const ir::Stmt *S : B->stmts())
+        if (const auto *L = dyn_cast<ir::LoadStmt>(S)) {
+          std::vector<std::string> In;
+          for (const seg::FlowEdge &E : Seg->flowsIn(L->dst()))
+            In.push_back(E.To->name() + "#" + std::to_string(E.To->id()) +
+                         " if " + Render(E.Cond));
+          Shape.LoadFlowIns.push_back(std::move(In));
+        }
+  }
+  Delta = CacheCounters::now() - Before;
+  return Out;
+}
+
+TEST(IncrementalDifferentialTest, WarmSEGsMatchColdSEGs) {
+  // A cache hit builds its SEG from the replayed load dependences, a miss
+  // from points-to pass 2. Every function that hits must get the SEG a
+  // cold build gives it: same size, and per load the same sources under
+  // the same conditions.
+  for (uint64_t Seed : {11u, 42u}) {
+    workload::Workload W = workload::generate(subjectConfig(Seed));
+    TempCacheDir Dir("seg");
+    SummaryCache Cache(Dir.path(), SummaryCache::Mode::ReadWrite);
+    CacheCounters ColdDelta, WarmDelta;
+    std::map<std::string, SEGShape> Cold =
+        segShapes(W.Source, Cache, ColdDelta);
+    std::map<std::string, SEGShape> Warm =
+        segShapes(W.Source, Cache, WarmDelta);
+
+    EXPECT_EQ(ColdDelta.Hits, 0);
+    EXPECT_GT(WarmDelta.Hits, 0) << "seed " << Seed;
+    EXPECT_EQ(WarmDelta.Hits, ColdDelta.Stored) << "seed " << Seed;
+    EXPECT_EQ(WarmDelta.Corrupt, 0);
+
+    ASSERT_EQ(Cold.size(), Warm.size());
+    size_t LoadEdges = 0;
+    for (const auto &[Name, C] : Cold) {
+      auto It = Warm.find(Name);
+      ASSERT_NE(It, Warm.end()) << Name;
+      const SEGShape &H = It->second;
+      EXPECT_EQ(C.Vertices, H.Vertices) << Name;
+      EXPECT_EQ(C.Edges, H.Edges) << Name;
+      EXPECT_EQ(C.LoadFlowIns, H.LoadFlowIns) << Name;
+      for (const std::vector<std::string> &In : C.LoadFlowIns)
+        LoadEdges += In.size();
+    }
+    EXPECT_GT(LoadEdges, 0u) << "vacuous comparison: no load dependences";
+  }
+}
+
+//===----------------------------------------------------------------------===
 // Invalidation granularity on a handcrafted chain
 //===----------------------------------------------------------------------===
 

@@ -110,9 +110,9 @@ TEST_F(TransformTest, CallSitesMirrorCalleeConnectors) {
         if (St->value() == Call->auxReceivers()[0])
           FoundStore = true;
   EXPECT_TRUE(FoundStore);
-  // And the caller's load of *q must now see the callee's effect: its deps
-  // include the aux receiver.
-  const auto &PTA = AM->info(Use).PTA;
+  // And the caller's load of *q must now see the callee's effect: in the
+  // caller's SEG the load's destination has a flow-in edge from the aux
+  // receiver.
   const LoadStmt *Load = nullptr;
   for (BasicBlock *B : Use->blocks())
     for (Stmt *S : B->stmts())
@@ -120,11 +120,13 @@ TEST_F(TransformTest, CallSitesMirrorCalleeConnectors) {
         if (L->dst() && !L->dst()->name().starts_with("R$"))
           Load = L;
   ASSERT_NE(Load, nullptr);
-  bool DepOnAux = false;
-  for (auto &[CV, C] : PTA.loadDeps(Load))
-    if (!CV.isInitial() && CV.V == Call->auxReceivers()[0])
-      DepOnAux = true;
-  EXPECT_TRUE(DepOnAux);
+  const seg::SEG *Seg = AM->info(Use).Seg.get();
+  ASSERT_NE(Seg, nullptr);
+  bool FlowFromAux = false;
+  for (const seg::FlowEdge &E : Seg->flowsIn(Load->dst()))
+    if (E.To == Call->auxReceivers()[0] && E.Via == Load)
+      FlowFromAux = true;
+  EXPECT_TRUE(FlowFromAux);
 }
 
 TEST_F(TransformTest, RefCallSiteGetsAuxArgument) {
