@@ -7,6 +7,8 @@
 #include "support/ResourceGovernor.h"
 #include "support/Statistics.h"
 
+#include <algorithm>
+
 namespace pinpoint {
 
 const char *toString(DegradationKind K) {
@@ -48,10 +50,30 @@ const char *toString(DegradationKind K) {
 void DegradationLog::note(DegradationKind K, std::string Stage,
                           std::string Function, std::string Detail) {
   Counts[static_cast<size_t>(K)].fetch_add(1, std::memory_order_relaxed);
+  DegradationEvent E{K, std::move(Stage), std::move(Function),
+                     std::move(Detail)};
   std::lock_guard<std::mutex> L(Mu);
-  if (Events.size() < MaxStoredEvents)
-    Events.push_back({K, std::move(Stage), std::move(Function),
-                      std::move(Detail)});
+  if (Events.size() < MaxStoredEvents) {
+    Events.push_back(std::move(E));
+    std::push_heap(Events.begin(), Events.end());
+    return;
+  }
+  ++Dropped;
+  if (!(E < Events.front()))
+    return;
+  std::pop_heap(Events.begin(), Events.end());
+  Events.back() = std::move(E);
+  std::push_heap(Events.begin(), Events.end());
+}
+
+std::vector<DegradationEvent> DegradationLog::events() const {
+  std::vector<DegradationEvent> Out;
+  {
+    std::lock_guard<std::mutex> L(Mu);
+    Out = Events;
+  }
+  std::sort(Out.begin(), Out.end());
+  return Out;
 }
 
 uint64_t DegradationLog::total() const {

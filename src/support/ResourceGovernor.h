@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace pinpoint {
@@ -95,20 +96,33 @@ struct DegradationEvent {
   std::string Stage;    ///< "pipeline", "svfa", "closure", "smt", "checker:uaf".
   std::string Function; ///< Function the event degraded in; "" if run-level.
   std::string Detail;   ///< Step counts, exception text, query origin, ...
+
+  /// The log's order: stage, function, kind, detail.
+  bool operator<(const DegradationEvent &O) const {
+    return std::tie(Stage, Function, Kind, Detail) <
+           std::tie(O.Stage, O.Function, O.Kind, O.Detail);
+  }
 };
 
-/// Append-only record of everything a run gave up. Event storage is capped;
-/// per-kind counters are exact past the cap. Thread-safe: `note` may be
-/// called concurrently from pool tasks; counters are atomic and the event
-/// vector is mutex-guarded, so `events()` returns a snapshot copy.
+/// Record of everything a run gave up. Event storage is capped at the
+/// `MaxStoredEvents` smallest events in the log's order, so the
+/// stored set does not depend on arrival order (under `--jobs N` that is
+/// a race); per-kind counters are exact past the cap. Thread-safe: `note`
+/// may be called concurrently from pool tasks; counters are atomic and the
+/// stored events are mutex-guarded, so `events()` returns a snapshot copy.
 class DegradationLog {
 public:
+  static constexpr size_t MaxStoredEvents = 4096;
+
   void note(DegradationKind K, std::string Stage, std::string Function,
             std::string Detail);
 
-  std::vector<DegradationEvent> events() const {
+  /// The stored events, sorted.
+  std::vector<DegradationEvent> events() const;
+  /// Events noted but not stored (past the cap).
+  uint64_t dropped() const {
     std::lock_guard<std::mutex> L(Mu);
-    return Events;
+    return Dropped;
   }
   uint64_t count(DegradationKind K) const {
     return Counts[static_cast<size_t>(K)].load(std::memory_order_relaxed);
@@ -118,15 +132,28 @@ public:
   std::string summary() const;
 
 private:
-  static constexpr size_t MaxStoredEvents = 4096;
-  mutable std::mutex Mu; ///< Guards Events.
+  mutable std::mutex Mu; ///< Guards Events and Dropped.
+  /// A max-heap in the log's order once full: the largest stored event is
+  /// the one a smaller newcomer evicts.
   std::vector<DegradationEvent> Events;
+  uint64_t Dropped = 0;
   std::array<std::atomic<uint64_t>,
              static_cast<size_t>(DegradationKind::NumKinds)>
       Counts{};
 };
 
 class ResourceGovernor {
+  /// Per-thread budget state. One slot per thread is enough because a
+  /// thread works under one governor at a time and every unit of work
+  /// re-arms its budgets on entry (a nested unit saves and restores the
+  /// slot, see `NestedUnit`); a governor switch just resets the slot.
+  struct ThreadState {
+    const ResourceGovernor *Owner = nullptr;
+    Timer FnTimer;
+    uint64_t ClosureStepsLeft = 0;
+    bool ClosureBounded = false;
+  };
+
 public:
   explicit ResourceGovernor(Budget B = {}, FaultInjector FI = {})
       : B(B), FI(std::move(FI)) {}
@@ -206,6 +233,22 @@ public:
     return true;
   }
 
+  /// Saves this thread's function clock and closure budget and restores
+  /// them on destruction. A unit of work that runs another unit inside it
+  /// (the engine builds a callee's summaries mid-walk, on first use) lets
+  /// the inner unit arm budgets of its own, then resumes its own.
+  class NestedUnit {
+  public:
+    explicit NestedUnit(ResourceGovernor &G) : G(G), Saved(G.threadState()) {}
+    ~NestedUnit() { G.threadState() = Saved; }
+    NestedUnit(const NestedUnit &) = delete;
+    NestedUnit &operator=(const NestedUnit &) = delete;
+
+  private:
+    ResourceGovernor &G;
+    ThreadState Saved;
+  };
+
   int solverTimeoutMs() const { return B.SolverTimeoutMs; }
 
   /// The shared unlimited instance stages fall back to when no governor is
@@ -213,15 +256,6 @@ public:
   static ResourceGovernor &ungoverned();
 
 private:
-  /// Per-thread budget state. One slot per thread is enough because a
-  /// thread works under one governor at a time and every unit of work
-  /// re-arms its budgets on entry; a governor switch just resets the slot.
-  struct ThreadState {
-    const ResourceGovernor *Owner = nullptr;
-    Timer FnTimer;
-    uint64_t ClosureStepsLeft = 0;
-    bool ClosureBounded = false;
-  };
   ThreadState &threadState() const {
     static thread_local ThreadState TS;
     if (TS.Owner != this) {

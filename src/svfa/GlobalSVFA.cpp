@@ -66,18 +66,32 @@ struct VFEntry {
   std::string LocFn; ///< Function containing Loc (for reporting).
 };
 
-/// Mutable summary accumulator, used only while one function is being
-/// analysed; frozen into arena-backed spans afterwards.
+/// Mutable summary accumulator, used only while one function's VF2 (at its
+/// sweep turn) or its VF1/VF3/VF4 (on first use) are being built; frozen
+/// into arena-backed spans afterwards.
 struct FnSummaries {
   std::vector<VFEntry> VF1, VF2, VF3, VF4;
 };
 
-/// A function's finished summaries: immutable spans over entries packed
-/// contiguously in the engine's summary arena. Callers range-for these
-/// exactly as they did the vectors.
+/// A function's summaries: immutable spans over entries packed contiguously
+/// in the engine's summary arena. VF2 is frozen at the function's sweep
+/// turn; the parameter summaries VF1/VF3/VF4 stay empty until a reader
+/// first needs them (`ParamsBuilt`).
 struct FrozenSummaries {
   Span<VFEntry> VF1, VF2, VF3, VF4;
+  bool ParamsBuilt = false;
+  /// The function, or a callee whose summaries it composes, calls a
+  /// SourceArgFns function. Otherwise VF3 is provably empty, so reading it
+  /// never forces the parameter summaries.
+  bool SourceArgCone = false;
 };
+
+/// Freezes an accumulated summary vector into the summary arena.
+Span<VFEntry> freeze(Arena &A, std::vector<VFEntry> &&V) {
+  const size_t N = V.size();
+  const VFEntry *Base = A.allocMove(std::move(V));
+  return {Base, N};
+}
 
 /// A source event inside the function being analysed.
 struct SourceEvent {
@@ -237,6 +251,34 @@ private:
   valueClosure(const Function *F, const Variable *Start,
                const CondBundle &StartB);
 
+  //===--- Summary access ---------------------------------------------------
+
+  /// The summaries \p F applies at a call to \p Callee, or nullptr when
+  /// there are none: an unresolved or same-SCC callee (intra-SCC calls are
+  /// opaque), or one the sweep did not reach, skipped or isolated.
+  const FrozenSummaries *calleeSummaries(const Function *F,
+                                         const Function *Callee) const {
+    if (!Callee || AM.callGraph().inSameSCC(F, Callee))
+      return nullptr;
+    auto It = Summaries.find(Callee);
+    return It == Summaries.end() ? nullptr : &It->second;
+  }
+
+  /// Like `calleeSummaries`, with the callee's VF1/VF3/VF4 built first.
+  const FrozenSummaries *calleeParamSummaries(const Function *F,
+                                              const Function *Callee) {
+    const FrozenSummaries *CS = calleeSummaries(F, Callee);
+    if (CS && !CS->ParamsBuilt) {
+      buildParamCone(Callee);
+      CS = calleeSummaries(F, Callee); // A failed build erased the entry.
+    }
+    return CS;
+  }
+
+  void buildParamCone(const Function *Root);
+  void buildParams(const Function *F);
+  void isolate(const Function *F, const std::exception &Ex);
+
   //===--- Per-function analysis --------------------------------------------
 
   void analyzeFunction(const Function *F);
@@ -278,7 +320,11 @@ private:
   /// summary memory was never governed before and stays ungoverned, just
   /// packed contiguously now instead of spread over per-function vectors.
   Arena SumArena{/*Reported=*/false};
+  /// Present iff the sweep reached the function and it did not fail.
   std::unordered_map<const Function *, FrozenSummaries> Summaries;
+  /// Per condensation node: the parameter summaries of every member with
+  /// summaries are built (or being built by the current cone request).
+  std::vector<bool> SCCParamsBuilt;
   std::unordered_map<const Function *, std::unique_ptr<ReachOracle>>
       ReachCache;
   std::unordered_map<std::pair<const Function *, const Stmt *>, seg::Closure,
@@ -375,10 +421,10 @@ GlobalSVFA::Impl::valueClosure(const Function *F, const Variable *Start,
         continue;
       const auto *Call = cast<CallStmt>(U.S);
       const Function *Callee = Call->callee();
-      if (!Callee || AM.callGraph().inSameSCC(F, Callee) ||
-          !Summaries.count(Callee))
+      const FrozenSummaries *CS = calleeParamSummaries(F, Callee);
+      if (!CS)
         continue;
-      for (const VFEntry &E : Summaries.at(Callee).VF1) {
+      for (const VFEntry &E : CS->VF1) {
         if (E.Param->paramIndex() != U.Index ||
             E.B.Depth + 1 > Opts.MaxContextDepth)
           continue;
@@ -410,36 +456,33 @@ GlobalSVFA::Impl::valueClosure(const Function *F, const Variable *Start,
     if (const auto *Call = dyn_cast_or_null<CallStmt>(
             V->isParam() ? nullptr : V->def())) {
       const Function *Callee = Call->callee();
-      if (Callee && !AM.callGraph().inSameSCC(F, Callee) &&
-          Summaries.count(Callee)) {
-        int BundleIdx = -1;
+      int BundleIdx = -1;
+      if (calleeSummaries(F, Callee)) {
         bool HasPrimary = !Callee->returnType().isVoid();
         if (Call->receiver() == V && HasPrimary)
           BundleIdx = 0;
         for (size_t I = 0; I < Call->auxReceivers().size(); ++I)
           if (Call->auxReceivers()[I] == V)
             BundleIdx = static_cast<int>(I) + (HasPrimary ? 1 : 0);
-        if (BundleIdx >= 0) {
-          for (const VFEntry &E : Summaries.at(Callee).VF1) {
-            if (E.BundleIdx != BundleIdx ||
-                E.B.Depth + 1 > Opts.MaxContextDepth)
-              continue;
-            int ArgIdx = E.Param->paramIndex();
-            if (ArgIdx < 0 ||
-                static_cast<size_t>(ArgIdx) >= Call->args().size())
-              continue;
-            const auto *Actual = dyn_cast<Variable>(Call->args()[ArgIdx]);
-            if (!Actual || Result.count(Actual))
-              continue;
-            const Context *CallCtx = CT.push(nullptr, Call);
-            CondBundle NB = B;
-            if (!instantiateBundle(E.B, Callee, CallCtx, NB))
-              continue;
-            if (NB.Path.size() < 16)
-              NB.Path.push_back("back through " + Callee->name() + "()");
-            Work.push_back({Actual, std::move(NB)});
-          }
-        }
+      }
+      const FrozenSummaries *CS =
+          BundleIdx >= 0 ? calleeParamSummaries(F, Callee) : nullptr;
+      for (const VFEntry &E : CS ? CS->VF1 : Span<VFEntry>()) {
+        if (E.BundleIdx != BundleIdx || E.B.Depth + 1 > Opts.MaxContextDepth)
+          continue;
+        int ArgIdx = E.Param->paramIndex();
+        if (ArgIdx < 0 || static_cast<size_t>(ArgIdx) >= Call->args().size())
+          continue;
+        const auto *Actual = dyn_cast<Variable>(Call->args()[ArgIdx]);
+        if (!Actual || Result.count(Actual))
+          continue;
+        const Context *CallCtx = CT.push(nullptr, Call);
+        CondBundle NB = B;
+        if (!instantiateBundle(E.B, Callee, CallCtx, NB))
+          continue;
+        if (NB.Path.size() < 16)
+          NB.Path.push_back("back through " + Callee->name() + "()");
+        Work.push_back({Actual, std::move(NB)});
       }
     }
   }
@@ -489,12 +532,11 @@ void GlobalSVFA::Impl::paramSummaries(const Function *F, FnSummaries &Sum) {
         }
         // Composition through callee VF3/VF4.
         const Function *Callee = Call->callee();
-        if (!Callee || AM.callGraph().inSameSCC(F, Callee) ||
-            !Summaries.count(Callee))
+        const FrozenSummaries *CS = calleeParamSummaries(F, Callee);
+        if (!CS)
           continue;
-        const FrozenSummaries &CS = Summaries.at(Callee);
         const Context *CallCtx = CT.push(nullptr, Call);
-        for (const VFEntry &E : CS.VF3) {
+        for (const VFEntry &E : CS->VF3) {
           if (E.Param->paramIndex() != U.Index ||
               E.B.Depth + 1 > Opts.MaxContextDepth)
             continue;
@@ -506,7 +548,7 @@ void GlobalSVFA::Impl::paramSummaries(const Function *F, FnSummaries &Sum) {
           Sum.VF3.push_back({P, -1, NB, E.Loc, E.LocFn});
           ++S.VF3;
         }
-        for (const VFEntry &E : CS.VF4) {
+        for (const VFEntry &E : CS->VF4) {
           if (E.Param->paramIndex() != U.Index ||
               E.B.Depth + 1 > Opts.MaxContextDepth)
             continue;
@@ -562,14 +604,16 @@ GlobalSVFA::Impl::collectEvents(const Function *F) {
       if (foldClosure(Ev.B, F, controlCondOf(F, Call)))
         Events.push_back(std::move(Ev));
     }
-    // Sources surfacing from callees.
+    // Sources surfacing from callees. VF3 is read (and so built) only
+    // where it can be non-empty.
     const Function *Callee = Call->callee();
-    if (!Callee || AM.callGraph().inSameSCC(F, Callee) ||
-        !Summaries.count(Callee))
+    const FrozenSummaries *CS = calleeSummaries(F, Callee);
+    if (CS && CS->SourceArgCone)
+      CS = calleeParamSummaries(F, Callee);
+    if (!CS)
       continue;
-    const FrozenSummaries &CS = Summaries.at(Callee);
     const Context *CallCtx = CT.push(nullptr, Call);
-    for (const VFEntry &E : CS.VF3) {
+    for (const VFEntry &E : CS->VF3) {
       if (E.B.Depth + 1 > Opts.MaxContextDepth)
         continue;
       int ArgIdx = E.Param->paramIndex();
@@ -590,7 +634,7 @@ GlobalSVFA::Impl::collectEvents(const Function *F) {
         continue;
       Events.push_back(std::move(Ev));
     }
-    for (const VFEntry &E : CS.VF2) {
+    for (const VFEntry &E : CS->VF2) {
       if (E.B.Depth + 1 > Opts.MaxContextDepth)
         continue;
       const Variable *Recv = receiverForBundle(Call, Callee, E.BundleIdx);
@@ -655,11 +699,11 @@ void GlobalSVFA::Impl::processEvent(const Function *F, const SourceEvent &Ev,
       if (U.Kind == seg::UseKind::CallArg && InOrder) {
         const auto *Call = cast<CallStmt>(U.S);
         const Function *Callee = Call->callee();
-        if (!Callee || AM.callGraph().inSameSCC(F, Callee) ||
-            !Summaries.count(Callee))
+        const FrozenSummaries *CS = calleeParamSummaries(F, Callee);
+        if (!CS)
           continue;
         const Context *CallCtx = CT.push(nullptr, Call);
-        for (const VFEntry &E : Summaries.at(Callee).VF4) {
+        for (const VFEntry &E : CS->VF4) {
           if (E.Param->paramIndex() != U.Index ||
               E.B.Depth + 1 > Opts.MaxContextDepth)
             continue;
@@ -676,12 +720,12 @@ void GlobalSVFA::Impl::processEvent(const Function *F, const SourceEvent &Ev,
 }
 
 void GlobalSVFA::Impl::analyzeFunction(const Function *F) {
-  // Accumulate into local vectors, freeze into the summary arena at the
-  // end. A throw mid-analysis simply drops the partial accumulator —
-  // Summaries never holds a half-built entry (run()'s erase is then a
-  // no-op), and callers only ever observe frozen, immutable spans.
+  // The sweep turn: source events and VF2. Accumulate into a local vector,
+  // freeze into the summary arena at the end. A throw mid-analysis simply
+  // drops the partial accumulator — Summaries never holds a half-built
+  // entry (run()'s erase is then a no-op), and callers only ever observe
+  // frozen, immutable spans. VF1/VF3/VF4 wait for their first reader.
   FnSummaries Sum;
-  paramSummaries(F, Sum);
   for (const SourceEvent &Ev : collectEvents(F)) {
     if (Gov.functionExpired()) {
       Gov.note(DegradationKind::FunctionBudgetExceeded, "svfa", F->name(),
@@ -690,17 +734,73 @@ void GlobalSVFA::Impl::analyzeFunction(const Function *F) {
     }
     processEvent(F, Ev, Sum);
   }
-  auto Freeze = [this](std::vector<VFEntry> &&V) -> Span<VFEntry> {
-    const size_t N = V.size();
-    const VFEntry *Base = SumArena.allocMove(std::move(V));
-    return {Base, N};
-  };
   FrozenSummaries FS;
-  FS.VF1 = Freeze(std::move(Sum.VF1));
-  FS.VF2 = Freeze(std::move(Sum.VF2));
-  FS.VF3 = Freeze(std::move(Sum.VF3));
-  FS.VF4 = Freeze(std::move(Sum.VF4));
+  FS.VF2 = freeze(SumArena, std::move(Sum.VF2));
+  for (const CallStmt *Call : segOf(F).calls()) {
+    const FrozenSummaries *CS = calleeSummaries(F, Call->callee());
+    if (Spec.SourceArgFns.count(Call->calleeName()) ||
+        (CS && CS->SourceArgCone)) {
+      FS.SourceArgCone = true;
+      break;
+    }
+  }
   Summaries.emplace(F, FS);
+}
+
+void GlobalSVFA::Impl::buildParamCone(const Function *Root) {
+  // Root's callee cone over the condensation, minus the SCCs already
+  // built, collected with an explicit worklist (call chains can be far
+  // deeper than the stack) and built in ascending SCC id: callees first,
+  // so every summary a member composes with exists before it is read and
+  // no build ever starts another.
+  const ir::CallGraph &CG = AM.callGraph();
+  const auto &SCCs = CG.sccs();
+  std::vector<uint32_t> Cone;
+  std::vector<uint32_t> Work{static_cast<uint32_t>(CG.sccOf(Root))};
+  while (!Work.empty()) {
+    uint32_t Id = Work.back();
+    Work.pop_back();
+    if (SCCParamsBuilt[Id])
+      continue;
+    SCCParamsBuilt[Id] = true;
+    Cone.push_back(Id);
+    for (uint32_t Callee : SCCs[Id].CalleeSCCs)
+      if (!SCCParamsBuilt[Callee])
+        Work.push_back(Callee);
+  }
+  std::sort(Cone.begin(), Cone.end());
+  // The reader is mid-walk: each built function runs under its own
+  // function clock, and the reader's clock and closure budget resume after.
+  ResourceGovernor::NestedUnit Reader(Gov);
+  for (uint32_t Id : Cone)
+    for (const Function *G : SCCs[Id].Members)
+      buildParams(G);
+}
+
+void GlobalSVFA::Impl::buildParams(const Function *F) {
+  if (!Summaries.count(F))
+    return; // Not reached, skipped or isolated by the sweep.
+  Gov.beginFunction();
+  try {
+    FnSummaries Sum;
+    paramSummaries(F, Sum);
+    FrozenSummaries &FS = Summaries.at(F);
+    FS.VF1 = freeze(SumArena, std::move(Sum.VF1));
+    FS.VF3 = freeze(SumArena, std::move(Sum.VF3));
+    FS.VF4 = freeze(SumArena, std::move(Sum.VF4));
+    FS.ParamsBuilt = true;
+  } catch (const std::exception &Ex) {
+    isolate(F, Ex);
+  }
+}
+
+void GlobalSVFA::Impl::isolate(const Function *F, const std::exception &Ex) {
+  // Fault isolation: one function's failure must not lose the reports and
+  // summaries of every other function. The failed function's summaries
+  // are discarded; reports already emitted stand.
+  Summaries.erase(F);
+  ++S.IsolatedFailures;
+  Gov.note(DegradationKind::FunctionFailed, "svfa", F->name(), Ex.what());
 }
 
 //===----------------------------------------------------------------------===
@@ -748,8 +848,7 @@ const smt::Expr *GlobalSVFA::Impl::assemble(const CondBundle &B) {
       continue; // Beyond the depth limit: leave unconstrained (soundy).
     const Function *Caller = R.Call->parent()->parent();
     const Function *Callee = R.Call->callee();
-    if (!Callee || AM.callGraph().inSameSCC(Caller, Callee) ||
-        !Summaries.count(Callee))
+    if (!calleeSummaries(Caller, Callee))
       continue;
     int BundleIdx = bundleIndexFor(Callee, R.BundleIdx);
     const Variable *Recv = receiverForBundle(R.Call, Callee, BundleIdx);
@@ -836,6 +935,7 @@ std::vector<Report> GlobalSVFA::Impl::run() {
     }
   }
 
+  SCCParamsBuilt.assign(AM.callGraph().numSCCs(), false);
   const auto &Order = AM.bottomUpOrder();
   for (size_t I = 0; I < Order.size(); ++I) {
     const Function *F = Order[I];
@@ -881,12 +981,7 @@ std::vector<Report> GlobalSVFA::Impl::run() {
       }
       analyzeFunction(F);
     } catch (const std::exception &Ex) {
-      // Fault isolation: one function's failure must not lose the reports
-      // and summaries of every other function. Partial summaries of the
-      // failed function are discarded; reports already emitted stand.
-      Summaries.erase(F);
-      ++S.IsolatedFailures;
-      Gov.note(DegradationKind::FunctionFailed, "svfa", F->name(), Ex.what());
+      isolate(F, Ex);
     }
   }
   return std::move(Reports);

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The compositional bug-detection stage of paper Section 3.3. Functions
-/// are visited bottom-up; for each, the engine
+/// are swept bottom-up; at each function's turn the engine
 ///
 ///  * collects *source events* — checker sources created locally (e.g. the
 ///    argument of free()) or surfaced from callees via VF2/VF3 summaries;
@@ -19,7 +19,18 @@
 ///    Equation (1) locally, Equations (2)/(3) across calls via
 ///    context-cloned instantiation — is finally discharged by the staged
 ///    SMT solver;
-///  * records this function's own VF1-VF4 and RV summaries for its callers.
+///  * records this function's VF2 summary (source values escaping through
+///    its return bundle) for its callers; RV summaries are read straight
+///    from the SEG when a constraint is assembled.
+///
+/// The parameter summaries VF1, VF3 and VF4 are built on first use: the
+/// first closure, VF4 composition or event collection that reads them for
+/// a callee builds that callee's not-yet-built callee cone, iteratively,
+/// over the call-graph condensation in ascending SCC id (callees first).
+/// A callee's VF3 is read only if its cone calls a source-argument
+/// function (free()), so checkers without such sources never force it. A
+/// summary no event reaches is never built; one that is built is the
+/// summary an eager bottom-up build would have produced.
 ///
 /// Temporal checkers (use-after-free) additionally require the sink to be
 /// CFG-reachable from the source event.
@@ -68,12 +79,13 @@ struct GlobalOptions {
   bool PathSensitive = true;
   /// Linear pre-filter in the staged solver (ablation knob).
   bool UseLinearFilter = true;
-  /// Demand-driven mode: skip summary construction for functions the
-  /// relevance pre-pass (svfa/Demand.h) proves irrelevant to this
-  /// checker. The engine computes its own per-checker relevance set (a
-  /// subset of the pipeline's union set), so results are byte-identical
-  /// to the exhaustive run either way. Off by default for library users;
-  /// the CLI defaults it on.
+  /// Demand-driven mode: skip the sweep turn of functions the relevance
+  /// pre-pass (svfa/Demand.h) proves irrelevant to this checker. The
+  /// engine computes its own per-checker relevance set (a subset of the
+  /// pipeline's union set); relevance is callee-closed and parameter
+  /// summaries are built on first use in both modes, so results are
+  /// byte-identical to the exhaustive run either way. Off by default for
+  /// library users; the CLI defaults it on.
   bool Demand = false;
   /// Budgets, degradation log and fault injection (see
   /// support/ResourceGovernor.h); nullptr = ungoverned.

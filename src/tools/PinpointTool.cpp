@@ -648,20 +648,18 @@ int pinpointToolMain(int Argc, char **Argv) {
       std::printf("[governor] %s\n", Gov.log().summary().c_str());
     }
     if (O.DegradationLog) {
-      // Under --jobs>1 events arrive in completion order; sort so the log
-      // is stable across thread interleavings (and across --jobs values).
-      std::vector<DegradationEvent> Events = Gov.log().events();
-      std::stable_sort(
-          Events.begin(), Events.end(),
-          [](const DegradationEvent &A, const DegradationEvent &B) {
-            return std::tie(A.Stage, A.Function, A.Kind, A.Detail) <
-                   std::tie(B.Stage, B.Function, B.Kind, B.Detail);
-          });
-      for (const DegradationEvent &E : Events)
+      // Under --jobs>1 events arrive in completion order; the log keeps
+      // the smallest in one fixed order and returns them sorted, so it is
+      // stable across thread interleavings (and across --jobs values),
+      // past its cap too.
+      for (const DegradationEvent &E : Gov.log().events())
         std::printf("[degradation] %s %s fn=%s: %s\n", toString(E.Kind),
                     E.Stage.c_str(),
                     E.Function.empty() ? "-" : E.Function.c_str(),
                     E.Detail.c_str());
+      if (uint64_t Dropped = Gov.log().dropped())
+        std::printf("[degradation] %llu more event(s) not stored\n",
+                    (unsigned long long)Dropped);
     }
 
     if (Interrupted)

@@ -12,7 +12,9 @@
 ///    `--demand=on` is byte-identical to `--demand=off` once the
 ///    work-reflecting stats lines ([pipeline]/[exprs]/[cache]/[lifecycle]/
 ///    [demand]) are filtered out — reports, degradation log and the
-///    per-checker [checker] lines are part of the determinism surface;
+///    per-checker [checker] lines are part of the determinism surface,
+///    `linear-pruned` included, also where the skipped functions carry
+///    infeasible flows;
 ///  * the pre-pass actually skips: on a subject with disconnected filler
 ///    functions, `skipped-fns` is positive and relevant+skipped covers the
 ///    module;
@@ -64,15 +66,12 @@ namespace {
 /// from them, so the relevance pre-pass must skip all of them while every
 /// report stays identical.
 ///
-/// Every function that is *irrelevant* to some single-checker run is
-/// branch-free: `linear-pruned` counts the filter's pruning work wherever
-/// it happens — including summary construction inside functions another
-/// checker's run never needs — so a function with an infeasible flow would
-/// (correctly) shift that one counter between modes. Branch-free bodies
-/// have nothing to prune, keeping even the work-reflecting [checker]
-/// fields byte-identical. (uaf_df keeps its branches: it contributes no
-/// pruning, and the temporal checkers need the guards.)
-std::string demandSubject() {
+/// With \p BranchyFillers each filler also carries a flow under
+/// contradictory nested guards, which the linear filter prunes wherever
+/// the filler's parameter summaries are built. No event reaches a filler,
+/// so they are built in neither mode, and even `linear-pruned` stays
+/// identical between `--demand=on` and `off`.
+std::string demandSubject(bool BranchyFillers = false) {
   std::string S;
   // use-after-free + double-free sources (also exercises TemporalOrder).
   S += "int uaf_df(int *p, int c) {\n"
@@ -102,8 +101,18 @@ std::string demandSubject() {
     std::string Callee =
         I == 0 ? std::string() : ("  int t = fill" + std::to_string(I - 1) +
                                   "(p);\n");
+    std::string Guarded = BranchyFillers ? "  int v = *q;\n"
+                                           "  if (v > " + N + ") {\n"
+                                           "    if (v > " + N + ") {\n"
+                                           "      v = v + 1;\n"
+                                           "    } else {\n"
+                                           "      int *r = q;\n"
+                                           "      v = *r;\n"
+                                           "    }\n"
+                                           "  }\n"
+                                         : std::string();
     S += "int fill" + N + "(int *p) {\n" + Callee +
-         "  int *q = p;\n"
+         "  int *q = p;\n" + Guarded +
          "  return *q;\n"
          "}\n";
   }
@@ -120,10 +129,13 @@ std::string demandSubject() {
 // CLI differential: --demand=on ≡ --demand=off
 //===----------------------------------------------------------------------===
 
-TEST(DemandCLI, PerCheckerDifferentialAcrossJobs) {
+/// For every checker individually, at --jobs 1 and 4: the output of
+/// `--demand=on` equals `--demand=off` once the work-reflecting lines are
+/// filtered out; the [checker] lines are compared in full.
+void expectPerCheckerDifferential(const std::string &Source) {
   TempDir T("diff");
   const std::string Subject = T.file("subject.mc");
-  std::ofstream(Subject) << demandSubject();
+  std::ofstream(Subject) << Source;
 
   const char *const Checkers[] = {"uaf",        "df",         "taint-path",
                                   "taint-data", "null-deref", "leak"};
@@ -144,6 +156,16 @@ TEST(DemandCLI, PerCheckerDifferentialAcrossJobs) {
           << "checker=" << Checker << " " << Jobs;
     }
   }
+}
+
+TEST(DemandCLI, PerCheckerDifferentialAcrossJobs) {
+  expectPerCheckerDifferential(demandSubject());
+}
+
+TEST(DemandCLI, BranchyFillersKeepCheckerLinesIdentical) {
+  // The fillers' infeasible flows would be pruned only by building their
+  // parameter summaries, which no query reads in either mode.
+  expectPerCheckerDifferential(demandSubject(/*BranchyFillers=*/true));
 }
 
 TEST(DemandCLI, AllCheckersTogetherDifferential) {

@@ -20,6 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+#include <thread>
+
 using namespace pinpoint::ir;
 
 namespace pinpoint::svfa {
@@ -34,6 +39,35 @@ constexpr const char *TwoBugSrc = R"(
   int f2(int *q) {
     free(q);
     return *q;
+  })";
+
+/// A use-after-free whose search walks two steps (p, then its copy q), so
+/// a one-step closure budget truncates the event's own closure.
+constexpr const char *CopiedUseSrc = R"(
+  int f(int *p) {
+    free(p);
+    int *q = p;
+    return *q;
+  })";
+
+/// A dereference behind two wrapper calls. top's event reads wrap2's VF4,
+/// which builds the cone deref <- wrap1 <- wrap2 on first use, in the
+/// middle of top's own walk.
+constexpr const char *WrappedDerefSrc = R"(
+  int deref(int *p) {
+    int *q = p;
+    return *q;
+  }
+  int wrap1(int *p) { return deref(p); }
+  int wrap2(int *p) {
+    int *s = p;
+    return wrap1(s);
+  }
+  int top(int *p) {
+    free(p);
+    int r = wrap2(p);
+    int *q = p;
+    return r + *q;
   })";
 
 /// A branch-guarded bug: the path condition is satisfiable but not
@@ -169,7 +203,7 @@ TEST_F(ResilienceTest, ZeroSolverTimeoutMeansUnbounded) {
 //===----------------------------------------------------------------------===
 
 TEST_F(ResilienceTest, ClosureStepBudgetTruncatesWithEvent) {
-  parse(TwoBugSrc);
+  parse(CopiedUseSrc);
   Budget B;
   B.MaxClosureSteps = 1;
   ResourceGovernor Gov(B);
@@ -178,18 +212,55 @@ TEST_F(ResilienceTest, ClosureStepBudgetTruncatesWithEvent) {
   for (const DegradationEvent &E : Gov.log().events()) {
     if (E.Kind == DegradationKind::ClosureTruncated) {
       EXPECT_EQ(E.Stage, "closure");
+      EXPECT_EQ(E.Function, "f");
     }
   }
 }
 
 TEST_F(ResilienceTest, InjectedClosureOverrideForcesTruncation) {
-  parse(TwoBugSrc);
+  parse(CopiedUseSrc);
   FaultInjector FI;
   std::string Err;
   ASSERT_TRUE(FI.parse("closure-steps=1", Err)) << Err;
   ResourceGovernor Gov({}, std::move(FI));
   runUAF(Gov);
   EXPECT_GT(Gov.log().count(DegradationKind::ClosureTruncated), 0u);
+}
+
+TEST_F(ResilienceTest, TruncationInsideLazilyBuiltCalleeNamesTheCallee) {
+  // Only top has an event; the summaries of deref, wrap1 and wrap2 are
+  // built when top's closure first reads wrap2's VF4, each under its own
+  // budget, and a truncation there is attributed to the callee.
+  parse(WrappedDerefSrc);
+  Budget B;
+  B.MaxClosureSteps = 1;
+  ResourceGovernor Gov(B);
+  runUAF(Gov);
+  bool SawDeref = false;
+  for (const DegradationEvent &E : Gov.log().events())
+    if (E.Kind == DegradationKind::ClosureTruncated && E.Function == "deref")
+      SawDeref = true;
+  EXPECT_TRUE(SawDeref);
+}
+
+TEST_F(ResilienceTest, LazyCalleeBuildResumesTheReadersClosureBudget) {
+  // Four steps cover every closure here, but not what the cone's last
+  // closure leaves of them: top's walk must resume with its own remaining
+  // steps after the cone is built, or it stops after its first step and
+  // loses the use through q (the one inside deref is found either way).
+  parse(WrappedDerefSrc);
+  Budget B;
+  B.MaxClosureSteps = 4;
+  ResourceGovernor Gov(B);
+  auto Reports = runUAF(Gov);
+  EXPECT_EQ(Gov.log().count(DegradationKind::ClosureTruncated), 0u);
+  std::set<std::string> Sinks;
+  for (const Report &R : Reports) {
+    EXPECT_EQ(R.SourceFn, "top");
+    Sinks.insert(R.SinkFn);
+  }
+  EXPECT_EQ(Sinks, (std::set<std::string>{"deref", "top"}));
+  EXPECT_EQ(Reports.size(), 2u);
 }
 
 TEST_F(ResilienceTest, ExhaustedRunBudgetSkipsEverythingGracefully) {
@@ -307,6 +378,46 @@ TEST(FaultInjectorTest, SolverUnknownIsDeterministicPerSeed) {
 //===----------------------------------------------------------------------===
 // DegradationLog bookkeeping
 //===----------------------------------------------------------------------===
+
+TEST(DegradationLogTest, KeepsTheSmallestEventsPastTheCap) {
+  // 5,000 distinct events noted from 4 threads in shuffled order: the log
+  // stores exactly the 4,096 smallest in its order, whatever the arrival
+  // order, and counts the rest.
+  std::vector<DegradationEvent> All;
+  for (int I = 0; I < 5000; ++I) {
+    std::string N = std::to_string(I);
+    All.push_back({static_cast<DegradationKind>(I % 3),
+                   I % 2 ? "svfa" : "closure",
+                   "fn" + std::string(5 - N.size(), '0') + N, "d" + N});
+  }
+  std::vector<DegradationEvent> Shuffled = All;
+  std::shuffle(Shuffled.begin(), Shuffled.end(), std::mt19937(20261018));
+
+  DegradationLog Log;
+  std::vector<std::thread> Threads;
+  for (size_t T = 0; T < 4; ++T)
+    Threads.emplace_back([&, T] {
+      for (size_t I = T; I < Shuffled.size(); I += 4) {
+        const DegradationEvent &E = Shuffled[I];
+        Log.note(E.Kind, E.Stage, E.Function, E.Detail);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  std::sort(All.begin(), All.end());
+  All.resize(DegradationLog::MaxStoredEvents);
+  std::vector<DegradationEvent> Stored = Log.events();
+  ASSERT_EQ(Stored.size(), All.size());
+  for (size_t I = 0; I < All.size(); ++I) {
+    EXPECT_EQ(Stored[I].Stage, All[I].Stage) << I;
+    EXPECT_EQ(Stored[I].Function, All[I].Function) << I;
+    EXPECT_EQ(Stored[I].Kind, All[I].Kind) << I;
+    EXPECT_EQ(Stored[I].Detail, All[I].Detail) << I;
+  }
+  EXPECT_EQ(Log.total(), 5000u);
+  EXPECT_EQ(Log.dropped(), 5000u - DegradationLog::MaxStoredEvents);
+}
 
 TEST(DegradationLogTest, CountsAndSummarizes) {
   DegradationLog Log;
