@@ -6,7 +6,7 @@
 
 #include "checkers/SpecialCheckers.h"
 
-#include <set>
+#include <vector>
 
 using namespace pinpoint::ir;
 
@@ -35,7 +35,8 @@ std::vector<svfa::Report> checkMemoryLeaks(svfa::AnalyzedModule &AM) {
         continue;
 
       // Closure of the allocated value over direct flow edges.
-      std::set<const Variable *> Closure{Call->receiver()};
+      std::vector<uint8_t> InClosure(F->vars().size(), 0);
+      InClosure[Call->receiver()->id()] = 1;
       std::vector<const Variable *> Work{Call->receiver()};
       bool Consumed = false;
       while (!Work.empty() && !Consumed) {
@@ -62,8 +63,10 @@ std::vector<svfa::Report> checkMemoryLeaks(svfa::AnalyzedModule &AM) {
         if (Consumed)
           break;
         for (const seg::FlowEdge &E : Seg.flowsOut(V))
-          if (E.Direct && Closure.insert(E.To).second)
+          if (E.Direct && !InClosure[E.To->id()]) {
+            InClosure[E.To->id()] = 1;
             Work.push_back(E.To);
+          }
       }
 
       if (!Consumed) {

@@ -11,11 +11,8 @@
 
 namespace pinpoint::ir {
 
-CallGraph::CallGraph(Module &M) {
-  for (Function *F : M.functions()) {
-    Callees[F];
-    Callers[F];
-  }
+CallGraph::CallGraph(Module &M)
+    : Callees(M.functions().size()), Callers(M.functions().size()) {
   for (Function *F : M.functions())
     for (BasicBlock *B : F->blocks())
       for (Stmt *S : B->stmts())
@@ -23,21 +20,22 @@ CallGraph::CallGraph(Module &M) {
           Function *Callee = M.function(Call->calleeName());
           Call->setCallee(Callee);
           if (Callee) {
-            Callees[F].insert(Callee);
-            Callers[Callee].insert(F);
+            Callees[F->id()].push_back(Callee);
+            Callers[Callee->id()].push_back(F);
           }
         }
+  // Callers are appended in id order already; callees in call order.
+  for (std::vector<Function *> &Row : Callees) {
+    std::sort(Row.begin(), Row.end(), [](const Function *A, const Function *B) {
+      return A->id() < B->id();
+    });
+    Row.erase(std::unique(Row.begin(), Row.end()), Row.end());
+  }
+  for (std::vector<Function *> &Row : Callers)
+    Row.erase(std::unique(Row.begin(), Row.end()), Row.end());
 
-  // Tarjan SCC; the stack-pop order yields bottom-up (callees first).
-  for (Function *F : M.functions())
-    if (!Index.count(F))
-      tarjan(F);
-
+  tarjan(M);
   buildCondensation();
-
-  // Tarjan scratch state is dead once the condensation is frozen.
-  Index.clear();
-  Low.clear();
 }
 
 void CallGraph::buildCondensation() {
@@ -45,22 +43,22 @@ void CallGraph::buildCondensation() {
   // arrays: the condensation never changes after construction, and packed
   // rows drop the per-vector header/capacity overhead of node-per-entry
   // storage for the many singleton SCCs of typical subjects.
+  const size_t NumSCCs = SCCs.size();
   std::vector<std::vector<Function *>> Members(NumSCCs);
   std::vector<std::vector<uint32_t>> CalleeIds(NumSCCs);
   // BottomUp lists each SCC's members consecutively in pop order; keep
   // that order so a per-SCC task replays the serial schedule exactly.
   for (Function *F : BottomUp)
-    Members[SCCIndex[F]].push_back(F);
+    Members[SCCIndex[F->id()]].push_back(F);
   for (Function *F : BottomUp) {
-    size_t Id = SCCIndex[F];
-    for (Function *C : Callees[F]) {
-      size_t CalleeId = SCCIndex[C];
+    uint32_t Id = SCCIndex[F->id()];
+    for (Function *C : callees(F)) {
+      uint32_t CalleeId = SCCIndex[C->id()];
       if (CalleeId != Id)
-        CalleeIds[Id].push_back(static_cast<uint32_t>(CalleeId));
+        CalleeIds[Id].push_back(CalleeId);
     }
   }
 
-  SCCs.resize(NumSCCs);
   for (size_t I = 0; I < NumSCCs; ++I) {
     std::vector<uint32_t> &CS = CalleeIds[I];
     std::sort(CS.begin(), CS.end());
@@ -79,47 +77,63 @@ void CallGraph::buildCondensation() {
   Counters::get().add("cg.csr-bytes", static_cast<int64_t>(Mem.bytesUsed()));
 }
 
-void CallGraph::tarjan(Function *F) {
-  // Iterative Tarjan to be safe on deep call chains.
+void CallGraph::tarjan(const Module &M) {
+  // Iterative Tarjan (call chains can be deeper than the stack), started
+  // from each unvisited function in id order. The stack-pop order yields
+  // bottom-up (callees first); SCCs are numbered as they complete.
+  const size_t N = M.functions().size();
+  constexpr uint32_t Unvisited = UINT32_MAX;
+  std::vector<uint32_t> Index(N, Unvisited), Low(N, 0);
+  std::vector<uint8_t> OnStack(N, 0);
+  std::vector<Function *> Stack;
+  uint32_t NextIndex = 0;
+  SCCIndex.assign(N, 0);
+
   struct Frame {
     Function *F;
-    std::set<Function *>::const_iterator It, End;
+    uint32_t Next; ///< Position in F's callee row.
   };
   std::vector<Frame> Frames;
-
   auto push = [&](Function *G) {
-    Index[G] = Low[G] = NextIndex++;
+    Index[G->id()] = Low[G->id()] = NextIndex++;
     Stack.push_back(G);
-    OnStack.insert(G);
-    Frames.push_back({G, Callees[G].begin(), Callees[G].end()});
+    OnStack[G->id()] = 1;
+    Frames.push_back({G, 0});
   };
-  push(F);
 
-  while (!Frames.empty()) {
-    Frame &Top = Frames.back();
-    if (Top.It != Top.End) {
-      Function *Next = *Top.It++;
-      if (!Index.count(Next)) {
-        push(Next);
-      } else if (OnStack.count(Next)) {
-        Low[Top.F] = std::min(Low[Top.F], Index[Next]);
-      }
+  for (Function *Root : M.functions()) {
+    if (Index[Root->id()] != Unvisited)
       continue;
-    }
-    // Finished Top.F.
-    Function *Done = Top.F;
-    Frames.pop_back();
-    if (!Frames.empty())
-      Low[Frames.back().F] = std::min(Low[Frames.back().F], Low[Done]);
-    if (Low[Done] == Index[Done]) {
-      size_t SCC = NumSCCs++;
+    push(Root);
+    while (!Frames.empty()) {
+      Frame &Top = Frames.back();
+      const uint32_t Id = Top.F->id();
+      const std::vector<Function *> &Row = callees(Top.F);
+      if (Top.Next < Row.size()) {
+        Function *Next = Row[Top.Next++];
+        if (Index[Next->id()] == Unvisited)
+          push(Next);
+        else if (OnStack[Next->id()])
+          Low[Id] = std::min(Low[Id], Index[Next->id()]);
+        continue;
+      }
+      // Finished Top.F.
+      Frames.pop_back();
+      if (!Frames.empty()) {
+        uint32_t &ParentLow = Low[Frames.back().F->id()];
+        ParentLow = std::min(ParentLow, Low[Id]);
+      }
+      if (Low[Id] != Index[Id])
+        continue;
+      const uint32_t SCC = static_cast<uint32_t>(SCCs.size());
+      SCCs.emplace_back();
       while (true) {
         Function *Member = Stack.back();
         Stack.pop_back();
-        OnStack.erase(Member);
-        SCCIndex[Member] = SCC;
+        OnStack[Member->id()] = 0;
+        SCCIndex[Member->id()] = SCC;
         BottomUp.push_back(Member);
-        if (Member == Done)
+        if (Member->id() == Id)
           break;
       }
     }

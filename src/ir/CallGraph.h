@@ -19,22 +19,25 @@
 #include "support/Span.h"
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
 namespace pinpoint::ir {
 
+/// Every table here is indexed by `Function::id()` and every list is in
+/// function-id order, so the bottom-up order, the SCC ids and everything
+/// derived from them depend on the program text only.
 class CallGraph {
 public:
   explicit CallGraph(Module &M);
 
-  /// Resolved callees of \p F (unresolved externals are not listed).
-  const std::set<Function *> &callees(Function *F) const {
-    return Callees.at(F);
+  /// Resolved callees of \p F, distinct and in id order (unresolved
+  /// externals are not listed).
+  const std::vector<Function *> &callees(const Function *F) const {
+    return Callees[F->id()];
   }
-  const std::set<Function *> &callers(Function *F) const {
-    return Callers.at(F);
+  /// The functions that call \p F, distinct and in id order.
+  const std::vector<Function *> &callers(const Function *F) const {
+    return Callers[F->id()];
   }
 
   /// Functions in bottom-up order: every (non-SCC) callee precedes its
@@ -43,20 +46,20 @@ public:
 
   /// True if \p A and \p B belong to the same (recursion) SCC.
   bool inSameSCC(const Function *A, const Function *B) const {
-    return SCCIndex.at(const_cast<Function *>(A)) ==
-           SCCIndex.at(const_cast<Function *>(B));
+    return SCCIndex[A->id()] == SCCIndex[B->id()];
   }
 
-  size_t numSCCs() const { return NumSCCs; }
+  size_t numSCCs() const { return SCCs.size(); }
 
   /// One node of the call-graph condensation (the DAG the parallel
   /// scheduler walks). SCC ids are Tarjan completion order, which is
   /// topological: every cross-SCC callee has a smaller id than its caller,
   /// so iterating SCCs by id with `Members` in order replays exactly
-  /// `bottomUpOrder()`. The membership and adjacency arrays are frozen
-  /// into the graph's arena at construction (the condensation is immutable
-  /// once built), packed the same way as the SEG's CSR rows; their bytes
-  /// show up in the `cg.csr-bytes` counter.
+  /// `bottomUpOrder()`. Tarjan starts from the functions in id order and
+  /// walks callees in id order. The membership and adjacency arrays are
+  /// frozen into the graph's arena at construction (the condensation is
+  /// immutable once built), packed the same way as the SEG's CSR rows;
+  /// their bytes show up in the `cg.csr-bytes` counter.
   struct SCCNode {
     Span<Function *> Members;   ///< In bottom-up (stack pop) order.
     Span<uint32_t> CalleeSCCs;  ///< Distinct cross-SCC callee ids, sorted.
@@ -64,28 +67,19 @@ public:
 
   /// The condensation, indexed by SCC id.
   const std::vector<SCCNode> &sccs() const { return SCCs; }
-  size_t sccOf(const Function *F) const {
-    return SCCIndex.at(const_cast<Function *>(F));
-  }
+  size_t sccOf(const Function *F) const { return SCCIndex[F->id()]; }
 
 private:
-  void tarjan(Function *F);
+  void tarjan(const Module &M);
   void buildCondensation();
 
-  std::map<Function *, std::set<Function *>> Callees, Callers;
+  std::vector<std::vector<Function *>> Callees, Callers;
   std::vector<Function *> BottomUp;
-  std::map<Function *, size_t> SCCIndex;
+  std::vector<uint32_t> SCCIndex;
   std::vector<SCCNode> SCCs;
-  size_t NumSCCs = 0;
   /// Backs the frozen SCCNode arrays. Not reported to the MemStats arena
   /// ledger: condensation bytes are tracked via the cg.csr-bytes counter.
   Arena Mem{/*Reported=*/false};
-
-  // Tarjan state.
-  std::map<Function *, int> Index, Low;
-  std::vector<Function *> Stack;
-  std::set<Function *> OnStack;
-  int NextIndex = 0;
 };
 
 } // namespace pinpoint::ir

@@ -28,7 +28,8 @@ const smt::Expr *SymbolMap::operator[](const Value *V) {
 
 ConditionMap::ConditionMap(const Function &F, SymbolMap &Syms)
     : F(F), Syms(Syms), Ctx(Syms.context()), DT(F),
-      PDT(F, DomTree::Direction::Post), RPO(reversePostOrder(F)) {
+      PDT(F, DomTree::Direction::Post), ReachCache(F.blockIdBound()),
+      CDs(F.blockIdBound()) {
   computeControlDeps();
 }
 
@@ -51,27 +52,27 @@ const smt::Expr *ConditionMap::edgeCond(const BasicBlock *From,
 
 const smt::Expr *ConditionMap::reachCond(const BasicBlock *From,
                                          const BasicBlock *To) {
-  auto &Cache = ReachCache[From];
-  if (auto It = Cache.find(To); It != Cache.end())
-    return It->second;
-
-  // Topological propagation over the acyclic CFG, restricted to blocks at
-  // or after From in RPO. Blocks not reached from From get condition false.
-  Cache[From] = Ctx.getTrue();
-  for (BasicBlock *X : RPO) {
-    if (Cache.count(X))
-      continue;
-    const smt::Expr *RC = Ctx.getFalse();
-    for (BasicBlock *P : X->preds()) {
-      auto PIt = Cache.find(P);
-      if (PIt == Cache.end() || PIt->second->isFalse())
+  std::vector<const smt::Expr *> &Row = ReachCache[From->id()];
+  if (Row.empty()) {
+    // Topological propagation over the acyclic CFG (the forward RPO).
+    // Blocks before From in RPO are not reached from it and get false.
+    Row.assign(ReachCache.size(), nullptr);
+    Row[From->id()] = Ctx.getTrue();
+    for (BasicBlock *X : DT.rpo()) {
+      if (Row[X->id()])
         continue;
-      RC = Ctx.mkOr(RC, Ctx.mkAnd(PIt->second, edgeCond(P, X)));
+      const smt::Expr *RC = Ctx.getFalse();
+      for (BasicBlock *P : X->preds()) {
+        const smt::Expr *PC = Row[P->id()];
+        if (!PC || PC->isFalse())
+          continue;
+        RC = Ctx.mkOr(RC, Ctx.mkAnd(PC, edgeCond(P, X)));
+      }
+      Row[X->id()] = RC;
     }
-    Cache[X] = RC;
   }
-  auto It = Cache.find(To);
-  return It == Cache.end() ? Ctx.getFalse() : It->second;
+  const smt::Expr *RC = Row[To->id()];
+  return RC ? RC : Ctx.getFalse();
 }
 
 const smt::Expr *ConditionMap::phiGate(const PhiStmt *Phi,
@@ -99,17 +100,11 @@ void ConditionMap::computeControlDeps() {
       BasicBlock *S = Polarity ? Br->trueBlock() : Br->falseBlock();
       BasicBlock *Runner = S;
       while (Runner && Runner != StopAt) {
-        CDs[Runner].push_back({CondVar, Polarity});
+        CDs[Runner->id()].push_back({CondVar, Polarity});
         Runner = PDT.idom(Runner);
       }
     }
   }
-}
-
-const std::vector<ControlDep> &
-ConditionMap::controlDeps(const BasicBlock *B) const {
-  auto It = CDs.find(B);
-  return It == CDs.end() ? Empty : It->second;
 }
 
 } // namespace pinpoint::ir

@@ -96,7 +96,9 @@ public:
 
   /// Direct control-dependence parents of \p B (FOW). Structured lowering
   /// yields at most one entry per block.
-  const std::vector<ControlDep> &controlDeps(const BasicBlock *B) const;
+  const std::vector<ControlDep> &controlDeps(const BasicBlock *B) const {
+    return B->id() < CDs.size() ? CDs[B->id()] : Empty;
+  }
 
   const DomTree &domTree() const { return DT; }
   const DomTree &postDomTree() const { return PDT; }
@@ -108,11 +110,12 @@ private:
   SymbolMap &Syms;
   smt::ExprContext &Ctx;
   DomTree DT, PDT;
-  std::vector<BasicBlock *> RPO;
-  std::unordered_map<const BasicBlock *,
-                     std::unordered_map<const BasicBlock *, const smt::Expr *>>
-      ReachCache;
-  std::unordered_map<const BasicBlock *, std::vector<ControlDep>> CDs;
+  /// Indexed by region-head block id, then by block id: one row of
+  /// reaching conditions per region queried (empty until then; a null
+  /// entry is a block the row's propagation did not reach).
+  std::vector<std::vector<const smt::Expr *>> ReachCache;
+  /// Control-dependence parents, indexed by block id.
+  std::vector<std::vector<ControlDep>> CDs;
   std::vector<ControlDep> Empty;
 };
 

@@ -7,70 +7,33 @@
 #include "ir/Dominators.h"
 
 #include <algorithm>
-#include <set>
 
 namespace pinpoint::ir {
-
-std::vector<BasicBlock *> reversePostOrder(const Function &F) {
-  std::vector<BasicBlock *> Order;
-  if (!F.entry())
-    return Order;
-  std::set<const BasicBlock *> Visited{F.entry()};
-  std::vector<std::pair<BasicBlock *, size_t>> Stack{{F.entry(), 0}};
-  while (!Stack.empty()) {
-    auto &[B, Idx] = Stack.back();
-    if (Idx < B->succs().size()) {
-      BasicBlock *Next = B->succs()[Idx++];
-      if (Visited.insert(Next).second)
-        Stack.push_back({Next, 0});
-    } else {
-      Order.push_back(B);
-      Stack.pop_back();
-    }
-  }
-  std::reverse(Order.begin(), Order.end());
-  return Order;
-}
 
 DomTree::DomTree(const Function &F, Direction D) : Dir(D) {
   Root = Dir == Direction::Forward ? F.entry() : F.exitBlock();
   if (!Root)
     return;
-
-  // RPO of the walked direction.
-  {
-    std::set<const BasicBlock *> Visited{Root};
-    std::vector<std::pair<BasicBlock *, size_t>> Stack{{Root, 0}};
-    std::vector<BasicBlock *> Post;
-    while (!Stack.empty()) {
-      auto &[B, Idx] = Stack.back();
-      const auto &Out = edgesOut(B);
-      if (Idx < Out.size()) {
-        BasicBlock *Next = Out[Idx++];
-        if (Visited.insert(Next).second)
-          Stack.push_back({Next, 0});
-      } else {
-        Post.push_back(B);
-        Stack.pop_back();
-      }
-    }
-    RPO.assign(Post.rbegin(), Post.rend());
-  }
+  RPO = reversePostOrder(F, Dir == Direction::Post);
+  const size_t Bound = F.blockIdBound();
+  std::vector<uint32_t> RPOIndex(Bound, 0);
   for (size_t I = 0; I < RPO.size(); ++I)
-    RPOIndex[RPO[I]] = I;
+    RPOIndex[RPO[I]->id()] = static_cast<uint32_t>(I);
 
-  // Cooper-Harvey-Kennedy iteration.
-  IDom[Root] = Root;
-  bool Changed = true;
+  // Cooper-Harvey-Kennedy iteration. During it the root is its own idom,
+  // so a null slot means "unreachable or not yet processed".
+  IDom.assign(Bound, nullptr);
+  IDom[Root->id()] = Root;
   auto intersect = [&](BasicBlock *A, BasicBlock *B) {
     while (A != B) {
-      while (RPOIndex[A] > RPOIndex[B])
-        A = IDom[A];
-      while (RPOIndex[B] > RPOIndex[A])
-        B = IDom[B];
+      while (RPOIndex[A->id()] > RPOIndex[B->id()])
+        A = IDom[A->id()];
+      while (RPOIndex[B->id()] > RPOIndex[A->id()])
+        B = IDom[B->id()];
     }
     return A;
   };
+  bool Changed = true;
   while (Changed) {
     Changed = false;
     for (BasicBlock *B : RPO) {
@@ -78,66 +41,48 @@ DomTree::DomTree(const Function &F, Direction D) : Dir(D) {
         continue;
       BasicBlock *NewIDom = nullptr;
       for (BasicBlock *P : edgesIn(B)) {
-        if (!IDom.count(P))
-          continue; // Unreachable or not yet processed.
+        if (!IDom[P->id()])
+          continue;
         NewIDom = NewIDom ? intersect(NewIDom, P) : P;
       }
-      if (!NewIDom)
-        continue;
-      auto It = IDom.find(B);
-      if (It == IDom.end() || It->second != NewIDom) {
-        IDom[B] = NewIDom;
+      if (NewIDom && IDom[B->id()] != NewIDom) {
+        IDom[B->id()] = NewIDom;
         Changed = true;
       }
     }
   }
-  IDom[Root] = nullptr; // Root has no idom.
+  IDom[Root->id()] = nullptr; // Root has no idom.
 
-  // Tree children.
+  Children.resize(Bound);
   for (BasicBlock *B : RPO)
-    if (BasicBlock *D = IDom[B])
-      Children[D].push_back(B);
+    if (BasicBlock *Dom = IDom[B->id()])
+      Children[Dom->id()].push_back(B);
 
   // Dominance frontiers (Cytron et al.).
+  Frontier.resize(Bound);
   for (BasicBlock *B : RPO) {
     const auto &In = edgesIn(B);
     if (In.size() < 2)
       continue;
     for (BasicBlock *P : In) {
-      if (!IDom.count(P) && P != Root)
+      if (!IDom[P->id()] && P != Root)
         continue;
       BasicBlock *Runner = P;
-      while (Runner && Runner != IDom[B]) {
-        auto &FR = Frontier[Runner];
+      while (Runner && Runner != IDom[B->id()]) {
+        auto &FR = Frontier[Runner->id()];
         if (std::find(FR.begin(), FR.end(), B) == FR.end())
           FR.push_back(B);
-        Runner = IDom[Runner];
+        Runner = IDom[Runner->id()];
       }
     }
   }
 }
 
 bool DomTree::dominates(const BasicBlock *A, const BasicBlock *B) const {
-  const BasicBlock *Cur = B;
-  while (Cur) {
+  for (const BasicBlock *Cur = B; Cur; Cur = idom(Cur))
     if (Cur == A)
       return true;
-    auto It = IDom.find(Cur);
-    Cur = It == IDom.end() ? nullptr : It->second;
-  }
   return false;
-}
-
-const std::vector<BasicBlock *> &
-DomTree::frontier(const BasicBlock *B) const {
-  auto It = Frontier.find(B);
-  return It == Frontier.end() ? Empty : It->second;
-}
-
-const std::vector<BasicBlock *> &
-DomTree::children(const BasicBlock *B) const {
-  auto It = Children.find(B);
-  return It == Children.end() ? Empty : It->second;
 }
 
 } // namespace pinpoint::ir

@@ -18,7 +18,6 @@
 
 #include "ir/IR.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace pinpoint::ir {
@@ -33,18 +32,21 @@ public:
 
   /// Immediate dominator; null for the root.
   BasicBlock *idom(const BasicBlock *B) const {
-    auto It = IDom.find(B);
-    return It == IDom.end() ? nullptr : It->second;
+    return B->id() < IDom.size() ? IDom[B->id()] : nullptr;
   }
 
   /// True if A dominates B (reflexive).
   bool dominates(const BasicBlock *A, const BasicBlock *B) const;
 
   /// The dominance frontier of \p B.
-  const std::vector<BasicBlock *> &frontier(const BasicBlock *B) const;
+  const std::vector<BasicBlock *> &frontier(const BasicBlock *B) const {
+    return B->id() < Frontier.size() ? Frontier[B->id()] : Empty;
+  }
 
   /// Tree children of \p B.
-  const std::vector<BasicBlock *> &children(const BasicBlock *B) const;
+  const std::vector<BasicBlock *> &children(const BasicBlock *B) const {
+    return B->id() < Children.size() ? Children[B->id()] : Empty;
+  }
 
   BasicBlock *root() const { return Root; }
 
@@ -52,9 +54,6 @@ public:
   const std::vector<BasicBlock *> &rpo() const { return RPO; }
 
 private:
-  const std::vector<BasicBlock *> &edgesOut(const BasicBlock *B) const {
-    return Dir == Direction::Forward ? B->succs() : B->preds();
-  }
   const std::vector<BasicBlock *> &edgesIn(const BasicBlock *B) const {
     return Dir == Direction::Forward ? B->preds() : B->succs();
   }
@@ -62,15 +61,11 @@ private:
   Direction Dir;
   BasicBlock *Root = nullptr;
   std::vector<BasicBlock *> RPO;
-  std::unordered_map<const BasicBlock *, size_t> RPOIndex;
-  std::unordered_map<const BasicBlock *, BasicBlock *> IDom;
-  std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>> Frontier;
-  std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>> Children;
+  /// Indexed by block id, sized `Function::blockIdBound()`.
+  std::vector<BasicBlock *> IDom;
+  std::vector<std::vector<BasicBlock *>> Frontier, Children;
   std::vector<BasicBlock *> Empty;
 };
-
-/// Computes the blocks of \p F in reverse post-order.
-std::vector<BasicBlock *> reversePostOrder(const Function &F);
 
 } // namespace pinpoint::ir
 

@@ -7,7 +7,6 @@
 #include "ir/IR.h"
 
 #include <algorithm>
-#include <set>
 
 namespace pinpoint::ir {
 
@@ -230,7 +229,7 @@ BasicBlock *Function::createBlock(const std::string &Name) {
 
 Variable *Function::createVar(Type Ty, const std::string &Name) {
   Variable *V =
-      Parent->make<Variable>(Variable(Ty, Name, NextVarId++, this));
+      Parent->make<Variable>(Variable(Ty, Name, Vars.size(), this));
   Vars.push_back(V);
   return V;
 }
@@ -266,56 +265,52 @@ void Function::recomputeCFGEdges() {
 
 void Function::removeUnreachableBlocks() {
   recomputeCFGEdges();
-  std::set<BasicBlock *> Reachable;
-  std::vector<BasicBlock *> Work;
-  if (entry()) {
-    Reachable.insert(entry());
-    Work.push_back(entry());
-  }
-  while (!Work.empty()) {
-    BasicBlock *B = Work.back();
-    Work.pop_back();
-    for (BasicBlock *S : B->succs())
-      if (Reachable.insert(S).second)
-        Work.push_back(S);
-  }
+  std::vector<uint8_t> Reachable(NextBlockId, 0);
+  for (const BasicBlock *B : reversePostOrder(*this))
+    Reachable[B->id()] = 1;
   Blocks.erase(std::remove_if(Blocks.begin(), Blocks.end(),
                               [&](BasicBlock *B) {
-                                return !Reachable.count(B);
+                                return !Reachable[B->id()];
                               }),
                Blocks.end());
   recomputeCFGEdges();
 }
 
 void Function::renumberStmts() {
-  // Topological (RPO-consistent) numbering: block order is creation order,
-  // which lowering makes topological for these acyclic CFGs; we still do a
-  // proper DFS post-order to be safe.
-  StmtOrder.clear();
+  // Block order is creation order, which lowering makes topological for
+  // these acyclic CFGs; the RPO walk keeps the numbering right regardless.
+  uint32_t N = 0;
+  for (BasicBlock *B : reversePostOrder(*this))
+    for (Stmt *S : B->stmts())
+      S->Order = N++;
+  Numbered = true;
+}
+
+std::vector<BasicBlock *> reversePostOrder(const Function &F, bool Backward) {
   std::vector<BasicBlock *> Order;
-  std::set<BasicBlock *> Visited;
-  // Iterative DFS producing post-order, then reverse.
-  std::vector<std::pair<BasicBlock *, size_t>> Stack;
-  if (entry()) {
-    Stack.push_back({entry(), 0});
-    Visited.insert(entry());
-  }
+  BasicBlock *Root = Backward ? F.exitBlock() : F.entry();
+  if (!Root)
+    return Order;
+  // Iterative DFS: chains of blocks can be deeper than the stack.
+  std::vector<uint8_t> Visited(F.blockIdBound(), 0);
+  std::vector<std::pair<BasicBlock *, size_t>> Stack{{Root, 0}};
+  Visited[Root->id()] = 1;
   while (!Stack.empty()) {
     auto &[B, Idx] = Stack.back();
-    if (Idx < B->succs().size()) {
-      BasicBlock *Next = B->succs()[Idx++];
-      if (Visited.insert(Next).second)
+    const std::vector<BasicBlock *> &Out = Backward ? B->preds() : B->succs();
+    if (Idx < Out.size()) {
+      BasicBlock *Next = Out[Idx++];
+      if (!Visited[Next->id()]) {
+        Visited[Next->id()] = 1;
         Stack.push_back({Next, 0});
+      }
     } else {
       Order.push_back(B);
       Stack.pop_back();
     }
   }
   std::reverse(Order.begin(), Order.end());
-  uint32_t N = 0;
-  for (BasicBlock *B : Order)
-    for (Stmt *S : B->stmts())
-      StmtOrder[S] = N++;
+  return Order;
 }
 
 std::string Function::str() const {
@@ -351,7 +346,8 @@ std::string Function::str() const {
 Function *Module::createFunction(const std::string &Name, Type RetTy) {
   std::lock_guard<std::mutex> L(Mu);
   assert(!FunctionMap.count(Name) && "duplicate function");
-  Function *F = makeLocked<Function>(Function(Name, RetTy, this));
+  Function *F = makeLocked<Function>(
+      Function(Name, static_cast<uint32_t>(Functions.size()), RetTy, this));
   Functions.push_back(F);
   FunctionMap[Name] = F;
   return F;

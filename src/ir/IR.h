@@ -223,10 +223,15 @@ protected:
   Stmt(StmtKind K, SourceLoc Loc) : Kind(K), Loc(Loc) {}
 
 private:
+  friend class Function;
   StmtKind Kind;
   bool Synthetic = false;
   SourceLoc Loc;
+  /// Position in the function's reverse-post-order numbering
+  /// (`Function::renumberStmts`); Unnumbered until the first numbering.
+  uint32_t Order = Unnumbered;
   BasicBlock *Parent = nullptr;
+  static constexpr uint32_t Unnumbered = UINT32_MAX;
 };
 
 /// v1 ← v2
@@ -479,9 +484,16 @@ private:
 };
 
 /// A function: parameters, blocks, and a single exit block.
+///
+/// Functions, blocks and variables carry dense ids: a function's id is its
+/// position in `Module::functions()`, and block and variable ids count up
+/// from 0 per function in creation order. Analyses index per-entity tables
+/// by these ids, never by address, so no order that reaches the output
+/// depends on the heap layout.
 class Function {
 public:
   const std::string &name() const { return Name; }
+  uint32_t id() const { return Id; }
   Module *parent() const { return Parent; }
   Type returnType() const { return RetTy; }
 
@@ -495,12 +507,16 @@ public:
   //===--- Blocks & variables ---------------------------------------------===
   BasicBlock *createBlock(const std::string &Name);
   const std::vector<BasicBlock *> &blocks() const { return Blocks; }
+  /// One past the largest block id handed out. Removing unreachable blocks
+  /// leaves gaps, so this can exceed `blocks().size()`.
+  uint32_t blockIdBound() const { return NextBlockId; }
   BasicBlock *entry() const { return Blocks.empty() ? nullptr : Blocks[0]; }
   /// The unique block holding the ReturnStmt.
   BasicBlock *exitBlock() const { return Exit; }
   void setExitBlock(BasicBlock *B) { Exit = B; }
 
   Variable *createVar(Type Ty, const std::string &Name);
+  /// Every variable of the function, indexed by `Variable::id()`.
   const std::vector<Variable *> &vars() const { return Vars; }
 
   /// The unique return statement (after lowering).
@@ -514,24 +530,24 @@ public:
   void removeUnreachableBlocks();
 
   /// Numbers statements in reverse-post-order execution order; used for
-  /// intra-procedural happens-before tests. Returns the order as a map
-  /// embedded in statement ids via stmtOrder().
+  /// intra-procedural happens-before tests and as the statements' ids.
   void renumberStmts();
   uint32_t stmtOrder(const Stmt *S) const {
-    auto It = StmtOrder.find(S);
-    assert(It != StmtOrder.end() && "statement not numbered");
-    return It->second;
+    assert(S->parent() && S->parent()->parent() == this &&
+           S->Order != Stmt::Unnumbered && "statement not numbered");
+    return S->Order;
   }
-  bool hasStmtOrder() const { return !StmtOrder.empty(); }
+  bool hasStmtOrder() const { return Numbered; }
 
   std::string str() const;
 
 private:
   friend class Module;
-  Function(std::string Name, Type RetTy, Module *Parent)
-      : Name(std::move(Name)), RetTy(RetTy), Parent(Parent) {}
+  Function(std::string Name, uint32_t Id, Type RetTy, Module *Parent)
+      : Name(std::move(Name)), Id(Id), RetTy(RetTy), Parent(Parent) {}
 
   std::string Name;
+  uint32_t Id;
   Type RetTy;
   Module *Parent;
   std::vector<Variable *> Params;
@@ -539,10 +555,16 @@ private:
   std::vector<BasicBlock *> Blocks;
   BasicBlock *Exit = nullptr;
   std::vector<Variable *> Vars;
-  uint32_t NextVarId = 0;
   uint32_t NextBlockId = 0;
-  std::map<const Stmt *, uint32_t> StmtOrder;
+  bool Numbered = false;
 };
+
+/// The blocks of \p F in reverse post-order of a depth-first walk that
+/// takes edges in list order: successors from the entry or, when
+/// \p Backward, predecessors from the exit block. Blocks the walk does not
+/// reach are left out.
+std::vector<BasicBlock *> reversePostOrder(const Function &F,
+                                           bool Backward = false);
 
 /// A module: functions plus ownership of all IR objects.
 ///

@@ -7,18 +7,20 @@
 #include "ir/SSA.h"
 #include "ir/Dominators.h"
 
-#include <algorithm>
-#include <map>
-#include <set>
 #include <vector>
 
 namespace pinpoint::ir {
 
 namespace {
 
+/// Tables are indexed by variable id (`Orig` is always a pre-SSA variable,
+/// so its id is below the count taken at construction) or by block id.
 class SSABuilder {
 public:
-  SSABuilder(Function &F) : F(F), DT(F) {}
+  SSABuilder(Function &F)
+      : F(F), DT(F), NumOrig(F.vars().size()), DefBlocks(NumOrig),
+        Stacks(NumOrig), VersionCount(NumOrig, 0),
+        PlacedPhis(F.blockIdBound()) {}
 
   void run() {
     collectDefs();
@@ -29,48 +31,59 @@ public:
   }
 
 private:
+  void addDef(Variable *V, BasicBlock *B) {
+    // Repeats are harmless (placePhis marks blocks); skip the common ones.
+    std::vector<BasicBlock *> &Blocks = DefBlocks[V->id()];
+    if (Blocks.empty() || Blocks.back() != B)
+      Blocks.push_back(B);
+  }
+
+  bool hasDef(const Variable *V) const {
+    return V->id() < NumOrig && !DefBlocks[V->id()].empty();
+  }
+
   void collectDefs() {
     for (BasicBlock *B : F.blocks())
       for (Stmt *S : B->stmts()) {
         if (Variable *D = S->definedVar())
-          DefBlocks[D].insert(B);
+          addDef(D, B);
         // Calls may define several receivers.
         if (auto *Call = dyn_cast<CallStmt>(S))
           for (Variable *R : Call->auxReceivers())
             if (R)
-              DefBlocks[R].insert(B);
+              addDef(R, B);
       }
     // Parameters are defined at entry.
     for (Variable *P : F.params())
-      DefBlocks[P].insert(F.entry());
+      addDef(P, F.entry());
   }
 
   void placePhis() {
-    // DefBlocks is keyed by pointer, but the phi sequence of a join block
-    // follows this loop's order — iterate by variable id so the emitted IR
-    // is identical from run to run regardless of heap layout.
-    std::vector<Variable *> Vars;
-    Vars.reserve(DefBlocks.size());
-    for (auto &[Var, Blocks] : DefBlocks)
-      Vars.push_back(Var);
-    std::sort(Vars.begin(), Vars.end(),
-              [](const Variable *A, const Variable *B) {
-                return A->id() < B->id();
-              });
-    for (Variable *Var : Vars) {
-      const std::set<BasicBlock *> &Blocks = DefBlocks[Var];
-      std::set<BasicBlock *> HasPhi;
+    // Variables in id order: the phi sequence of a join block follows this
+    // loop. Per variable, one stamp marks its defining blocks and another
+    // the blocks that already have its phi.
+    std::vector<uint32_t> IsDef(F.blockIdBound(), 0);
+    std::vector<uint32_t> HasPhi(F.blockIdBound(), 0);
+    for (uint32_t Id = 0; Id < NumOrig; ++Id) {
+      const std::vector<BasicBlock *> &Blocks = DefBlocks[Id];
+      if (Blocks.empty())
+        continue;
+      Variable *Var = F.vars()[Id];
+      const uint32_t Stamp = Id + 1;
+      for (BasicBlock *B : Blocks)
+        IsDef[B->id()] = Stamp;
       std::vector<BasicBlock *> Work(Blocks.begin(), Blocks.end());
       while (!Work.empty()) {
         BasicBlock *B = Work.back();
         Work.pop_back();
         for (BasicBlock *D : DT.frontier(B)) {
-          if (!HasPhi.insert(D).second)
+          if (HasPhi[D->id()] == Stamp)
             continue;
+          HasPhi[D->id()] = Stamp;
           auto *Phi = F.parent()->make<PhiStmt>(Var, SourceLoc{});
           D->insertAfterPhis(Phi);
-          PhiOrigin[Phi] = Var;
-          if (!DefBlocks[Var].count(D))
+          PlacedPhis[D->id()].push_back({Phi, Var});
+          if (IsDef[D->id()] != Stamp)
             Work.push_back(D);
         }
       }
@@ -78,25 +91,22 @@ private:
   }
 
   Variable *freshVersion(Variable *Orig) {
-    ++VersionCount[Orig];
+    int N = ++VersionCount[Orig->id()];
     // The very first version of a parameter is the parameter itself.
-    if (Orig->isParam() && VersionCount[Orig] == 1)
+    if (Orig->isParam() && N == 1)
       return Orig;
-    Variable *V = F.createVar(
-        Orig->type(), Orig->name() + "." + std::to_string(VersionCount[Orig]));
-    return V;
+    return F.createVar(Orig->type(), Orig->name() + "." + std::to_string(N));
   }
 
   Variable *currentVersion(Variable *Orig) {
-    auto It = Stacks.find(Orig);
-    if (It == Stacks.end() || It->second.empty())
+    if (Orig->id() >= NumOrig || Stacks[Orig->id()].empty())
       return Orig; // Use before def: keep the original (unconstrained).
-    return It->second.back();
+    return Stacks[Orig->id()].back();
   }
 
   Value *rewriteUse(Value *V) {
     if (auto *Var = dyn_cast<Variable>(V))
-      if (DefBlocks.count(Var))
+      if (hasDef(Var))
         return currentVersion(Var);
     return V;
   }
@@ -106,7 +116,7 @@ private:
 
     auto pushDef = [&](Variable *Orig) -> Variable * {
       Variable *New = freshVersion(Orig);
-      Stacks[Orig].push_back(New);
+      Stacks[Orig->id()].push_back(New);
       Pushed.push_back(Orig);
       return New;
     };
@@ -183,19 +193,14 @@ private:
 
     // Fill phi operands of successors.
     for (BasicBlock *Succ : B->succs())
-      for (Stmt *S : Succ->stmts()) {
-        auto *Phi = dyn_cast<PhiStmt>(S);
-        if (!Phi)
-          break; // Phis are grouped at the front.
-        Variable *Orig = PhiOrigin.count(Phi) ? PhiOrigin[Phi] : Phi->dst();
+      for (auto &[Phi, Orig] : PlacedPhis[Succ->id()])
         Phi->addIncoming(B, currentVersion(Orig));
-      }
 
     for (BasicBlock *Child : DT.children(B))
       rename(Child);
 
     for (auto It = Pushed.rbegin(); It != Pushed.rend(); ++It)
-      Stacks[*It].pop_back();
+      Stacks[(*It)->id()].pop_back();
   }
 
   void setDefPointers() {
@@ -212,10 +217,15 @@ private:
 
   Function &F;
   DomTree DT;
-  std::map<Variable *, std::set<BasicBlock *>> DefBlocks;
-  std::map<Variable *, std::vector<Variable *>> Stacks;
-  std::map<Variable *, int> VersionCount;
-  std::map<PhiStmt *, Variable *> PhiOrigin;
+  const uint32_t NumOrig; ///< Variables that existed before renaming.
+  /// Per pre-SSA variable: its defining blocks (none = never defined),
+  /// its stack of live versions and how many versions it has had.
+  std::vector<std::vector<BasicBlock *>> DefBlocks;
+  std::vector<std::vector<Variable *>> Stacks;
+  std::vector<int> VersionCount;
+  /// Per block id: the phis placePhis put there, with the variable each
+  /// was placed for, in the block's phi order.
+  std::vector<std::vector<std::pair<PhiStmt *, Variable *>>> PlacedPhis;
 };
 
 } // namespace

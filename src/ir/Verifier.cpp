@@ -8,8 +8,6 @@
 #include "ir/Dominators.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 namespace pinpoint::ir {
 
@@ -107,22 +105,26 @@ std::vector<std::string> verifyFunction(const Function &F, bool ExpectSSA) {
 
   // Acyclic CFG check (paper unrolls loops once).
   {
-    std::map<const BasicBlock *, int> State; // 0 new, 1 open, 2 done.
+    std::vector<uint8_t> State(F.blockIdBound(), 0); // 0 new, 1 open, 2 done.
     std::vector<std::pair<const BasicBlock *, size_t>> Stack{{F.entry(), 0}};
-    State[F.entry()] = 1;
+    State[F.entry()->id()] = 1;
     while (!Stack.empty()) {
       auto &[B, Idx] = Stack.back();
       if (Idx < B->succs().size()) {
         const BasicBlock *Next = B->succs()[Idx++];
-        if (State[Next] == 1) {
+        if (Next->parent() != &F) {
+          err("edge from " + B->name() + " into another function");
+          continue;
+        }
+        if (State[Next->id()] == 1) {
           err("CFG cycle through " + Next->name());
-          State[Next] = 2;
-        } else if (State[Next] == 0) {
-          State[Next] = 1;
+          State[Next->id()] = 2;
+        } else if (State[Next->id()] == 0) {
+          State[Next->id()] = 1;
           Stack.push_back({Next, 0});
         }
       } else {
-        State[B] = 2;
+        State[B->id()] = 2;
         Stack.pop_back();
       }
     }
@@ -131,18 +133,25 @@ std::vector<std::string> verifyFunction(const Function &F, bool ExpectSSA) {
   if (!ExpectSSA)
     return Errs;
 
-  // SSA: unique defs.
-  std::map<const Variable *, int> DefCount;
+  // SSA: unique defs, reported in variable-id order.
+  std::vector<int> DefCount(F.vars().size(), 0);
+  auto countDef = [&](const Variable *D) {
+    if (D->parent() == &F)
+      ++DefCount[D->id()];
+    else
+      err("definition of " + D->name() + " from another function");
+  };
   for (const BasicBlock *B : F.blocks())
     for (const Stmt *S : B->stmts()) {
       if (const Variable *D = S->definedVar())
-        ++DefCount[D];
+        countDef(D);
       if (const auto *Call = dyn_cast<CallStmt>(S))
         for (const Variable *R : Call->auxReceivers())
           if (R)
-            ++DefCount[R];
+            countDef(R);
     }
-  for (auto &[V, N] : DefCount) {
+  for (const Variable *V : F.vars()) {
+    const int N = DefCount[V->id()];
     if (N > 1)
       err("variable " + V->name() + " defined " + std::to_string(N) +
           " times");

@@ -45,9 +45,11 @@ struct AuxBinding {
   int Level;
 };
 
+using AuxBindings = std::map<const ir::Variable *, AuxBinding>;
+
 struct PTAConfig {
   /// Aux formal parameter bindings (empty on the first, pre-transform pass).
-  std::map<const ir::Variable *, AuxBinding> AuxParams;
+  AuxBindings AuxParams;
   /// Quasi path sensitivity: prune entries with obviously-unsat conditions.
   /// Disabled for the flow-sensitivity-only ablation.
   bool UseLinearFilter = true;

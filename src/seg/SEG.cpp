@@ -7,7 +7,8 @@
 #include "seg/SEG.h"
 #include "support/Statistics.h"
 
-#include <set>
+#include <algorithm>
+#include <memory>
 
 using namespace pinpoint::ir;
 
@@ -15,17 +16,10 @@ namespace pinpoint::seg {
 
 SEG::SEG(const Function &F, SymbolMap &Syms, ConditionMap &Conds,
          const pta::LoadDepMap &LoadDeps)
-    : F(F), Syms(Syms), Conds(Conds), Ctx(Syms.context()) {
+    : F(F), Syms(Syms), Conds(Conds), Ctx(Syms.context()),
+      NumVars(static_cast<uint32_t>(F.vars().size())) {
   build(LoadDeps);
   freeze();
-}
-
-uint32_t SEG::vertexId(const Variable *V) {
-  auto [It, Inserted] =
-      VertexId.emplace(V, static_cast<uint32_t>(VertexOrder.size()));
-  if (Inserted)
-    VertexOrder.push_back(V);
-  return It->second;
 }
 
 void SEG::addFlow(const Value *From, const Variable *To,
@@ -33,47 +27,38 @@ void SEG::addFlow(const Value *From, const Variable *To,
   const auto *Var = dyn_cast<Variable>(From);
   if (!Var)
     return; // Constants do not flow.
-  B->FlowOut[Var].push_back({To, Cond, Direct, Via});
-  B->FlowIn[To].push_back({Var, Cond, Direct, Via});
-  vertexId(Var);
-  vertexId(To);
+  assert(Var->parent() == &F && To->parent() == &F && "foreign variable");
+  B->FlowOut.push_back({Var->id(), {To, Cond, Direct, Via}});
+  B->FlowIn.push_back({To->id(), {Var, Cond, Direct, Via}});
   ++EdgeCount;
 }
 
 void SEG::addUse(const Value *V, const Stmt *S, UseKind K, int Index) {
   if (const auto *Var = dyn_cast<Variable>(V)) {
-    B->Uses[Var].push_back({S, K, Index});
-    vertexId(Var);
+    assert(Var->parent() == &F && "foreign variable");
+    B->Uses.push_back({Var->id(), {S, K, Index}});
   }
 }
 
 namespace {
-/// Packs one adjacency map into CSR form over \p Order: offsets are
-/// vertex-id indexed, rows preserve per-vertex build order.
+/// Packs id-tagged items into CSR form over \p N rows: a counting sort
+/// that keeps each row's items in build order.
 template <typename T>
-void packCSR(Arena &Mem,
-             const std::unordered_map<const Variable *, std::vector<T>> &Adj,
-             const std::vector<const Variable *> &Order,
-             const uint32_t *&OffOut, const T *&EdgesOut) {
-  const size_t N = Order.size();
+void packCSR(Arena &Mem, const std::vector<std::pair<uint32_t, T>> &Items,
+             size_t N, std::vector<uint8_t> &IsVertex, const uint32_t *&OffOut,
+             const T *&EdgesOut) {
   uint32_t *Off = Mem.allocArray<uint32_t>(N + 1);
-  size_t Total = 0;
-  for (size_t I = 0; I < N; ++I) {
-    Off[I] = static_cast<uint32_t>(Total);
-    auto It = Adj.find(Order[I]);
-    if (It != Adj.end())
-      Total += It->second.size();
+  std::fill(Off, Off + N + 1, 0);
+  for (const auto &[Id, Item] : Items) {
+    ++Off[Id + 1];
+    IsVertex[Id] = 1;
   }
-  Off[N] = static_cast<uint32_t>(Total);
-  T *Edges = Mem.allocArray<T>(Total);
-  for (size_t I = 0; I < N; ++I) {
-    auto It = Adj.find(Order[I]);
-    if (It == Adj.end())
-      continue;
-    T *Row = Edges + Off[I];
-    for (size_t J = 0; J < It->second.size(); ++J)
-      Row[J] = It->second[J];
-  }
+  for (size_t I = 0; I < N; ++I)
+    Off[I + 1] += Off[I];
+  T *Edges = Mem.allocArray<T>(Items.size());
+  std::vector<uint32_t> Next(Off, Off + N);
+  for (const auto &[Id, Item] : Items)
+    Edges[Next[Id]++] = Item;
   OffOut = Off;
   EdgesOut = Edges;
 }
@@ -93,25 +78,21 @@ const SEG::LocalDef *SEG::freezeDef(LocalDefInfo &&Info) {
 }
 
 void SEG::freeze() {
-  packCSR(Mem, B->FlowOut, VertexOrder, FlowOutOff, FlowOutE);
-  packCSR(Mem, B->FlowIn, VertexOrder, FlowInOff, FlowInE);
-  packCSR(Mem, B->Uses, VertexOrder, UsesOff, UsesE);
+  std::vector<uint8_t> IsVertex(NumVars, 0);
+  packCSR(Mem, B->FlowOut, NumVars, IsVertex, FlowOutOff, FlowOutE);
+  packCSR(Mem, B->FlowIn, NumVars, IsVertex, FlowInOff, FlowInE);
+  packCSR(Mem, B->Uses, NumVars, IsVertex, UsesOff, UsesE);
+  NumVertices = static_cast<size_t>(
+      std::count(IsVertex.begin(), IsVertex.end(), uint8_t(1)));
 
-  // Freeze the precomputed load definitions into the same arena, indexed
-  // by vertex id (BuildDefs is in statement order, so the packed layout is
-  // deterministic). Definitions queried later materialise lazily into the
-  // same storage under QueryMu.
-  DefByVertex = Mem.allocArray<const LocalDef *>(VertexOrder.size());
-  for (size_t I = 0; I < VertexOrder.size(); ++I)
-    DefByVertex[I] = nullptr;
-  for (auto &[V, Info] : B->BuildDefs) {
-    const LocalDef *D = freezeDef(std::move(Info));
-    auto It = VertexId.find(V);
-    if (It != VertexId.end())
-      DefByVertex[It->second] = D;
-    else
-      DefOverflow.emplace(V, D);
-  }
+  // Freeze the precomputed load definitions into the same arena (BuildDefs
+  // is in statement order, so the packed layout is deterministic).
+  // Definitions queried later materialise lazily into the same storage
+  // under QueryMu.
+  DefByVar = Mem.allocArray<const LocalDef *>(NumVars);
+  std::fill(DefByVar, DefByVar + NumVars, nullptr);
+  for (auto &[V, Info] : B->BuildDefs)
+    DefByVar[V->id()] = freezeDef(std::move(Info));
 
   B.reset();
   Counters::get().add("seg.csr-bytes",
@@ -381,97 +362,126 @@ std::vector<const Variable *> SEG::gateIRVars(const smt::Expr *E) const {
 }
 
 const SEG::LocalDef &SEG::localDef(const Variable *V) {
-  auto It = VertexId.find(V);
-  if (It != VertexId.end()) {
-    const LocalDef *&Slot = DefByVertex[It->second];
-    if (!Slot)
-      Slot = freezeDef(makeLocalDef(V));
-    return *Slot;
-  }
-  auto [OIt, Inserted] = DefOverflow.emplace(V, nullptr);
-  if (Inserted)
-    OIt->second = freezeDef(makeLocalDef(V));
-  return *OIt->second;
+  assert(V->parent() == &F && V->id() < NumVars && "not a variable of F");
+  const LocalDef *&Slot = DefByVar[V->id()];
+  if (!Slot)
+    Slot = freezeDef(makeLocalDef(V));
+  return *Slot;
 }
 
 const Closure &SEG::dd(const Variable *V) {
   // One lock per SEG: queries from concurrent checker tasks serialise on
-  // this function's memo caches (LocalDefs/DDCache and the lazy parts of
-  // ConditionMap reached through makeLocalDef).
+  // this function's memo caches (the definitions, the closure memos and
+  // the lazy parts of ConditionMap reached through makeLocalDef).
   std::lock_guard<std::mutex> L(QueryMu);
   return ddImpl(V);
 }
 
-Closure SEG::controlCond(const Stmt *S) {
+const Closure &SEG::controlCond(const Stmt *S) {
   std::lock_guard<std::mutex> L(QueryMu);
-  return controlCondImpl(S);
+  return controlCondImpl(S->parent());
+}
+
+const Closure *SEG::freezeClosure(
+    const smt::Expr *C, std::vector<const Variable *> &OpenParams,
+    std::vector<std::pair<const CallStmt *, int>> &OpenRecvs) {
+  std::sort(OpenParams.begin(), OpenParams.end(),
+            [](const Variable *A, const Variable *B) {
+              return A->id() < B->id();
+            });
+  OpenParams.erase(std::unique(OpenParams.begin(), OpenParams.end()),
+                   OpenParams.end());
+  std::sort(OpenRecvs.begin(), OpenRecvs.end(),
+            [this](const auto &A, const auto &B) {
+              const uint32_t OA = F.stmtOrder(A.first),
+                             OB = F.stmtOrder(B.first);
+              return OA != OB ? OA < OB : A.second < B.second;
+            });
+  OpenRecvs.erase(std::unique(OpenRecvs.begin(), OpenRecvs.end()),
+                  OpenRecvs.end());
+
+  auto *Params = MemoMem.allocArray<const Variable *>(OpenParams.size());
+  std::uninitialized_copy(OpenParams.begin(), OpenParams.end(), Params);
+  auto *Recvs = MemoMem.allocArray<std::pair<const CallStmt *, int>>(
+      OpenRecvs.size());
+  std::uninitialized_copy(OpenRecvs.begin(), OpenRecvs.end(), Recvs);
+  return new (MemoMem.allocArray<Closure>(1))
+      Closure{C, {Params, OpenParams.size()}, {Recvs, OpenRecvs.size()}};
 }
 
 const Closure &SEG::ddImpl(const Variable *V) {
-  auto Found = DDCache.find(V);
-  if (Found != DDCache.end())
-    return Found->second;
+  assert(V->parent() == &F && V->id() < NumVars && "not a variable of F");
+  if (!DDByVar) {
+    DDByVar = MemoMem.allocArray<const Closure *>(NumVars);
+    std::fill(DDByVar, DDByVar + NumVars, nullptr);
+  }
+  if (const Closure *Found = DDByVar[V->id()])
+    return *Found;
 
   // Iterative closure over dependencies.
-  Closure Out;
-  Out.C = Ctx.getTrue();
-  std::set<const Variable *> Visited;
+  if (VisitStamp.empty())
+    VisitStamp.assign(NumVars, 0);
+  const uint32_t Epoch = ++VisitEpoch;
+  const smt::Expr *C = Ctx.getTrue();
+  std::vector<const Variable *> OpenParams;
+  std::vector<std::pair<const CallStmt *, int>> OpenRecvs;
   std::vector<const Variable *> Work{V};
-  std::set<const Variable *> OpenParamSet;
-  std::set<std::pair<const CallStmt *, int>> OpenRecvSet;
-
   while (!Work.empty()) {
     const Variable *Cur = Work.back();
     Work.pop_back();
-    if (!Visited.insert(Cur).second)
+    if (VisitStamp[Cur->id()] == Epoch)
       continue;
+    VisitStamp[Cur->id()] = Epoch;
 
     const LocalDef &D = localDef(Cur);
-    Out.C = Ctx.mkAnd(Out.C, D.Constraint);
+    C = Ctx.mkAnd(C, D.Constraint);
     if (D.OpensParam)
-      OpenParamSet.insert(Cur);
+      OpenParams.push_back(Cur);
     if (D.OpenCall)
-      OpenRecvSet.insert({D.OpenCall, D.OpenRecvIndex});
+      OpenRecvs.push_back({D.OpenCall, D.OpenRecvIndex});
     for (const Variable *Dep : D.Deps)
       Work.push_back(Dep);
     // Phi constraints reference gate variables inside D.Constraint; their
     // deps were added in makeLocalDef.
   }
-
-  Out.OpenParams.assign(OpenParamSet.begin(), OpenParamSet.end());
-  Out.OpenRecvs.assign(OpenRecvSet.begin(), OpenRecvSet.end());
-  return DDCache.emplace(V, std::move(Out)).first->second;
+  return *(DDByVar[V->id()] = freezeClosure(C, OpenParams, OpenRecvs));
 }
 
-Closure SEG::controlCondImpl(const Stmt *S) {
-  Closure Out;
-  Out.C = Ctx.getTrue();
-  std::set<const Variable *> OpenParamSet;
-  std::set<std::pair<const CallStmt *, int>> OpenRecvSet;
+const Closure &SEG::controlCondImpl(const BasicBlock *Start) {
+  if (!CDByBlock) {
+    CDByBlock = MemoMem.allocArray<const Closure *>(F.blockIdBound());
+    std::fill(CDByBlock, CDByBlock + F.blockIdBound(), nullptr);
+  }
+  if (const Closure *Found = CDByBlock[Start->id()])
+    return *Found;
 
-  std::set<const BasicBlock *> Visited;
-  std::vector<const BasicBlock *> Work{S->parent()};
+  const smt::Expr *C = Ctx.getTrue();
+  std::vector<const Variable *> OpenParams;
+  std::vector<std::pair<const CallStmt *, int>> OpenRecvs;
+  std::vector<uint8_t> Visited(F.blockIdBound(), 0);
+  std::vector<const BasicBlock *> Work{Start};
   while (!Work.empty()) {
     const BasicBlock *B = Work.back();
     Work.pop_back();
-    if (!Visited.insert(B).second)
+    if (Visited[B->id()])
       continue;
+    Visited[B->id()] = 1;
     for (const ControlDep &CD : Conds.controlDeps(B)) {
       const smt::Expr *Lit = boolExprOf(CD.BranchVar);
-      Out.C = Ctx.mkAnd(Out.C, CD.Polarity ? Lit : Ctx.mkNot(Lit));
+      C = Ctx.mkAnd(C, CD.Polarity ? Lit : Ctx.mkNot(Lit));
       const Closure &Sub = ddImpl(CD.BranchVar);
-      Out.C = Ctx.mkAnd(Out.C, Sub.C);
-      OpenParamSet.insert(Sub.OpenParams.begin(), Sub.OpenParams.end());
-      OpenRecvSet.insert(Sub.OpenRecvs.begin(), Sub.OpenRecvs.end());
+      C = Ctx.mkAnd(C, Sub.C);
+      OpenParams.insert(OpenParams.end(), Sub.OpenParams.begin(),
+                        Sub.OpenParams.end());
+      OpenRecvs.insert(OpenRecvs.end(), Sub.OpenRecvs.begin(),
+                       Sub.OpenRecvs.end());
       // Walk the chain: the block defining the branch variable has its own
       // control dependences (Example 3.8).
       if (CD.BranchVar->def())
         Work.push_back(CD.BranchVar->def()->parent());
     }
   }
-  Out.OpenParams.assign(OpenParamSet.begin(), OpenParamSet.end());
-  Out.OpenRecvs.assign(OpenRecvSet.begin(), OpenRecvSet.end());
-  return Out;
+  return *(CDByBlock[Start->id()] = freezeClosure(C, OpenParams, OpenRecvs));
 }
 
 } // namespace pinpoint::seg

@@ -43,7 +43,6 @@
 
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace pinpoint::seg {
@@ -74,11 +73,14 @@ struct FlowEdge {
 
 /// The constraint closure of a DD/CD query: the formula plus the open ends
 /// whose constraints live in callers (parameters) or callees (receivers).
+/// The lists are spans into the owning SEG's storage.
 struct Closure {
   const smt::Expr *C = nullptr;
-  std::vector<const ir::Variable *> OpenParams;
-  /// (call, bundle index): -1 = primary return value, i>=0 = i-th aux.
-  std::vector<std::pair<const ir::CallStmt *, int>> OpenRecvs;
+  /// In variable-id order.
+  Span<const ir::Variable *> OpenParams;
+  /// (call, bundle index): -1 = primary return value, i>=0 = i-th aux. In
+  /// statement order, then bundle index.
+  Span<std::pair<const ir::CallStmt *, int>> OpenRecvs;
 };
 
 class SEG {
@@ -93,9 +95,10 @@ public:
   //===--- Graph access ----------------------------------------------------===
   //
   // Adjacency is frozen into immutable CSR arrays (offset + edge array per
-  // direction) once construction finishes; accessors hand out non-owning
-  // spans over the arena-backed rows. Per-vertex edge order is the build
-  // order, exactly as the mutable vectors stored it.
+  // direction) once construction finishes, with one row per variable of the
+  // function, indexed by `Variable::id()`; accessors hand out non-owning
+  // spans over the arena-backed rows. Per-variable edge order is the build
+  // order.
 
   Span<FlowEdge> flowsOut(const ir::Variable *V) const {
     return row(FlowOutOff, FlowOutE, V);
@@ -120,13 +123,14 @@ public:
   // which is where the checker-phase parallelism comes from.
 
   /// DD(v@s): the memoised data-dependence constraint closure of \p V.
-  /// The returned reference is stable (map-node backed) and the closure is
+  /// The returned reference is stable (arena backed) and the closure is
   /// immutable once cached, so it may be read after the lock is released.
   const Closure &dd(const ir::Variable *V);
 
   /// CD(v@s): the control-dependence condition of \p S — branch literals up
   /// the FOW chain, with the DD closures of the branch variables folded in.
-  Closure controlCond(const ir::Stmt *S);
+  /// It depends on S's block only and is memoised per block, like dd().
+  const Closure &controlCond(const ir::Stmt *S);
 
   /// Equality between two values as a constraint (bool-aware).
   const smt::Expr *valueEq(const ir::Value *A, const ir::Value *B);
@@ -139,7 +143,8 @@ public:
 
   //===--- Statistics -------------------------------------------------------
 
-  size_t numVertices() const { return VertexId.size(); }
+  /// Variables with at least one flow edge or use.
+  size_t numVertices() const { return NumVertices; }
   size_t numEdges() const { return EdgeCount; }
 
 private:
@@ -167,7 +172,13 @@ private:
   void build(const pta::LoadDepMap &LoadDeps);
   void freeze();
   const Closure &ddImpl(const ir::Variable *V);
-  Closure controlCondImpl(const ir::Stmt *S);
+  const Closure &controlCondImpl(const ir::BasicBlock *B);
+  /// Freezes a closure's formula and open ends (sorted into id order and
+  /// deduplicated here) into the memo arena.
+  const Closure *
+  freezeClosure(const smt::Expr *C,
+                std::vector<const ir::Variable *> &OpenParams,
+                std::vector<std::pair<const ir::CallStmt *, int>> &OpenRecvs);
   void addFlow(const ir::Value *From, const ir::Variable *To,
                const smt::Expr *Cond, bool Direct, const ir::Stmt *Via);
   void addUse(const ir::Value *V, const ir::Stmt *S, UseKind K, int Index);
@@ -181,57 +192,57 @@ private:
   ir::SymbolMap &Syms;
   ir::ConditionMap &Conds;
   smt::ExprContext &Ctx;
+  /// Variables of F when the SEG was built: the number of CSR rows and of
+  /// per-variable slots.
+  const uint32_t NumVars;
 
-  /// Mutable adjacency used only while build() runs; freeze() packs it
-  /// into the CSR arrays below and drops it, so a live SEG holds no
-  /// node-based adjacency maps.
+  /// Edges and uses in build order, tagged with their row's variable id;
+  /// used only while build() runs. freeze() packs them into the CSR arrays
+  /// below and drops them.
   struct Builder {
-    std::unordered_map<const ir::Variable *, std::vector<FlowEdge>> FlowOut;
-    std::unordered_map<const ir::Variable *, std::vector<FlowEdge>> FlowIn;
-    std::unordered_map<const ir::Variable *, std::vector<Use>> Uses;
-    /// Load definitions precomputed during build(), in statement order (a
-    /// vector, not a map, so the frozen arena layout is deterministic).
+    std::vector<std::pair<uint32_t, FlowEdge>> FlowOut, FlowIn;
+    std::vector<std::pair<uint32_t, Use>> Uses;
+    /// Load definitions precomputed during build(), in statement order.
     std::vector<std::pair<const ir::Variable *, LocalDefInfo>> BuildDefs;
   };
 
-  uint32_t vertexId(const ir::Variable *V);
   template <typename T>
   Span<T> row(const uint32_t *Off, const T *Edges,
               const ir::Variable *V) const {
-    auto It = VertexId.find(V);
-    if (It == VertexId.end())
+    assert(V->parent() == &F && "variable of another function");
+    const uint32_t Id = V->id();
+    if (Id >= NumVars)
       return {};
-    uint32_t Id = It->second;
     return {Edges + Off[Id], Off[Id + 1] - Off[Id]};
   }
 
   std::unique_ptr<Builder> B = std::make_unique<Builder>();
   std::vector<const ir::CallStmt *> Calls;
-  /// Insertion-ordered vertex ids: the CSR row index of each variable.
-  /// The id lookup is a point query, never iterated, so pointer-hash
-  /// ordering can never reach reports.
-  std::unordered_map<const ir::Variable *, uint32_t> VertexId;
-  std::vector<const ir::Variable *> VertexOrder;
-  /// Frozen CSR adjacency: `*Off` has numVertices()+1 entries; row i of
-  /// the edge array is [Off[i], Off[i+1]). All storage lives in `Mem`,
-  /// a reported arena: its slabs count towards the governed memory.
+  /// Frozen CSR adjacency: `*Off` has NumVars+1 entries; row i of the edge
+  /// array is [Off[i], Off[i+1]). All storage lives in `Mem`, a reported
+  /// arena: its slabs count towards the governed memory.
   const uint32_t *FlowOutOff = nullptr, *FlowInOff = nullptr,
                  *UsesOff = nullptr;
   const FlowEdge *FlowOutE = nullptr, *FlowInE = nullptr;
   const Use *UsesE = nullptr;
   Arena Mem;
-  /// Frozen symbolic definitions, indexed by vertex id (nullptr = not yet
-  /// materialised; slots fill lazily under QueryMu). Variables that never
-  /// became vertices (e.g. a load destination with no incoming flow) land
-  /// in the small overflow map instead. The records and their dependence
-  /// arrays live in `Mem`, so a fully-queried SEG keeps no per-definition
-  /// map nodes.
-  const LocalDef **DefByVertex = nullptr;
-  std::unordered_map<const ir::Variable *, const LocalDef *> DefOverflow;
-  /// Lazy memo table for the dd() closures (still a node-based map: dd()
-  /// hands out stable references into DDCache).
-  std::unordered_map<const ir::Variable *, Closure> DDCache;
-  mutable std::mutex QueryMu; ///< Guards the lazy query caches above.
+  /// Frozen symbolic definitions, one slot per variable (nullptr = not yet
+  /// materialised; slots fill lazily under QueryMu). The records and their
+  /// dependence arrays live in `Mem`.
+  const LocalDef **DefByVar = nullptr;
+  /// Query memos, guarded by QueryMu: one dd() slot per variable and one
+  /// controlCond() slot per block, each allocated at the first query, and
+  /// the closures they point to. Query caches are not governed memory, so
+  /// this arena stays out of the ledger.
+  Arena MemoMem{/*Reported=*/false};
+  const Closure **DDByVar = nullptr;
+  const Closure **CDByBlock = nullptr;
+  /// ddImpl's visited set: a variable is visited when its stamp equals
+  /// the current walk's epoch.
+  std::vector<uint32_t> VisitStamp;
+  uint32_t VisitEpoch = 0;
+  mutable std::mutex QueryMu; ///< Guards the lazy query state above.
+  size_t NumVertices = 0;
   size_t EdgeCount = 0;
 };
 

@@ -6,8 +6,8 @@
 
 #include "seg/SEGPrinter.h"
 
-#include <map>
 #include <sstream>
+#include <vector>
 
 using namespace pinpoint::ir;
 
@@ -56,10 +56,10 @@ std::string printSEG(const SEG &G) {
      << "  node [shape=ellipse, fontname=\"monospace\"];\n";
 
   // Emit each variable once, with flow edges carrying condition labels.
-  std::map<const Variable *, bool> Emitted;
+  std::vector<uint8_t> Emitted(F.vars().size(), 0);
   auto node = [&](const Variable *V) {
-    if (!Emitted[V]) {
-      Emitted[V] = true;
+    if (!Emitted[V->id()]) {
+      Emitted[V->id()] = 1;
       const char *Shape = V->isParam()
                               ? (V->isAuxParam() ? "doublecircle" : "diamond")
                               : "ellipse";
@@ -68,19 +68,19 @@ std::string printSEG(const SEG &G) {
   };
 
   for (const BasicBlock *B : F.blocks())
-    for (const Stmt *S : B->stmts()) {
+    for (const Stmt *S : B->stmts())
       if (const Variable *D = S->definedVar())
         node(D);
-      (void)S;
-    }
   for (const Variable *P : F.params())
     node(P);
 
-  // Walk flow edges via the vertices we know about (snapshot: every flow
-  // target is itself a defined variable or parameter, so this is complete).
+  // Walk flow edges from the vertices emitted so far, in id order
+  // (snapshot: every flow target is itself a defined variable or
+  // parameter, so this is complete).
   std::vector<const Variable *> Snapshot;
-  for (auto &[V, _] : Emitted)
-    Snapshot.push_back(V);
+  for (const Variable *V : F.vars())
+    if (Emitted[V->id()])
+      Snapshot.push_back(V);
   for (const Variable *V : Snapshot) {
     for (const FlowEdge &E : G.flowsOut(V)) {
       node(E.To);

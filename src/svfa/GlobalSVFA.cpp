@@ -13,10 +13,9 @@
 #include "svfa/ReachOracle.h"
 
 #include <algorithm>
-#include <map>
+#include <deque>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
 
 using namespace pinpoint::ir;
 
@@ -79,6 +78,9 @@ struct FnSummaries {
 /// first needs them (`ParamsBuilt`).
 struct FrozenSummaries {
   Span<VFEntry> VF1, VF2, VF3, VF4;
+  /// The sweep reached the function and it did not fail: the summaries
+  /// exist.
+  bool Reached = false;
   bool ParamsBuilt = false;
   /// The function, or a callee whose summaries it composes, calls a
   /// SourceArgFns function. Otherwise VF3 is provably empty, so reading it
@@ -188,19 +190,10 @@ private:
   }
 
   ReachOracle &reach(const Function *F) {
-    auto It = ReachCache.find(F);
-    if (It != ReachCache.end())
-      return *It->second;
-    return *ReachCache.emplace(F, std::make_unique<ReachOracle>(*F))
-                .first->second;
-  }
-
-  const seg::Closure &controlCondOf(const Function *F, const Stmt *St) {
-    auto Key = std::make_pair(F, St);
-    auto It = CDCache.find(Key);
-    if (It != CDCache.end())
-      return It->second;
-    return CDCache.emplace(Key, segOf(F).controlCond(St)).first->second;
+    std::unique_ptr<ReachOracle> &RO = ReachCache[F->id()];
+    if (!RO)
+      RO = std::make_unique<ReachOracle>(*F);
+    return *RO;
   }
 
   /// Rebases a context chain (relative to a callee) onto \p Base.
@@ -247,7 +240,9 @@ private:
 
   //===--- Value closure ----------------------------------------------------
 
-  std::map<const Variable *, CondBundle>
+  /// The values reached from \p Start with their conditions, in variable-id
+  /// order.
+  std::vector<std::pair<const Variable *, CondBundle>>
   valueClosure(const Function *F, const Variable *Start,
                const CondBundle &StartB);
 
@@ -260,8 +255,8 @@ private:
                                          const Function *Callee) const {
     if (!Callee || AM.callGraph().inSameSCC(F, Callee))
       return nullptr;
-    auto It = Summaries.find(Callee);
-    return It == Summaries.end() ? nullptr : &It->second;
+    const FrozenSummaries &CS = Summaries[Callee->id()];
+    return CS.Reached ? &CS : nullptr;
   }
 
   /// Like `calleeSummaries`, with the callee's VF1/VF3/VF4 built first.
@@ -270,7 +265,7 @@ private:
     const FrozenSummaries *CS = calleeSummaries(F, Callee);
     if (CS && !CS->ParamsBuilt) {
       buildParamCone(Callee);
-      CS = calleeSummaries(F, Callee); // A failed build erased the entry.
+      CS = calleeSummaries(F, Callee); // A failed build cleared the entry.
     }
     return CS;
   }
@@ -304,32 +299,27 @@ private:
   ResourceGovernor &Gov;
   smt::StagedSolver Solver;
 
-  /// Hot per-function caches: accessed only by point lookup (never
-  /// iterated), so hash maps are safe for determinism and shave the
-  /// tree-walk off every summary/control-dependence probe.
-  struct FnStmtHash {
-    size_t operator()(const std::pair<const Function *, const Stmt *> &K)
-        const {
-      uintptr_t A = reinterpret_cast<uintptr_t>(K.first);
-      uintptr_t B = reinterpret_cast<uintptr_t>(K.second);
-      return std::hash<uintptr_t>()(A * 0x9e3779b97f4a7c15ULL ^ B);
-    }
-  };
   /// Finished summaries: spans into SumArena (declared first so the spans
   /// never dangle). The arena is unreported to the MemStats arena ledger —
   /// summary memory was never governed before and stays ungoverned, just
   /// packed contiguously now instead of spread over per-function vectors.
   Arena SumArena{/*Reported=*/false};
-  /// Present iff the sweep reached the function and it did not fail.
-  std::unordered_map<const Function *, FrozenSummaries> Summaries;
+  /// Indexed by function id, like ReachCache.
+  std::vector<FrozenSummaries> Summaries;
   /// Per condensation node: the parameter summaries of every member with
   /// summaries are built (or being built by the current cone request).
   std::vector<bool> SCCParamsBuilt;
-  std::unordered_map<const Function *, std::unique_ptr<ReachOracle>>
-      ReachCache;
-  std::unordered_map<std::pair<const Function *, const Stmt *>, seg::Closure,
-                     FnStmtHash>
-      CDCache;
+  std::vector<std::unique_ptr<ReachOracle>> ReachCache;
+  /// Visited marks of the open value-closure walks, one level per walk: a
+  /// first-use cone build runs closures while its reader's walk is still
+  /// open. A variable is visited when its stamp equals the level's epoch.
+  /// A deque, so opening a level never moves an open one.
+  struct ClosureLevel {
+    std::vector<uint32_t> Stamp;
+    uint32_t Epoch = 0;
+  };
+  std::deque<ClosureLevel> ClosureLevels;
+  size_t OpenClosures = 0;
   std::vector<Report> Reports;
   /// Surviving (source fn, sink fn, source line, sink line) keys.
   std::set<std::tuple<std::string, std::string, uint32_t, uint32_t>> Reported;
@@ -339,11 +329,24 @@ private:
 // Value closure
 //===----------------------------------------------------------------------===
 
-std::map<const Variable *, CondBundle>
+std::vector<std::pair<const Variable *, CondBundle>>
 GlobalSVFA::Impl::valueClosure(const Function *F, const Variable *Start,
                                const CondBundle &StartB) {
   seg::SEG &Seg = segOf(F);
-  std::map<const Variable *, CondBundle> Result;
+  if (ClosureLevels.size() == OpenClosures)
+    ClosureLevels.emplace_back();
+  ClosureLevel &Level = ClosureLevels[OpenClosures++];
+  struct CloseLevel {
+    size_t &Open;
+    ~CloseLevel() { --Open; }
+  } Closer{OpenClosures};
+  if (Level.Stamp.size() < F->vars().size())
+    Level.Stamp.resize(F->vars().size(), 0);
+  const uint32_t Epoch = ++Level.Epoch;
+  auto visited = [&](const Variable *V) {
+    return Level.Stamp[V->id()] == Epoch;
+  };
+  std::vector<std::pair<const Variable *, CondBundle>> Result;
   std::vector<std::pair<const Variable *, CondBundle>> Work{{Start, StartB}};
 
   auto describe = [&](const Variable *V) {
@@ -375,16 +378,17 @@ GlobalSVFA::Impl::valueClosure(const Function *F, const Variable *Start,
     ++WalkSteps;
     auto [V, B] = std::move(Work.back());
     Work.pop_back();
-    if (Result.count(V))
+    if (visited(V))
       continue; // First-visit condition wins (see header comment).
-    Result.emplace(V, B);
+    Level.Stamp[V->id()] = Epoch;
+    Result.emplace_back(V, B);
     ++S.ClosureSteps;
 
     // A step along a flow edge: conjoin the edge condition, the control
     // dependence of the mediating statement (Equation 1's CD terms), and —
     // for direct edges — the value equality.
     auto step = [&](const Variable *Next, const seg::FlowEdge &E) {
-      if (Result.count(Next))
+      if (visited(Next))
         return;
       CondBundle NB = B;
       const smt::Expr *C = conj(NB.C, E.Cond);
@@ -394,7 +398,7 @@ GlobalSVFA::Impl::valueClosure(const Function *F, const Variable *Start,
       for (const Variable *GV : Seg.gateIRVars(E.Cond))
         NB.Vars.push_back({F, GV, nullptr});
       if (E.Via) {
-        const seg::Closure &CD = controlCondOf(F, E.Via);
+        const seg::Closure &CD = Seg.controlCond(E.Via);
         if (!foldClosure(NB, F, CD))
           return;
       }
@@ -429,7 +433,7 @@ GlobalSVFA::Impl::valueClosure(const Function *F, const Variable *Start,
             E.B.Depth + 1 > Opts.MaxContextDepth)
           continue;
         const Variable *Recv = receiverForBundle(Call, Callee, E.BundleIdx);
-        if (!Recv || Result.count(Recv))
+        if (!Recv || visited(Recv))
           continue;
         const Context *CallCtx = CT.push(nullptr, Call);
         CondBundle NB = B;
@@ -474,7 +478,7 @@ GlobalSVFA::Impl::valueClosure(const Function *F, const Variable *Start,
         if (ArgIdx < 0 || static_cast<size_t>(ArgIdx) >= Call->args().size())
           continue;
         const auto *Actual = dyn_cast<Variable>(Call->args()[ArgIdx]);
-        if (!Actual || Result.count(Actual))
+        if (!Actual || visited(Actual))
           continue;
         const Context *CallCtx = CT.push(nullptr, Call);
         CondBundle NB = B;
@@ -486,6 +490,9 @@ GlobalSVFA::Impl::valueClosure(const Function *F, const Variable *Start,
       }
     }
   }
+  std::sort(Result.begin(), Result.end(), [](const auto &A, const auto &B) {
+    return A.first->id() < B.first->id();
+  });
   return Result;
 }
 
@@ -506,7 +513,7 @@ void GlobalSVFA::Impl::paramSummaries(const Function *F, FnSummaries &Sum) {
         // free() call), so fall through afterwards.
         if (Spec.isSinkUse(U)) {
           CondBundle NB = B;
-          if (foldClosure(NB, F, controlCondOf(F, U.S))) {
+          if (foldClosure(NB, F, Seg.controlCond(U.S))) {
             Sum.VF4.push_back({P, -1, NB, U.S->loc(), F->name()});
             ++S.VF4;
           }
@@ -524,7 +531,7 @@ void GlobalSVFA::Impl::paramSummaries(const Function *F, FnSummaries &Sum) {
         // e.g. freed).
         if (U.Index == 0 && Spec.SourceArgFns.count(Call->calleeName())) {
           CondBundle NB = B;
-          if (!foldClosure(NB, F, controlCondOf(F, Call)))
+          if (!foldClosure(NB, F, Seg.controlCond(Call)))
             continue;
           Sum.VF3.push_back({P, -1, NB, Call->loc(), F->name()});
           ++S.VF3;
@@ -543,7 +550,7 @@ void GlobalSVFA::Impl::paramSummaries(const Function *F, FnSummaries &Sum) {
           CondBundle NB = B;
           if (!instantiateBundle(E.B, Callee, CallCtx, NB))
             continue;
-          if (!foldClosure(NB, F, controlCondOf(F, Call)))
+          if (!foldClosure(NB, F, Seg.controlCond(Call)))
             continue;
           Sum.VF3.push_back({P, -1, NB, E.Loc, E.LocFn});
           ++S.VF3;
@@ -555,7 +562,7 @@ void GlobalSVFA::Impl::paramSummaries(const Function *F, FnSummaries &Sum) {
           CondBundle NB = B;
           if (!instantiateBundle(E.B, Callee, CallCtx, NB))
             continue;
-          if (!foldClosure(NB, F, controlCondOf(F, Call)))
+          if (!foldClosure(NB, F, Seg.controlCond(Call)))
             continue;
           Sum.VF4.push_back({P, -1, NB, E.Loc, E.LocFn});
           ++S.VF4;
@@ -587,7 +594,7 @@ GlobalSVFA::Impl::collectEvents(const Function *F) {
         Ev.Loc = A->loc();
         Ev.LocFn = F->name();
         Ev.B.Path = {"null at " + F->name() + ":" + A->loc().str()};
-        if (foldClosure(Ev.B, F, controlCondOf(F, A)))
+        if (foldClosure(Ev.B, F, Seg.controlCond(A)))
           Events.push_back(std::move(Ev));
       }
   }
@@ -601,7 +608,7 @@ GlobalSVFA::Impl::collectEvents(const Function *F) {
       Ev.Loc = Call->loc();
       Ev.LocFn = F->name();
       Ev.B.Path = {"source at " + F->name() + ":" + Call->loc().str()};
-      if (foldClosure(Ev.B, F, controlCondOf(F, Call)))
+      if (foldClosure(Ev.B, F, Seg.controlCond(Call)))
         Events.push_back(std::move(Ev));
     }
     // Sources surfacing from callees. VF3 is read (and so built) only
@@ -630,7 +637,7 @@ GlobalSVFA::Impl::collectEvents(const Function *F) {
       Ev.LocFn = E.LocFn;
       if (!instantiateBundle(E.B, Callee, CallCtx, Ev.B))
         continue;
-      if (!foldClosure(Ev.B, F, controlCondOf(F, Call)))
+      if (!foldClosure(Ev.B, F, Seg.controlCond(Call)))
         continue;
       Events.push_back(std::move(Ev));
     }
@@ -648,7 +655,7 @@ GlobalSVFA::Impl::collectEvents(const Function *F) {
       Ev.LocFn = E.LocFn;
       if (!instantiateBundle(E.B, Callee, CallCtx, Ev.B))
         continue;
-      if (!foldClosure(Ev.B, F, controlCondOf(F, Call)))
+      if (!foldClosure(Ev.B, F, Seg.controlCond(Call)))
         continue;
       // Receiver carries the callee's returned source value.
       const Value *RetVal = bundleValue(Callee, E.BundleIdx);
@@ -679,7 +686,7 @@ void GlobalSVFA::Impl::processEvent(const Function *F, const SourceEvent &Ev,
       // Local sink.
       if (Spec.isSinkUse(U) && U.S != Ev.At && InOrder) {
         CondBundle NB = B;
-        if (!foldClosure(NB, F, controlCondOf(F, U.S)))
+        if (!foldClosure(NB, F, Seg.controlCond(U.S)))
           continue;
         addCandidate(F, Ev, NB, U.S->loc(), F->name());
         continue;
@@ -710,7 +717,7 @@ void GlobalSVFA::Impl::processEvent(const Function *F, const SourceEvent &Ev,
           CondBundle NB = B;
           if (!instantiateBundle(E.B, Callee, CallCtx, NB))
             continue;
-          if (!foldClosure(NB, F, controlCondOf(F, Call)))
+          if (!foldClosure(NB, F, Seg.controlCond(Call)))
             continue;
           addCandidate(F, Ev, NB, E.Loc, E.LocFn);
         }
@@ -723,7 +730,7 @@ void GlobalSVFA::Impl::analyzeFunction(const Function *F) {
   // The sweep turn: source events and VF2. Accumulate into a local vector,
   // freeze into the summary arena at the end. A throw mid-analysis simply
   // drops the partial accumulator — Summaries never holds a half-built
-  // entry (run()'s erase is then a no-op), and callers only ever observe
+  // entry (isolate()'s reset is then a no-op), and callers only ever observe
   // frozen, immutable spans. VF1/VF3/VF4 wait for their first reader.
   FnSummaries Sum;
   for (const SourceEvent &Ev : collectEvents(F)) {
@@ -735,6 +742,7 @@ void GlobalSVFA::Impl::analyzeFunction(const Function *F) {
     processEvent(F, Ev, Sum);
   }
   FrozenSummaries FS;
+  FS.Reached = true;
   FS.VF2 = freeze(SumArena, std::move(Sum.VF2));
   for (const CallStmt *Call : segOf(F).calls()) {
     const FrozenSummaries *CS = calleeSummaries(F, Call->callee());
@@ -744,7 +752,7 @@ void GlobalSVFA::Impl::analyzeFunction(const Function *F) {
       break;
     }
   }
-  Summaries.emplace(F, FS);
+  Summaries[F->id()] = FS;
 }
 
 void GlobalSVFA::Impl::buildParamCone(const Function *Root) {
@@ -778,13 +786,13 @@ void GlobalSVFA::Impl::buildParamCone(const Function *Root) {
 }
 
 void GlobalSVFA::Impl::buildParams(const Function *F) {
-  if (!Summaries.count(F))
+  if (!Summaries[F->id()].Reached)
     return; // Not reached, skipped or isolated by the sweep.
   Gov.beginFunction();
   try {
     FnSummaries Sum;
     paramSummaries(F, Sum);
-    FrozenSummaries &FS = Summaries.at(F);
+    FrozenSummaries &FS = Summaries[F->id()];
     FS.VF1 = freeze(SumArena, std::move(Sum.VF1));
     FS.VF3 = freeze(SumArena, std::move(Sum.VF3));
     FS.VF4 = freeze(SumArena, std::move(Sum.VF4));
@@ -798,7 +806,7 @@ void GlobalSVFA::Impl::isolate(const Function *F, const std::exception &Ex) {
   // Fault isolation: one function's failure must not lose the reports and
   // summaries of every other function. The failed function's summaries
   // are discarded; reports already emitted stand.
-  Summaries.erase(F);
+  Summaries[F->id()] = FrozenSummaries();
   ++S.IsolatedFailures;
   Gov.note(DegradationKind::FunctionFailed, "svfa", F->name(), Ex.what());
 }
@@ -936,6 +944,8 @@ std::vector<Report> GlobalSVFA::Impl::run() {
   }
 
   SCCParamsBuilt.assign(AM.callGraph().numSCCs(), false);
+  Summaries.assign(AM.module().functions().size(), FrozenSummaries());
+  ReachCache.resize(AM.module().functions().size());
   const auto &Order = AM.bottomUpOrder();
   for (size_t I = 0; I < Order.size(); ++I) {
     const Function *F = Order[I];

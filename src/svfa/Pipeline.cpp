@@ -15,6 +15,7 @@
 #include "svfa/SummaryIO.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <functional>
 #include <optional>
@@ -39,20 +40,6 @@ bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
                                 const PipelineOptions &Opts,
                                 transform::InterfaceMap &Interfaces,
                                 RunState &RS) {
-  // Demand skip: the relevance pre-pass proved no enabled checker can need
-  // this function. Nothing runs — no pacing, no budget gates, no cache
-  // probe or store, no degradation note. Its interface slot stays unset,
-  // which is safe because every *analyzed* caller is itself relevant and
-  // relevance is callee-closed: an analyzed function never reads a skipped
-  // callee's interface.
-  if (DemandOn && !Rel.relevant(F)) {
-    AnalyzedFunction Skip;
-    Skip.F = F;
-    Skip.Skipped = true;
-    Fns.at(F) = std::move(Skip);
-    return false;
-  }
-
   // Fault-injected pacing: slows every function down so lifecycle tests can
   // interrupt a run mid-flight reproducibly.
   if (uint64_t Pace = Gov.faults().paceFunctionMs())
@@ -145,7 +132,7 @@ bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
             if (decodeFunctionSummary(L.Payload, E, Err) &&
                 validateSummary(E, *F, Err)) {
               replayFunctionSummary(*F, E, Syms, Info.Interface, LoadDeps);
-              Interfaces.set(F, Info.Interface);
+              Interfaces[F->id()] = Info.Interface;
               if (E.NoteTruncated)
                 Gov.note(DegradationKind::PTATruncated, "pipeline", F->name(),
                          "points-to step budget hit");
@@ -181,7 +168,7 @@ bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
 
         // Materialise the connector interface (Fig. 3(a)).
         Info.Interface = transform::applyInterfaceTransform(*F, Pass1);
-        Interfaces.set(F, Info.Interface);
+        Interfaces[F->id()] = Info.Interface;
 
         // Pass 2: final points-to with the Aux bindings in place.
         pta::PTAConfig Cfg2;
@@ -213,7 +200,7 @@ bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
       }
 
       Info.Seg = std::make_unique<seg::SEG>(*F, Syms, *Info.Conds, LoadDeps);
-      Fns.at(F) = std::move(Info);
+      Fns[F->id()] = std::move(Info);
       return Hit;
     } catch (const std::exception &Ex) {
       Gov.note(DegradationKind::FunctionFailed, "pipeline", F->name(),
@@ -240,8 +227,8 @@ bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
     Info.Conds = nullptr;
     Info.Seg = nullptr;
   }
-  Interfaces.set(F, Info.Interface);
-  Fns.at(F) = std::move(Info);
+  Interfaces[F->id()] = Info.Interface;
+  Fns[F->id()] = std::move(Info);
   return false;
 }
 
@@ -330,9 +317,8 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
 
   // Pre-create every function's result slot and interface slot so the
   // parallel schedule mutates fixed storage, never a growing map.
-  transform::InterfaceMap Interfaces(M);
-  for (ir::Function *F : CG->bottomUpOrder())
-    Fns[F];
+  transform::InterfaceMap Interfaces(M.functions().size());
+  Fns.resize(M.functions().size());
 
   SCCOwnTaint.assign(SCCs.size(), 0);
   SCCTaint.assign(SCCs.size(), 0);
@@ -451,6 +437,23 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
 
   planMemoryPressure(SCCs, Gov);
 
+  // Demand skip: the relevance pre-pass proved no enabled checker can need
+  // these SCCs (relevance is SCC-uniform). They run no task at all — no
+  // pacing, no budget gates, no cache probe or store, no degradation note;
+  // their slots are filled here, serially. Their interface slots stay
+  // empty, which is safe because relevance is callee-closed: no relevant
+  // SCC calls, waits on or reads the interface of a skipped one.
+  std::vector<uint8_t> Live(SCCs.size(), 1);
+  for (size_t I = 0; I < SCCs.size(); ++I) {
+    if (!DemandOn || Rel.relevant(SCCs[I].Members[0]))
+      continue;
+    Live[I] = 0;
+    for (ir::Function *F : SCCs[I].Members) {
+      Fns[F->id()].F = F;
+      Fns[F->id()].Skipped = true;
+    }
+  }
+
   RunState RS;
   SCCCostUs.assign(SCCs.size(), 0);
   std::atomic<size_t> ResumedSCCs{0};
@@ -482,21 +485,26 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
     // historical `bottomUpOrder()` loop (ids are Tarjan completion order),
     // plus the per-SCC taint bookkeeping the cache needs.
     for (size_t I = 0; I < SCCs.size(); ++I)
-      AnalyzeSCC(I);
+      if (Live[I])
+        AnalyzeSCC(I);
     Resumed = ResumedSCCs.load();
     return;
   }
 
-  // Parallel: walk the call-graph condensation as a DAG. Each SCC is one
-  // task; finishing a task decrements its dependents' counts and spawns
-  // the newly-ready ones, so independent call-tree branches overlap while
-  // every caller still starts after all its callees.
+  // Parallel: walk the live part of the call-graph condensation as a DAG.
+  // Each live SCC is one task; finishing a task decrements its dependents'
+  // counts and spawns the newly-ready ones, so independent call-tree
+  // branches overlap while every caller still starts after all its callees.
   std::vector<std::atomic<size_t>> DepsLeft(SCCs.size());
   std::vector<std::vector<size_t>> Dependents(SCCs.size());
   for (size_t I = 0; I < SCCs.size(); ++I) {
+    if (!Live[I])
+      continue;
     DepsLeft[I].store(SCCs[I].CalleeSCCs.size(), std::memory_order_relaxed);
-    for (size_t Callee : SCCs[I].CalleeSCCs)
+    for (size_t Callee : SCCs[I].CalleeSCCs) {
+      assert(Live[Callee] && "relevance is callee-closed");
       Dependents[Callee].push_back(I);
+    }
   }
 
   ThreadPool::TaskGroup G(*Opts.Pool);
@@ -514,7 +522,7 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
   // counter-based root scan racing with that would spawn the same SCC a
   // second time (two pipelines mutating one function's IR).
   for (size_t I = 0; I < SCCs.size(); ++I)
-    if (SCCs[I].CalleeSCCs.empty())
+    if (Live[I] && SCCs[I].CalleeSCCs.empty())
       G.spawn([&RunSCC, I] { RunSCC(I); });
 
   G.wait();
@@ -523,7 +531,7 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
 
 size_t AnalyzedModule::totalSEGEdges() const {
   size_t N = 0;
-  for (auto &[F, Info] : Fns)
+  for (const AnalyzedFunction &Info : Fns)
     if (Info.Seg)
       N += Info.Seg->numEdges();
   return N;
@@ -531,7 +539,7 @@ size_t AnalyzedModule::totalSEGEdges() const {
 
 size_t AnalyzedModule::totalSEGVertices() const {
   size_t N = 0;
-  for (auto &[F, Info] : Fns)
+  for (const AnalyzedFunction &Info : Fns)
     if (Info.Seg)
       N += Info.Seg->numVertices();
   return N;

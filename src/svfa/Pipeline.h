@@ -111,9 +111,9 @@ public:
   ir::SymbolMap &symbols() { return Syms; }
   smt::ExprContext &context() { return Ctx; }
 
-  AnalyzedFunction &info(const ir::Function *F) { return Fns.at(F); }
+  AnalyzedFunction &info(const ir::Function *F) { return Fns.at(F->id()); }
   const AnalyzedFunction &info(const ir::Function *F) const {
-    return Fns.at(F);
+    return Fns.at(F->id());
   }
 
   /// Functions in bottom-up order (same as the call graph's).
@@ -134,7 +134,8 @@ public:
   /// SCCs the deterministic memory plan pre-degraded for --mem-budget-mb.
   size_t memPlanDegradedSCCs() const { return MemPlanDegraded; }
   /// Measured per-SCC analysis cost in microseconds, indexed by SCC id
-  /// (parallel to `callGraph().sccs()`; >= 1 for every analysed SCC).
+  /// (parallel to `callGraph().sccs()`; >= 1 for every analysed SCC, 0 for
+  /// a demand-skipped one, which runs no task).
   /// Their sum is the pipeline's busy time across workers, which set
   /// against the pipeline's wall clock gives the pool's utilisation.
   const std::vector<uint64_t> &sccCostsUs() const { return SCCCostUs; }
@@ -211,7 +212,8 @@ private:
   smt::ExprContext &Ctx;
   ir::SymbolMap Syms;
   std::unique_ptr<ir::CallGraph> CG;
-  std::map<const ir::Function *, AnalyzedFunction> Fns;
+  /// Indexed by `Function::id()`.
+  std::vector<AnalyzedFunction> Fns;
 
   /// Incremental-reanalysis state (empty when no cache is configured).
   /// SCCKeys[I] is the transitive content key of condensation node I:

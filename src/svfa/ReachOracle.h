@@ -23,11 +23,11 @@
 ///     from few blocks) never pay the O(B^2/8) matrix. Row builds count
 ///     into the `svfa.lazy-reach-rows` stat.
 ///
-/// Construction itself is lazy too: the block index is built at the first
+/// Construction itself is lazy too: the row table is sized at the first
 /// query that needs a row, not when the oracle object is made — a
 /// non-temporal checker (or a function whose queries statement order
 /// answers alone) never pays it. Builds count into
-/// `svfa.reach-oracles-built`.
+/// `svfa.reach-oracles-built`. Rows and bits are indexed by block id.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,14 +37,13 @@
 #include "ir/IR.h"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace pinpoint::svfa {
 
 class ReachOracle {
 public:
-  explicit ReachOracle(const ir::Function &F);
+  explicit ReachOracle(const ir::Function &F) : F(F) {}
 
   /// True when control can reach \p B strictly after \p A. Not const: the
   /// first query from a block materialises that block's row (the engine's
@@ -52,18 +51,13 @@ public:
   bool reaches(const ir::Stmt *A, const ir::Stmt *B);
 
 private:
-  /// Runs the deferred block indexing on the first query that needs a row.
-  void ensureBuilt();
-  void buildRow(uint32_t Row);
+  void buildRow(const ir::BasicBlock *From);
 
-  bool Built = false;
   const ir::Function &F;
-  std::unordered_map<const ir::BasicBlock *, uint32_t> Index;
-  /// One bitset row per *queried* source block; unqueried rows stay
-  /// unallocated.
+  /// One bitset row per *queried* source block, indexed by block id; the
+  /// table is sized at the first query that needs a row, and an empty row
+  /// is one not built yet.
   std::vector<std::vector<uint64_t>> Rows;
-  std::vector<uint8_t> RowBuilt; ///< Which rows are materialised.
-  size_t Words = 0;              ///< Words per row.
 };
 
 } // namespace pinpoint::svfa

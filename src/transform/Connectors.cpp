@@ -103,15 +103,11 @@ unsigned rewriteCallSites(Function &F, const CallGraph &CG,
     for (Stmt *S : B->stmts()) {
       auto *Call = dyn_cast<CallStmt>(S);
       Function *Callee = Call ? Call->callee() : nullptr;
-      const FunctionInterface *CIP =
-          (Call && Callee && !CG.inSameSCC(&F, Callee))
-              ? Interfaces.find(Callee)
-              : nullptr;
-      if (!CIP) {
+      if (!Call || !Callee || CG.inSameSCC(&F, Callee)) {
         NewStmts.push_back(S);
         continue;
       }
-      const FunctionInterface &CI = *CIP;
+      const FunctionInterface &CI = Interfaces[Callee->id()];
       if (CI.RefPaths.empty() && CI.ModPaths.empty()) {
         NewStmts.push_back(S);
         continue;

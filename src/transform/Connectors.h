@@ -30,7 +30,6 @@
 #include "ir/IR.h"
 #include "pta/PointsTo.h"
 
-#include <map>
 #include <vector>
 
 namespace pinpoint::transform {
@@ -48,53 +47,22 @@ struct FunctionInterface {
   std::vector<ir::Variable *> AuxReturns; ///< The R_p.
 
   /// Bindings for the second points-to pass: F_i ↦ *(root, level).
-  std::map<const ir::Variable *, pta::AuxBinding> auxBindings() const {
-    std::map<const ir::Variable *, pta::AuxBinding> Out;
+  pta::AuxBindings auxBindings() const {
+    pta::AuxBindings Out;
     for (size_t I = 0; I < RefPaths.size(); ++I)
       Out[AuxParams[I]] = {RefPaths[I].first, RefPaths[I].second};
     return Out;
   }
 };
 
-/// Completed `FunctionInterface`s, pre-sized to one slot per function so
-/// concurrent pipeline tasks never rehash a shared map. The index is built
-/// once (single-threaded) from the module; `set` fills a function's slot
-/// exactly once, and `find` returns null until then. Cross-thread
-/// visibility is the scheduler's obligation: a caller's task only starts
-/// after all its callee tasks finished (the dependency-count decrement is
-/// an acquire/release edge), so no per-slot synchronisation is needed.
-class InterfaceMap {
-public:
-  explicit InterfaceMap(const ir::Module &M) {
-    Slots.resize(M.functions().size());
-    size_t I = 0;
-    for (const ir::Function *F : M.functions())
-      Index.emplace(F, I++);
-  }
-
-  void set(const ir::Function *F, FunctionInterface IF) {
-    Slot &S = Slots[Index.at(F)];
-    S.IF = std::move(IF);
-    S.Set = true;
-  }
-
-  /// The completed interface of \p F, or null if \p F is unknown or its
-  /// pipeline task has not filled the slot.
-  const FunctionInterface *find(const ir::Function *F) const {
-    auto It = Index.find(F);
-    if (It == Index.end() || !Slots[It->second].Set)
-      return nullptr;
-    return &Slots[It->second].IF;
-  }
-
-private:
-  struct Slot {
-    FunctionInterface IF;
-    bool Set = false;
-  };
-  std::vector<Slot> Slots;
-  std::map<const ir::Function *, size_t> Index; ///< Read-only after ctor.
-};
+/// Completed `FunctionInterface`s, one slot per function, indexed by
+/// `Function::id()` and pre-sized so concurrent pipeline tasks never resize
+/// shared storage. A slot stays empty (no connectors) until its function's
+/// task fills it, exactly once. Cross-thread visibility is the scheduler's
+/// obligation: a caller's task only starts after all its callee tasks
+/// finished (the dependency-count decrement is an acquire/release edge),
+/// so no per-slot synchronisation is needed.
+using InterfaceMap = std::vector<FunctionInterface>;
 
 /// Applies Fig. 3(a) to \p F (already in SSA): adds Aux formal parameters
 /// and Aux return values for the REF/MOD sets in \p PTA, inserting the

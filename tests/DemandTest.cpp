@@ -39,6 +39,7 @@
 #include "frontend/Parser.h"
 #include "ir/CallGraph.h"
 #include "support/Statistics.h"
+#include "support/ThreadPool.h"
 #include "svfa/Demand.h"
 #include "svfa/GlobalSVFA.h"
 #include "svfa/ReachOracle.h"
@@ -416,6 +417,60 @@ TEST(DemandLibrary, ReportsMatchExhaustive) {
     auto On = runMode(true, Spec), Off = runMode(false, Spec);
     EXPECT_EQ(On, Off) << Spec.Name;
     EXPECT_FALSE(Off.empty()) << Spec.Name << ": subject has no findings";
+  }
+}
+
+TEST(DemandLibrary, SkippedSCCsRunNoTask) {
+  // Only relevant SCCs are scheduled: an SCC's measured cost is 0 exactly
+  // where its members were demand-skipped, serially and on a pool, and the
+  // reports equal those of the exhaustive run.
+  const std::string Source = demandSubject();
+  const checkers::CheckerSpec Spec = checkers::useAfterFreeChecker();
+  auto keys = [](const std::vector<svfa::Report> &Reports) {
+    std::vector<std::string> Keys;
+    for (const auto &R : Reports)
+      Keys.push_back(R.SourceFn + ":" + R.Source.str() + "->" + R.SinkFn +
+                     ":" + R.Sink.str());
+    return Keys;
+  };
+  std::vector<std::string> Exhaustive;
+  {
+    ir::Module M;
+    std::vector<frontend::Diag> Diags;
+    ASSERT_TRUE(frontend::parseModule(Source, M, Diags));
+    smt::ExprContext Ctx;
+    Exhaustive = keys(svfa::checkModule(M, Ctx, Spec));
+  }
+  ASSERT_FALSE(Exhaustive.empty());
+
+  for (unsigned Workers : {1u, 4u}) {
+    ir::Module M;
+    std::vector<frontend::Diag> Diags;
+    ASSERT_TRUE(frontend::parseModule(Source, M, Diags));
+    smt::ExprContext Ctx;
+    ThreadPool Pool(Workers);
+    svfa::DemandSpec DS;
+    DS.Checkers.push_back(Spec);
+    svfa::PipelineOptions PO;
+    PO.Pool = &Pool;
+    PO.Demand = &DS;
+    svfa::AnalyzedModule AM(M, Ctx, PO);
+    const auto &SCCs = AM.callGraph().sccs();
+    size_t Skipped = 0;
+    for (size_t I = 0; I < SCCs.size(); ++I) {
+      const bool SCCSkipped = AM.info(SCCs[I].Members[0]).Skipped;
+      for (const ir::Function *F : SCCs[I].Members)
+        EXPECT_EQ(AM.info(F).Skipped, SCCSkipped) << F->name();
+      EXPECT_EQ(AM.sccCostsUs()[I] == 0, SCCSkipped)
+          << SCCs[I].Members[0]->name() << " at " << Workers << " workers";
+      Skipped += SCCSkipped;
+    }
+    EXPECT_GT(Skipped, 0u);
+    svfa::GlobalOptions GO;
+    GO.Demand = true;
+    GO.Pool = &Pool;
+    svfa::GlobalSVFA Engine(AM, Spec, GO);
+    EXPECT_EQ(keys(Engine.run()), Exhaustive) << Workers << " workers";
   }
 }
 

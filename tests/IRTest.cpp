@@ -11,8 +11,11 @@
 #include "ir/SSA.h"
 #include "ir/Verifier.h"
 #include "smt/Solver.h"
+#include "svfa/ReachOracle.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 namespace pinpoint::ir {
 namespace {
@@ -116,6 +119,117 @@ TEST(Dominators, RPOStartsAtEntry) {
   for (BasicBlock *B : RPO)
     for (BasicBlock *S : B->succs())
       EXPECT_LT(Pos[B], Pos[S]);
+}
+
+/// True when a CFG path leads from \p From to \p To without entering
+/// \p Avoid (From == To counts as a path).
+bool pathAvoiding(const BasicBlock *From, const BasicBlock *To,
+                  const BasicBlock *Avoid) {
+  std::vector<const BasicBlock *> Work{From}, Seen;
+  while (!Work.empty()) {
+    const BasicBlock *B = Work.back();
+    Work.pop_back();
+    if (B == Avoid || std::find(Seen.begin(), Seen.end(), B) != Seen.end())
+      continue;
+    if (B == To)
+      return true;
+    Seen.push_back(B);
+    Work.insert(Work.end(), B->succs().begin(), B->succs().end());
+  }
+  return false;
+}
+
+TEST(Dominators, BlockIdGapsMatchBruteForce) {
+  // The dead code after the early returns is dropped by
+  // removeUnreachableBlocks, which leaves gaps in the block ids. Every
+  // table indexed by block id must still agree with brute force.
+  auto M = parseSSA(R"(
+    int f(int *p, int a, int b) {
+      int x = 0;
+      if (a > 0) {
+        return 1;
+        x = 5;
+        if (b > 0) { x = 6; }
+      }
+      if (b > 0) {
+        x = 2;
+        if (a < 5) { free(p); return x; x = 9; }
+      } else {
+        x = 3;
+      }
+      int y = *p;
+      return x + y;
+    })");
+  Function *F = M->function("f");
+  ASSERT_LT(F->blocks().size() + 2, F->blockIdBound());
+  smt::ExprContext Ctx;
+  SymbolMap Syms(Ctx);
+  ConditionMap CM(*F, Syms);
+  const DomTree &DT = CM.domTree(), &PDT = CM.postDomTree();
+  BasicBlock *Entry = F->entry(), *Exit = F->exitBlock();
+  auto dom = [&](const BasicBlock *A, const BasicBlock *B) {
+    return A == B || !pathAvoiding(Entry, B, A);
+  };
+  auto pdom = [&](const BasicBlock *A, const BasicBlock *B) {
+    return A == B || !pathAvoiding(B, Exit, A);
+  };
+
+  for (const BasicBlock *A : F->blocks())
+    for (const BasicBlock *B : F->blocks()) {
+      EXPECT_EQ(DT.dominates(A, B), dom(A, B)) << A->name() << B->name();
+      EXPECT_EQ(PDT.dominates(A, B), pdom(A, B)) << A->name() << B->name();
+    }
+  for (const BasicBlock *B : F->blocks()) {
+    // The immediate (post-)dominator is the strict one every other strict
+    // (post-)dominator (post-)dominates.
+    for (const BasicBlock *A : F->blocks()) {
+      if (A != B && dom(A, B))
+        EXPECT_TRUE(dom(A, DT.idom(B))) << B->name();
+      if (A != B && pdom(A, B))
+        EXPECT_TRUE(pdom(A, PDT.idom(B))) << B->name();
+    }
+    EXPECT_EQ(DT.idom(B) == nullptr, B == Entry);
+    EXPECT_EQ(PDT.idom(B) == nullptr, B == Exit);
+  }
+
+  // FOW: B depends on the edge A -> S when B post-dominates S but not A.
+  for (const BasicBlock *B : F->blocks()) {
+    std::vector<std::pair<uint32_t, bool>> Expected, Actual;
+    for (const BasicBlock *A : F->blocks()) {
+      const auto *Br = dyn_cast_or_null<BranchStmt>(A->terminator());
+      if (!Br || Br->trueBlock() == Br->falseBlock() ||
+          !isa<Variable>(Br->cond()))
+        continue;
+      for (bool Polarity : {true, false})
+        if (pdom(B, Polarity ? Br->trueBlock() : Br->falseBlock()) &&
+            !pdom(B, A))
+          Expected.push_back({cast<Variable>(Br->cond())->id(), Polarity});
+    }
+    for (const ControlDep &CD : CM.controlDeps(B))
+      Actual.push_back({CD.BranchVar->id(), CD.Polarity});
+    std::sort(Expected.begin(), Expected.end());
+    std::sort(Actual.begin(), Actual.end());
+    EXPECT_EQ(Actual, Expected) << B->name();
+  }
+
+  // Reachability strictly after a statement.
+  svfa::ReachOracle RO(*F);
+  for (const BasicBlock *BA : F->blocks())
+    for (const Stmt *A : BA->stmts())
+      for (const BasicBlock *BB : F->blocks())
+        for (const Stmt *B : BB->stmts()) {
+          bool Expected = false;
+          if (BA == BB) {
+            const auto &Ss = BA->stmts();
+            Expected = std::find(Ss.begin(), Ss.end(), A) <
+                       std::find(Ss.begin(), Ss.end(), B);
+          } else {
+            for (const BasicBlock *S : BA->succs())
+              Expected |= pathAvoiding(S, BB, nullptr);
+          }
+          EXPECT_EQ(RO.reaches(A, B), Expected)
+              << F->stmtOrder(A) << " -> " << F->stmtOrder(B);
+        }
 }
 
 //===----------------------------------------------------------------------===
@@ -277,6 +391,50 @@ TEST(CallGraphTest, RecursionFormsSCC) {
   EXPECT_TRUE(CG.inSameSCC(M->function("a"), M->function("b")));
   EXPECT_FALSE(CG.inSameSCC(M->function("a"), M->function("main2")));
   EXPECT_EQ(CG.numSCCs(), 2u);
+}
+
+TEST(CallGraphTest, ForwardReferencesFollowFunctionIds) {
+  // Callers come before their callees. Tarjan starts from the functions in
+  // id order and walks callees in id order, so the bottom-up order, the
+  // SCC ids and the edge lists follow the program text, not addresses.
+  auto M = parse(R"(
+    void top() { c(); a(); e(); b(); c(); }
+    void b() { a(); }
+    void a() { }
+    void c() { }
+    void d() { e(); }
+    void e() { d(); }
+  )");
+  CallGraph CG(*M);
+  auto names = [](const std::vector<Function *> &Fns) {
+    std::vector<std::string> Out;
+    for (const Function *F : Fns)
+      Out.push_back(F->name());
+    return Out;
+  };
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(names(CG.callees(M->function("top"))),
+            (Names{"b", "a", "c", "e"}));
+  EXPECT_EQ(names(CG.callers(M->function("a"))), (Names{"top", "b"}));
+  EXPECT_EQ(names(CG.callers(M->function("e"))), (Names{"top", "d"}));
+  EXPECT_EQ(names(CG.bottomUpOrder()),
+            (Names{"a", "b", "c", "d", "e", "top"}));
+
+  ASSERT_EQ(CG.numSCCs(), 5u);
+  for (const char *Name : {"a", "b", "c"})
+    EXPECT_EQ(names(std::vector<Function *>(
+                  CG.sccs()[CG.sccOf(M->function(Name))].Members.begin(),
+                  CG.sccs()[CG.sccOf(M->function(Name))].Members.end())),
+              Names{Name});
+  EXPECT_EQ(CG.sccOf(M->function("a")), 0u);
+  EXPECT_EQ(CG.sccOf(M->function("b")), 1u);
+  EXPECT_EQ(CG.sccOf(M->function("c")), 2u);
+  EXPECT_EQ(CG.sccOf(M->function("d")), 3u);
+  EXPECT_EQ(CG.sccOf(M->function("e")), 3u);
+  EXPECT_EQ(CG.sccOf(M->function("top")), 4u);
+  const Span<uint32_t> TopCallees = CG.sccs()[4].CalleeSCCs;
+  EXPECT_EQ(std::vector<uint32_t>(TopCallees.begin(), TopCallees.end()),
+            (std::vector<uint32_t>{0, 1, 2, 3}));
 }
 
 //===----------------------------------------------------------------------===

@@ -224,6 +224,45 @@ TEST_F(SEGTest, DDOpensCallReceivers) {
   EXPECT_EQ(D.OpenRecvs[0].second, -1); // Primary receiver.
 }
 
+TEST_F(SEGTest, OpenEndsAreListedInIdOrder) {
+  // The walks meet the open ends in another order (the last dependence
+  // first); the closures list parameters by variable id and receivers by
+  // statement order.
+  analyze(R"(
+    int g(int x) { return x; }
+    int f(int a, int b, int c) {
+      int r1 = g(c);
+      int r2 = g(a);
+      int s = r1 + b;
+      int t = s + r2;
+      int u = t + c + a;
+      if (u > 0) { u = u + 1; }
+      return u;
+    })");
+  SEG &S = segOf("f");
+  Function *F = fn("f");
+  std::vector<const CallStmt *> Calls;
+  for (const BasicBlock *B : F->blocks())
+    for (const Stmt *St : B->stmts())
+      if (const auto *C = dyn_cast<CallStmt>(St))
+        Calls.push_back(C);
+  ASSERT_EQ(Calls.size(), 2u);
+  ASSERT_EQ(cast<Variable>(Calls[0]->args()[0]), F->params()[2]); // g(c)
+
+  auto check = [&](const Closure &D, const char *What) {
+    ASSERT_EQ(D.OpenParams.size(), 3u) << What;
+    for (size_t I = 0; I < 3; ++I)
+      EXPECT_EQ(D.OpenParams[I], F->params()[I]) << What;
+    ASSERT_EQ(D.OpenRecvs.size(), 2u) << What;
+    EXPECT_EQ(D.OpenRecvs[0].first, Calls[0]) << What;
+    EXPECT_EQ(D.OpenRecvs[1].first, Calls[1]) << What;
+  };
+  const auto *RetVal = dyn_cast<Variable>(F->returnStmt()->values()[0]);
+  check(S.dd(RetVal), "dd");
+  const auto *Br = cast<BranchStmt>(F->entry()->terminator());
+  check(S.controlCond(Br->trueBlock()->stmts().front()), "controlCond");
+}
+
 TEST_F(SEGTest, MallocReceiversAreNonNull) {
   analyze("int *f() { int *p = malloc(); return p; }");
   SEG &S = segOf("f");
