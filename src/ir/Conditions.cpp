@@ -6,24 +6,40 @@
 
 #include "ir/Conditions.h"
 
+#include <stdexcept>
+
 namespace pinpoint::ir {
 
 const smt::Expr *SymbolMap::operator[](const Value *V) {
   if (const auto *C = dyn_cast<Constant>(V))
     return Ctx.getInt(C->value());
   const auto *Var = cast<Variable>(V);
-  // Held across creation so two tasks racing on the same IR variable
-  // cannot mint two distinct symbolic variables for it.
-  std::lock_guard<std::mutex> L(Mu);
-  auto It = Map.find(Var);
-  if (It != Map.end())
-    return It->second;
+  if (Var->parent()->parent() != &M)
+    throw std::invalid_argument("symbol map: " + Var->name() +
+                                " belongs to another module");
+  std::atomic<const smt::Expr *> &Slot = Forward.slot(Var->globalId());
+  if (const smt::Expr *E = Slot.load(std::memory_order_acquire))
+    return E;
+  return mint(Var, Slot);
+}
+
+const smt::Expr *SymbolMap::mint(const Variable *Var,
+                                 std::atomic<const smt::Expr *> &Slot) {
   std::string Name = Var->parent()->name() + "::" + Var->name();
   const smt::Expr *E = Var->type().isBool() ? Ctx.freshBoolVar(Name)
                                             : Ctx.freshIntVar(Name);
-  Map.emplace(Var, E);
-  Reverse.emplace(E->varId(), Var);
-  return E;
+  // The reverse slot is written first; the release CAS below publishes it
+  // together with E.
+  std::atomic<const Variable *> &Back = Reverse.slot(E->varId());
+  Back.store(Var, std::memory_order_relaxed);
+  const smt::Expr *Won = nullptr;
+  if (Slot.compare_exchange_strong(Won, E, std::memory_order_release,
+                                   std::memory_order_acquire))
+    return E;
+  // Another thread published first. E was never handed out: leave it
+  // unused, with no IR variable behind it.
+  Back.store(nullptr, std::memory_order_relaxed);
+  return Won;
 }
 
 ConditionMap::ConditionMap(const Function &F, SymbolMap &Syms)

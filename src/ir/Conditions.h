@@ -30,38 +30,50 @@
 #include "ir/Dominators.h"
 #include "ir/IR.h"
 #include "smt/Expr.h"
+#include "support/SlotTable.h"
 
-#include <mutex>
-#include <unordered_map>
+#include <atomic>
 #include <vector>
 
 namespace pinpoint::ir {
 
-/// Maps IR variables to symbolic variables, creating them on demand.
-/// Thread-safe: one SymbolMap spans the whole module and is hit by
-/// concurrent pipeline/query tasks under `--jobs N`, so the memo tables
-/// are mutex-guarded (the returned Expr nodes are immutable).
+/// Maps IR variables to symbolic variables, creating them on first use.
+///
+/// One SymbolMap serves one module and is read by concurrent pipeline and
+/// checker tasks under `--jobs N`, so it takes no lock. It owns two slot
+/// tables: forward slots indexed by `Variable::globalId()` and reverse
+/// slots indexed by symbolic variable id. A lookup is an acquire load of
+/// the forward slot. A first use mints the symbolic variable, writes its
+/// reverse slot, then publishes it with a release CAS on the forward slot,
+/// so a thread that sees a symbol also sees its `irVar`. When two first
+/// uses race, the loser's symbolic variable stays unused and its reverse
+/// slot is cleared (DESIGN §9, "Symbol table"). The returned Expr nodes
+/// are immutable.
 class SymbolMap {
 public:
-  explicit SymbolMap(smt::ExprContext &Ctx) : Ctx(Ctx) {}
+  SymbolMap(const Module &M, smt::ExprContext &Ctx) : M(M), Ctx(Ctx) {}
 
-  /// The symbolic variable (or constant) denoting \p V.
+  /// The symbolic variable (or constant) denoting \p V. A variable of
+  /// another module is an error (std::invalid_argument): module-wide ids of
+  /// two modules would alias.
   const smt::Expr *operator[](const Value *V);
 
-  /// The IR variable a symbolic variable id came from, or null.
+  /// The IR variable a symbolic variable id came from, or null when this
+  /// map did not mint that id.
   const Variable *irVar(uint32_t SymVarId) const {
-    std::lock_guard<std::mutex> L(Mu);
-    auto It = Reverse.find(SymVarId);
-    return It == Reverse.end() ? nullptr : It->second;
+    return Reverse.get(SymVarId);
   }
 
   smt::ExprContext &context() { return Ctx; }
 
 private:
+  const smt::Expr *mint(const Variable *Var,
+                        std::atomic<const smt::Expr *> &Slot);
+
+  const Module &M;
   smt::ExprContext &Ctx;
-  mutable std::mutex Mu; ///< Guards Map and Reverse.
-  std::unordered_map<const Variable *, const smt::Expr *> Map;
-  std::unordered_map<uint32_t, const Variable *> Reverse;
+  AtomicSlotTable<const smt::Expr> Forward;
+  AtomicSlotTable<const Variable> Reverse;
 };
 
 /// A control-dependence parent: the branch-condition variable an entity is

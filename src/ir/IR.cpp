@@ -228,8 +228,10 @@ BasicBlock *Function::createBlock(const std::string &Name) {
 }
 
 Variable *Function::createVar(Type Ty, const std::string &Name) {
-  Variable *V =
-      Parent->make<Variable>(Variable(Ty, Name, Vars.size(), this));
+  uint32_t GlobalId =
+      Parent->NextVarId.fetch_add(1, std::memory_order_relaxed);
+  Variable *V = Parent->make<Variable>(
+      Variable(Ty, Name, Vars.size(), GlobalId, this));
   Vars.push_back(V);
   return V;
 }

@@ -30,6 +30,7 @@
 #include "support/Casting.h"
 #include "support/SourceLoc.h"
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <map>
@@ -113,7 +114,10 @@ public:
   }
 
   const std::string &name() const { return Name; }
+  /// Dense id within the parent function (see `Function`).
   uint32_t id() const { return Id; }
+  /// Dense id within the module: creation order across all functions.
+  uint32_t globalId() const { return GlobalId; }
   Function *parent() const { return Parent; }
 
   /// The unique defining statement in SSA form; null for parameters.
@@ -131,12 +135,14 @@ public:
 
 private:
   friend class Function;
-  Variable(Type Ty, std::string Name, uint32_t Id, Function *Parent)
+  Variable(Type Ty, std::string Name, uint32_t Id, uint32_t GlobalId,
+           Function *Parent)
       : Value(VK_Variable, Ty), Name(std::move(Name)), Id(Id),
-        Parent(Parent) {}
+        GlobalId(GlobalId), Parent(Parent) {}
 
   std::string Name;
   uint32_t Id;
+  uint32_t GlobalId;
   Function *Parent;
   Stmt *Def = nullptr;
   int ParamIdx = -1;
@@ -487,9 +493,11 @@ private:
 ///
 /// Functions, blocks and variables carry dense ids: a function's id is its
 /// position in `Module::functions()`, and block and variable ids count up
-/// from 0 per function in creation order. Analyses index per-entity tables
-/// by these ids, never by address, so no order that reaches the output
-/// depends on the heap layout.
+/// from 0 per function in creation order. A variable also has a
+/// module-wide id (`Variable::globalId`) from one counter in the module,
+/// so tables that span functions are indexed without a lock. Analyses
+/// index per-entity tables by these ids, never by address, so no order
+/// that reaches the output depends on the heap layout.
 class Function {
 public:
   const std::string &name() const { return Name; }
@@ -600,6 +608,8 @@ public:
   std::string str() const;
 
 private:
+  friend class Function;
+
   /// For members that already hold Mu (the constant pools).
   template <typename T, typename... Args> T *makeLocked(Args &&...A) {
     return Mem.allocObject<T>(std::forward<Args>(A)...);
@@ -611,6 +621,9 @@ private:
   std::map<std::string, Function *> FunctionMap;
   std::map<int64_t, Constant *> IntConsts;
   std::map<int, Constant *> NullConsts;
+  /// Source of `Variable::globalId`: pipeline tasks create aux variables
+  /// in different functions at once.
+  std::atomic<uint32_t> NextVarId{0};
 };
 
 /// Names with built-in semantics for the analyses.

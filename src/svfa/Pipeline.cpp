@@ -297,7 +297,7 @@ void AnalyzedModule::planMemoryPressure(
 
 AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
                                const PipelineOptions &Opts)
-    : M(M), Ctx(Ctx), Syms(Ctx) {
+    : M(M), Ctx(Ctx), Syms(M, Ctx) {
   ResourceGovernor &Gov =
       Opts.Governor ? *Opts.Governor : ResourceGovernor::ungoverned();
 

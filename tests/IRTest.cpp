@@ -163,7 +163,7 @@ TEST(Dominators, BlockIdGapsMatchBruteForce) {
   Function *F = M->function("f");
   ASSERT_LT(F->blocks().size() + 2, F->blockIdBound());
   smt::ExprContext Ctx;
-  SymbolMap Syms(Ctx);
+  SymbolMap Syms(*M, Ctx);
   ConditionMap CM(*F, Syms);
   const DomTree &DT = CM.domTree(), &PDT = CM.postDomTree();
   BasicBlock *Entry = F->entry(), *Exit = F->exitBlock();
@@ -454,7 +454,7 @@ TEST_F(ConditionsTest, PhiGatesAreComplementary) {
       return x;
     })");
   Function *F = M->function("f");
-  SymbolMap Syms(Ctx);
+  SymbolMap Syms(*M, Ctx);
   ConditionMap CM(*F, Syms);
 
   const PhiStmt *Phi = nullptr;
@@ -480,7 +480,7 @@ TEST_F(ConditionsTest, EdgeCondsUseBranchVariable) {
       return x;
     })");
   Function *F = M->function("f");
-  SymbolMap Syms(Ctx);
+  SymbolMap Syms(*M, Ctx);
   ConditionMap CM(*F, Syms);
 
   auto *Br = cast<BranchStmt>(F->entry()->terminator());
@@ -498,7 +498,7 @@ TEST_F(ConditionsTest, ReachCondOfJoinIsTrue) {
       return x;
     })");
   Function *F = M->function("f");
-  SymbolMap Syms(Ctx);
+  SymbolMap Syms(*M, Ctx);
   ConditionMap CM(*F, Syms);
   // The join and exit are reached unconditionally: θ ∨ ¬θ folds to true.
   EXPECT_EQ(CM.canonicalPathCond(F->exitBlock()), Ctx.getTrue());
@@ -512,7 +512,7 @@ TEST_F(ConditionsTest, ReachCondOfBranchSideIsLiteral) {
       return x;
     })");
   Function *F = M->function("f");
-  SymbolMap Syms(Ctx);
+  SymbolMap Syms(*M, Ctx);
   ConditionMap CM(*F, Syms);
   auto *Br = cast<BranchStmt>(F->entry()->terminator());
   const smt::Expr *RC = CM.canonicalPathCond(Br->trueBlock());
@@ -529,7 +529,7 @@ TEST_F(ConditionsTest, ControlDepsOfNestedBranches) {
       return x;
     })");
   Function *F = M->function("f");
-  SymbolMap Syms(Ctx);
+  SymbolMap Syms(*M, Ctx);
   ConditionMap CM(*F, Syms);
 
   auto *OuterBr = cast<BranchStmt>(F->entry()->terminator());
@@ -560,7 +560,7 @@ TEST_F(ConditionsTest, JoinBlockHasNoControlDeps) {
       return x;
     })");
   Function *F = M->function("f");
-  SymbolMap Syms(Ctx);
+  SymbolMap Syms(*M, Ctx);
   ConditionMap CM(*F, Syms);
   auto *Br = cast<BranchStmt>(F->entry()->terminator());
   BasicBlock *Join = Br->trueBlock()->succs()[0];
@@ -572,7 +572,7 @@ TEST_F(ConditionsTest, JoinBlockHasNoControlDeps) {
 TEST_F(ConditionsTest, SymbolMapTypesFollowIR) {
   auto M = parseSSA("int f(bool t, int x, int *p) { return x; }");
   Function *F = M->function("f");
-  SymbolMap Syms(Ctx);
+  SymbolMap Syms(*M, Ctx);
   EXPECT_TRUE(Syms[F->params()[0]]->isBool());
   EXPECT_FALSE(Syms[F->params()[1]]->isBool());
   EXPECT_FALSE(Syms[F->params()[2]]->isBool()); // Pointers are int terms.

@@ -31,7 +31,7 @@ protected:
     EXPECT_NE(F, nullptr);
     F->recomputeCFGEdges();
     constructSSA(*F);
-    Syms = std::make_unique<SymbolMap>(Ctx);
+    Syms = std::make_unique<SymbolMap>(*M, Ctx);
     Conds = std::make_unique<ConditionMap>(*F, *Syms);
     return runPointsTo(*F, *Syms, *Conds, Config);
   }
@@ -249,7 +249,7 @@ TEST_F(PTATest, AuxParamBindingRedirectsPointsTo) {
   // Re-run with the binding in place.
   PTAConfig Config;
   Config.AuxParams[F->params()[1]] = {F->params()[0], 1};
-  Syms = std::make_unique<SymbolMap>(Ctx);
+  Syms = std::make_unique<SymbolMap>(*M, Ctx);
   Conds = std::make_unique<ConditionMap>(*F, *Syms);
   auto R = runPointsTo(*F, *Syms, *Conds, Config);
   const Variable *Q = F->params()[0];
