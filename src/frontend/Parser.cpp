@@ -770,6 +770,16 @@ private:
     }
     if (!expect(TokKind::RParen, "')'"))
       return {};
+    // The connector transform indexes a call's actuals by the callee's
+    // parameter positions, so the counts must agree.
+    if (SigIt != Signatures.end() &&
+        ArgIdx != SigIt->second.ParamTys.size()) {
+      error(Name.Loc, "call to '" + Callee + "' passes " +
+                          std::to_string(ArgIdx) +
+                          " argument(s), but it takes " +
+                          std::to_string(SigIt->second.ParamTys.size()));
+      return {};
+    }
 
     // Determine the return type: defined functions have signatures;
     // malloc adapts to the expected pointer type; free is void; other

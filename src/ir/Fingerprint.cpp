@@ -147,12 +147,11 @@ uint64_t fingerprintFunction(const Function &F) {
   return H.digest();
 }
 
-std::unordered_map<const Function *, uint64_t>
-fingerprintModule(const Module &M) {
-  std::unordered_map<const Function *, uint64_t> FP;
+std::vector<uint64_t> fingerprintModule(const Module &M) {
+  std::vector<uint64_t> FP;
   FP.reserve(M.functions().size());
   for (const Function *F : M.functions())
-    FP.emplace(F, fingerprintFunction(*F));
+    FP.push_back(fingerprintFunction(*F));
   return FP;
 }
 

@@ -23,7 +23,7 @@
 #define PINPOINT_IR_FINGERPRINT_H
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 namespace pinpoint::ir {
 
@@ -33,12 +33,11 @@ class Module;
 /// The structural, location-independent content hash of \p F.
 uint64_t fingerprintFunction(const Function &F);
 
-/// Every function's fingerprint. One sweep feeds both consumers — the
-/// summary cache's SCC content keys and the relevance entry's per-function
-/// records — so a module is never hashed twice per run, and a run without
-/// `--cache-dir` never hashes it at all.
-std::unordered_map<const Function *, uint64_t>
-fingerprintModule(const Module &M);
+/// Every function's fingerprint, indexed by function id. One sweep feeds
+/// both consumers — the summary cache's SCC content keys and the relevance
+/// entry's per-function records — so a module is never hashed twice per
+/// run, and a run without `--cache-dir` never hashes it at all.
+std::vector<uint64_t> fingerprintModule(const Module &M);
 
 } // namespace pinpoint::ir
 

@@ -285,6 +285,7 @@ void Function::renumberStmts() {
   for (BasicBlock *B : reversePostOrder(*this))
     for (Stmt *S : B->stmts())
       S->Order = N++;
+  NumStmts = N;
   Numbered = true;
 }
 

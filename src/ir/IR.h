@@ -540,6 +540,8 @@ public:
   /// Numbers statements in reverse-post-order execution order; used for
   /// intra-procedural happens-before tests and as the statements' ids.
   void renumberStmts();
+  /// One past the largest `stmtOrder`: the size of a table indexed by it.
+  uint32_t stmtOrderBound() const { return NumStmts; }
   uint32_t stmtOrder(const Stmt *S) const {
     assert(S->parent() && S->parent()->parent() == this &&
            S->Order != Stmt::Unnumbered && "statement not numbered");
@@ -564,6 +566,7 @@ private:
   BasicBlock *Exit = nullptr;
   std::vector<Variable *> Vars;
   uint32_t NextBlockId = 0;
+  uint32_t NumStmts = 0;
   bool Numbered = false;
 };
 

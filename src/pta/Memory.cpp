@@ -8,39 +8,25 @@
 
 namespace pinpoint::pta {
 
-std::string MemObject::str() const {
-  if (TheKind == Alloc)
-    return "alloc@" + Site->loc().str();
-  std::string S = "*(" + RootVar->name() + "," + std::to_string(Level) + ")";
-  return S;
-}
-
 MemObject *MemObjectTable::allocObject(const ir::CallStmt *Site,
                                        ir::Type ContentTy) {
-  auto It = Allocs.find(Site);
-  if (It != Allocs.end())
-    return It->second;
-  auto *O = static_cast<MemObject *>(
-      Mem.allocate(sizeof(MemObject), alignof(MemObject)));
-  new (O) MemObject(Site, ContentTy);
-  Allocs.emplace(Site, O);
-  All.push_back(O);
-  return O;
+  MemObject *&Slot = Allocs[Site->parent()->parent()->stmtOrder(Site)];
+  if (!Slot)
+    Slot = Mem.allocObject<MemObject>(MemObject(NumObjects++, ContentTy));
+  return Slot;
 }
 
 MemObject *MemObjectTable::rootObject(const ir::Variable *Root, int Level) {
-  auto Key = std::make_pair(Root, Level);
-  auto It = Roots.find(Key);
-  if (It != Roots.end())
-    return It->second;
-  assert(Root->type().pointerDepth() >= Level && "over-deep access path");
-  ir::Type ContentTy = Root->type().deref(Level);
-  auto *O = static_cast<MemObject *>(
-      Mem.allocate(sizeof(MemObject), alignof(MemObject)));
-  new (O) MemObject(Root, Level, ContentTy);
-  Roots.emplace(Key, O);
-  All.push_back(O);
-  return O;
+  assert(Level >= 1 && Root->type().pointerDepth() >= Level &&
+         "over-deep access path");
+  std::vector<MemObject *> &Levels = Roots[Root->id()];
+  if (Levels.empty())
+    Levels.resize(Root->type().pointerDepth(), nullptr);
+  MemObject *&Slot = Levels[Level - 1];
+  if (!Slot)
+    Slot = Mem.allocObject<MemObject>(
+        MemObject(NumObjects++, Root, Level, Root->type().deref(Level)));
+  return Slot;
 }
 
 } // namespace pinpoint::pta

@@ -26,9 +26,8 @@
 
 #include "ir/IR.h"
 #include "smt/Expr.h"
+#include "support/Arena.h"
 
-#include <map>
-#include <string>
 #include <vector>
 
 namespace pinpoint::pta {
@@ -40,11 +39,9 @@ public:
 
   Kind kind() const { return TheKind; }
 
-  /// Alloc: the malloc call site.
-  const ir::CallStmt *allocSite() const {
-    assert(TheKind == Alloc);
-    return Site;
-  }
+  /// Creation order within the function's `MemObjectTable`: the order in
+  /// which the analysis walks objects.
+  uint32_t id() const { return Id; }
 
   /// Root: the pointer variable the access path is rooted at.
   const ir::Variable *root() const {
@@ -66,37 +63,38 @@ public:
   /// The static type of values stored in this object.
   ir::Type contentType() const { return ContentTy; }
 
-  std::string str() const;
-
 private:
   friend class MemObjectTable;
-  MemObject(const ir::CallStmt *Site, ir::Type ContentTy)
-      : TheKind(Alloc), Site(Site), ContentTy(ContentTy) {}
-  MemObject(const ir::Variable *RootVar, int Level, ir::Type ContentTy)
-      : TheKind(Root), RootVar(RootVar), Level(Level), ContentTy(ContentTy) {}
+  MemObject(uint32_t Id, ir::Type ContentTy)
+      : TheKind(Alloc), Id(Id), ContentTy(ContentTy) {}
+  MemObject(uint32_t Id, const ir::Variable *RootVar, int Level,
+            ir::Type ContentTy)
+      : TheKind(Root), Id(Id), RootVar(RootVar), Level(Level),
+        ContentTy(ContentTy) {}
 
   Kind TheKind;
-  const ir::CallStmt *Site = nullptr;
+  uint32_t Id;
   const ir::Variable *RootVar = nullptr;
   int Level = 0;
   ir::Type ContentTy = ir::Type::intTy();
 };
 
-/// Interning table for memory objects (per analysed function).
+/// The memory objects of one analysed function, owned by its arena and
+/// numbered in creation order; looked up by the malloc call's statement
+/// number, or by the root variable's id and the level.
 class MemObjectTable {
 public:
-  explicit MemObjectTable(Arena &Mem) : Mem(Mem) {}
+  explicit MemObjectTable(const ir::Function &F)
+      : Allocs(F.stmtOrderBound(), nullptr), Roots(F.vars().size()) {}
 
   MemObject *allocObject(const ir::CallStmt *Site, ir::Type ContentTy);
   MemObject *rootObject(const ir::Variable *Root, int Level);
 
-  const std::vector<MemObject *> &all() const { return All; }
-
 private:
-  Arena &Mem;
-  std::map<const ir::CallStmt *, MemObject *> Allocs;
-  std::map<std::pair<const ir::Variable *, int>, MemObject *> Roots;
-  std::vector<MemObject *> All;
+  Arena Mem;
+  uint32_t NumObjects = 0;
+  std::vector<MemObject *> Allocs;
+  std::vector<std::vector<MemObject *>> Roots; ///< [variable id][level - 1]
 };
 
 /// A value possibly held in memory: a real IR value, or the initial value
@@ -108,9 +106,6 @@ struct ContentVal {
   bool isInitial() const { return V == nullptr; }
   bool operator==(const ContentVal &O) const {
     return V == O.V && Origin == O.Origin;
-  }
-  bool operator<(const ContentVal &O) const {
-    return V != O.V ? V < O.V : Origin < O.Origin;
   }
 };
 

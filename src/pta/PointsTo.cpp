@@ -14,8 +14,18 @@ namespace pinpoint::pta {
 
 namespace {
 
-/// Memory environment: contents of each touched object.
-using Env = std::map<const MemObject *, ValSet>;
+/// Memory environment: the contents of each touched object, sorted by
+/// object id. A block carries only what it touched, so copying or merging
+/// environments never pays for objects it did not touch.
+using Env = std::vector<std::pair<const MemObject *, ValSet>>;
+
+/// The entry of \p O in \p E, or where it belongs.
+Env::iterator findEntry(Env &E, const MemObject *O) {
+  return std::lower_bound(E.begin(), E.end(), O->id(),
+                          [](const auto &Entry, uint32_t Id) {
+                            return Entry.first->id() < Id;
+                          });
+}
 
 } // namespace
 
@@ -24,10 +34,7 @@ public:
   PointsToAnalysis(const Function &F, SymbolMap &Syms, ConditionMap &Conds,
                    const PTAConfig &Config)
       : F(F), Syms(Syms), Conds(Conds), Ctx(Syms.context()),
-        Linear(Syms.context()), Config(Config) {
-    R.ObjectArena = std::make_shared<Arena>();
-    R.Objects = std::make_shared<MemObjectTable>(*R.ObjectArena);
-  }
+        Linear(Syms.context()), Config(Config), R(F) {}
 
   PointsToResult run();
 
@@ -59,23 +66,24 @@ private:
   //===--- Points-to of values ---------------------------------------------===
 
   const PtsSet &ptsOfVar(const Variable *V) {
-    auto It = R.VarPts.find(V);
-    if (It != R.VarPts.end())
-      return It->second;
-    PtsSet S;
+    std::optional<PtsSet> &Slot = R.VarPts[V->id()];
+    if (Slot)
+      return *Slot;
+    PtsSet &S = Slot.emplace();
     if (V->type().isPointer()) {
       // Opaque pointer (parameter, call receiver, or untracked): it points
       // to the access-path object rooted at itself, unless it is an Aux
       // formal parameter standing for *(root, k) — then to *(root, k+1).
-      auto Aux = Config.AuxParams.find(V);
-      if (Aux != Config.AuxParams.end())
-        S.push_back({R.Objects->rootObject(Aux->second.Root,
-                                           Aux->second.Level + 1),
+      const AuxBinding *Aux = V->id() < Config.AuxParams.size()
+                                  ? &Config.AuxParams[V->id()]
+                                  : nullptr;
+      if (Aux && Aux->Root)
+        S.push_back({R.Objects.rootObject(Aux->Root, Aux->Level + 1),
                      Ctx.getTrue()});
       else
-        S.push_back({R.Objects->rootObject(V, 1), Ctx.getTrue()});
+        S.push_back({R.Objects.rootObject(V, 1), Ctx.getTrue()});
     }
-    return R.VarPts.emplace(V, std::move(S)).first->second;
+    return S;
   }
 
   PtsSet ptsOfValue(const Value *V) {
@@ -93,20 +101,35 @@ private:
     // contents are undefined and point nowhere.
     const MemObject *O = CV.Origin;
     if (O->kind() == MemObject::Root && O->contentType().isPointer())
-      return {{R.Objects->rootObject(O->root(), O->level() + 1),
+      return {{R.Objects.rootObject(O->root(), O->level() + 1),
                Ctx.getTrue()}};
     return {};
   }
 
   //===--- Memory environment ----------------------------------------------===
 
+  /// The contents of \p O in \p E; the reference lives until the next
+  /// object enters \p E.
   ValSet &contentsOf(Env &E, const MemObject *O) {
-    auto It = E.find(O);
-    if (It != E.end())
+    auto It = findEntry(E, O);
+    if (It != E.end() && It->first == O)
       return It->second;
     // Lazily materialise the initial contents.
     ValSet Init{{ContentVal{nullptr, O}, Ctx.getTrue()}};
-    return E.emplace(O, std::move(Init)).first->second;
+    return E.insert(It, {O, std::move(Init)})->second;
+  }
+
+  /// Adds \p O's access path to \p Paths, kept in (parameter index,
+  /// level) order.
+  static void addPath(std::vector<ParamPath> &Paths, const MemObject *O) {
+    auto Before = [](const ParamPath &A, const ParamPath &B) {
+      return std::pair(A.first->paramIndex(), A.second) <
+             std::pair(B.first->paramIndex(), B.second);
+    };
+    ParamPath P{O->root(), O->level()};
+    auto It = std::lower_bound(Paths.begin(), Paths.end(), P, Before);
+    if (It == Paths.end() || *It != P)
+      Paths.insert(It, P);
   }
 
   /// Resolves the access path *(Base, K): returns the objects at level K
@@ -142,7 +165,7 @@ private:
         if (!C)
           continue;
         if (CV.isInitial() && CV.Origin->isParamPath())
-          R.Refs.insert({CV.Origin->root(), CV.Origin->level()});
+          addPath(R.Refs, CV.Origin);
         addEntry(Out, CV, C, Ctx);
       }
     }
@@ -154,7 +177,7 @@ private:
     PtsSet Targets = resolvePath(E, Base, K);
     for (auto &[O, OC] : Targets) {
       if (O->isParamPath())
-        R.Mods.insert({O->root(), O->level()});
+        addPath(R.Mods, O);
       ValSet &S = contentsOf(E, O);
       if (OC->isTrue() && Targets.size() == 1) {
         // Strong update: every abstract object is a single cell (arrays are
@@ -181,7 +204,7 @@ private:
     case Stmt::SK_Assign: {
       auto *A = cast<AssignStmt>(S);
       if (A->dst()->type().isPointer())
-        R.VarPts[A->dst()] = ptsOfValue(A->src());
+        R.VarPts[A->dst()->id()] = ptsOfValue(A->src());
       break;
     }
     case Stmt::SK_Phi: {
@@ -195,7 +218,7 @@ private:
           if (const smt::Expr *CC = conj(C, Gate))
             addEntry(Merged, O, CC, Ctx);
       }
-      R.VarPts[Phi->dst()] = std::move(Merged);
+      R.VarPts[Phi->dst()->id()] = std::move(Merged);
       break;
     }
     case Stmt::SK_Call: {
@@ -204,8 +227,8 @@ private:
         Type RecvTy = Call->receiver()->type();
         Type ContentTy =
             RecvTy.isPointer() ? RecvTy.deref() : Type::intTy();
-        R.VarPts[Call->receiver()] = {
-            {R.Objects->allocObject(Call, ContentTy), Ctx.getTrue()}};
+        R.VarPts[Call->receiver()->id()] = PtsSet{
+            {R.Objects.allocObject(Call, ContentTy), Ctx.getTrue()}};
       }
       // Other receivers resolve lazily as opaque roots via ptsOfVar.
       break;
@@ -219,9 +242,9 @@ private:
           for (auto &[O, OC] : ptsOfContent(CV))
             if (const smt::Expr *CC = conj(C, OC))
               addEntry(Pts, O, CC, Ctx);
-        R.VarPts[L->dst()] = std::move(Pts);
+        R.VarPts[L->dst()->id()] = std::move(Pts);
       }
-      R.LoadDeps[L] = std::move(Deps);
+      R.LoadDeps[F.stmtOrder(L)] = std::move(Deps);
       break;
     }
     case Stmt::SK_Store: {
@@ -236,49 +259,44 @@ private:
 
   //===--- Merge ------------------------------------------------------------
 
-  Env mergePreds(const BasicBlock *B,
-                 const std::map<const BasicBlock *, Env> &BlockOut) {
+  Env mergePreds(const BasicBlock *B, std::vector<Env> &BlockOut) {
     const auto &Preds = B->preds();
     if (Preds.empty())
       return {};
-    if (Preds.size() == 1) {
-      auto It = BlockOut.find(Preds[0]);
-      return It == BlockOut.end() ? Env{} : It->second;
-    }
-    // Gate each predecessor's contents exactly like a phi operand.
+    if (Preds.size() == 1)
+      return BlockOut[Preds[0]->id()];
+    // Gate each predecessor's contents exactly like a phi operand, object
+    // by object in id order.
     const BasicBlock *Region = Conds.domTree().idom(B);
+    std::vector<const MemObject *> Touched;
+    for (const BasicBlock *P : Preds)
+      for (auto &[O, S] : BlockOut[P->id()])
+        Touched.push_back(O);
+    std::sort(Touched.begin(), Touched.end(),
+              [](const MemObject *X, const MemObject *Y) {
+                return X->id() < Y->id();
+              });
+    Touched.erase(std::unique(Touched.begin(), Touched.end()), Touched.end());
     Env Out;
-    std::set<const MemObject *> Touched;
-    for (const BasicBlock *P : Preds) {
-      auto It = BlockOut.find(P);
-      if (It == BlockOut.end())
-        continue;
-      for (auto &[O, S] : It->second)
-        Touched.insert(O);
-    }
     for (const MemObject *O : Touched) {
       ValSet Merged;
       for (const BasicBlock *P : Preds) {
         const smt::Expr *Gate = Ctx.mkAnd(
             Region ? Conds.reachCond(Region, P) : Ctx.getTrue(),
             Conds.edgeCond(P, B));
-        auto It = BlockOut.find(P);
-        const ValSet *S = nullptr;
+        Env &In = BlockOut[P->id()];
+        auto It = findEntry(In, O);
         ValSet Lazy;
-        if (It != BlockOut.end()) {
-          auto OIt = It->second.find(O);
-          if (OIt != It->second.end())
-            S = &OIt->second;
-        }
-        if (!S) {
+        const ValSet *S = &Lazy;
+        if (It != In.end() && It->first == O)
+          S = &It->second;
+        else
           Lazy.push_back({ContentVal{nullptr, O}, Ctx.getTrue()});
-          S = &Lazy;
-        }
         for (auto &[CV, C] : *S)
           if (const smt::Expr *CC = conj(C, Gate))
             addEntry(Merged, CV, CC, Ctx);
       }
-      Out.emplace(O, std::move(Merged));
+      Out.emplace_back(O, std::move(Merged));
     }
     return Out;
   }
@@ -298,7 +316,7 @@ PointsToResult PointsToAnalysis::run() {
   for (const Variable *P : F.params())
     (void)ptsOfVar(P);
 
-  std::map<const BasicBlock *, Env> BlockOut;
+  std::vector<Env> BlockOut(F.blockIdBound());
   uint64_t Steps = 0;
   for (BasicBlock *B : reversePostOrder(F)) {
     Env E = mergePreds(B, BlockOut);
@@ -309,7 +327,7 @@ PointsToResult PointsToAnalysis::run() {
       }
       transfer(E, S);
     }
-    BlockOut.emplace(B, std::move(E));
+    BlockOut[B->id()] = std::move(E);
     if (R.Truncated)
       break;
   }

@@ -32,20 +32,21 @@
 #include "pta/Memory.h"
 #include "smt/LinearSolver.h"
 
-#include <map>
-#include <memory>
-#include <set>
+#include <optional>
+#include <vector>
 
 namespace pinpoint::pta {
 
 /// Binding of an Aux formal parameter to its access path (set up by the
 /// connector transform; consumed by the second analysis pass).
 struct AuxBinding {
-  const ir::Variable *Root;
-  int Level;
+  const ir::Variable *Root = nullptr; ///< Null: the variable is unbound.
+  int Level = 0;
 };
 
-using AuxBindings = std::map<const ir::Variable *, AuxBinding>;
+/// Aux bindings indexed by the Aux parameter's variable id. Slots of other
+/// variables, and ids past the end, are unbound.
+using AuxBindings = std::vector<AuxBinding>;
 
 struct PTAConfig {
   /// Aux formal parameter bindings (empty on the first, pre-transform pass).
@@ -62,9 +63,11 @@ struct PTAConfig {
 /// An access path *(param, k).
 using ParamPath = std::pair<const ir::Variable *, int>;
 
-/// Per-load data dependences: the values each load may observe, with
-/// conditions — the only points-to output the SEG consumes.
-using LoadDepMap = std::map<const ir::LoadStmt *, ValSet>;
+/// Per-load data dependences, indexed by the load's statement number
+/// (`Function::stmtOrder`): the values each load may observe, with
+/// conditions — the only points-to output the SEG consumes. Other
+/// statements' slots, and loads past the end, have none.
+using LoadDepMap = std::vector<ValSet>;
 
 class PointsToResult {
 public:
@@ -72,25 +75,24 @@ public:
   /// value denote opaque initial contents (unconstrained).
   const ValSet &loadDeps(const ir::LoadStmt *L) const {
     static const ValSet None;
-    auto It = LoadDeps.find(L);
-    return It == LoadDeps.end() ? None : It->second;
+    uint32_t Ord = F->stmtOrder(L);
+    return Ord < LoadDeps.size() ? LoadDeps[Ord] : None;
   }
 
   /// Conditional points-to set of a pointer variable (empty if untracked).
   const PtsSet &pointsTo(const ir::Variable *V) const {
     static const PtsSet None;
-    auto It = VarPts.find(V);
-    return It == VarPts.end() ? None : It->second;
+    return V->id() < VarPts.size() && VarPts[V->id()] ? *VarPts[V->id()]
+                                                      : None;
   }
 
-  const std::set<ParamPath> &refs() const { return Refs; }
-  const std::set<ParamPath> &mods() const { return Mods; }
+  /// The REF'd and MOD'd access paths, ordered by (parameter index, level).
+  const std::vector<ParamPath> &refs() const { return Refs; }
+  const std::vector<ParamPath> &mods() const { return Mods; }
 
   /// Conditions constructed / pruned as obviously unsat (ablation stats).
   uint64_t condsChecked() const { return CondsChecked; }
   uint64_t condsPruned() const { return CondsPruned; }
-
-  size_t numObjects() const { return Objects ? Objects->all().size() : 0; }
 
   /// True when the pass stopped early on its step budget.
   bool truncated() const { return Truncated; }
@@ -102,13 +104,17 @@ public:
 
 private:
   friend class PointsToAnalysis;
+  explicit PointsToResult(const ir::Function &F)
+      : F(&F), Objects(F), LoadDeps(F.stmtOrderBound()),
+        VarPts(F.vars().size()) {}
+
+  const ir::Function *F;
+  MemObjectTable Objects; ///< Owns every object the sets below point to.
   LoadDepMap LoadDeps;
-  std::map<const ir::Variable *, PtsSet> VarPts;
-  std::set<ParamPath> Refs, Mods;
+  std::vector<std::optional<PtsSet>> VarPts; ///< By variable id.
+  std::vector<ParamPath> Refs, Mods;
   uint64_t CondsChecked = 0, CondsPruned = 0;
   bool Truncated = false;
-  std::shared_ptr<Arena> ObjectArena;          ///< Keeps objects alive.
-  std::shared_ptr<MemObjectTable> Objects;
 };
 
 /// Runs the analysis over \p F (must be in SSA form with an acyclic CFG).

@@ -141,8 +141,8 @@ void SEG::build(const pta::LoadDepMap &LoadDeps) {
         LocalDefInfo D;
         D.Constraint = Ctx.getTrue();
         static const pta::ValSet NoDeps;
-        auto It = LoadDeps.find(L);
-        for (auto &[CV, C] : It == LoadDeps.end() ? NoDeps : It->second) {
+        const uint32_t Ord = F.stmtOrder(L);
+        for (auto &[CV, C] : Ord < LoadDeps.size() ? LoadDeps[Ord] : NoDeps) {
           if (CV.isInitial())
             continue;
           addFlow(CV.V, L->dst(), C, /*Direct=*/true, S);

@@ -37,6 +37,14 @@ public:
   explicit Arena(bool Reported) : Reported(Reported) {}
   Arena(const Arena &) = delete;
   Arena &operator=(const Arena &) = delete;
+  /// Takes over \p O's objects, which keep their addresses; \p O is left
+  /// empty.
+  Arena(Arena &&O) noexcept
+      : Slabs(std::move(O.Slabs)), Dtors(std::move(O.Dtors)),
+        Cur(std::exchange(O.Cur, 0)), End(std::exchange(O.End, 0)),
+        BytesUsed(std::exchange(O.BytesUsed, 0)),
+        BytesReserved(std::exchange(O.BytesReserved, 0)),
+        Reported(O.Reported) {}
   ~Arena() { reset(); }
 
   /// Allocates \p Size bytes aligned to \p Align.

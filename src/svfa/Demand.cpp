@@ -99,15 +99,16 @@ constexpr uint8_t InSlice = 4; ///< In callees*(core).
 
 /// One checker's slice over the condensation. \p First[I] is SCC I's first
 /// row. With \p Snk the core is the intersection of the two caller cones;
-/// without, the source cone alone. \p UnionSlice and \p UnionSeeds gather
-/// the union's SCC marks and per-row seed marks across checkers.
+/// without, the source cone alone. \p UnionFns and \p UnionSeeds gather
+/// the union's function marks and per-row seed marks across checkers.
 RelevanceSet sweepCones(const CallGraph &CG, const SeedTable &Seeds,
                         const std::vector<size_t> &First, SeedBit Src,
-                        const SeedBit *Snk, std::vector<uint8_t> &UnionSlice,
+                        const SeedBit *Snk, std::vector<uint8_t> &UnionFns,
                         std::vector<uint8_t> &UnionSeeds) {
   const std::vector<CallGraph::SCCNode> &SCCs = CG.sccs();
   RelevanceSet R;
   R.All = false;
+  R.Fns.assign(CG.bottomUpOrder().size(), 0);
 
   // Ascending: callees have smaller ids, so an SCC is in a caller cone
   // when one of its rows seeds it or one of its callee SCCs already is.
@@ -141,9 +142,8 @@ RelevanceSet sweepCones(const CallGraph &CG, const SeedTable &Seeds,
     Mark[I] |= InSlice;
     for (uint32_t Callee : SCCs[I].CalleeSCCs)
       Mark[Callee] |= InSlice;
-    UnionSlice[I] = 1;
     for (const Function *F : SCCs[I].Members)
-      R.Fns.insert(F);
+      R.Fns[F->id()] = UnionFns[F->id()] = 1;
   }
   return R;
 }
@@ -169,7 +169,7 @@ RelevanceArtifact relevanceFromSeeds(const CallGraph &CG,
 
   RelevanceArtifact A;
   A.Union.All = false;
-  std::vector<uint8_t> UnionSlice(SCCs.size(), 0);
+  A.Union.Fns.assign(CG.bottomUpOrder().size(), 0);
   // Union diagnostics count *functions* that seed any checker, matching the
   // pre-sink-slicing semantics of [demand] source-fns.
   std::vector<uint8_t> UnionSeeds(First.back(), 0);
@@ -192,7 +192,7 @@ RelevanceArtifact relevanceFromSeeds(const CallGraph &CG,
     }
     A.PerChecker.emplace(CS.Name,
                          sweepCones(CG, Seeds, First, Src,
-                                    UseSnk ? &Snk : nullptr, UnionSlice,
+                                    UseSnk ? &Snk : nullptr, A.Union.Fns,
                                     UnionSeeds));
   }
 
@@ -201,11 +201,8 @@ RelevanceArtifact relevanceFromSeeds(const CallGraph &CG,
     A.PerChecker.emplace("leak",
                          sweepCones(CG, Seeds, First,
                                     {0, SeedTable::LeakSource}, nullptr,
-                                    UnionSlice, UnionSeeds));
+                                    A.Union.Fns, UnionSeeds));
 
-  for (size_t I = 0; I < SCCs.size(); ++I)
-    if (UnionSlice[I])
-      A.Union.Fns.insert(SCCs[I].Members.begin(), SCCs[I].Members.end());
   for (uint8_t S : UnionSeeds) {
     A.Union.SourceFns += (S & SrcCone) != 0;
     A.Union.SinkFns += (S & SnkCone) != 0;
@@ -303,10 +300,9 @@ SummaryCache::LoadStatus loadRelevanceSeeds(const SummaryCache &Cache,
   return SummaryCache::LoadStatus::Ok;
 }
 
-bool storeRelevanceSeeds(
-    const SummaryCache &Cache, const DemandSpec &Spec, const CallGraph &CG,
-    const SeedTable &Seeds,
-    const std::unordered_map<const Function *, uint64_t> &FP) {
+bool storeRelevanceSeeds(const SummaryCache &Cache, const DemandSpec &Spec,
+                         const CallGraph &CG, const SeedTable &Seeds,
+                         const std::vector<uint64_t> &FP) {
   if (!Cache.writable())
     return false;
   const std::vector<Function *> &Fns = CG.bottomUpOrder();
@@ -314,7 +310,7 @@ bool storeRelevanceSeeds(
   W.u32(static_cast<uint32_t>(Fns.size()));
   for (size_t I = 0; I < Fns.size(); ++I) {
     W.str(Fns[I]->name());
-    W.u64(FP.at(Fns[I]));
+    W.u64(FP.at(Fns[I]->id()));
     const uint8_t *Row = Seeds.row(I);
     for (size_t C = 0; C < Seeds.Stride; ++C)
       W.u8(Row[C]);
@@ -322,10 +318,9 @@ bool storeRelevanceSeeds(
   return Cache.store(RelevanceEntryName, relevanceSpecKey(Spec), W.take());
 }
 
-SeedRefresh
-refreshSeeds(const CallGraph &CG, const DemandSpec &Spec,
-             const StoredSeeds &Prev,
-             const std::unordered_map<const Function *, uint64_t> &FP) {
+SeedRefresh refreshSeeds(const CallGraph &CG, const DemandSpec &Spec,
+                         const StoredSeeds &Prev,
+                         const std::vector<uint64_t> &FP) {
   const std::vector<Function *> &Fns = CG.bottomUpOrder();
   SeedScanner Scan(Spec);
   SeedRefresh R;
@@ -338,7 +333,7 @@ refreshSeeds(const CallGraph &CG, const DemandSpec &Spec,
     auto It = Prev.Fns.find(Fns[I]->name());
     if (It != Prev.Fns.end())
       ++Matched;
-    if (It != Prev.Fns.end() && It->second.FP == FP.at(Fns[I])) {
+    if (It != Prev.Fns.end() && It->second.FP == FP.at(Fns[I]->id())) {
       std::copy_n(Prev.Seeds.row(It->second.Row), R.Seeds.Stride,
                   R.Seeds.row(I));
     } else {

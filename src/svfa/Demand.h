@@ -60,7 +60,6 @@
 #include <map>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace pinpoint::svfa {
@@ -86,7 +85,8 @@ struct DemandSpec {
 struct RelevanceSet {
   /// True = demand off / not computed: everything is relevant.
   bool All = true;
-  std::unordered_set<const ir::Function *> Fns;
+  /// One byte per function id, 1 = relevant; ids past the end are not.
+  std::vector<uint8_t> Fns;
   /// Functions that directly contain a source site (diagnostics only).
   size_t SourceFns = 0;
   /// Functions that directly contain a sink seed of a sink-sliced checker
@@ -95,7 +95,9 @@ struct RelevanceSet {
   /// source-only cone).
   size_t SinkFns = 0;
 
-  bool relevant(const ir::Function *F) const { return All || Fns.count(F); }
+  bool relevant(const ir::Function *F) const {
+    return All || (F->id() < Fns.size() && Fns[F->id()]);
+  }
 };
 
 /// The full pre-pass result: the union set the pipeline analyzes plus the
@@ -183,12 +185,11 @@ SummaryCache::LoadStatus loadRelevanceSeeds(const SummaryCache &Cache,
                                             StoredSeeds &Out);
 
 /// Stores \p Seeds (rows of `CG.bottomUpOrder()`) with the functions'
-/// names and fingerprints \p FP as the relevance entry. Returns false when
-/// the cache is read-only or the write failed.
-bool storeRelevanceSeeds(
-    const SummaryCache &Cache, const DemandSpec &Spec,
-    const ir::CallGraph &CG, const SeedTable &Seeds,
-    const std::unordered_map<const ir::Function *, uint64_t> &FP);
+/// names and fingerprints \p FP (by function id) as the relevance entry.
+/// Returns false when the cache is read-only or the write failed.
+bool storeRelevanceSeeds(const SummaryCache &Cache, const DemandSpec &Spec,
+                         const ir::CallGraph &CG, const SeedTable &Seeds,
+                         const std::vector<uint64_t> &FP);
 
 /// The live module's seeds, refreshed from a stored entry.
 struct SeedRefresh {
@@ -200,11 +201,10 @@ struct SeedRefresh {
 };
 
 /// Takes each function's row from \p Prev when its name and fingerprint
-/// match a stored record, and scans the rest.
-SeedRefresh
-refreshSeeds(const ir::CallGraph &CG, const DemandSpec &Spec,
-             const StoredSeeds &Prev,
-             const std::unordered_map<const ir::Function *, uint64_t> &FP);
+/// (\p FP, by function id) match a stored record, and scans the rest.
+SeedRefresh refreshSeeds(const ir::CallGraph &CG, const DemandSpec &Spec,
+                         const StoredSeeds &Prev,
+                         const std::vector<uint64_t> &FP);
 
 } // namespace pinpoint::svfa
 

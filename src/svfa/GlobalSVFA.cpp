@@ -928,18 +928,19 @@ std::vector<Report> GlobalSVFA::Impl::run() {
   // irrelevant ones can contribute no event, no candidate and no summary
   // any relevant function consults — so the reports and checker stats are
   // byte-identical either way.
-  RelevanceSet Rel;
+  RelevanceSet Computed; // All: demand off.
+  const RelevanceSet *Rel = &Computed;
   if (Opts.Demand) {
     // The pipeline's pre-pass already computed this checker's slice;
     // reuse it rather than re-walking the call graph. The fallback covers
     // library users who run an engine over a pipeline built without a
     // demand spec.
-    if (const RelevanceSet *PreSliced = AM.checkerRelevance(Spec.Name)) {
-      Rel = *PreSliced;
-    } else {
+    Rel = AM.checkerRelevance(Spec.Name);
+    if (!Rel) {
       DemandSpec DS;
       DS.Checkers.push_back(Spec);
-      Rel = computeRelevance(AM.callGraph(), AM.module(), DS);
+      Computed = computeRelevance(AM.callGraph(), AM.module(), DS);
+      Rel = &Computed;
     }
   }
 
@@ -951,7 +952,7 @@ std::vector<Report> GlobalSVFA::Impl::run() {
     const Function *F = Order[I];
     // Demand skip (before the no-SEG degradation note: a skipped function
     // legitimately has no SEG and is not a degradation).
-    if (!Rel.relevant(F))
+    if (!Rel->relevant(F))
       continue;
     // Task-boundary cancellation poll: drain here so the caller can still
     // flush reports already found and the summaries stay coherent.

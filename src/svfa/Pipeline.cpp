@@ -323,7 +323,7 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
   SCCOwnTaint.assign(SCCs.size(), 0);
   SCCTaint.assign(SCCs.size(), 0);
   Cache = Opts.Cache;
-  std::unordered_map<const ir::Function *, uint64_t> FnFP;
+  std::vector<uint64_t> FnFP;
   if (Cache) {
     // Transitive content keys over the condensation. SCC ids are
     // topological (callee < caller), so one ascending pass sees every
@@ -346,7 +346,7 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
       Hasher H;
       H.u64(ConfigKey);
       for (const ir::Function *F : SCCs[I].Members)
-        H.u64(FnFP.at(F));
+        H.u64(FnFP[F->id()]);
       for (size_t Callee : SCCs[I].CalleeSCCs)
         H.u64(SCCKeys[Callee]);
       SCCKeys[I] = H.digest();

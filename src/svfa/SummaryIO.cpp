@@ -241,13 +241,23 @@ bool decodeFunctionSummary(const std::vector<uint8_t> &Payload,
                            FunctionSummaryEntry &Out, std::string &Err) {
   try {
     ByteReader R(Payload);
+    // A count is never trusted past the bytes left: each counted item
+    // takes at least \p MinBytes, so a larger count is corrupt, never an
+    // allocation.
+    auto count = [&](size_t MinBytes, const char *What) {
+      uint32_t N = R.u32();
+      if (N > R.remaining() / MinBytes)
+        throw SerializationError(std::string(What) +
+                                 " count exceeds the payload");
+      return N;
+    };
     Out.NoteTruncated = R.boolean();
     // Pass 2's own truncation flag: part of the format, never replayed
     // (nothing downstream of the SEG reads it).
     (void)R.boolean();
 
     auto readPaths = [&](std::vector<std::pair<uint32_t, uint32_t>> &Paths) {
-      uint32_t N = R.u32();
+      uint32_t N = count(8, "access path");
       Paths.reserve(N);
       for (uint32_t I = 0; I < N; ++I) {
         uint32_t Idx = R.u32(), Level = R.u32();
@@ -259,7 +269,7 @@ bool decodeFunctionSummary(const std::vector<uint8_t> &Payload,
 
     Out.NumLoads = R.u32();
 
-    uint32_t NumNodes = R.u32();
+    uint32_t NumNodes = count(1, "expr node");
     Out.Nodes.reserve(NumNodes);
     for (uint32_t I = 0; I < NumNodes; ++I) {
       FunctionSummaryEntry::ExprNode N;
@@ -281,7 +291,7 @@ bool decodeFunctionSummary(const std::vector<uint8_t> &Payload,
         N.Const = R.i64();
         break;
       default: {
-        uint32_t NumOps = R.u32();
+        uint32_t NumOps = count(4, "operand");
         N.Ops.reserve(NumOps);
         for (uint32_t J = 0; J < NumOps; ++J)
           N.Ops.push_back(R.u32());
@@ -291,12 +301,13 @@ bool decodeFunctionSummary(const std::vector<uint8_t> &Payload,
       Out.Nodes.push_back(std::move(N));
     }
 
-    uint32_t NumEntries = R.u32();
+    uint32_t NumEntries = count(8, "load entry");
     Out.Loads.reserve(NumEntries);
     for (uint32_t I = 0; I < NumEntries; ++I) {
       FunctionSummaryEntry::LoadEntry LE;
       LE.LoadIdx = R.u32();
-      uint32_t NumVals = R.u32();
+      // The smallest value is a null constant: tag, depth, condition.
+      uint32_t NumVals = count(6, "dependence value");
       LE.Vals.reserve(NumVals);
       for (uint32_t J = 0; J < NumVals; ++J) {
         FunctionSummaryEntry::DepVal DV;
@@ -416,15 +427,11 @@ void replayFunctionSummary(Function &F, const FunctionSummaryEntry &E,
   // Function-local variable resolution; ids are creation order and the
   // replayed transform re-creates aux variables in the original order, so
   // cached ids land on the same variables.
-  std::unordered_map<uint32_t, const Variable *> VarById;
-  for (const Variable *V : F.vars())
-    VarById.emplace(V->id(), V);
   auto resolveVar = [&](uint32_t Id, const std::string &Name) {
-    auto It = VarById.find(Id);
-    if (It == VarById.end() || It->second->name() != Name)
+    if (Id >= F.vars().size() || F.vars()[Id]->name() != Name)
       throw std::runtime_error("summary replay: variable mismatch in " +
                                F.name());
-    return It->second;
+    return F.vars()[Id];
   };
 
   // Rebuild the condition DAG bottom-up through the interning constructors.
@@ -488,7 +495,7 @@ void replayFunctionSummary(Function &F, const FunctionSummaryEntry &E,
     NodeExprs.push_back(Built);
   }
 
-  LoadDepsOut.clear();
+  LoadDepsOut.assign(F.stmtOrderBound(), {});
   for (const auto &LE : E.Loads) {
     pta::ValSet VS;
     VS.reserve(LE.Vals.size());
@@ -510,7 +517,7 @@ void replayFunctionSummary(Function &F, const FunctionSummaryEntry &E,
       }
       VS.push_back({CV, NodeExprs[DV.CondIdx]});
     }
-    LoadDepsOut.emplace(Loads[LE.LoadIdx], std::move(VS));
+    LoadDepsOut[F.stmtOrder(Loads[LE.LoadIdx])] = std::move(VS);
   }
 }
 

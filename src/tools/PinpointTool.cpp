@@ -29,8 +29,8 @@
 ///     --dump-ir         print the transformed IR
 ///     --stats           print pipeline and solver statistics
 ///     --jobs=N          worker threads (default 1 = serial; 0 = all
-///                       hardware threads). Reports are byte-identical
-///                       across values of N.
+///                       hardware threads; at most 1024). Reports are
+///                       byte-identical across values of N.
 ///     --cache-dir=PATH  persistent function-summary cache for incremental
 ///                       reanalysis; unchanged call-graph SCCs load their
 ///                       pipeline artifacts instead of rebuilding. Reports
@@ -148,7 +148,7 @@ void usage() {
       "  --dump-ir                print the transformed IR\n"
       "  --stats                  print statistics\n"
       "  --jobs=N                 worker threads (default 1 = serial, 0 = "
-      "all hardware threads)\n"
+      "all hardware threads, at most 1024)\n"
       "  --cache-dir=PATH         persistent function-summary cache for "
       "incremental reanalysis\n"
       "  --cache=MODE             off | read | readwrite (default readwrite "
@@ -198,11 +198,14 @@ enum class ParseResult { Ok, Help, Error };
 ParseResult parseArgs(int Argc, char **Argv, Options &O) {
   // Numeric --opt=N flags that share the strict-parse-and-error path. Max
   // is the largest value the setting the flag feeds can hold: an int field,
-  // the unsigned worker count, or (--mem-budget-mb) a budget whose byte
-  // count times 8 fits an int64_t (the memory plan's 8/10 soft threshold
-  // multiplies before it divides).
+  // a budget whose byte count times 8 fits an int64_t (--mem-budget-mb; the
+  // memory plan's 8/10 soft threshold multiplies before it divides), or
+  // the worker count the pool is asked to start (--jobs: 1024, far past
+  // any host's useful parallelism, so a typo never starts a thread per
+  // value).
   constexpr long long LLMax = std::numeric_limits<long long>::max();
   constexpr long long IntMax = std::numeric_limits<int>::max();
+  constexpr long long MaxJobs = 1024;
   struct CountFlag {
     const char *Prefix;
     long long *Slot;
@@ -217,7 +220,7 @@ ParseResult parseArgs(int Argc, char **Argv, Options &O) {
       {"--max-fn-stmts=", &O.MaxFnStmts, LLMax},
       {"--mem-budget-mb=", &O.MemBudgetMB, LLMax >> 23},
       {"--retry-transient=", &O.RetryTransient, IntMax},
-      {"--jobs=", &O.Jobs, std::numeric_limits<unsigned>::max()},
+      {"--jobs=", &O.Jobs, MaxJobs},
   };
 
   for (int I = 1; I < Argc; ++I) {

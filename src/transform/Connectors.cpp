@@ -6,26 +6,11 @@
 
 #include "transform/Connectors.h"
 
-#include <algorithm>
-
 using namespace pinpoint::ir;
 
 namespace pinpoint::transform {
 
 namespace {
-
-/// Orders access paths by (parameter index, level) for a deterministic
-/// interface layout.
-std::vector<pta::ParamPath> sortedPaths(const std::set<pta::ParamPath> &In) {
-  std::vector<pta::ParamPath> Out(In.begin(), In.end());
-  std::sort(Out.begin(), Out.end(),
-            [](const pta::ParamPath &A, const pta::ParamPath &B) {
-              if (A.first->paramIndex() != B.first->paramIndex())
-                return A.first->paramIndex() < B.first->paramIndex();
-              return A.second < B.second;
-            });
-  return Out;
-}
 
 std::string pathName(const pta::ParamPath &P, const char *Prefix) {
   return std::string(Prefix) + "$" + P.first->name() + "$" +
@@ -36,8 +21,7 @@ std::string pathName(const pta::ParamPath &P, const char *Prefix) {
 
 FunctionInterface applyInterfaceTransform(Function &F,
                                           const pta::PointsToResult &PTA) {
-  return applyInterfaceTransform(F, sortedPaths(PTA.refs()),
-                                 sortedPaths(PTA.mods()));
+  return applyInterfaceTransform(F, PTA.refs(), PTA.mods());
 }
 
 FunctionInterface applyInterfaceTransform(Function &F,
@@ -145,6 +129,9 @@ unsigned rewriteCallSites(Function &F, const CallGraph &CG,
       for (size_t Idx = 0; Idx < CI.ModPaths.size(); ++Idx) {
         const pta::ParamPath &P = CI.ModPaths[Idx];
         int ArgIdx = P.first->paramIndex();
+        assert(ArgIdx >= 0 &&
+               static_cast<size_t>(ArgIdx) < Call->args().size() &&
+               "callee param without matching actual");
         Value *Actual = Call->args()[ArgIdx];
         Variable *C = F.createVar(CI.AuxReturns[Idx]->type(),
                                   "C$" + std::to_string(Idx));

@@ -49,8 +49,10 @@ struct FunctionInterface {
   /// Bindings for the second points-to pass: F_i ↦ *(root, level).
   pta::AuxBindings auxBindings() const {
     pta::AuxBindings Out;
+    if (!AuxParams.empty())
+      Out.resize(AuxParams.back()->id() + 1);
     for (size_t I = 0; I < RefPaths.size(); ++I)
-      Out[AuxParams[I]] = {RefPaths[I].first, RefPaths[I].second};
+      Out[AuxParams[I]->id()] = {RefPaths[I].first, RefPaths[I].second};
     return Out;
   }
 };

@@ -350,19 +350,16 @@ TEST_F(SinkRelevanceTest, SlicedReportsMatchExhaustiveOnTheSinkSubject) {
 // Persisted seeds (the relevance entry)
 //===----------------------------------------------------------------------===
 
-using FingerprintMap = std::unordered_map<const ir::Function *, uint64_t>;
+using FingerprintMap = std::vector<uint64_t>;
 
-/// Seed-count plus sorted-name view of a relevance set, independent of the
-/// module it points into.
+/// Seed-count plus function-id view of a relevance set.
 std::vector<std::string> setView(const svfa::RelevanceSet &S) {
   std::vector<std::string> Out;
   Out.push_back("src=" + std::to_string(S.SourceFns) +
                 " snk=" + std::to_string(S.SinkFns));
-  std::vector<std::string> Names;
-  for (const ir::Function *F : S.Fns)
-    Names.push_back(F->name());
-  std::sort(Names.begin(), Names.end());
-  Out.insert(Out.end(), Names.begin(), Names.end());
+  for (size_t Id = 0; Id < S.Fns.size(); ++Id)
+    if (S.Fns[Id])
+      Out.push_back("fn" + std::to_string(Id));
   return Out;
 }
 
@@ -448,7 +445,7 @@ TEST_F(RelevancePersistTest, V3RecordsRoundTrip) {
   const std::vector<ir::Function *> &Order = CG->bottomUpOrder();
   for (size_t I = 0; I < Order.size(); ++I) {
     const svfa::StoredSeeds::Record &Rec = S.Fns.at(Order[I]->name());
-    EXPECT_EQ(Rec.FP, FP.at(Order[I])) << Order[I]->name();
+    EXPECT_EQ(Rec.FP, FP.at(Order[I]->id())) << Order[I]->name();
     EXPECT_TRUE(std::equal(Seeds.row(I), Seeds.row(I) + Seeds.Stride,
                            S.Seeds.row(Rec.Row)))
         << Order[I]->name();
@@ -699,8 +696,8 @@ TEST_F(RelevanceRefreshTest, LocalRefreshMatchesColdOnSeedChangingEdit) {
   EXPECT_EQ(Stats.DirtyFns, 1u);
   EXPECT_FALSE(Stats.Deleted);
   // The refresh really changed the result: the srcOnly region is now kept.
-  EXPECT_TRUE(R.Union.Fns.count(Edited.M.function("srcOnly")));
-  EXPECT_TRUE(R.Union.Fns.count(Edited.M.function("srcCaller")));
+  EXPECT_TRUE(R.Union.relevant(Edited.M.function("srcOnly")));
+  EXPECT_TRUE(R.Union.relevant(Edited.M.function("srcCaller")));
 
   // The refreshed seeds, stored again, replay on the edited subject.
   TempDir T("restore");
@@ -783,7 +780,7 @@ TEST_F(RelevanceRefreshTest, HighDirtyFractionStaysLocal) {
   EXPECT_EQ(Stats.DirtyFns, 5u);
   EXPECT_FALSE(Stats.Deleted);
   EXPECT_GT(Stats.DirtyFns * 10, Edited.M.functions().size() * 3);
-  EXPECT_TRUE(R.Union.Fns.count(Edited.M.function("srcOnly")));
+  EXPECT_TRUE(R.Union.relevant(Edited.M.function("srcOnly")));
 }
 
 TEST(RelevanceSpecKeyTest, OrderInvariantAndKnobSensitive) {

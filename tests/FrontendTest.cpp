@@ -309,6 +309,24 @@ TEST(ParserErrors, UnterminatedBlock) {
   ASSERT_FALSE(Diags.empty());
 }
 
+TEST(ParserErrors, TooFewArguments) {
+  auto Diags = parseErr("void setq(int *a, int **pp) { *pp = a; }\n"
+                        "int main() { int *x = malloc(); setq(x); return 0; }");
+  ASSERT_EQ(Diags.size(), 1u);
+  EXPECT_EQ(Diags[0].Msg,
+            "call to 'setq' passes 1 argument(s), but it takes 2");
+  EXPECT_EQ(Diags[0].Loc.Line, 2u);
+}
+
+TEST(ParserErrors, TooManyArguments) {
+  // A call to a function defined later is checked against its signature
+  // too.
+  auto Diags = parseErr("int main() { int *x = malloc(); return f(x, x, x); }\n"
+                        "int f(int *a) { return *a; }");
+  ASSERT_EQ(Diags.size(), 1u);
+  EXPECT_EQ(Diags[0].Msg, "call to 'f' passes 3 argument(s), but it takes 1");
+}
+
 //===----------------------------------------------------------------------===
 // Nesting-depth cap (run-lifecycle resilience: adversarial input must be
 // diagnosed, never allowed to overflow the recursive-descent stack)

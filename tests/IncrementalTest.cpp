@@ -38,6 +38,7 @@
 #include "support/SummaryCache.h"
 #include "support/ThreadPool.h"
 #include "svfa/GlobalSVFA.h"
+#include "svfa/SummaryIO.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -114,6 +115,8 @@ struct RunResult {
   /// (those are the cache's own, legitimately warm-vs-cold-different
   /// channel — everything else must match exactly).
   std::multiset<std::string> Degradations;
+  /// The cache stage's events, as "kind|function".
+  std::multiset<std::string> CacheDegradations;
   CacheCounters Cache; ///< Deltas attributable to this run.
   size_t NumFunctions = 0;
 };
@@ -166,6 +169,9 @@ RunResult runAnalysis(const std::string &Src,
       Out.Degradations.insert(E.Stage + "|" + E.Function + "|" +
                               std::to_string(static_cast<int>(E.Kind)) + "|" +
                               E.Detail);
+    else
+      Out.CacheDegradations.insert(std::string(toString(E.Kind)) + "|" +
+                                   E.Function);
   Out.Cache = CacheCounters::now() - Before;
   return Out;
 }
@@ -622,6 +628,131 @@ TEST_F(CacheRobustnessTest, InjectedCacheReadFaultDegradesGracefully) {
   std::multiset<DegradationKind> Events =
       cacheEvents(ChainSrc, &Cache, "seed=7,cache-read=mid");
   EXPECT_EQ(Events.count(DegradationKind::InjectedFault), 1u);
+}
+
+/// A use-after-free through a callee's side effect: setp's connector
+/// carries *h = a back to main.
+constexpr const char *SetpSrc = R"(void setp(int **pp, int *v) { *pp = v; }
+int main() {
+  int *a = malloc();
+  int **h = malloc();
+  setp(h, a);
+  free(a);
+  int *b = *h;
+  return *b;
+}
+)";
+
+TEST_F(CacheRobustnessTest, OversizedCountInEntryRebuildsTheFunction) {
+  const checkers::CheckerSpec Spec = checkers::useAfterFreeChecker();
+  TempCacheDir Dir("count");
+  SummaryCache Cache(Dir.path(), SummaryCache::Mode::ReadWrite);
+  RunResult Cold = runAnalysis(SetpSrc, Spec, 1, &Cache);
+  ASSERT_EQ(Cold.Reports.size(), 1u);
+  EXPECT_EQ(Cold.Cache.Stored, 2);
+
+  // Rewrite setp's entry under its own content key with a payload whose
+  // access-path count no payload could hold. Magic, version, key and
+  // checksum all pass; only the payload's decoding can catch it.
+  uint64_t Key = 0;
+  {
+    std::ifstream In(Cache.entryPath("setp"), std::ios::binary);
+    std::vector<uint8_t> Raw((std::istreambuf_iterator<char>(In)),
+                             std::istreambuf_iterator<char>());
+    ByteReader R(Raw);
+    for (int I = 0; I < 4; ++I) // Magic.
+      R.u8();
+    ASSERT_EQ(R.u32(), SummaryCache::FormatVersion);
+    Key = R.u64();
+  }
+  ByteWriter W;
+  W.boolean(false);
+  W.boolean(false);
+  W.u32(0xFFFFFFFF);
+  ASSERT_TRUE(Cache.store("setp", Key, W.take()));
+
+  // Never wrong, at worst cold: the entry reads as corrupt and setp is
+  // rebuilt, instead of failing as a function.
+  RunResult Warm = runAnalysis(SetpSrc, Spec, 1, &Cache);
+  EXPECT_EQ(Warm.Reports, Cold.Reports);
+  EXPECT_EQ(Warm.Degradations, Cold.Degradations);
+  EXPECT_EQ(Warm.CacheDegradations,
+            std::multiset<std::string>{"cache-corrupt|setp"});
+  EXPECT_EQ(Warm.Cache.Corrupt, 1);
+  EXPECT_EQ(Warm.Cache.Hits, 1);
+}
+
+//===----------------------------------------------------------------------===
+// Summary payload decoding
+//===----------------------------------------------------------------------===
+
+/// The count fields of a function-summary payload, in payload order.
+enum class CountField { RefPaths, ModPaths, Nodes, Ops, Entries, Vals };
+
+/// A payload that is well formed up to \p Field, whose count reads
+/// 0xFFFFFFFF; every earlier count is 0, or 1 where the field sits inside
+/// a counted item.
+std::vector<uint8_t> payloadWithHugeCount(CountField Field) {
+  constexpr uint32_t Huge = 0xFFFFFFFF;
+  ByteWriter W;
+  W.boolean(false); // NoteTruncated.
+  W.boolean(false); // Pass 2's truncation flag.
+  W.u32(Field == CountField::RefPaths ? Huge : 0);
+  if (Field == CountField::RefPaths)
+    return W.take();
+  W.u32(Field == CountField::ModPaths ? Huge : 0);
+  if (Field == CountField::ModPaths)
+    return W.take();
+  W.u32(1); // Loads.
+  if (Field == CountField::Nodes || Field == CountField::Ops) {
+    W.u32(Field == CountField::Nodes ? Huge : 1);
+    if (Field == CountField::Ops) {
+      W.u8(static_cast<uint8_t>(smt::ExprKind::And));
+      W.u32(Huge);
+    }
+    return W.take();
+  }
+  W.u32(0); // Nodes.
+  W.u32(Field == CountField::Entries ? Huge : 1);
+  if (Field == CountField::Vals) {
+    W.u32(0); // LoadIdx.
+    W.u32(Huge);
+  }
+  return W.take();
+}
+
+void expectCorruptNotThrown(CountField Field) {
+  svfa::FunctionSummaryEntry E;
+  std::string Err;
+  bool OK = true;
+  EXPECT_NO_THROW(OK = svfa::decodeFunctionSummary(payloadWithHugeCount(Field),
+                                                   E, Err));
+  EXPECT_FALSE(OK);
+  EXPECT_NE(Err.find("count exceeds the payload"), std::string::npos) << Err;
+}
+
+TEST(SummaryDecodeTest, RefPathCountIsBoundedByPayload) {
+  expectCorruptNotThrown(CountField::RefPaths);
+}
+
+TEST(SummaryDecodeTest, ModPathCountIsBoundedByPayload) {
+  expectCorruptNotThrown(CountField::ModPaths);
+}
+
+TEST(SummaryDecodeTest, NodeCountIsBoundedByPayload) {
+  expectCorruptNotThrown(CountField::Nodes);
+}
+
+TEST(SummaryDecodeTest, OperandCountIsBoundedByPayload) {
+  expectCorruptNotThrown(CountField::Ops);
+}
+
+TEST(SummaryDecodeTest, LoadEntryCountIsBoundedByPayload) {
+  expectCorruptNotThrown(CountField::Entries);
+}
+
+TEST(SummaryDecodeTest, DependenceValueCountIsBoundedByPayload) {
+  expectCorruptNotThrown(CountField::Vals);
 }
 
 //===----------------------------------------------------------------------===

@@ -254,6 +254,7 @@ TEST(LifecycleCLI, ExitCodeContract) {
   // serial run. The largest value that fits is accepted.
   for (const char *Bad :
        {"--solver-timeout-ms=3000000000", "--jobs=4294967297",
+        "--jobs=1025", "--jobs=4294967295",
         "--retry-transient=4294967296", "--max-depth=65",
         "--mem-budget-mb=9223372036854775807",
         "--time-budget-ms=9223372036854775808"}) {
@@ -267,6 +268,31 @@ TEST(LifecycleCLI, ExitCodeContract) {
   for (const char *Edge : {"--solver-timeout-ms=2147483647",
                            "--retry-transient=2147483647", "--max-depth=64"})
     EXPECT_EQ(runTool({Edge, Subject}, T.file("edge.out")), 0) << Edge;
+}
+
+TEST(LifecycleCLI, ArgumentCountMismatchIsAUsageError) {
+  // Too few actuals once crashed the connector transform, which indexes a
+  // call's arguments by the callee's parameter positions; too many
+  // misaligned the callee's Aux arguments behind the extra actuals.
+  TempDir T("arity");
+  const std::string Few = T.file("few.mc"), Many = T.file("many.mc");
+  std::ofstream(Few) << "void setq(int *a, int **pp) { *pp = a; }\n"
+                        "int main() { int *x = malloc(); setq(x); "
+                        "return 0; }\n";
+  std::ofstream(Many) << "int f(int *a) { return *a; }\n"
+                         "int main() { int *x = malloc(); return f(x, x, x); "
+                         "}\n";
+  for (const auto &[Subject, Want] :
+       {std::pair{Few, "call to 'setq' passes 1 argument(s), but it takes 2"},
+        std::pair{Many, "call to 'f' passes 3 argument(s), but it takes 1"}}) {
+    const std::string Err = T.file("arity.err");
+    EXPECT_EQ(runTool({"--checker=uaf", "--demand=off", Subject},
+                      T.file("arity.out"), Err),
+              2)
+        << Subject;
+    EXPECT_NE(readFile(Err).find(Want), std::string::npos)
+        << Subject << ": " << readFile(Err);
+  }
 }
 
 TEST(LifecycleCLI, MemBudgetDegradationIsDeterministicAcrossJobs) {

@@ -1053,8 +1053,12 @@ protected:
     return Core;
   }
 
-  static FnSet members(const svfa::RelevanceSet &R) {
-    return FnSet(R.Fns.begin(), R.Fns.end());
+  static FnSet members(const Module &M, const svfa::RelevanceSet &R) {
+    FnSet Out;
+    for (const Function *F : M.functions())
+      if (R.relevant(F))
+        Out.insert(F);
+    return Out;
   }
 };
 
@@ -1095,7 +1099,7 @@ TEST_P(ConeSweep, SweepsMatchNaiveClosure) {
         auto It = A.PerChecker.find(Name);
         ASSERT_NE(It, A.PerChecker.end()) << Tag << " " << Name;
         EXPECT_FALSE(It->second.All);
-        EXPECT_EQ(members(It->second), Want) << Tag << " " << Name;
+        EXPECT_EQ(members(M, It->second), Want) << Tag << " " << Name;
         EXPECT_EQ(It->second.SourceFns, Src.size()) << Tag << " " << Name;
         EXPECT_EQ(It->second.SinkFns, Snk ? Snk->size() : 0)
             << Tag << " " << Name;
@@ -1123,11 +1127,11 @@ TEST_P(ConeSweep, SweepsMatchNaiveClosure) {
 
       EXPECT_EQ(A.PerChecker.size(), Slices) << Tag;
       EXPECT_FALSE(A.Union.All);
-      EXPECT_EQ(members(A.Union), Union) << Tag;
+      EXPECT_EQ(members(M, A.Union), Union) << Tag;
       EXPECT_EQ(A.Union.SourceFns, UnionSrc.size()) << Tag;
       EXPECT_EQ(A.Union.SinkFns, UnionSnk.size()) << Tag;
       // computeRelevance is the union.
-      EXPECT_EQ(members(svfa::computeRelevance(CG, M, DS)), Union) << Tag;
+      EXPECT_EQ(members(M, svfa::computeRelevance(CG, M, DS)), Union) << Tag;
       Nonempty += !Union.empty() && Union.size() < M.functions().size();
     }
   }
