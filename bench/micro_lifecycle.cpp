@@ -14,9 +14,7 @@
 ///    degrades;
 ///  * cancellation drain latency — wall time from `cancel()` on a paced
 ///    mid-flight parallel run until the pipeline unwinds and returns,
-///    which bounds how stale a flushed partial report can be;
-///  * transient-retry overhead — per-query cost of one injected transient
-///    plus its capped backoff, over a batch of backend-reaching queries.
+///    which bounds how stale a flushed partial report can be.
 ///
 /// One-shot phases over shared state (a single subject, a mid-run cancel),
 /// which google-benchmark's repetition model would invalidate — a plain
@@ -125,40 +123,6 @@ int main() {
   std::printf("%-34s %8.1f ms  (pace 5 ms/fn, 4 workers)\n",
               "cancellation drain latency", DrainMs);
 
-  // -- Transient-retry overhead ------------------------------------------
-  // Every backend call fails its first attempt, succeeds on the retry;
-  // the delta vs. a fault-free batch is one transient + one capped-backoff
-  // sleep per query.
-  constexpr int Queries = 64;
-  auto solveBatch = [](ResourceGovernor &G, uint64_t *Retries) {
-    smt::ExprContext Ctx;
-    smt::StagedSolver S(Ctx, smt::createMiniSolver(Ctx), true, &G);
-    Timer T;
-    for (int I = 0; I < Queries; ++I) {
-      const smt::Expr *X = Ctx.freshIntVar("x" + std::to_string(I));
-      const smt::Expr *Q =
-          Ctx.mkAnd(Ctx.freshBoolVar("b" + std::to_string(I)),
-                    Ctx.mkCmp(smt::ExprKind::Lt, X, Ctx.getInt(5)));
-      S.checkSat(Q);
-    }
-    if (Retries)
-      *Retries = S.stats().Retries;
-    return T.seconds();
-  };
-  ResourceGovernor CleanGov;
-  double CleanSec = solveBatch(CleanGov, nullptr);
-  FaultInjector Flaky;
-  Flaky.parse("transient-fails=1", Err);
-  Budget RetryBud;
-  RetryBud.RetryTransient = 2;
-  ResourceGovernor FlakyGov(RetryBud, std::move(Flaky));
-  uint64_t Retries = 0;
-  double FlakySec = solveBatch(FlakyGov, &Retries);
-  std::printf("%-34s %8.3f ms/query (fault-free %0.3f, %llu retries)\n",
-              "retry path, 1 transient/query",
-              FlakySec * 1e3 / Queries, CleanSec * 1e3 / Queries,
-              static_cast<unsigned long long>(Retries));
-
   BenchJson J("lifecycle");
   J.field("loc", W.LoC);
   J.field("ungoverned_sec", BaseSec);
@@ -166,9 +130,6 @@ int main() {
   J.field("governance_overhead_pct", (GovSec / BaseSec - 1.0) * 100.0, 2);
   J.field("reports_match", BaseReports == GovReports);
   J.field("cancel_drain_ms", DrainMs, 1);
-  J.field("retry_ms_per_query", FlakySec * 1e3 / Queries, 3);
-  J.field("clean_ms_per_query", CleanSec * 1e3 / Queries, 3);
-  J.field("retries", static_cast<unsigned long long>(Retries));
   J.write("BENCH_lifecycle.json");
   return 0;
 }

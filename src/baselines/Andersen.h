@@ -56,7 +56,6 @@ public:
   NodeId contentsOf(NodeId Obj) const { return Contents[Obj]; }
 
   size_t numNodes() const { return NumNodes; }
-  size_t numConstraints() const { return Copies.size() + Complex.size(); }
   uint64_t iterations() const { return Iterations; }
   /// Total points-to set cardinality (memory proxy).
   size_t totalPtsSize() const;

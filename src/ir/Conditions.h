@@ -18,9 +18,7 @@
 ///        in the spirit of Tu & Padua [48]),
 ///      - phi gates: gate(phi in B, pred P) = RC(idom(B)→P) ∧ edgeCond(P→B),
 ///      - control dependence per Ferrante-Ottenstein-Warren (the paper's
-///        "efficient path conditions" [43] come from chaining these),
-///      - canonical (King-style) full path conditions, kept only for the
-///        ablation benchmark that reproduces Example 3.6's contrast.
+///        "efficient path conditions" [43] come from chaining these).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,12 +94,6 @@ public:
   /// Reaching condition of \p To within the region headed by \p From:
   /// RC(From) = true; RC(X) = ⋁_{P→X} RC(P) ∧ edgeCond(P→X).
   const smt::Expr *reachCond(const BasicBlock *From, const BasicBlock *To);
-
-  /// Canonical King-style path condition of \p B from the entry; the
-  /// verbose form the paper contrasts against (Example 3.6).
-  const smt::Expr *canonicalPathCond(const BasicBlock *B) {
-    return reachCond(F.entry(), B);
-  }
 
   /// Gate for \p Phi's incoming value from \p Pred (gated SSA).
   const smt::Expr *phiGate(const PhiStmt *Phi, const BasicBlock *Pred);

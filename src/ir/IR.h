@@ -208,7 +208,6 @@ public:
   BasicBlock *parent() const { return Parent; }
   void setParent(BasicBlock *B) { Parent = B; }
   SourceLoc loc() const { return Loc; }
-  void setLoc(SourceLoc L) { Loc = L; }
 
   /// True for connector plumbing inserted by the transform (entry stores,
   /// exit loads, call-site mirror loads/stores). Synthetic memory accesses
@@ -429,7 +428,6 @@ public:
 
   /// The primary receiver r0, or null.
   Variable *receiver() const { return PrimaryRecv; }
-  Variable *&receiverRef() { return PrimaryRecv; }
   void setReceiver(Variable *V) { PrimaryRecv = V; }
 
   const std::vector<Variable *> &auxReceivers() const {

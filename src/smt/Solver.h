@@ -113,15 +113,12 @@ public:
     /// Always 0 (there is no verdict cache). Kept only for the end-to-end
     /// benchmark's `smt.cache_hits` field.
     uint64_t CacheHits = 0;
-    // Resilience layer (DESIGN.md section 12).
-    uint64_t Retries = 0; ///< Backend attempts repeated after a transient.
-    uint64_t TransientFailures = 0; ///< Calls degraded: retries exhausted.
   };
   const Stats &stats() const { return S; }
 
 private:
-  /// Backend stage for one fall-through query (fault injection, transient
-  /// retry, degradation notes).
+  /// Backend stage for one fall-through query (fault injection, one
+  /// backend call, degradation notes).
   SatResult discharge(const Expr *E);
 
   LinearSolver Linear;

@@ -58,24 +58,9 @@ bool FaultInjector::parse(const std::string &Spec, std::string &Err) {
         Err = "invalid solver-unknown percentage (0-100): " + Val;
         return false;
       }
-    } else if (Key == "transient") {
-      if (!parseU64(Val, TransientPct) || TransientPct > 100) {
-        Err = "invalid transient percentage (0-100): " + Val;
-        return false;
-      }
-    } else if (Key == "transient-fails") {
-      if (!parseU64(Val, TransientFails) || TransientFails == 0) {
-        Err = "invalid transient-fails (positive integer): " + Val;
-        return false;
-      }
     } else if (Key == "pace-fn-ms") {
       if (!parseU64(Val, PaceFnMs) || PaceFnMs == 0 || PaceFnMs > 60000) {
         Err = "invalid pace-fn-ms (1-60000): " + Val;
-        return false;
-      }
-    } else if (Key == "closure-steps") {
-      if (!parseU64(Val, ClosureSteps) || ClosureSteps == 0) {
-        Err = "invalid closure-steps (positive integer): " + Val;
         return false;
       }
     } else if (Key == "throw-fn") {

@@ -19,16 +19,8 @@
 ///   throw-fn=NAME         throw while the global SVFA analyses NAME
 ///   pipeline-throw-fn=NAME  throw in NAME's per-function pipeline stage
 ///   throw-checker=NAME    throw at the start of checker NAME's run
-///   closure-steps=N       override the value-closure step budget to N
-///                         (forces walk truncation)
 ///   cache-read=NAME       treat NAME's summary-cache entry as corrupt on
 ///                         read (exercises the fallback-to-rebuild path)
-///   transient=P           fail each SMT backend *attempt* transiently with
-///                         probability P percent (0-100); the staged solver
-///                         retries with capped backoff (--retry-transient)
-///   transient-fails=K     deterministic variant: every backend call fails
-///                         its first K attempts, then succeeds (takes
-///                         precedence over transient=P when both are set)
 ///   pace-fn-ms=N          sleep N ms at each function's pipeline entry — a
 ///                         deterministic throttle so interrupt tests can
 ///                         reliably catch a run mid-flight
@@ -55,18 +47,14 @@ public:
   // every field except the (stateless-by-value) lock.
   FaultInjector(const FaultInjector &O)
       : Enabled(O.Enabled), Rng(O.Rng), SolverUnknownPct(O.SolverUnknownPct),
-        TransientPct(O.TransientPct), TransientFails(O.TransientFails),
-        PaceFnMs(O.PaceFnMs), ClosureSteps(O.ClosureSteps), ThrowFn(O.ThrowFn),
+        PaceFnMs(O.PaceFnMs), ThrowFn(O.ThrowFn),
         PipelineThrowFn(O.PipelineThrowFn), ThrowChecker(O.ThrowChecker),
         CacheReadFn(O.CacheReadFn) {}
   FaultInjector &operator=(const FaultInjector &O) {
     Enabled = O.Enabled;
     Rng = O.Rng;
     SolverUnknownPct = O.SolverUnknownPct;
-    TransientPct = O.TransientPct;
-    TransientFails = O.TransientFails;
     PaceFnMs = O.PaceFnMs;
-    ClosureSteps = O.ClosureSteps;
     ThrowFn = O.ThrowFn;
     PipelineThrowFn = O.PipelineThrowFn;
     ThrowChecker = O.ThrowChecker;
@@ -93,23 +81,6 @@ public:
     return Rng.chance(SolverUnknownPct, 100);
   }
 
-  /// True when backend attempt number \p Attempt (0-based, per call) of the
-  /// current SMT discharge should fail transiently. `transient-fails=K`
-  /// fails attempts 0..K-1 of every call deterministically; otherwise
-  /// `transient=P` draws per attempt from the same stream, in the same
-  /// order as injectSolverUnknown: generation order within one engine,
-  /// interleaved only across concurrently running checkers.
-  bool injectSolverTransient(int Attempt) {
-    if (!Enabled)
-      return false;
-    if (TransientFails > 0)
-      return static_cast<uint64_t>(Attempt) < TransientFails;
-    if (TransientPct == 0)
-      return false;
-    std::lock_guard<std::mutex> L(Mu);
-    return Rng.chance(TransientPct, 100);
-  }
-
   /// Per-function pipeline pacing in ms (0 = none; interrupt-test throttle).
   uint64_t paceFunctionMs() const { return Enabled ? PaceFnMs : 0; }
 
@@ -133,18 +104,12 @@ public:
     return Enabled && !CacheReadFn.empty() && Fn == CacheReadFn;
   }
 
-  /// Value-closure step-budget override (0 = none).
-  uint64_t closureStepOverride() const { return ClosureSteps; }
-
 private:
   bool Enabled = false;
   std::mutex Mu; ///< Guards Rng; the other fields are immutable after parse().
   RNG Rng;
   uint64_t SolverUnknownPct = 0;
-  uint64_t TransientPct = 0;
-  uint64_t TransientFails = 0;
   uint64_t PaceFnMs = 0;
-  uint64_t ClosureSteps = 0;
   std::string ThrowFn;
   std::string PipelineThrowFn;
   std::string ThrowChecker;

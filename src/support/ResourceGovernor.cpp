@@ -39,8 +39,6 @@ const char *toString(DegradationKind K) {
     return "memory-pressure";
   case DegradationKind::Cancelled:
     return "cancelled";
-  case DegradationKind::SolverTransient:
-    return "solver-transient";
   case DegradationKind::NumKinds:
     break;
   }

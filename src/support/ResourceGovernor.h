@@ -64,12 +64,10 @@ struct Budget {
   /// (svfa/Pipeline.cpp); crossing the hard threshold at run time degrades
   /// remaining work reactively (DESIGN.md section 12).
   int64_t MemBudgetMB = 0;
-  /// Max retries per transient SMT-backend failure (smt/Solver.cpp).
-  int RetryTransient = 2;
 };
 
 enum class DegradationKind : uint8_t {
-  SolverUnknown = 0,    ///< SMT backend answered Unknown (timeout/step cap).
+  SolverUnknown = 0,    ///< SMT backend gave up (timeout, step cap, throw).
   ClosureTruncated,     ///< Value-closure walk hit its step budget.
   PTATruncated,         ///< Local points-to pass hit its step budget.
   FunctionOversized,    ///< Function skipped: exceeds MaxFunctionStmts.
@@ -82,7 +80,6 @@ enum class DegradationKind : uint8_t {
   CacheCorrupt,         ///< Summary-cache entry failed integrity checks.
   MemoryPressure,       ///< SCC degraded to fit the governed-memory budget.
   Cancelled,            ///< Remaining work dropped: cancellation requested.
-  SolverTransient,      ///< Transient backend failure persisted past retries.
   NumKinds
 };
 
@@ -172,9 +169,7 @@ public:
 
   //===--- Run-level wall clock -------------------------------------------===
 
-  /// Restarts the run clock. The constructor starts it too, so callers that
-  /// build the governor right before analysing need not call this.
-  void beginRun() { RunTimer.restart(); }
+  /// The run clock starts when the governor is constructed.
   bool runExpired() const {
     return B.RunWallMs >= 0 && RunTimer.millis() > (double)B.RunWallMs;
   }
@@ -185,7 +180,6 @@ public:
   /// driver wires the process-wide signal token here; library callers may
   /// use their own. Not owned; must outlive the governed run.
   void setCancelToken(CancelToken *T) { Cancel = T; }
-  CancelToken *cancelToken() const { return Cancel; }
   /// True once cancellation was requested; remaining work should degrade
   /// and unwind so partial results can be flushed.
   bool cancelled() const { return Cancel && Cancel->cancelled(); }
@@ -214,13 +208,11 @@ public:
 
   //===--- Value-closure step budget --------------------------------------===
 
-  /// Arms the per-walk step budget (fault-injected override wins).
+  /// Arms the per-walk step budget.
   void beginClosure() {
-    uint64_t Limit = FI.closureStepOverride() ? FI.closureStepOverride()
-                                              : B.MaxClosureSteps;
     ThreadState &TS = threadState();
-    TS.ClosureBounded = Limit > 0;
-    TS.ClosureStepsLeft = Limit;
+    TS.ClosureBounded = B.MaxClosureSteps > 0;
+    TS.ClosureStepsLeft = B.MaxClosureSteps;
   }
   /// Charges one step of the current walk; false when exhausted.
   bool chargeClosureStep() {

@@ -46,8 +46,6 @@ std::string SummaryCache::entryPath(const std::string &FnName) const {
 }
 
 bool SummaryCache::prepare(std::string &Err) const {
-  if (!writable())
-    return true;
   std::error_code EC;
   std::filesystem::create_directories(Dir, EC);
   if (EC) {
@@ -121,9 +119,6 @@ SummaryCache::Loaded SummaryCache::load(const std::string &FnName,
 
 bool SummaryCache::store(const std::string &FnName, uint64_t Key,
                          const std::vector<uint8_t> &Payload) const {
-  if (!writable())
-    return false;
-
   ByteWriter W;
   for (char C : Magic)
     W.u8(static_cast<uint8_t>(C));

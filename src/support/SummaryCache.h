@@ -44,24 +44,22 @@ namespace pinpoint {
 
 class SummaryCache {
 public:
-  enum class Mode { Read, ReadWrite };
+  /// A handle always reads and writes. The one-value enum stays only for
+  /// callers that name it.
+  enum class Mode { ReadWrite };
 
   /// Bump whenever the payload encoding or the key derivation changes; old
   /// entries then read as Corrupt("format version ...") and are rebuilt.
   static constexpr uint32_t FormatVersion = 1;
 
-  SummaryCache(std::string Directory, Mode M)
-      : Dir(std::move(Directory)), M(M) {}
+  SummaryCache(std::string Directory, Mode) : Dir(std::move(Directory)) {}
 
-  const std::string &directory() const { return Dir; }
-  bool writable() const { return M == Mode::ReadWrite; }
-
-  /// Creates the directory when writable and sweeps `*.tmp*` files that a
-  /// crashed run's atomic write-then-rename left orphaned (counted in the
-  /// `cache.gc-tmp` stat). Returns false (with \p Err set) only if the
-  /// directory cannot be created; a missing directory in read mode is not
-  /// an error — every probe simply misses. Files this class did not write
-  /// (such as an older build's leftovers) are never read.
+  /// Creates the directory and sweeps `*.tmp*` files that a crashed run's
+  /// atomic write-then-rename left orphaned (counted in the `cache.gc-tmp`
+  /// stat). Returns false (with \p Err set) only if the directory cannot be
+  /// created. Until then the handle creates nothing: `load` never writes,
+  /// and every probe of a missing directory simply misses. Files this class
+  /// did not write (such as an older build's leftovers) are never read.
   bool prepare(std::string &Err) const;
 
   enum class LoadStatus : uint8_t {
@@ -88,7 +86,6 @@ public:
 
 private:
   std::string Dir;
-  Mode M;
 };
 
 } // namespace pinpoint

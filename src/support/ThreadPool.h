@@ -14,31 +14,30 @@
 ///
 ///  * `spawn` never blocks — tasks queue and run as workers free up;
 ///  * `wait` is a *helping* wait: while its group has pending tasks, the
-///    waiting thread pops and runs queued tasks inline instead of idling.
-///    This makes nested waits deadlock-free — a task running on the last
-///    worker can spawn subtasks into a fresh group and wait on them (the
-///    reentrancy guard the scheduler and the checker fan-out rely on).
-///    While a shutdown is pending (`requestStop`), helping narrows to the
-///    waiter's *own* group: running another group's backlog inline would
-///    delay the cancel drain (the SIGINT path wants each waiter to finish
-///    just its own stragglers and return);
+///    waiting thread pops and runs queued tasks inline (of any group)
+///    instead of idling. This makes nested waits deadlock-free — a task
+///    running on the last worker can spawn subtasks into a fresh group and
+///    wait on them (the reentrancy guard the scheduler and the checker
+///    fan-out rely on);
 ///  * the first exception thrown by a task of a group is captured and
 ///    rethrown from that group's `wait()`; remaining tasks still run
 ///    (analysis tasks isolate their own failures — a group-level throw is
 ///    an engine bug, not a degradation path).
 ///
-/// Tasks leave the queue in spawn order (apart from a restricted helper
-/// skipping other groups' tasks); completion order is nondeterministic.
-/// Callers that need deterministic output write results into pre-sized
-/// slots indexed by task and merge after `wait()` (see svfa/Pipeline.cpp
-/// and tools/PinpointTool.cpp).
+/// One mutex guards the queue, the pop count, every group's ledger and the
+/// stop flag, and one condition variable carries every wakeup: workers
+/// sleep until the queue is non-empty or the pool stops, a helping wait
+/// until its group drains or the queue is non-empty.
+///
+/// Tasks leave the queue in spawn order; completion order is
+/// nondeterministic. Callers that need deterministic output write results
+/// into pre-sized slots indexed by task and merge after `wait()` (see
+/// svfa/Pipeline.cpp and tools/PinpointTool.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PINPOINT_SUPPORT_THREADPOOL_H
 #define PINPOINT_SUPPORT_THREADPOOL_H
-
-#include "support/Interrupt.h"
 
 #include <condition_variable>
 #include <cstddef>
@@ -66,18 +65,6 @@ public:
   /// std::thread::hardware_concurrency(), never 0.
   static unsigned hardwareConcurrency();
 
-  /// Cancels the shutdown token and wakes every worker — the single drain
-  /// path shared by destructor teardown and explicit cancellation. Workers
-  /// exit at their next task boundary; queued tasks still drain through
-  /// helping waits (`TaskGroup::wait`), so pending groups complete — each
-  /// waiter running only its own group's tasks once the stop is pending.
-  void requestStop();
-
-  /// The token the worker loops observe. Exposed so lifecycle tests can
-  /// assert the drain path; cancelling it directly is equivalent to
-  /// `requestStop()` minus the wakeup (prefer `requestStop`).
-  const CancelToken &shutdownToken() const { return Shutdown; }
-
   /// Scheduling counters, monotone over the pool's lifetime. They reflect
   /// nondeterministic interleaving, are exempt from the cross-run
   /// determinism contract, and feed the `[sched]` stats line.
@@ -88,9 +75,9 @@ public:
   };
   SchedStats schedStats() const;
 
-  /// A batch of tasks that can be waited on together. Not thread-safe
-  /// itself: spawn/wait from one owner thread (tasks may spawn into their
-  /// own group's pool via a nested TaskGroup).
+  /// A batch of tasks that can be waited on together. `spawn` may be
+  /// called by the owner and by the group's own tasks; only the owner
+  /// calls `wait`.
   class TaskGroup {
   public:
     explicit TaskGroup(ThreadPool &Pool) : Pool(Pool) {}
@@ -104,8 +91,7 @@ public:
     void spawn(std::function<void()> Fn);
 
     /// Blocks until every task spawned into this group has finished,
-    /// helping to drain queued tasks meanwhile (restricted to this group's
-    /// tasks while a pool shutdown is pending). Rethrows the first
+    /// helping to drain queued tasks meanwhile. Rethrows the first
     /// exception any task of this group threw.
     void wait();
 
@@ -123,25 +109,16 @@ private:
   };
 
   void workerLoop();
-  void runTask(Task T);
-  /// Dequeues the oldest task; when \p Only is non-null, the oldest task of
-  /// that group (the shutdown-pending restriction of helping waits).
-  /// Returns false when no task qualifies.
-  bool pop(TaskGroup *Only, Task &Out);
-  bool queueEmpty() const;
+  /// Pops the oldest task and runs it with \p L released. Returns with \p L
+  /// held and the task's group ledger updated. The queue must be non-empty.
+  void runNext(std::unique_lock<std::mutex> &L);
 
-  std::mutex Mu; ///< Guards Pending/Err/Epoch; sleep lock.
+  mutable std::mutex Mu; ///< Guards Queue, Pops, Stop and group ledgers.
   std::condition_variable Cv;
-  uint64_t Epoch = 0; ///< Bumped (under Mu) after every push; wakeup token.
-  mutable std::mutex QueueMu;
-  std::deque<Task> Queue; ///< Guarded by QueueMu.
-  uint64_t Pops = 0;      ///< Guarded by QueueMu.
+  std::deque<Task> Queue;
+  uint64_t Pops = 0;
+  bool Stop = false; ///< Set once, by the destructor.
   std::vector<std::thread> Threads;
-  /// Worker shutdown signal. A CancelToken instead of a plain flag so
-  /// teardown reuses the same cancellation primitive the rest of the
-  /// lifecycle layer polls; it is still flipped under Mu (and observed
-  /// under Mu in the wait predicate) to keep the no-missed-wakeup protocol.
-  CancelToken Shutdown;
 };
 
 } // namespace pinpoint

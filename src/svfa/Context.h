@@ -68,8 +68,6 @@ public:
   const smt::Expr *symbolIn(const ir::Value *V, const ir::Function *Owner,
                             const Context *C);
 
-  size_t numContexts() const { return Contexts.size(); }
-
 private:
   const smt::Expr *mappedVar(uint32_t SymVarId, const ir::Function *Callee,
                              const Context *C);

@@ -303,8 +303,6 @@ SummaryCache::LoadStatus loadRelevanceSeeds(const SummaryCache &Cache,
 bool storeRelevanceSeeds(const SummaryCache &Cache, const DemandSpec &Spec,
                          const CallGraph &CG, const SeedTable &Seeds,
                          const std::vector<uint64_t> &FP) {
-  if (!Cache.writable())
-    return false;
   const std::vector<Function *> &Fns = CG.bottomUpOrder();
   ByteWriter W;
   W.u32(static_cast<uint32_t>(Fns.size()));

@@ -186,7 +186,7 @@ SummaryCache::LoadStatus loadRelevanceSeeds(const SummaryCache &Cache,
 
 /// Stores \p Seeds (rows of `CG.bottomUpOrder()`) with the functions'
 /// names and fingerprints \p FP (by function id) as the relevance entry.
-/// Returns false when the cache is read-only or the write failed.
+/// Returns false when the write failed.
 bool storeRelevanceSeeds(const SummaryCache &Cache, const DemandSpec &Spec,
                          const ir::CallGraph &CG, const SeedTable &Seeds,
                          const std::vector<uint64_t> &FP);

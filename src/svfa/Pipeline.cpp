@@ -188,8 +188,7 @@ bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
         // degradation, not the keyed source content. Unrepresentable
         // summaries are silently skipped (the function just stays
         // uncached).
-        if (Cache && Cache->writable() && !CalleeTainted &&
-            !SCCOwnTaint[SCCId]) {
+        if (Cache && !CalleeTainted && !SCCOwnTaint[SCCId]) {
           std::vector<uint8_t> Payload;
           if (encodeFunctionSummary(*F, Info.Interface, Final, Syms,
                                     Truncated, Payload) &&

@@ -10,7 +10,8 @@
 ///
 ///   pinpoint [options] file.mc [file2.mc ...]
 ///     --checker=LIST    comma list of uaf,df,taint-path,taint-data,
-///                       null-deref,leak (default: uaf,df)
+///                       null-deref,leak (default: uaf,df); each name at
+///                       most once
 ///     --max-depth=N     calling-context depth (default 6)
 ///     --no-path-sensitivity   skip the SMT feasibility stage
 ///     --no-linear-filter      disable the linear-time pre-filter
@@ -39,8 +40,6 @@
 ///                       interrupt resumes instead of starting over. The
 ///                       directory holds only summary entries (`*.pps`),
 ///                       one of them the demand pre-pass's seed table.
-///     --cache=MODE      off | read | readwrite (default readwrite when
-///                       --cache-dir is given)
 ///
 ///   Resource governance (see support/ResourceGovernor.h):
 ///     --time-budget-ms=N      whole-run wall clock; past it, remaining
@@ -55,14 +54,13 @@
 ///     --mem-budget-mb=N       governed-memory budget; the largest SCCs
 ///                             are deterministically degraded until the
 ///                             projected footprint fits (0 = unlimited)
-///     --retry-transient=N     retries per transient SMT backend failure
-///                             (default 2; 0 = fail to Unknown immediately)
 ///     --fault-inject=SPEC     deterministic fault injection
 ///     --degradation-log       print every degradation event
 ///
 /// The tool always terminates with best-effort reports: budget hits, solver
-/// Unknowns and per-function/per-checker failures degrade gracefully and
-/// are surfaced in the [governor] stats line. SIGINT/SIGTERM cancel the run
+/// Unknowns (a timeout, a step cap or a backend exception) and
+/// per-function/per-checker failures degrade gracefully and are surfaced in
+/// the [governor] stats line. SIGINT/SIGTERM cancel the run
 /// cooperatively: in-flight work drains at the next task boundary and the
 /// partial report, statistics and degradation log are still flushed.
 ///
@@ -128,18 +126,16 @@ struct Options {
   long long MaxPTASteps = 0;
   long long MaxFnStmts = 0;
   long long MemBudgetMB = 0;
-  long long RetryTransient = 2;
   long long Jobs = 1;
   std::string FaultSpec;
   std::string CacheDir;
-  std::string CacheMode; ///< "", "off", "read" or "readwrite".
 };
 
 void usage() {
   std::puts(
       "usage: pinpoint [options] file.mc [...]\n"
       "  --checker=LIST           uaf,df,taint-path,taint-data,null-deref,"
-      "leak\n"
+      "leak (each at most once)\n"
       "  --max-depth=N            calling context depth (default 6)\n"
       "  --no-path-sensitivity    report all candidates (no SMT stage)\n"
       "  --no-linear-filter       disable the linear-time pre-filter\n"
@@ -151,8 +147,6 @@ void usage() {
       "all hardware threads, at most 1024)\n"
       "  --cache-dir=PATH         persistent function-summary cache for "
       "incremental reanalysis\n"
-      "  --cache=MODE             off | read | readwrite (default readwrite "
-      "when --cache-dir is given)\n"
       "resource governance:\n"
       "  --time-budget-ms=N       whole-run wall clock budget\n"
       "  --fn-budget-ms=N         per-function wall clock budget\n"
@@ -162,8 +156,6 @@ void usage() {
       "  --max-pta-steps=N        step budget per points-to pass\n"
       "  --max-fn-stmts=N         degrade functions larger than N stmts\n"
       "  --mem-budget-mb=N        governed-memory budget (0 = unlimited)\n"
-      "  --retry-transient=N      retries per transient solver failure "
-      "(default 2)\n"
       "  --fault-inject=SPEC      e.g. seed=7,solver-unknown=50,throw-fn=f\n"
       "  --degradation-log        print every degradation event\n"
       "exit codes: 0 = completed, 2 = usage/input error, 3 = interrupted "
@@ -219,7 +211,6 @@ ParseResult parseArgs(int Argc, char **Argv, Options &O) {
       {"--max-pta-steps=", &O.MaxPTASteps, LLMax},
       {"--max-fn-stmts=", &O.MaxFnStmts, LLMax},
       {"--mem-budget-mb=", &O.MemBudgetMB, LLMax >> 23},
-      {"--retry-transient=", &O.RetryTransient, IntMax},
       {"--jobs=", &O.Jobs, MaxJobs},
   };
 
@@ -235,30 +226,29 @@ ParseResult parseArgs(int Argc, char **Argv, Options &O) {
         std::fprintf(stderr, "error: --checker= needs at least one name\n");
         return ParseResult::Error;
       }
-      for (const std::string &Name : O.Checkers)
-        if (!knownChecker(Name)) {
+      for (auto It = O.Checkers.begin(); It != O.Checkers.end(); ++It) {
+        if (!knownChecker(*It)) {
           std::fprintf(stderr,
                        "error: unknown checker '%s' (expected one of: uaf, "
                        "df, taint-path, taint-data, null-deref, leak)\n",
-                       Name.c_str());
+                       It->c_str());
           return ParseResult::Error;
         }
+        // A repeated name would run that checker twice and print each of
+        // its reports twice.
+        if (std::find(O.Checkers.begin(), It, *It) != It) {
+          std::fprintf(stderr,
+                       "error: checker '%s' is listed more than once\n",
+                       It->c_str());
+          return ParseResult::Error;
+        }
+      }
     } else if (A.rfind("--fault-inject=", 0) == 0) {
       O.FaultSpec = A.substr(std::strlen("--fault-inject="));
     } else if (A.rfind("--cache-dir=", 0) == 0) {
       O.CacheDir = A.substr(std::strlen("--cache-dir="));
       if (O.CacheDir.empty()) {
         std::fprintf(stderr, "error: --cache-dir= needs a path\n");
-        return ParseResult::Error;
-      }
-    } else if (A.rfind("--cache=", 0) == 0) {
-      O.CacheMode = A.substr(std::strlen("--cache="));
-      if (O.CacheMode != "off" && O.CacheMode != "read" &&
-          O.CacheMode != "readwrite") {
-        std::fprintf(stderr,
-                     "error: invalid --cache value '%s' (expected off, "
-                     "read or readwrite)\n",
-                     O.CacheMode.c_str());
         return ParseResult::Error;
       }
     } else if (A.rfind("--demand=", 0) == 0) {
@@ -310,11 +300,6 @@ ParseResult parseArgs(int Argc, char **Argv, Options &O) {
   }
   if (O.Files.empty()) {
     std::fprintf(stderr, "error: no input files\n");
-    return ParseResult::Error;
-  }
-  if (O.CacheDir.empty() && !O.CacheMode.empty() && O.CacheMode != "off") {
-    std::fprintf(stderr, "error: --cache=%s requires --cache-dir=PATH\n",
-                 O.CacheMode.c_str());
     return ParseResult::Error;
   }
   return ParseResult::Ok;
@@ -384,7 +369,6 @@ int pinpointToolMain(int Argc, char **Argv) {
   Bud.MaxPTASteps = static_cast<uint64_t>(O.MaxPTASteps);
   Bud.MaxFunctionStmts = static_cast<size_t>(O.MaxFnStmts);
   Bud.MemBudgetMB = O.MemBudgetMB;
-  Bud.RetryTransient = static_cast<int>(O.RetryTransient);
   FaultInjector FI;
   if (!O.FaultSpec.empty()) {
     std::string Err;
@@ -412,10 +396,9 @@ int pinpointToolMain(int Argc, char **Argv) {
       Pool = std::make_unique<ThreadPool>(Jobs);
 
     std::unique_ptr<SummaryCache> Cache;
-    if (!O.CacheDir.empty() && O.CacheMode != "off") {
-      Cache = std::make_unique<SummaryCache>(
-          O.CacheDir, O.CacheMode == "read" ? SummaryCache::Mode::Read
-                                            : SummaryCache::Mode::ReadWrite);
+    if (!O.CacheDir.empty()) {
+      Cache = std::make_unique<SummaryCache>(O.CacheDir,
+                                             SummaryCache::Mode::ReadWrite);
       std::string Err;
       if (!Cache->prepare(Err)) {
         std::fprintf(stderr, "error: --cache-dir: %s\n", Err.c_str());
@@ -525,7 +508,6 @@ int pinpointToolMain(int Argc, char **Argv) {
     const bool Interrupted = Gov.cancelled();
 
     int TotalReports = 0;
-    uint64_t TotalRetries = 0, TotalTransientFailures = 0;
     for (size_t Idx = 0; Idx < O.Checkers.size(); ++Idx) {
       const std::string &Name = O.Checkers[Idx];
       CheckerRun &Slot = Runs[Idx];
@@ -549,8 +531,6 @@ int pinpointToolMain(int Argc, char **Argv) {
       }
       svfa::GlobalSVFA::Stats &EngineStats = Slot.EngineStats;
       smt::StagedSolver::Stats &SolverStats = Slot.SolverStats;
-      TotalRetries += SolverStats.Retries;
-      TotalTransientFailures += SolverStats.TransientFailures;
       if (O.Stats && Name != "leak") {
         // Every field is deterministic: each engine generates and decides
         // its candidates in one serial order, whatever --jobs is. The one
@@ -628,18 +608,14 @@ int pinpointToolMain(int Argc, char **Argv) {
                     (long long)C.value("demand.dirty-fns"),
                     AM.relevanceRefreshMode().c_str());
       }
-      // Run-lifecycle counters, gated on something in the layer being
-      // active so no-budget/no-signal/no-fault runs keep byte-identical
-      // output.
-      if (O.MemBudgetMB > 0 || Cache || TotalRetries > 0 ||
-          TotalTransientFailures > 0 || Interrupted) {
+      // Run-lifecycle counters, printed only when the layer is active (a
+      // memory budget, a cache directory or an interrupt), so other runs
+      // keep byte-identical output.
+      if (O.MemBudgetMB > 0 || Cache || Interrupted) {
         std::printf("[lifecycle] mem.peak-governed=%.1fMB "
-                    "mem-plan-degraded=%zu resumed-sccs=%zu "
-                    "solver.retries=%llu transient-failures=%llu\n",
+                    "mem-plan-degraded=%zu resumed-sccs=%zu\n",
                     MemStats::get().peakBytes() / 1e6,
-                    AM.memPlanDegradedSCCs(), AM.resumedSCCs(),
-                    (unsigned long long)TotalRetries,
-                    (unsigned long long)TotalTransientFailures);
+                    AM.memPlanDegradedSCCs(), AM.resumedSCCs());
       }
       // Pool observability (parallel runs only). Like [exprs], the pop
       // count reflects work and interleaving, not findings (helping waits

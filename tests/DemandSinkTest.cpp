@@ -508,8 +508,8 @@ TEST_F(RelevancePersistTest, MissingEntry) {
   SummaryCache Cache(T.path(), SummaryCache::Mode::ReadWrite);
   EXPECT_EQ(svfa::loadRelevanceSeeds(Cache, taintSpec(), S),
             SummaryCache::LoadStatus::Missing);
-  // A read-only cache over a directory that does not exist just misses.
-  SummaryCache Absent(T.file("absent"), SummaryCache::Mode::Read);
+  // An unprepared cache over a directory that does not exist just misses.
+  SummaryCache Absent(T.file("absent"), SummaryCache::Mode::ReadWrite);
   EXPECT_EQ(svfa::loadRelevanceSeeds(Absent, taintSpec(), S),
             SummaryCache::LoadStatus::Missing);
 }
@@ -1032,7 +1032,7 @@ TEST(DemandSinkCLI, CorruptRelevanceEntryRecomputes) {
             0);
 
   // Flip one payload byte of the persisted entry.
-  const std::string Entry = SummaryCache(Dir, SummaryCache::Mode::Read)
+  const std::string Entry = SummaryCache(Dir, SummaryCache::Mode::ReadWrite)
                                 .entryPath(svfa::RelevanceEntryName);
   std::string Bytes = readFile(Entry);
   ASSERT_GT(Bytes.size(), 4u);
@@ -1416,7 +1416,7 @@ TEST(DemandSinkCLI, OrphanTmpFilesAreSweptAtStartup) {
   EXPECT_EQ(After, Entries);
   EXPECT_EQ(Tmps, 0u);
   EXPECT_TRUE(std::filesystem::exists(
-      SummaryCache(Dir, SummaryCache::Mode::Read)
+      SummaryCache(Dir, SummaryCache::Mode::ReadWrite)
           .entryPath(svfa::RelevanceEntryName)));
   EXPECT_EQ(statValue(Warm, "[demand]", "relevance-replayed"),
             statValue(Cold, "[demand]", "relevance-replayed") + 1)

@@ -501,7 +501,7 @@ TEST_F(ConditionsTest, ReachCondOfJoinIsTrue) {
   SymbolMap Syms(*M, Ctx);
   ConditionMap CM(*F, Syms);
   // The join and exit are reached unconditionally: θ ∨ ¬θ folds to true.
-  EXPECT_EQ(CM.canonicalPathCond(F->exitBlock()), Ctx.getTrue());
+  EXPECT_EQ(CM.reachCond(F->entry(), F->exitBlock()), Ctx.getTrue());
 }
 
 TEST_F(ConditionsTest, ReachCondOfBranchSideIsLiteral) {
@@ -515,7 +515,7 @@ TEST_F(ConditionsTest, ReachCondOfBranchSideIsLiteral) {
   SymbolMap Syms(*M, Ctx);
   ConditionMap CM(*F, Syms);
   auto *Br = cast<BranchStmt>(F->entry()->terminator());
-  const smt::Expr *RC = CM.canonicalPathCond(Br->trueBlock());
+  const smt::Expr *RC = CM.reachCond(F->entry(), Br->trueBlock());
   EXPECT_EQ(RC, Syms[Br->cond()]);
 }
 

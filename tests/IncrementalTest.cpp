@@ -19,8 +19,7 @@
 ///    files are detected, logged as degradation events, and silently fall
 ///    back to a full rebuild (never a crash, never a wrong report),
 ///    including via the `cache-read` injected fault;
-///  * read-only mode writes nothing; nondeterministically degraded chains
-///    are never stored;
+///  * nondeterministically degraded chains are never stored;
 ///  * the serialisation layer itself (writer/reader round trips, bounds
 ///    checks, store/load integrity);
 ///  * `GlobalSVFA::Stats` being pollable from another thread while `run()`
@@ -759,17 +758,6 @@ TEST(SummaryDecodeTest, DependenceValueCountIsBoundedByPayload) {
 // Write-side policy
 //===----------------------------------------------------------------------===
 
-TEST(CachePolicyTest, ReadOnlyModeNeverWrites) {
-  TempCacheDir Dir("ro");
-  SummaryCache Cache(Dir.path(), SummaryCache::Mode::Read);
-  RunResult R =
-      runAnalysis(ChainSrc, checkers::useAfterFreeChecker(), 1, &Cache);
-  EXPECT_EQ(R.Cache.Misses, 5);
-  EXPECT_EQ(R.Cache.Stored, 0);
-  EXPECT_FALSE(std::filesystem::exists(Dir.path()))
-      << "read mode must not even create the directory";
-}
-
 TEST(CachePolicyTest, NondeterministicallyDegradedChainsAreNotStored) {
   // leaf's pipeline throws: leaf (failed) and its transitive callers mid,
   // top and main (built against a degraded interface) must not be stored;
@@ -863,11 +851,12 @@ TEST(SummaryCacheTest, StoreLoadRoundTripAndStaleKey) {
   EXPECT_EQ(L2.Payload, Payload2);
 }
 
-TEST(SummaryCacheTest, MissingDirectoryInReadModeJustMisses) {
-  SummaryCache Cache("inc_cache_never_created", SummaryCache::Mode::Read);
-  std::string Err;
-  EXPECT_TRUE(Cache.prepare(Err));
+TEST(SummaryCacheTest, MissingDirectoryJustMisses) {
+  // A handle that was never prepared creates nothing: load only reads.
+  const std::string Dir = "inc_cache_never_created";
+  SummaryCache Cache(Dir, SummaryCache::Mode::ReadWrite);
   EXPECT_EQ(Cache.load("fn", 1).Status, SummaryCache::LoadStatus::Missing);
+  EXPECT_FALSE(std::filesystem::exists(Dir));
 }
 
 TEST(HasherTest, DigestIsOrderAndLengthSensitive) {

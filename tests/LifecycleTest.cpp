@@ -19,9 +19,8 @@
 ///    per-structure accounting balances when the module is destroyed;
 ///  * cooperative cancellation at the library level: a pre-cancelled token
 ///    degrades everything, logs once, stores nothing in the summary cache;
-///  * transient-fault retry: bounded retries recover from injected
-///    transient backend failures, exhaustion degrades to Unknown with a
-///    SolverTransient event, and 100%-transient injection still terminates.
+///  * a backend exception: the staged solver answers that one query
+///    Unknown, logs one solver-unknown event, and stays usable.
 ///
 /// The CLI tests fork a child that calls `pinpointToolMain` directly — the
 /// exact production code path including signal handlers and exit codes —
@@ -44,14 +43,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -238,12 +235,24 @@ TEST(LifecycleCLI, ExitCodeContract) {
   EXPECT_NE(readFile(T.file("help.out")).find("exit codes:"),
             std::string::npos);
   EXPECT_EQ(runTool({"--no-such-flag", Subject}, T.file("bad.out")), 2);
-  // The retired verdict-cache switch is an unknown option like any other.
-  for (const char *Retired : {"--solver-cache=on", "--solver-cache=off"}) {
+  // Retired flags are unknown options like any other, and retired fault
+  // keys unknown fault-inject keys.
+  for (const char *Retired : {"--solver-cache=on", "--solver-cache=off",
+                              "--retry-transient=2", "--cache=read"}) {
     const std::string Err = T.file("retired.err");
     EXPECT_EQ(runTool({Retired, Subject}, T.file("retired.out"), Err), 2)
         << Retired;
     EXPECT_NE(readFile(Err).find("unknown option"), std::string::npos)
+        << Retired << ": " << readFile(Err);
+  }
+  for (const char *Retired :
+       {"--fault-inject=transient=100", "--fault-inject=transient-fails=1",
+        "--fault-inject=closure-steps=1"}) {
+    const std::string Err = T.file("retired.err");
+    EXPECT_EQ(runTool({Retired, Subject}, T.file("retired.out"), Err), 2)
+        << Retired;
+    EXPECT_NE(readFile(Err).find("unknown fault-inject key"),
+              std::string::npos)
         << Retired << ": " << readFile(Err);
   }
   EXPECT_EQ(runTool({T.file("missing.mc")}, T.file("miss.out")), 2);
@@ -254,8 +263,7 @@ TEST(LifecycleCLI, ExitCodeContract) {
   // serial run. The largest value that fits is accepted.
   for (const char *Bad :
        {"--solver-timeout-ms=3000000000", "--jobs=4294967297",
-        "--jobs=1025", "--jobs=4294967295",
-        "--retry-transient=4294967296", "--max-depth=65",
+        "--jobs=1025", "--jobs=4294967295", "--max-depth=65",
         "--mem-budget-mb=9223372036854775807",
         "--time-budget-ms=9223372036854775808"}) {
     const std::string Err = T.file("range.err");
@@ -265,9 +273,32 @@ TEST(LifecycleCLI, ExitCodeContract) {
               std::string::npos)
         << Bad << ": " << readFile(Err);
   }
-  for (const char *Edge : {"--solver-timeout-ms=2147483647",
-                           "--retry-transient=2147483647", "--max-depth=64"})
+  for (const char *Edge : {"--solver-timeout-ms=2147483647", "--max-depth=64"})
     EXPECT_EQ(runTool({Edge, Subject}, T.file("edge.out")), 0) << Edge;
+}
+
+TEST(LifecycleCLI, RepeatedCheckerIsAUsageError) {
+  // The subject has one use-after-free, so a checker run twice would print
+  // it twice.
+  TempDir T("repeated");
+  const std::string Subject = T.file("smoke.mc");
+  std::ofstream(Subject) << "int use_after(int *p, int c) {\n"
+                            "  if (c > 0) { free(p); }\n"
+                            "  return *p;\n"
+                            "}\n";
+  ASSERT_EQ(runTool({"--checker=uaf", Subject}, T.file("once.out")), 0);
+  EXPECT_NE(readFile(T.file("once.out")).find("\n1 report(s)\n"),
+            std::string::npos)
+      << readFile(T.file("once.out"));
+
+  for (const char *Repeated : {"--checker=uaf,uaf", "--checker=uaf,df,uaf"}) {
+    const std::string Err = T.file("repeated.err");
+    EXPECT_EQ(runTool({Repeated, Subject}, T.file("repeated.out"), Err), 2)
+        << Repeated;
+    EXPECT_NE(readFile(Err).find("checker 'uaf' is listed more than once"),
+              std::string::npos)
+        << Repeated << ": " << readFile(Err);
+  }
 }
 
 TEST(LifecycleCLI, ArgumentCountMismatchIsAUsageError) {
@@ -455,126 +486,76 @@ TEST(LifecycleCancel, CancelledEventIsLoggedOnce) {
   EXPECT_EQ(CancelEvents, size_t(1)); // One-shot, not once per function.
 }
 
-TEST(LifecycleCancel, PendingShutdownNarrowsHelpingWaitToOwnGroup) {
-  // The SIGINT drain-latency contract: once a stop is pending, a helping
-  // wait() runs only its *own* group's stragglers — it must never burn the
-  // drain on another group's backlog. Deterministic by construction: the
-  // single worker is parked (or already exited at the stop boundary), so
-  // every queued task can only run inline through the restricted helper,
-  // and the assertion counts exactly which ones did.
-  ThreadPool Pool(1);
-  std::mutex LatchMu;
-  std::condition_variable LatchCv;
-  bool Release = false;
-
-  // Parks the single worker; spawned first, so the FIFO inbox hands it to
-  // the worker before any backlog task.
-  ThreadPool::TaskGroup Hold(Pool);
-  Hold.spawn([&] {
-    std::unique_lock<std::mutex> L(LatchMu);
-    LatchCv.wait(L, [&] { return Release; });
-  });
-
-  std::atomic<int> ARan{0}, BRan{0};
-  ThreadPool::TaskGroup A(Pool), B(Pool);
-  for (int I = 0; I < 8; ++I)
-    A.spawn([&] { ARan.fetch_add(1); });
-  B.spawn([&] { BRan.fetch_add(1); });
-
-  Pool.requestStop();
-  // The restricted helper drains B's single task and steps over all eight
-  // queued A tasks, however the queues interleave them.
-  B.wait();
-  EXPECT_EQ(BRan.load(), 1);
-  EXPECT_EQ(ARan.load(), 0) << "helping wait ran another group's backlog "
-                               "during a pending shutdown";
-
-  // Unpark and drain the rest: group waits still complete after the stop.
-  {
-    std::lock_guard<std::mutex> L(LatchMu);
-    Release = true;
-  }
-  LatchCv.notify_all();
-  Hold.wait();
-  A.wait();
-  EXPECT_EQ(ARan.load(), 8);
-}
-
 //===----------------------------------------------------------------------===
-// Transient-fault retry in the staged solver
+// A backend exception in the staged solver
+//
+// The LifecycleRetry suite keeps the names of the tests that covered the old
+// transient-retry loop; no query is retried now, and these check that.
 //===----------------------------------------------------------------------===
 
 /// A satisfiable formula the linear filter cannot refute, so checkSat
-/// always reaches the backend discharge path where transients are
-/// injected.
+/// reaches the backend.
 const smt::Expr *backendQuery(smt::ExprContext &Ctx) {
   const smt::Expr *X = Ctx.freshIntVar("x");
   return Ctx.mkAnd(Ctx.freshBoolVar("b"),
                    Ctx.mkCmp(smt::ExprKind::Lt, X, Ctx.getInt(5)));
 }
 
-smt::StagedSolver makeSolver(smt::ExprContext &Ctx, ResourceGovernor &Gov) {
-  return smt::StagedSolver(Ctx, smt::createMiniSolver(Ctx),
-                           /*UseLinearFilter=*/true, &Gov);
-}
+/// Throws on its first call and forwards every later call to a MiniSolver.
+class ThrowOnceSolver : public smt::Solver {
+public:
+  ThrowOnceSolver(smt::ExprContext &Ctx, int &Calls)
+      : Real(smt::createMiniSolver(Ctx)), Calls(Calls) {}
+  smt::SatResult checkSat(const smt::Expr *E) override {
+    if (Calls++ == 0)
+      throw std::runtime_error("backend fell over");
+    return Real->checkSat(E);
+  }
+  const char *name() const override { return "throw-once"; }
 
-ResourceGovernor makeGov(int RetryTransient, const std::string &FaultSpec) {
-  Budget Bud;
-  Bud.RetryTransient = RetryTransient;
-  FaultInjector FI;
-  std::string Err;
-  EXPECT_TRUE(FI.parse(FaultSpec, Err)) << Err;
-  return ResourceGovernor(Bud, std::move(FI));
-}
-
-TEST(LifecycleRetry, BoundedRetryRecoversFromTransients) {
-  smt::ExprContext Ctx;
-  ResourceGovernor Gov = makeGov(3, "transient-fails=2");
-  smt::StagedSolver S = makeSolver(Ctx, Gov);
-
-  // Two injected transients, then the real backend answers: a definite
-  // verdict, two retries, no degradation.
-  EXPECT_EQ(S.checkSat(backendQuery(Ctx)), smt::SatResult::Sat);
-  EXPECT_EQ(S.stats().Retries, 2u);
-  EXPECT_EQ(S.stats().TransientFailures, 0u);
-  for (const DegradationEvent &E : Gov.log().events())
-    EXPECT_NE(E.Kind, DegradationKind::SolverTransient);
-}
+private:
+  std::unique_ptr<smt::Solver> Real;
+  int &Calls;
+};
 
 TEST(LifecycleRetry, ExhaustedRetriesDegradeToUnknown) {
   smt::ExprContext Ctx;
-  ResourceGovernor Gov = makeGov(1, "transient-fails=3");
-  smt::StagedSolver S = makeSolver(Ctx, Gov);
+  ResourceGovernor Gov;
+  int Calls = 0;
+  smt::StagedSolver S(Ctx, std::make_unique<ThrowOnceSolver>(Ctx, Calls),
+                      /*UseLinearFilter=*/true, &Gov);
 
+  // The backend exception degrades the query to Unknown and logs one
+  // solver-unknown event naming the backend and the exception.
   EXPECT_EQ(S.checkSat(backendQuery(Ctx)), smt::SatResult::Unknown);
-  EXPECT_EQ(S.stats().Retries, 1u);
-  EXPECT_EQ(S.stats().TransientFailures, 1u);
-  size_t TransientEvents = 0;
-  for (const DegradationEvent &E : Gov.log().events())
-    TransientEvents += E.Kind == DegradationKind::SolverTransient;
-  EXPECT_EQ(TransientEvents, size_t(1));
-}
-
-TEST(LifecycleRetry, FullyTransientBackendStillTerminates) {
-  smt::ExprContext Ctx;
-  ResourceGovernor Gov = makeGov(2, "seed=7,transient=100");
-  smt::StagedSolver S = makeSolver(Ctx, Gov);
-
-  // 100% transient injection: the retry budget bounds the loop, every
-  // query terminates with Unknown and exact retry accounting.
-  for (int I = 0; I < 3; ++I)
-    EXPECT_EQ(S.checkSat(backendQuery(Ctx)), smt::SatResult::Unknown);
-  EXPECT_EQ(S.stats().Retries, 3u * 2u);
-  EXPECT_EQ(S.stats().TransientFailures, 3u);
+  EXPECT_EQ(S.stats().BackendUnknown, 1u);
+  const std::vector<DegradationEvent> Events = Gov.log().events();
+  ASSERT_EQ(Events.size(), size_t(1));
+  EXPECT_EQ(Events[0].Kind, DegradationKind::SolverUnknown);
+  EXPECT_EQ(Events[0].Stage, "smt");
+  EXPECT_NE(Events[0].Detail.find("throw-once"), std::string::npos)
+      << Events[0].Detail;
+  EXPECT_NE(Events[0].Detail.find("backend fell over"), std::string::npos)
+      << Events[0].Detail;
 }
 
 TEST(LifecycleRetry, ZeroRetriesFailImmediately) {
   smt::ExprContext Ctx;
-  ResourceGovernor Gov = makeGov(0, "transient-fails=1");
-  smt::StagedSolver S = makeSolver(Ctx, Gov);
+  ResourceGovernor Gov;
+  int Calls = 0;
+  smt::StagedSolver S(Ctx, std::make_unique<ThrowOnceSolver>(Ctx, Calls),
+                      /*UseLinearFilter=*/true, &Gov);
+
+  // The throwing query is asked of the backend once: nothing retries it, so
+  // nothing sleeps between attempts.
   EXPECT_EQ(S.checkSat(backendQuery(Ctx)), smt::SatResult::Unknown);
-  EXPECT_EQ(S.stats().Retries, 0u);
-  EXPECT_EQ(S.stats().TransientFailures, 1u);
+  EXPECT_EQ(Calls, 1);
+
+  // The solver stays usable: the next query reaches the real backend.
+  EXPECT_EQ(S.checkSat(backendQuery(Ctx)), smt::SatResult::Sat);
+  EXPECT_EQ(Calls, 2);
+  EXPECT_EQ(S.stats().BackendUnknown, 1u);
+  EXPECT_EQ(Gov.log().total(), 1u);
 }
 
 } // namespace

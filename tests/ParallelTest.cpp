@@ -8,9 +8,9 @@
 /// The contract of the parallel engine (`--jobs N`): scheduling is an
 /// implementation detail, results are not. These tests pin down
 ///
-///  * the ThreadPool primitives (completion, exception propagation, and the
+///  * the ThreadPool primitives (completion, exception propagation, the
 ///    helping-wait that makes nested TaskGroup waits deadlock-free even on a
-///    one-worker pool);
+///    one-worker pool, and wake-ups under a storm of spawns from tasks);
 ///  * report-level determinism — analysing generator subjects with a
 ///    4-worker pool yields exactly the serial run's reports, in order,
 ///    and the same checker counters;
@@ -32,6 +32,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -105,6 +107,34 @@ TEST(ThreadPoolTest, WaitingThreadHelpsRunTasks) {
     G.spawn([&Ran] { Ran.fetch_add(1); });
   G.wait();
   EXPECT_EQ(Ran.load(), 64);
+}
+
+TEST(ThreadPoolTest, SpawnStormFromTasksRunsEveryTaskOnce) {
+  // Each task spawns two children into its own group from inside the task,
+  // as the pipeline's DAG walk does, while the main thread helps in wait():
+  // a spawn that raced a sleeper's check of the queue and left its task
+  // unrun would hang the wait or miss a count.
+  constexpr size_t N = size_t(1) << 14;
+  std::vector<std::atomic<int>> Runs(N);
+  auto Pool = std::make_unique<ThreadPool>(8);
+  uint64_t Pops = 0;
+  {
+    ThreadPool::TaskGroup G(*Pool);
+    std::function<void(size_t)> Run = [&](size_t K) {
+      Runs[K].fetch_add(1, std::memory_order_relaxed);
+      for (size_t C = 2 * K + 1; C <= 2 * K + 2 && C < N; ++C)
+        G.spawn([&Run, C] { Run(C); });
+    };
+    G.spawn([&Run] { Run(0); });
+    G.wait();
+    Pops = Pool->schedStats().InboxPops;
+  }
+  Pool.reset(); // Destroyed right after the wait: no task may be left.
+  size_t Once = 0;
+  for (const std::atomic<int> &R : Runs)
+    Once += R.load() == 1;
+  EXPECT_EQ(Once, N);
+  EXPECT_EQ(Pops, N);
 }
 
 TEST(ThreadPoolTest, HardwareConcurrencyIsPositive) {

@@ -819,7 +819,7 @@ TEST_P(PipelineProperty, CorruptRelevanceEntryFallsBackToFreshPrePass) {
   }
 
   // One byte flip in the middle of the entry.
-  const std::string Entry = SummaryCache(Dir, SummaryCache::Mode::Read)
+  const std::string Entry = SummaryCache(Dir, SummaryCache::Mode::ReadWrite)
                                 .entryPath(svfa::RelevanceEntryName);
   ASSERT_TRUE(std::filesystem::exists(Entry));
   {

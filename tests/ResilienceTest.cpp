@@ -217,16 +217,6 @@ TEST_F(ResilienceTest, ClosureStepBudgetTruncatesWithEvent) {
   }
 }
 
-TEST_F(ResilienceTest, InjectedClosureOverrideForcesTruncation) {
-  parse(CopiedUseSrc);
-  FaultInjector FI;
-  std::string Err;
-  ASSERT_TRUE(FI.parse("closure-steps=1", Err)) << Err;
-  ResourceGovernor Gov({}, std::move(FI));
-  runUAF(Gov);
-  EXPECT_GT(Gov.log().count(DegradationKind::ClosureTruncated), 0u);
-}
-
 TEST_F(ResilienceTest, TruncationInsideLazilyBuiltCalleeNamesTheCallee) {
   // Only top has an event; the summaries of deref, wrap1 and wrap2 are
   // built when top's closure first reads wrap2's VF4, each under its own
@@ -340,7 +330,7 @@ TEST(FaultInjectorTest, ParsesFullSpec) {
   std::string Err;
   EXPECT_TRUE(FI.parse(
       "seed=42,solver-unknown=50,throw-fn=a,pipeline-throw-fn=b,"
-      "throw-checker=uaf,closure-steps=10",
+      "throw-checker=uaf",
       Err))
       << Err;
   EXPECT_TRUE(FI.enabled());
@@ -348,7 +338,6 @@ TEST(FaultInjectorTest, ParsesFullSpec) {
   EXPECT_FALSE(FI.injectFunctionThrow("b"));
   EXPECT_TRUE(FI.injectPipelineThrow("b"));
   EXPECT_TRUE(FI.injectCheckerThrow("uaf"));
-  EXPECT_EQ(FI.closureStepOverride(), 10u);
 }
 
 TEST(FaultInjectorTest, RejectsMalformedSpecs) {
@@ -358,7 +347,6 @@ TEST(FaultInjectorTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(FI.parse("solver-unknown=150", Err));
   EXPECT_FALSE(FI.parse("solver-unknown=abc", Err));
   EXPECT_FALSE(FI.parse("seed", Err));
-  EXPECT_FALSE(FI.parse("closure-steps=0", Err));
   EXPECT_FALSE(FI.enabled());
 }
 

@@ -10,7 +10,6 @@
 #include "support/RNG.h"
 #include "support/SourceLoc.h"
 #include "support/Statistics.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -214,44 +213,6 @@ TEST(CancelToken, VisibleAcrossThreads) {
   T.cancel();
   Poller.join();
   EXPECT_TRUE(Seen.load());
-}
-
-//===----------------------------------------------------------------------===
-// ThreadPool shutdown via CancelToken
-//===----------------------------------------------------------------------===
-
-TEST(ThreadPoolShutdown, RequestStopCancelsTokenAndDrainsGroups) {
-  ThreadPool Pool(4);
-  EXPECT_FALSE(Pool.shutdownToken().cancelled());
-
-  // Queued work completes even when stop is requested mid-flight: the
-  // helping wait drains the queue, so no spawned task is lost.
-  std::atomic<int> Ran{0};
-  {
-    ThreadPool::TaskGroup G(Pool);
-    for (int I = 0; I < 64; ++I)
-      G.spawn([&] { Ran.fetch_add(1, std::memory_order_relaxed); });
-    Pool.requestStop();
-    G.wait();
-  }
-  EXPECT_EQ(Ran.load(), 64);
-  EXPECT_TRUE(Pool.shutdownToken().cancelled());
-}
-
-TEST(ThreadPoolShutdown, DestructionAfterStopIsClean) {
-  // requestStop() then destruction must not hang or double-drain; this is
-  // the driver's signal-exit path (run under TSan in CI).
-  auto Pool = std::make_unique<ThreadPool>(2);
-  std::atomic<int> Ran{0};
-  {
-    ThreadPool::TaskGroup G(*Pool);
-    for (int I = 0; I < 8; ++I)
-      G.spawn([&] { Ran.fetch_add(1, std::memory_order_relaxed); });
-    G.wait();
-  }
-  Pool->requestStop();
-  Pool.reset();
-  EXPECT_EQ(Ran.load(), 8);
 }
 
 TEST(ProcessToken, RecordsAndResets) {
