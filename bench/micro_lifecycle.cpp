@@ -11,13 +11,15 @@
 ///  * governance overhead — end-to-end analysis time with no governor
 ///    features vs. with a (generous) `--mem-budget-mb`, i.e. the price of
 ///    the memory plan and the hard-threshold polls when nothing actually
-///    degrades;
+///    degrades. One run takes a few tens of milliseconds, so each side is
+///    repeated, alternating with the other, and the overhead compares the
+///    medians;
 ///  * cancellation drain latency — wall time from `cancel()` on a paced
 ///    mid-flight parallel run until the pipeline unwinds and returns,
 ///    which bounds how stale a flushed partial report can be.
 ///
-/// One-shot phases over shared state (a single subject, a mid-run cancel),
-/// which google-benchmark's repetition model would invalidate — a plain
+/// Phases over shared state (a single subject, a mid-run cancel), which
+/// google-benchmark's repetition model would invalidate — a plain
 /// standalone bench like micro_cache. Emits BENCH_lifecycle.json.
 ///
 //===----------------------------------------------------------------------===//
@@ -28,8 +30,10 @@
 #include "support/ThreadPool.h"
 #include "svfa/Pipeline.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 using namespace pinpoint;
 using namespace pinpoint::bench;
@@ -68,6 +72,25 @@ double analyzeOnce(const workload::Workload &W, ResourceGovernor &Gov,
   return T.seconds();
 }
 
+/// Lower quartile, median and upper quartile of \p Xs, interpolating
+/// between ranks.
+struct Quartiles {
+  double Q1, Median, Q3;
+};
+Quartiles quartiles(std::vector<double> Xs) {
+  std::sort(Xs.begin(), Xs.end());
+  auto At = [&](double Q) {
+    const double Pos = Q * static_cast<double>(Xs.size() - 1);
+    const size_t Lo = static_cast<size_t>(Pos);
+    const size_t Hi = std::min(Lo + 1, Xs.size() - 1);
+    return Xs[Lo] + (Xs[Hi] - Xs[Lo]) * (Pos - static_cast<double>(Lo));
+  };
+  return {At(0.25), At(0.5), At(0.75)};
+}
+
+/// Alternating repetitions per side of the governance-overhead comparison.
+constexpr int OverheadReps = 21;
+
 } // namespace
 
 int main() {
@@ -81,22 +104,34 @@ int main() {
   std::printf("subject: %zu LoC\n\n", W.LoC);
 
   // -- Governance overhead (nothing degrades: generous budget) ------------
-  size_t BaseReports = 0, GovReports = 0;
-  ResourceGovernor Plain;
-  double BaseSec = analyzeOnce(W, Plain, nullptr, &BaseReports);
-
+  // The sides alternate, so a drift in the host's speed reaches both.
   Budget GovBud;
   GovBud.MemBudgetMB = 1 << 20; // 1 TB: plan runs, nothing degrades.
-  ResourceGovernor Governed(GovBud);
-  double GovSec = analyzeOnce(W, Governed, nullptr, &GovReports);
+  std::vector<double> BaseSecs, GovSecs;
+  size_t BaseReports = 0;
+  bool ReportsMatch = true;
+  for (int Rep = 0; Rep < OverheadReps; ++Rep) {
+    size_t Base = 0, Gov = 0;
+    ResourceGovernor Plain;
+    BaseSecs.push_back(analyzeOnce(W, Plain, nullptr, &Base));
+    ResourceGovernor Governed(GovBud);
+    GovSecs.push_back(analyzeOnce(W, Governed, nullptr, &Gov));
+    if (Rep == 0)
+      BaseReports = Base;
+    ReportsMatch = ReportsMatch && Base == BaseReports && Gov == BaseReports;
+  }
+  const Quartiles BaseQ = quartiles(BaseSecs), GovQ = quartiles(GovSecs);
+  const double OverheadPct = (GovQ.Median / BaseQ.Median - 1.0) * 100.0;
 
-  std::printf("%-34s %8.3f s   (%zu reports)\n", "ungoverned", BaseSec,
-              BaseReports);
-  std::printf("%-34s %8.3f s   (%zu reports, overhead %+.1f%%)\n",
-              "governed, generous budget", GovSec, GovReports,
-              (GovSec / BaseSec - 1.0) * 100.0);
-  if (BaseReports != GovReports)
-    std::printf("WARNING: governed run changed the report count\n");
+  std::printf("%d alternating runs per side; median [q1, q3]\n",
+              OverheadReps);
+  std::printf("%-34s %8.4f s [%.4f, %.4f]  (%zu reports)\n", "ungoverned",
+              BaseQ.Median, BaseQ.Q1, BaseQ.Q3, BaseReports);
+  std::printf("%-34s %8.4f s [%.4f, %.4f]  (overhead %+.1f%%)\n",
+              "governed, generous budget", GovQ.Median, GovQ.Q1, GovQ.Q3,
+              OverheadPct);
+  if (!ReportsMatch)
+    std::printf("WARNING: a run's report count differs\n");
 
   // -- Cancellation drain latency ----------------------------------------
   // A paced parallel run (5 ms per function) is cancelled mid-flight; the
@@ -125,10 +160,15 @@ int main() {
 
   BenchJson J("lifecycle");
   J.field("loc", W.LoC);
-  J.field("ungoverned_sec", BaseSec);
-  J.field("governed_sec", GovSec);
-  J.field("governance_overhead_pct", (GovSec / BaseSec - 1.0) * 100.0, 2);
-  J.field("reports_match", BaseReports == GovReports);
+  J.field("overhead_reps", static_cast<long long>(OverheadReps));
+  J.field("ungoverned_sec", BaseQ.Median);
+  J.field("ungoverned_q1_sec", BaseQ.Q1);
+  J.field("ungoverned_q3_sec", BaseQ.Q3);
+  J.field("governed_sec", GovQ.Median);
+  J.field("governed_q1_sec", GovQ.Q1);
+  J.field("governed_q3_sec", GovQ.Q3);
+  J.field("governance_overhead_pct", OverheadPct, 2);
+  J.field("reports_match", ReportsMatch);
   J.field("cancel_drain_ms", DrainMs, 1);
   J.write("BENCH_lifecycle.json");
   return 0;

@@ -26,8 +26,8 @@ using namespace pinpoint;
 int main() {
   //===--- Layer 1: the constraint DAG + staged solving -------------------===
   smt::ExprContext Ctx;
-  const smt::Expr *T = Ctx.freshBoolVar("theta");
-  const smt::Expr *X = Ctx.freshIntVar("x");
+  const smt::Expr *T = Ctx.freshBoolVar();
+  const smt::Expr *X = Ctx.freshIntVar();
   const smt::Expr *Easy = Ctx.mkAnd(T, Ctx.mkNot(T)); // folds to false
   const smt::Expr *Hard =
       Ctx.mkAnd(Ctx.mkCmp(smt::ExprKind::Gt, X, Ctx.getInt(5)),
@@ -78,11 +78,17 @@ int main() {
       if (auto *L = dyn_cast<ir::LoadStmt>(S))
         if (L->derefs() == 1 && !L->isSynthetic() && !Load)
           Load = L; // First real load: the read of *cell.
+  // Symbolic variables carry no names: print each as the IR variable the
+  // symbol map minted it for.
+  auto IRName = [&](const smt::Expr *Sym) {
+    const ir::Variable *V = AM.symbols().irVar(Sym->varId());
+    return V->parent()->name() + "::" + V->name();
+  };
   std::printf("layer 3 (pta): the load of *cell may observe:\n");
   for (const auto &[CV, Cond] : PTA.loadDeps(Load))
     std::printf("   %s under %s\n",
                 CV.isInitial() ? "<initial>" : CV.V->str().c_str(),
-                Ctx.toString(Cond).c_str());
+                Ctx.toString(Cond, IRName).c_str());
 
   // Connector interface: pick REFs *(p,1)/*(q,1) through the deref of the
   // chosen pointer.

@@ -25,9 +25,8 @@ const smt::Expr *SymbolMap::operator[](const Value *V) {
 
 const smt::Expr *SymbolMap::mint(const Variable *Var,
                                  std::atomic<const smt::Expr *> &Slot) {
-  std::string Name = Var->parent()->name() + "::" + Var->name();
-  const smt::Expr *E = Var->type().isBool() ? Ctx.freshBoolVar(Name)
-                                            : Ctx.freshIntVar(Name);
+  const smt::Expr *E =
+      Var->type().isBool() ? Ctx.freshBoolVar() : Ctx.freshIntVar();
   // The reverse slot is written first; the release CAS below publishes it
   // together with E.
   std::atomic<const Variable *> &Back = Reverse.slot(E->varId());

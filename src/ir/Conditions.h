@@ -57,7 +57,8 @@ public:
   const smt::Expr *operator[](const Value *V);
 
   /// The IR variable a symbolic variable id came from, or null when this
-  /// map did not mint that id.
+  /// map did not mint that id. Symbols have no names of their own; output
+  /// that prints one names it after this variable.
   const Variable *irVar(uint32_t SymVarId) const {
     return Reverse.get(SymVarId);
   }

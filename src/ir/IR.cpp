@@ -364,11 +364,11 @@ Function *Module::function(const std::string &Name) const {
 
 Constant *Module::getIntConst(int64_t V) {
   std::lock_guard<std::mutex> L(Mu);
-  auto It = IntConsts.find(V);
-  if (It != IntConsts.end())
+  auto It = ConstPool.find(V);
+  if (It != ConstPool.end())
     return It->second;
   Constant *C = makeLocked<Constant>(Constant(Type::intTy(), V));
-  IntConsts[V] = C;
+  ConstPool[V] = C;
   return C;
 }
 
@@ -376,11 +376,11 @@ Constant *Module::getBoolConst(bool B) {
   // Bool constants are interned alongside ints with shifted keys.
   std::lock_guard<std::mutex> L(Mu);
   int64_t Key = B ? -1000001 : -1000002;
-  auto It = IntConsts.find(Key);
-  if (It != IntConsts.end())
+  auto It = ConstPool.find(Key);
+  if (It != ConstPool.end())
     return It->second;
   Constant *C = makeLocked<Constant>(Constant(Type::boolTy(), B ? 1 : 0));
-  IntConsts[Key] = C;
+  ConstPool[Key] = C;
   return C;
 }
 

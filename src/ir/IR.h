@@ -620,7 +620,7 @@ private:
   Arena Mem;
   std::vector<Function *> Functions;
   std::map<std::string, Function *> FunctionMap;
-  std::map<int64_t, Constant *> IntConsts;
+  std::map<int64_t, Constant *> ConstPool;
   std::map<int, Constant *> NullConsts;
   /// Source of `Variable::globalId`: pipeline tasks create aux variables
   /// in different functions at once.

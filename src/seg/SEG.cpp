@@ -352,11 +352,11 @@ SEG::LocalDefInfo SEG::makeLocalDef(const Variable *V) {
 }
 
 std::vector<const Variable *> SEG::gateIRVars(const smt::Expr *E) const {
-  std::vector<uint32_t> SymVars;
+  std::vector<const smt::Expr *> SymVars;
   Ctx.collectVars(E, SymVars);
   std::vector<const Variable *> Out;
-  for (uint32_t Id : SymVars)
-    if (const Variable *V = Syms.irVar(Id))
+  for (const smt::Expr *SV : SymVars)
+    if (const Variable *V = Syms.irVar(SV->varId()))
       Out.push_back(V);
   return Out;
 }

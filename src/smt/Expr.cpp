@@ -57,8 +57,7 @@ const Expr *ExprContext::intern(ExprKind K, std::span<const Expr *const> Ops,
     const Expr *E = S.Slots[Pos].E;
     if (S.Slots[Pos].Hash != H || E->Kind != K || E->NumOps != Ops.size())
       continue;
-    if ((K == ExprKind::BoolVar || K == ExprKind::IntVar) &&
-        E->VarOrConst.Var != Var)
+    if (E->isVar() && E->VarOrConst.Var != Var)
       continue;
     if (K == ExprKind::IntConst && E->VarOrConst.Const != Const)
       continue;
@@ -86,7 +85,7 @@ const Expr *ExprContext::intern(ExprKind K, std::span<const Expr *const> Ops,
   for (const Expr *Op : Ops)
     assert(Op->id() < Id && "operand interned after its parent");
 #endif
-  if (K == ExprKind::BoolVar || K == ExprKind::IntVar)
+  if (E->isVar())
     E->VarOrConst.Var = Var;
   else if (K == ExprKind::IntConst)
     E->VarOrConst.Const = Const;
@@ -104,41 +103,8 @@ size_t ExprContext::bytesUsed() const {
   return N;
 }
 
-const Expr *ExprContext::freshBoolVar(std::string Name) {
-  uint32_t Id;
-  {
-    std::lock_guard<std::mutex> L(VarMu);
-    Id = static_cast<uint32_t>(VarNames.size());
-    VarNames.push_back(std::move(Name));
-    VarIsBool.push_back(true);
-  }
-  return intern(ExprKind::BoolVar, {}, Id, 0);
-}
-
-const Expr *ExprContext::freshIntVar(std::string Name) {
-  uint32_t Id;
-  {
-    std::lock_guard<std::mutex> L(VarMu);
-    Id = static_cast<uint32_t>(VarNames.size());
-    VarNames.push_back(std::move(Name));
-    VarIsBool.push_back(false);
-  }
-  return intern(ExprKind::IntVar, {}, Id, 0);
-}
-
-const Expr *ExprContext::getInt(int64_t V) {
-  {
-    std::lock_guard<std::mutex> L(ConstMu);
-    auto It = IntConsts.find(V);
-    if (It != IntConsts.end())
-      return It->second;
-  }
-  // Interning dedups, so a racing insert of the same constant is benign:
-  // both threads get the same node; the memo keeps whichever wins.
-  const Expr *E = intern(ExprKind::IntConst, {}, 0, V);
-  std::lock_guard<std::mutex> L(ConstMu);
-  IntConsts.emplace(V, E);
-  return E;
+const Expr *ExprContext::freshVar(ExprKind K) {
+  return intern(K, {}, NextVar.fetch_add(1, std::memory_order_relaxed), 0);
 }
 
 const Expr *ExprContext::mkNot(const Expr *A) {
@@ -353,7 +319,7 @@ const Expr *ExprContext::substitute(const Expr *E, SubstScratch &S) {
 }
 
 void ExprContext::collectVars(const Expr *E,
-                              std::vector<uint32_t> &Out) const {
+                              std::vector<const Expr *> &Out) const {
   // Ids are topological, so a max-heap on ids pops every node after all of
   // its parents: the copies a shared node gets from several parents are
   // all queued before the first one pops, and they pop back to back. Only
@@ -368,18 +334,22 @@ void ExprContext::collectVars(const Expr *E,
     if (Cur == Last)
       continue;
     Last = Cur;
-    if (Cur->kind() == ExprKind::BoolVar || Cur->kind() == ExprKind::IntVar)
-      Out.push_back(Cur->varId());
+    if (Cur->isVar())
+      Out.push_back(Cur);
     for (const Expr *Op : Cur->operands()) {
       Heap.push_back(Op);
       std::push_heap(Heap.begin(), Heap.end(), Lower);
     }
   }
-  std::sort(Out.begin(), Out.end());
+  // One node per variable id, so sorting by id leaves duplicates adjacent.
+  std::sort(Out.begin(), Out.end(), [](const Expr *A, const Expr *B) {
+    return A->varId() < B->varId();
+  });
   Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
 }
 
-std::string ExprContext::toString(const Expr *E) const {
+std::string ExprContext::toString(const Expr *E, const VarNamer &Name) const {
+  auto Sub = [&](unsigned I) { return toString(E->operand(I), Name); };
   switch (E->kind()) {
   case ExprKind::True:
     return "true";
@@ -387,16 +357,15 @@ std::string ExprContext::toString(const Expr *E) const {
     return "false";
   case ExprKind::BoolVar:
   case ExprKind::IntVar:
-    return varName(E->varId());
+    return Name ? Name(E) : "v" + std::to_string(E->varId());
   case ExprKind::IntConst:
     return std::to_string(E->constValue());
   case ExprKind::Not:
-    return "!" + toString(E->operand(0));
+    return "!" + Sub(0);
   case ExprKind::Neg:
-    return "-" + toString(E->operand(0));
+    return "-" + Sub(0);
   case ExprKind::Ite:
-    return "ite(" + toString(E->operand(0)) + ", " +
-           toString(E->operand(1)) + ", " + toString(E->operand(2)) + ")";
+    return "ite(" + Sub(0) + ", " + Sub(1) + ", " + Sub(2) + ")";
   default:
     break;
   }
@@ -438,7 +407,7 @@ std::string ExprContext::toString(const Expr *E) const {
   default:
     break;
   }
-  return "(" + toString(E->operand(0)) + Op + toString(E->operand(1)) + ")";
+  return "(" + Sub(0) + Op + Sub(1) + ")";
 }
 
 } // namespace pinpoint::smt

@@ -14,18 +14,25 @@
 /// node, and the linear-time solver of Section 3.1.1 memoises its atom sets
 /// per node.
 ///
+/// A symbolic variable is just its interned node: its variable id comes
+/// from an atomic counter and its sort is the node's kind (BoolVar or
+/// IntVar). It has no name; whoever prints one names it (`toString`'s
+/// namer, e.g. the IR variable that `ir::SymbolMap::irVar` maps it back
+/// to).
+///
 /// One `ExprContext` is shared by every task of a `--jobs N` run. Interning
 /// is sharded: the node hash selects one of a fixed set of shards, each
 /// with its own mutex, arena and open-addressed table, so concurrent `mk*`
 /// calls on unrelated conditions rarely contend while hash-consing stays
-/// global (a condition built by two workers is still one node). Nodes are
-/// trivially destructible and live in the shard arenas; a table slot is a
-/// (hash, node) pair, so dropping a context frees a few slabs and arrays
-/// per shard, not one heap block per node. Node ids come from one atomic
+/// global (a condition built by two workers is still one node). The shard
+/// locks are the context's only locks. Nodes are trivially destructible
+/// and live in the shard arenas; a table slot is a (hash, node) pair, so
+/// dropping a context frees a few slabs and arrays per shard, not one heap
+/// block per node. Node ids and variable ids each come from one atomic
 /// counter — ids are *allocation-order* dependent and therefore not stable
 /// across job counts; nothing downstream may key semantic decisions on the
 /// numeric id (canonicalisation uses ids only to pick one of two orders of
-/// the same pointer pair, which is per-pair deterministic). Ids are
+/// the same pointer pair, which is per-pair deterministic). Node ids are
 /// topological, though: every operand is numbered before its parent.
 ///
 //===----------------------------------------------------------------------===//
@@ -40,11 +47,10 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace pinpoint::smt {
@@ -85,10 +91,14 @@ public:
   bool isBool() const {
     return Kind <= ExprKind::Ge; // True..Ge are boolean-typed.
   }
+  /// A symbolic variable: its sort is its kind, its identity its varId().
+  bool isVar() const {
+    return Kind == ExprKind::BoolVar || Kind == ExprKind::IntVar;
+  }
 
   /// For BoolVar / IntVar: the variable id (namespaced per context).
   uint32_t varId() const {
-    assert(Kind == ExprKind::BoolVar || Kind == ExprKind::IntVar);
+    assert(isVar());
     return VarOrConst.Var;
   }
 
@@ -134,11 +144,12 @@ private:
 };
 
 /// Working memory for ExprContext::substitute: the variable map and the
-/// rewrite's per-node memo, as dense arrays indexed by variable id and by
-/// Expr id. Each slot records the epoch it was written in, so clearing is
-/// O(1) and an owner that substitutes many times (svfa::ContextTable, one
-/// per engine) sizes the arrays once. A one-off caller may use a local
-/// scratch; it costs O(largest id touched). Not thread-safe.
+/// rewrite's per-node memo, as dense arrays indexed by variable id (a
+/// variable node's `varId()`) and by Expr id. Each slot records the epoch
+/// it was written in, so clearing is O(1) and an owner that substitutes
+/// many times (svfa::ContextTable, one per engine) sizes the arrays once.
+/// A one-off caller may use a local scratch; it costs O(largest id
+/// touched). Not thread-safe.
 class SubstScratch {
 public:
   /// Forgets every variable mapping.
@@ -188,9 +199,10 @@ private:
   std::vector<std::pair<const Expr *, bool>> Stack;
 };
 
-/// Owning context: sharded arenas + interning tables and a variable
-/// registry. All Expr pointers remain valid for the lifetime of the
-/// context. Thread-safe (see the file comment for the sharding scheme).
+/// Owning context: sharded arenas + interning tables, and the counters
+/// that number nodes and variables. All Expr pointers remain valid for the
+/// lifetime of the context. Thread-safe (see the file comment for the
+/// sharding scheme).
 class ExprContext {
 public:
   ExprContext();
@@ -202,23 +214,11 @@ public:
   //===--------------------------------------------------------------------===
 
   /// Creates a fresh boolean variable and returns its node.
-  const Expr *freshBoolVar(std::string Name);
+  const Expr *freshBoolVar() { return freshVar(ExprKind::BoolVar); }
   /// Creates a fresh integer variable and returns its node.
-  const Expr *freshIntVar(std::string Name);
-  /// Name of a variable (for printing / Z3 symbols). The returned reference
-  /// is stable (deque-backed) and the string is immutable once registered.
-  const std::string &varName(uint32_t VarId) const {
-    std::lock_guard<std::mutex> L(VarMu);
-    return VarNames[VarId];
-  }
-  bool varIsBool(uint32_t VarId) const {
-    std::lock_guard<std::mutex> L(VarMu);
-    return VarIsBool[VarId];
-  }
-  uint32_t numVars() const {
-    std::lock_guard<std::mutex> L(VarMu);
-    return static_cast<uint32_t>(VarNames.size());
-  }
+  const Expr *freshIntVar() { return freshVar(ExprKind::IntVar); }
+  /// Variables created so far; their ids are [0, numVars()).
+  uint32_t numVars() const { return NextVar.load(std::memory_order_relaxed); }
 
   //===--------------------------------------------------------------------===
   // Constructors (with local simplification + interning)
@@ -227,7 +227,7 @@ public:
   const Expr *getTrue() const { return TrueExpr; }
   const Expr *getFalse() const { return FalseExpr; }
   const Expr *getBool(bool B) const { return B ? TrueExpr : FalseExpr; }
-  const Expr *getInt(int64_t V);
+  const Expr *getInt(int64_t V) { return intern(ExprKind::IntConst, {}, 0, V); }
 
   const Expr *mkNot(const Expr *A);
   const Expr *mkAnd(const Expr *A, const Expr *B);
@@ -270,12 +270,15 @@ public:
   /// SubstScratch::mapVar) with its image. Memoised per call in \p S.
   const Expr *substitute(const Expr *E, SubstScratch &S);
 
-  /// Appends the distinct variable ids occurring in \p E to \p Out and
-  /// sorts it. Needs no visited set: see the definition.
-  void collectVars(const Expr *E, std::vector<uint32_t> &Out) const;
+  /// Appends the distinct variable nodes occurring in \p E to \p Out and
+  /// sorts it by variable id. Needs no visited set: see the definition.
+  void collectVars(const Expr *E, std::vector<const Expr *> &Out) const;
 
-  /// Renders \p E as a string (tests & debugging).
-  std::string toString(const Expr *E) const;
+  /// Names a variable node for toString.
+  using VarNamer = std::function<std::string(const Expr *Var)>;
+  /// Renders \p E as a string (tests & debugging). A variable prints as
+  /// \p Name gives it, or as `v<id>` when no namer is given.
+  std::string toString(const Expr *E, const VarNamer &Name = {}) const;
 
   size_t numNodes() const { return NextId.load(std::memory_order_relaxed); }
   size_t bytesUsed() const;
@@ -291,6 +294,7 @@ public:
   }
 
 private:
+  const Expr *freshVar(ExprKind K);
   const Expr *intern(ExprKind K, std::span<const Expr *const> Ops,
                      uint32_t Var, int64_t Const);
   uint64_t hashKey(ExprKind K, std::span<const Expr *const> Ops, uint32_t Var,
@@ -322,12 +326,8 @@ private:
   static constexpr size_t NumInternShards = 64;
 
   std::array<InternShard, NumInternShards> Shards;
-  std::atomic<uint32_t> NextId{0};
-  mutable std::mutex VarMu; ///< Guards VarNames/VarIsBool.
-  std::deque<std::string> VarNames; ///< Deque: stable refs under growth.
-  std::deque<bool> VarIsBool;
-  std::mutex ConstMu; ///< Guards IntConsts.
-  std::unordered_map<int64_t, const Expr *> IntConsts;
+  std::atomic<uint32_t> NextId{0};  ///< The next node id.
+  std::atomic<uint32_t> NextVar{0}; ///< The next variable id.
   const Expr *TrueExpr;
   const Expr *FalseExpr;
 };

@@ -96,6 +96,11 @@ public:
   /// candidates inline), so a plain member suffices.
   void setQueryOrigin(std::string Fn) { Origin = std::move(Fn); }
 
+  /// The linear-time filter of the first stage. Its memo is a pure function
+  /// of the node, so an owner that filters conjunctions inline (the
+  /// engine's search) shares it with this solver's queries.
+  LinearSolver &linear() { return Linear; }
+
   /// Statistics for the ablation study, counted per query. Each engine
   /// asks its queries in generation order on one solver, so the counts do
   /// not depend on the job count (short of partial-rate fault injection,

@@ -37,7 +37,7 @@ namespace {
 
 class Z3Solver : public Solver {
 public:
-  Z3Solver(ExprContext &Ctx, const SolverConfig &SC) : Ctx(Ctx) {
+  explicit Z3Solver(const SolverConfig &SC) {
     Z3_config Cfg = Z3_mk_config();
     // Per-query timeout in ms. Z3 applies no limit while `timeout` is unset,
     // which is what a non-positive budget means.
@@ -81,21 +81,6 @@ public:
   const char *name() const override { return "z3"; }
 
 private:
-  Z3_ast var(uint32_t VarId) {
-    auto It = Vars.find(VarId);
-    if (It != Vars.end())
-      return It->second;
-    // The variable's identity is its varId, not its display name — two
-    // fresh variables may share a name (e.g. per-function locals), and a
-    // name-keyed Z3 constant would soundlessly conflate them. Suffix the
-    // id so distinct Expr variables stay distinct in Z3.
-    std::string Sym_ = Ctx.varName(VarId) + "#" + std::to_string(VarId);
-    Z3_symbol Sym = Z3_mk_string_symbol(Z, Sym_.c_str());
-    Z3_ast A = Z3_mk_const(Z, Sym, Ctx.varIsBool(VarId) ? BoolSort : IntSort);
-    Vars.emplace(VarId, A);
-    return A;
-  }
-
   Z3_ast translate(const Expr *E) {
     auto It = Memo.find(E);
     if (It != Memo.end())
@@ -129,7 +114,11 @@ private:
       return Z3_mk_false(Z);
     case ExprKind::BoolVar:
     case ExprKind::IntVar:
-      return var(E->varId());
+      // A variable is its id and its sort is its kind. Z3 takes integer
+      // symbols below 2^30; SymbolMap's reverse table throws at 2^28.
+      assert(E->varId() < (1u << 30) && "variable id past Z3's int symbols");
+      return Z3_mk_const(Z, Z3_mk_int_symbol(Z, static_cast<int>(E->varId())),
+                         E->isBool() ? BoolSort : IntSort);
     case ExprKind::IntConst:
       return Z3_mk_int64(Z, E->constValue(), IntSort);
     case ExprKind::Not:
@@ -174,19 +163,17 @@ private:
     return Z3_mk_true(Z); // Unreachable; all kinds covered.
   }
 
-  ExprContext &Ctx;
   Z3_context Z;
   Z3_solver S; ///< The one solver; no scope is open between queries.
   Z3_sort IntSort, BoolSort;
-  std::unordered_map<uint32_t, Z3_ast> Vars;
   std::unordered_map<const Expr *, Z3_ast> Memo;
 };
 
 } // namespace
 
-std::unique_ptr<Solver> createZ3Solver(ExprContext &Ctx,
+std::unique_ptr<Solver> createZ3Solver(ExprContext &,
                                        const SolverConfig &Cfg) {
-  return std::make_unique<Z3Solver>(Ctx, Cfg);
+  return std::make_unique<Z3Solver>(Cfg);
 }
 
 } // namespace pinpoint::smt

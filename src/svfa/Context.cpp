@@ -27,15 +27,15 @@ const Context *ContextTable::push(const Context *Parent,
   return Raw;
 }
 
-const smt::Expr *ContextTable::mappedVar(uint32_t SymVarId,
+const smt::Expr *ContextTable::mappedVar(const smt::Expr *Var,
                                          const Function *Callee,
                                          const Context *C) {
-  const uint64_t Key = static_cast<uint64_t>(C->Id) << 32 | SymVarId;
+  const uint64_t Key = static_cast<uint64_t>(C->Id) << 32 | Var->varId();
   if (const smt::Expr *const *Known = Clones.find(Key))
     return *Known;
 
   const smt::Expr *Repl = nullptr;
-  const Variable *IRVar = Syms.irVar(SymVarId);
+  const Variable *IRVar = Syms.irVar(Var->varId());
 
   // Formal parameter of the callee: map to the caller-side symbol of the
   // actual argument (Equation (3)'s vi@si = M(vi@si)).
@@ -45,13 +45,10 @@ const smt::Expr *ContextTable::mappedVar(uint32_t SymVarId,
     const Function *Caller = C->Site->parent()->parent();
     Repl = symbolIn(Actual, Caller, C->Parent);
     // Coerce to the formal's sort (e.g. boolean formal, constant actual).
-    Repl = Ctx.varIsBool(SymVarId) ? Ctx.toBoolExpr(Repl)
-                                   : Ctx.toIntExpr(Repl);
+    Repl = Var->isBool() ? Ctx.toBoolExpr(Repl) : Ctx.toIntExpr(Repl);
   } else {
     // Any other variable: α-rename into this context.
-    std::string Name = Ctx.varName(SymVarId) + "#" + std::to_string(C->Id);
-    Repl = Ctx.varIsBool(SymVarId) ? Ctx.freshBoolVar(std::move(Name))
-                                   : Ctx.freshIntVar(std::move(Name));
+    Repl = Var->isBool() ? Ctx.freshBoolVar() : Ctx.freshIntVar();
   }
   Clones.insert(Key, Repl);
   return Repl;
@@ -65,18 +62,15 @@ const smt::Expr *ContextTable::instantiate(const smt::Expr *E,
   // A leaf is its own rewrite. This is also the only way mappedVar ->
   // symbolIn re-enters (a symbol is a leaf), so Vars and Scratch below are
   // never in use twice.
-  if (E->numOperands() == 0) {
-    bool IsVar = E->kind() == smt::ExprKind::BoolVar ||
-                 E->kind() == smt::ExprKind::IntVar;
-    return IsVar ? mappedVar(E->varId(), Callee, C) : E;
-  }
+  if (E->numOperands() == 0)
+    return E->isVar() ? mappedVar(E, Callee, C) : E;
   Vars.clear();
   Ctx.collectVars(E, Vars);
   if (Vars.empty())
     return E;
   Scratch.clearVars();
-  for (uint32_t V : Vars)
-    Scratch.mapVar(V, mappedVar(V, Callee, C));
+  for (const smt::Expr *V : Vars)
+    Scratch.mapVar(V->varId(), mappedVar(V, Callee, C));
   return Ctx.substitute(E, Scratch);
 }
 

@@ -58,8 +58,8 @@ public:
   /// arguments (themselves instantiated into the parent context); all other
   /// variables get fresh clones, cached per (context, variable).
   /// \p Callee is the function the expression belongs to. Two phases, in
-  /// this order: map the sorted variable ids (which mints the clones), then
-  /// rewrite \p E bottom-up; both reuse the table's one scratch.
+  /// this order: map the variables in id order (which mints the clones),
+  /// then rewrite \p E bottom-up; both reuse the table's one scratch.
   const smt::Expr *instantiate(const smt::Expr *E, const ir::Function *Callee,
                                const Context *C);
 
@@ -69,7 +69,8 @@ public:
                             const Context *C);
 
 private:
-  const smt::Expr *mappedVar(uint32_t SymVarId, const ir::Function *Callee,
+  /// The image of variable node \p Var under \p C (see instantiate).
+  const smt::Expr *mappedVar(const smt::Expr *Var, const ir::Function *Callee,
                              const Context *C);
 
   smt::ExprContext &Ctx;
@@ -85,7 +86,7 @@ private:
   /// expression. Context ids start at 1, so no key is the empty key 0.
   FlatMap<uint64_t, const smt::Expr *, KeyHash> Clones;
   /// instantiate()'s working memory (it explains why one copy suffices).
-  std::vector<uint32_t> Vars;
+  std::vector<const smt::Expr *> Vars;
   smt::SubstScratch Scratch;
   uint32_t NextId = 1;
 };

@@ -115,7 +115,7 @@ public:
   Impl(AnalyzedModule &AM, const checkers::CheckerSpec &Spec,
        GlobalOptions Opts, Stats &S)
       : AM(AM), Spec(Spec), Opts(Opts), S(S), Ctx(AM.context()),
-        CT(AM.context(), AM.symbols()), Linear(AM.context()),
+        CT(AM.context(), AM.symbols()),
         Gov(Opts.Governor ? *Opts.Governor : ResourceGovernor::ungoverned()),
         Solver(AM.context(),
                smt::createDefaultSolver(
@@ -141,7 +141,7 @@ private:
     const smt::Expr *C = Ctx.mkAnd(A, B);
     if (C->isFalse())
       return nullptr;
-    if (Opts.UseLinearFilter && Linear.isObviouslyUnsat(C)) {
+    if (Opts.UseLinearFilter && Solver.linear().isObviouslyUnsat(C)) {
       ++S.LinearPruned;
       return nullptr;
     }
@@ -295,7 +295,6 @@ private:
   Stats &S;
   smt::ExprContext &Ctx;
   ContextTable CT;
-  smt::LinearSolver Linear;
   ResourceGovernor &Gov;
   smt::StagedSolver Solver;
 

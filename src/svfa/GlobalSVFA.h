@@ -45,7 +45,6 @@
 #include "svfa/Context.h"
 #include "svfa/Pipeline.h"
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -106,45 +105,20 @@ public:
   /// Runs the analysis and returns the surviving reports.
   std::vector<Report> run();
 
-  /// Live counters. The fields are atomics so an observer thread can poll
-  /// `stats()` while `run()` is in flight (progress reporting) without a
-  /// data race; copying takes a relaxed per-field snapshot.
+  /// Counters of one run. Read them after `run()` returns.
   struct Stats {
-    std::atomic<uint64_t> Events{0};
-    std::atomic<uint64_t> Candidates{0};
-    std::atomic<uint64_t> SolverSat{0};
-    std::atomic<uint64_t> SolverUnsat{0};
+    uint64_t Events = 0;
+    uint64_t Candidates = 0;
+    uint64_t SolverSat = 0;
+    uint64_t SolverUnsat = 0;
     /// Candidates whose verdict came back Unknown (kept, tagged).
-    std::atomic<uint64_t> SolverUnknown{0};
-    std::atomic<uint64_t> VF1{0}, VF2{0}, VF3{0}, VF4{0};
-    std::atomic<uint64_t> ClosureSteps{0};
+    uint64_t SolverUnknown = 0;
+    uint64_t VF1 = 0, VF2 = 0, VF3 = 0, VF4 = 0;
+    uint64_t ClosureSteps = 0;
     /// Flows/candidates killed inline by the linear-time filter.
-    std::atomic<uint64_t> LinearPruned{0};
+    uint64_t LinearPruned = 0;
     /// Functions whose analysis threw and was isolated (skipped).
-    std::atomic<uint64_t> IsolatedFailures{0};
-
-    Stats() = default;
-    Stats(const Stats &O) { *this = O; }
-    Stats &operator=(const Stats &O) {
-      if (this != &O) {
-        auto Snap = [](const std::atomic<uint64_t> &A) {
-          return A.load(std::memory_order_relaxed);
-        };
-        Events = Snap(O.Events);
-        Candidates = Snap(O.Candidates);
-        SolverSat = Snap(O.SolverSat);
-        SolverUnsat = Snap(O.SolverUnsat);
-        SolverUnknown = Snap(O.SolverUnknown);
-        VF1 = Snap(O.VF1);
-        VF2 = Snap(O.VF2);
-        VF3 = Snap(O.VF3);
-        VF4 = Snap(O.VF4);
-        ClosureSteps = Snap(O.ClosureSteps);
-        LinearPruned = Snap(O.LinearPruned);
-        IsolatedFailures = Snap(O.IsolatedFailures);
-      }
-      return *this;
-    }
+    uint64_t IsolatedFailures = 0;
   };
   const Stats &stats() const { return S; }
   const smt::StagedSolver::Stats &solverStats() const;

@@ -41,8 +41,9 @@ bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
                                 transform::InterfaceMap &Interfaces,
                                 RunState &RS) {
   // Fault-injected pacing: slows every function down so lifecycle tests can
-  // interrupt a run mid-flight reproducibly.
-  if (uint64_t Pace = Gov.faults().paceFunctionMs())
+  // interrupt a run mid-flight reproducibly. Once the run is cancelled its
+  // remaining functions only degrade, so they are not paced.
+  if (uint64_t Pace = Gov.faults().paceFunctionMs(); Pace && !Gov.cancelled())
     std::this_thread::sleep_for(std::chrono::milliseconds(Pace));
 
   AnalyzedFunction Info;

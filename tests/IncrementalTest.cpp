@@ -21,9 +21,7 @@
 ///    including via the `cache-read` injected fault;
 ///  * nondeterministically degraded chains are never stored;
 ///  * the serialisation layer itself (writer/reader round trips, bounds
-///    checks, store/load integrity);
-///  * `GlobalSVFA::Stats` being pollable from another thread while `run()`
-///    is in flight (exercised under TSan in CI).
+///    checks, store/load integrity).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +47,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace pinpoint;
@@ -864,39 +861,6 @@ TEST(HasherTest, DigestIsOrderAndLengthSensitive) {
             Hasher().str("a").str("bc").digest());
   EXPECT_NE(Hasher().u32(1).u32(2).digest(), Hasher().u32(2).u32(1).digest());
   EXPECT_EQ(Hasher::hashString("pinpoint"), Hasher::hashString("pinpoint"));
-}
-
-//===----------------------------------------------------------------------===
-// GlobalSVFA::Stats is concurrently pollable (exercised under TSan)
-//===----------------------------------------------------------------------===
-
-TEST(StatsConcurrencyTest, PollingWhileRunningIsRaceFree) {
-  workload::Workload W = workload::generate(subjectConfig(5));
-  ir::Module M;
-  std::vector<frontend::Diag> Diags;
-  ASSERT_TRUE(frontend::parseModule(W.Source, M, Diags));
-  smt::ExprContext Ctx;
-  AnalyzedModule AM(M, Ctx);
-
-  GlobalSVFA Engine(AM, checkers::useAfterFreeChecker());
-  std::atomic<bool> Done{false};
-  uint64_t LastEvents = 0;
-  std::thread Poller([&] {
-    while (!Done.load(std::memory_order_acquire)) {
-      GlobalSVFA::Stats Snap = Engine.stats(); // Copy = relaxed snapshot.
-      uint64_t E = Snap.Events.load(std::memory_order_relaxed);
-      EXPECT_GE(E, LastEvents) << "counters must be monotone";
-      LastEvents = E;
-      std::this_thread::yield();
-    }
-  });
-  std::vector<Report> Reports = Engine.run();
-  Done.store(true, std::memory_order_release);
-  Poller.join();
-
-  EXPECT_GE(Engine.stats().Events.load(std::memory_order_relaxed),
-            LastEvents);
-  EXPECT_FALSE(Reports.empty());
 }
 
 } // namespace

@@ -18,7 +18,8 @@
 ///    MemoryPressure degradation set across runs and job counts, and the
 ///    per-structure accounting balances when the module is destroyed;
 ///  * cooperative cancellation at the library level: a pre-cancelled token
-///    degrades everything, logs once, stores nothing in the summary cache;
+///    degrades everything, logs once, stores nothing in the summary cache,
+///    and skips the pacing throttle;
 ///  * a backend exception: the staged solver answers that one query
 ///    Unknown, logs one solver-unknown event, and stays usable.
 ///
@@ -486,6 +487,35 @@ TEST(LifecycleCancel, CancelledEventIsLoggedOnce) {
   EXPECT_EQ(CancelEvents, size_t(1)); // One-shot, not once per function.
 }
 
+TEST(LifecycleCancel, CancelledRunIsNotPaced) {
+  // Twenty one-line functions at 200 ms each: pacing them would take 4 s.
+  std::string Src;
+  for (int I = 0; I < 20; ++I)
+    Src += "int f" + std::to_string(I) + "(int x) { return x; }\n";
+  ir::Module M;
+  std::vector<frontend::Diag> Diags;
+  ASSERT_TRUE(frontend::parseModule(Src, M, Diags));
+  FaultInjector Pace;
+  std::string Err;
+  ASSERT_TRUE(Pace.parse("pace-fn-ms=200", Err)) << Err;
+  ResourceGovernor Gov(Budget{}, std::move(Pace));
+  CancelToken Tok;
+  Tok.cancel();
+  Gov.setCancelToken(&Tok);
+  smt::ExprContext Ctx;
+  svfa::PipelineOptions PO;
+  PO.Governor = &Gov; // No pool: --jobs=1.
+
+  const auto Start = std::chrono::steady_clock::now();
+  svfa::AnalyzedModule AM(M, Ctx, PO);
+  EXPECT_LT(std::chrono::steady_clock::now() - Start, std::chrono::seconds(2));
+
+  size_t CancelEvents = 0;
+  for (const DegradationEvent &E : Gov.log().events())
+    CancelEvents += E.Kind == DegradationKind::Cancelled;
+  EXPECT_EQ(CancelEvents, size_t(1));
+}
+
 //===----------------------------------------------------------------------===
 // A backend exception in the staged solver
 //
@@ -496,8 +526,8 @@ TEST(LifecycleCancel, CancelledEventIsLoggedOnce) {
 /// A satisfiable formula the linear filter cannot refute, so checkSat
 /// reaches the backend.
 const smt::Expr *backendQuery(smt::ExprContext &Ctx) {
-  const smt::Expr *X = Ctx.freshIntVar("x");
-  return Ctx.mkAnd(Ctx.freshBoolVar("b"),
+  const smt::Expr *X = Ctx.freshIntVar();
+  return Ctx.mkAnd(Ctx.freshBoolVar(),
                    Ctx.mkCmp(smt::ExprKind::Lt, X, Ctx.getInt(5)));
 }
 

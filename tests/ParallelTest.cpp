@@ -325,11 +325,10 @@ TEST(ParallelDeterminismTest, TwoSinksOnOneLineCountMatchesSerial) {
   const EngineRun Serial = runEngine(Src, Spec, 1);
   const EngineRun Parallel = runEngine(Src, Spec, 4);
   ASSERT_EQ(Serial.Reports.size(), 1u);
-  EXPECT_EQ(Serial.Engine.Candidates.load(), 1u);
+  EXPECT_EQ(Serial.Engine.Candidates, 1u);
   EXPECT_EQ(Serial.Solver.Queries, 1u);
   EXPECT_EQ(Parallel.Reports, Serial.Reports);
-  EXPECT_EQ(Parallel.Engine.Candidates.load(),
-            Serial.Engine.Candidates.load());
+  EXPECT_EQ(Parallel.Engine.Candidates, Serial.Engine.Candidates);
   EXPECT_EQ(Parallel.Solver.Queries, Serial.Solver.Queries);
   EXPECT_EQ(Parallel.Solver.BackendQueries, Serial.Solver.BackendQueries);
 }
@@ -485,8 +484,8 @@ TEST(ParallelFaultTest, PartialSolverUnknownMatchesSerial) {
   const EngineRun Serial = runEngine(Src, Spec, 1, Faults);
   ASSERT_EQ(Serial.Reports.size(), 24u);
   // Both verdicts occur, so the comparison below is not vacuous.
-  EXPECT_GT(Serial.Engine.SolverSat.load(), 0u);
-  EXPECT_GT(Serial.Engine.SolverUnknown.load(), 0u);
+  EXPECT_GT(Serial.Engine.SolverSat, 0u);
+  EXPECT_GT(Serial.Engine.SolverUnknown, 0u);
   for (int Rep = 0; Rep < 3; ++Rep) {
     const EngineRun Parallel = runEngine(Src, Spec, 4, Faults);
     EXPECT_EQ(Parallel.Reports, Serial.Reports) << "rep " << Rep;

@@ -48,8 +48,8 @@ class FormulaGen {
 public:
   FormulaGen(smt::ExprContext &Ctx, uint64_t Seed) : Ctx(Ctx), Rand(Seed) {
     for (int I = 0; I < 4; ++I) {
-      Bools.push_back(Ctx.freshBoolVar("b" + std::to_string(I)));
-      Ints.push_back(Ctx.freshIntVar("i" + std::to_string(I)));
+      Bools.push_back(Ctx.freshBoolVar());
+      Ints.push_back(Ctx.freshIntVar());
     }
   }
 
@@ -146,8 +146,8 @@ public:
 
   /// Adds one fresh variable of each sort.
   void addVars() {
-    BoolVars.push_back(Ctx.freshBoolVar("b" + std::to_string(BoolVars.size())));
-    IntVars.push_back(Ctx.freshIntVar("i" + std::to_string(IntVars.size())));
+    BoolVars.push_back(Ctx.freshBoolVar());
+    IntVars.push_back(Ctx.freshIntVar());
     Bools.push_back(BoolVars.back());
     Ints.push_back(IntVars.back());
   }

@@ -162,8 +162,8 @@ TEST_F(ResilienceTest, MiniSolverStepBudgetReturnsUnknown) {
   smt::ExprContext C;
   // (a || b) && (!a || c): satisfiable, but any budget of 1 DPLL step
   // cannot decide it.
-  const smt::Expr *A = C.freshBoolVar("a"), *B = C.freshBoolVar("b"),
-                  *D = C.freshBoolVar("c");
+  const smt::Expr *A = C.freshBoolVar(), *B = C.freshBoolVar(),
+                  *D = C.freshBoolVar();
   const smt::Expr *E = C.mkAnd(C.mkOr(A, B), C.mkOr(C.mkNot(A), D));
   auto Tight = smt::createMiniSolver(C, {.MaxSteps = 1});
   EXPECT_EQ(Tight->checkSat(E), smt::SatResult::Unknown);

@@ -21,22 +21,22 @@ protected:
 };
 
 TEST_F(ExprTest, HashConsingDeduplicates) {
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   const Expr *E1 = Ctx.mkAnd(A, B);
   const Expr *E2 = Ctx.mkAnd(A, B);
   EXPECT_EQ(E1, E2);
 }
 
 TEST_F(ExprTest, AndIsCanonicalisedByOperandOrder) {
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   EXPECT_EQ(Ctx.mkAnd(A, B), Ctx.mkAnd(B, A));
   EXPECT_EQ(Ctx.mkOr(A, B), Ctx.mkOr(B, A));
 }
 
 TEST_F(ExprTest, BooleanSimplifications) {
-  const Expr *A = Ctx.freshBoolVar("a");
+  const Expr *A = Ctx.freshBoolVar();
   EXPECT_EQ(Ctx.mkAnd(Ctx.getTrue(), A), A);
   EXPECT_EQ(Ctx.mkAnd(Ctx.getFalse(), A), Ctx.getFalse());
   EXPECT_EQ(Ctx.mkOr(Ctx.getFalse(), A), A);
@@ -46,13 +46,13 @@ TEST_F(ExprTest, BooleanSimplifications) {
 }
 
 TEST_F(ExprTest, DoubleNegationCancels) {
-  const Expr *A = Ctx.freshBoolVar("a");
+  const Expr *A = Ctx.freshBoolVar();
   EXPECT_EQ(Ctx.mkNot(Ctx.mkNot(A)), A);
   EXPECT_EQ(Ctx.mkNot(Ctx.getTrue()), Ctx.getFalse());
 }
 
 TEST_F(ExprTest, ContradictionFoldsToFalse) {
-  const Expr *A = Ctx.freshBoolVar("a");
+  const Expr *A = Ctx.freshBoolVar();
   EXPECT_EQ(Ctx.mkAnd(A, Ctx.mkNot(A)), Ctx.getFalse());
   EXPECT_EQ(Ctx.mkOr(A, Ctx.mkNot(A)), Ctx.getTrue());
 }
@@ -72,7 +72,7 @@ TEST_F(ExprTest, ComparisonConstantFolding) {
 }
 
 TEST_F(ExprTest, ReflexiveComparisonsFold) {
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *X = Ctx.freshIntVar();
   EXPECT_EQ(Ctx.mkCmp(ExprKind::Eq, X, X), Ctx.getTrue());
   EXPECT_EQ(Ctx.mkCmp(ExprKind::Ne, X, X), Ctx.getFalse());
   EXPECT_EQ(Ctx.mkCmp(ExprKind::Le, X, X), Ctx.getTrue());
@@ -89,13 +89,13 @@ TEST_F(ExprTest, ArithConstantFolding) {
 }
 
 TEST_F(ExprTest, NegNegCancels) {
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *X = Ctx.freshIntVar();
   EXPECT_EQ(Ctx.mkNeg(Ctx.mkNeg(X)), X);
 }
 
 TEST_F(ExprTest, AtomClassification) {
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *X = Ctx.freshIntVar();
   const Expr *Cmp = Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(5));
   EXPECT_TRUE(A->isAtom());
   EXPECT_TRUE(Cmp->isAtom());
@@ -105,8 +105,8 @@ TEST_F(ExprTest, AtomClassification) {
 }
 
 TEST_F(ExprTest, SubstituteReplacesVariables) {
-  const Expr *X = Ctx.freshIntVar("x");
-  const Expr *Y = Ctx.freshIntVar("y");
+  const Expr *X = Ctx.freshIntVar();
+  const Expr *Y = Ctx.freshIntVar();
   const Expr *F = Ctx.mkCmp(ExprKind::Lt, X, Y);
   SubstScratch S;
   S.mapVar(X->varId(), Ctx.getInt(1));
@@ -115,7 +115,7 @@ TEST_F(ExprTest, SubstituteReplacesVariables) {
 }
 
 TEST_F(ExprTest, SubstituteSimplifiesResult) {
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *X = Ctx.freshIntVar();
   const Expr *F = Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(5));
   SubstScratch S;
   S.mapVar(X->varId(), Ctx.getInt(1));
@@ -123,37 +123,43 @@ TEST_F(ExprTest, SubstituteSimplifiesResult) {
 }
 
 TEST_F(ExprTest, SubstituteIsIdentityWithoutHits) {
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   const Expr *F = Ctx.mkOr(A, Ctx.mkNot(B));
   SubstScratch Empty;
   EXPECT_EQ(Ctx.substitute(F, Empty), F);
 }
 
 TEST_F(ExprTest, CollectVarsFindsAllDistinctVars) {
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *X = Ctx.freshIntVar();
   const Expr *F =
       Ctx.mkAnd(A, Ctx.mkAnd(Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(3)), A));
-  std::vector<uint32_t> Vars;
+  std::vector<const Expr *> Vars;
   Ctx.collectVars(F, Vars);
   EXPECT_EQ(Vars.size(), 2u);
+  EXPECT_EQ(Vars, (std::vector<const Expr *>{A, X})); // In variable-id order.
 }
 
 TEST_F(ExprTest, ToStringRoundTripsStructure) {
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *X = Ctx.freshIntVar();
   const Expr *F = Ctx.mkAnd(A, Ctx.mkCmp(ExprKind::Ge, X, Ctx.getInt(0)));
-  std::string S = Ctx.toString(F);
+  // A variable prints as v<id> unless a namer names it.
+  EXPECT_EQ(Ctx.toString(F), "(v" + std::to_string(A->varId()) + " & (v" +
+                                 std::to_string(X->varId()) + " >= 0))");
+  std::string S = Ctx.toString(
+      F, [&](const Expr *V) -> std::string { return V == A ? "a" : "x"; });
   EXPECT_NE(S.find("a"), std::string::npos);
   EXPECT_NE(S.find("x"), std::string::npos);
   EXPECT_NE(S.find(">="), std::string::npos);
+  EXPECT_EQ(S, "(a & (x >= 0))");
 }
 
 TEST_F(ExprTest, MkAndNFoldsSpans) {
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
-  const Expr *C = Ctx.freshBoolVar("c");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
+  const Expr *C = Ctx.freshBoolVar();
   const Expr *Es[3] = {A, B, C};
   const Expr *F = Ctx.mkAndN(Es);
   EXPECT_EQ(F, Ctx.mkAnd(Ctx.mkAnd(A, B), C));
@@ -162,8 +168,8 @@ TEST_F(ExprTest, MkAndNFoldsSpans) {
 }
 
 TEST_F(ExprTest, NodeCountGrowsOnlyForNewStructure) {
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   size_t N0 = Ctx.numNodes();
   Ctx.mkAnd(A, B);
   size_t N1 = Ctx.numNodes();
@@ -176,7 +182,7 @@ TEST_F(ExprTest, NodeCountGrowsOnlyForNewStructure) {
 TEST_F(ExprTest, InternTableGrowthKeepsHashConsing) {
   // ~210K nodes: every one of the 64 shards doubles its table many times.
   // Rebuilding each comparison must find the node built first.
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *X = Ctx.freshIntVar();
   std::vector<const Expr *> Built;
   for (int64_t I = 0; I < 70000; ++I) {
     const Expr *C = Ctx.getInt(I);
@@ -209,9 +215,9 @@ TEST(ExprConcurrencyTest, ThreadsInterningOneFamilyGetOneNodeEach) {
   auto makeVars = [](ExprContext &Ctx, std::vector<const Expr *> &Bs,
                      std::vector<const Expr *> &Xs) {
     for (int I = 0; I < 16; ++I)
-      Bs.push_back(Ctx.freshBoolVar("b" + std::to_string(I)));
+      Bs.push_back(Ctx.freshBoolVar());
     for (int I = 0; I < 8; ++I)
-      Xs.push_back(Ctx.freshIntVar("x" + std::to_string(I)));
+      Xs.push_back(Ctx.freshIntVar());
   };
 
   // Serial reference: the node count of one build in a fresh context.
@@ -257,10 +263,45 @@ TEST(ExprConcurrencyTest, ThreadsInterningOneFamilyGetOneNodeEach) {
   EXPECT_EQ(Ctx.numNodes(), Serial.numNodes());
 }
 
+TEST(ExprConcurrencyTest, ThreadsMintingVariablesGetDistinctIds) {
+  constexpr uint32_t Threads = 8, PerSort = 5000;
+  constexpr uint32_t Total = Threads * 2 * PerSort;
+  ExprContext Ctx;
+  Ctx.freshIntVar(); // Start the ids past 0.
+  const uint32_t Base = Ctx.numVars();
+  std::vector<std::vector<const Expr *>> Bools(Threads), Ints(Threads);
+  std::vector<std::thread> Pool;
+  for (uint32_t T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (uint32_t I = 0; I < PerSort; ++I) {
+        Bools[T].push_back(Ctx.freshBoolVar());
+        Ints[T].push_back(Ctx.freshIntVar());
+      }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+
+  // Total distinct ids in [Base, Base + Total) are exactly that range.
+  std::vector<bool> Seen(Total, false);
+  for (uint32_t T = 0; T < Threads; ++T)
+    for (uint32_t I = 0; I < PerSort; ++I) {
+      ASSERT_EQ(Bools[T][I]->kind(), ExprKind::BoolVar);
+      ASSERT_EQ(Ints[T][I]->kind(), ExprKind::IntVar);
+      for (const Expr *V : {Bools[T][I], Ints[T][I]}) {
+        const uint32_t Id = V->varId();
+        ASSERT_GE(Id, Base);
+        ASSERT_LT(Id, Base + Total);
+        ASSERT_FALSE(Seen[Id - Base]) << "id " << Id << " minted twice";
+        Seen[Id - Base] = true;
+      }
+    }
+  EXPECT_EQ(Ctx.numVars(), Base + Total);
+}
+
 
 TEST_F(ExprTest, IteFoldsConstantsAndEqualArms) {
-  const Expr *B = Ctx.freshBoolVar("b");
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *B = Ctx.freshBoolVar();
+  const Expr *X = Ctx.freshIntVar();
   EXPECT_EQ(Ctx.mkIte(Ctx.getTrue(), X, Ctx.getInt(0)), X);
   EXPECT_EQ(Ctx.mkIte(Ctx.getFalse(), X, Ctx.getInt(0)), Ctx.getInt(0));
   EXPECT_EQ(Ctx.mkIte(B, X, X), X);
@@ -270,8 +311,8 @@ TEST_F(ExprTest, IteFoldsConstantsAndEqualArms) {
 }
 
 TEST_F(ExprTest, BoolIntCoercionHelpers) {
-  const Expr *B = Ctx.freshBoolVar("b");
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *B = Ctx.freshBoolVar();
+  const Expr *X = Ctx.freshIntVar();
   EXPECT_EQ(Ctx.toIntExpr(X), X);
   EXPECT_EQ(Ctx.toBoolExpr(B), B);
   const Expr *BI = Ctx.toIntExpr(B);
@@ -282,8 +323,8 @@ TEST_F(ExprTest, BoolIntCoercionHelpers) {
 }
 
 TEST_F(ExprTest, SubstituteThroughIte) {
-  const Expr *B = Ctx.freshBoolVar("b");
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *B = Ctx.freshBoolVar();
+  const Expr *X = Ctx.freshIntVar();
   const Expr *I = Ctx.mkIte(B, X, Ctx.getInt(0));
   SubstScratch S;
   S.mapVar(B->varId(), Ctx.getTrue());

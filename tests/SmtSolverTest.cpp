@@ -32,22 +32,22 @@ protected:
 TEST_F(LinearTest, DirectContradictionViaSharedSubterm) {
   // (a & b) & !a  — the a/!a contradiction spans subformulas, so the
   // constructor-level folding cannot see it but P/N analysis does.
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   const Expr *F = Ctx.mkAnd(Ctx.mkAnd(A, B), Ctx.mkNot(A));
   EXPECT_TRUE(LS.isObviouslyUnsat(F));
 }
 
 TEST_F(LinearTest, SatisfiableConjunctionPasses) {
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   EXPECT_FALSE(LS.isObviouslyUnsat(Ctx.mkAnd(A, B)));
   EXPECT_FALSE(LS.isObviouslyUnsat(Ctx.mkAnd(A, Ctx.mkNot(B))));
 }
 
 TEST_F(LinearTest, PaperRuleForNegation) {
   // P(¬a) = ∅, N(¬a) = {a}.
-  const Expr *A = Ctx.freshBoolVar("a");
+  const Expr *A = Ctx.freshBoolVar();
   const Expr *NotA = Ctx.mkNot(A);
   EXPECT_EQ(LS.positiveAtoms(NotA).size(), 0u);
   EXPECT_EQ(LS.negativeAtoms(NotA).size(), 1u);
@@ -57,8 +57,8 @@ TEST_F(LinearTest, PaperRuleForNegation) {
 TEST_F(LinearTest, NegatedConjunctionFixesNoAtom) {
   // ¬(a ∧ b) = ¬a ∨ ¬b forces neither atom false, so a ∧ ¬(a ∧ b) — which
   // is satisfiable with b false — must not look like a contradiction.
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   const Expr *NotAnd = Ctx.mkNot(Ctx.mkAnd(A, B));
   EXPECT_TRUE(LS.negativeAtoms(NotAnd).empty());
   EXPECT_FALSE(LS.isObviouslyUnsat(Ctx.mkAnd(A, NotAnd)));
@@ -66,24 +66,24 @@ TEST_F(LinearTest, NegatedConjunctionFixesNoAtom) {
 
 TEST_F(LinearTest, NegatedDisjunctionNegatesEachDisjunct) {
   // ¬(a ∨ b) = ¬a ∧ ¬b, so conjoined with a it is an easy contradiction.
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   const Expr *NotOr = Ctx.mkNot(Ctx.mkOr(A, B));
   EXPECT_EQ(LS.negativeAtoms(NotOr).size(), 2u);
   EXPECT_TRUE(LS.isObviouslyUnsat(Ctx.mkAnd(A, NotOr)));
 }
 
 TEST_F(LinearTest, PaperRuleForConjunctionIsUnion) {
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   const Expr *F = Ctx.mkAnd(A, Ctx.mkNot(B));
   EXPECT_EQ(LS.positiveAtoms(F).size(), 1u);
   EXPECT_EQ(LS.negativeAtoms(F).size(), 1u);
 }
 
 TEST_F(LinearTest, PaperRuleForDisjunctionIsIntersection) {
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   // P(a ∨ b) = {a} ∩ {b} = ∅.
   EXPECT_EQ(LS.positiveAtoms(Ctx.mkOr(A, B)).size(), 0u);
   // P((a ∧ b) ∨ (a ∧ ¬b)) = {a,b} ∩ {a} = {a}.
@@ -95,8 +95,8 @@ TEST_F(LinearTest, PaperRuleForDisjunctionIsIntersection) {
 TEST_F(LinearTest, DisjunctionHidesContradiction) {
   // (a ∨ b) ∧ ¬a is satisfiable (choose b), and the intersection rule
   // correctly avoids flagging it.
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   const Expr *F = Ctx.mkAnd(Ctx.mkOr(A, B), Ctx.mkNot(A));
   EXPECT_FALSE(LS.isObviouslyUnsat(F));
 }
@@ -104,18 +104,18 @@ TEST_F(LinearTest, DisjunctionHidesContradiction) {
 TEST_F(LinearTest, ContradictionThroughBothDisjuncts) {
   // (a ∧ b) ∨ (a ∧ c), conjoined with ¬a: a survives the intersection, so
   // the filter catches it.
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
-  const Expr *C = Ctx.freshBoolVar("c");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
+  const Expr *C = Ctx.freshBoolVar();
   const Expr *F = Ctx.mkAnd(Ctx.mkOr(Ctx.mkAnd(A, B), Ctx.mkAnd(A, C)),
                             Ctx.mkNot(A));
   EXPECT_TRUE(LS.isObviouslyUnsat(F));
 }
 
 TEST_F(LinearTest, ComparisonAtomsParticipate) {
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *X = Ctx.freshIntVar();
   const Expr *Cmp = Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(5));
-  const Expr *F = Ctx.mkAnd(Ctx.mkAnd(Cmp, Ctx.freshBoolVar("t")),
+  const Expr *F = Ctx.mkAnd(Ctx.mkAnd(Cmp, Ctx.freshBoolVar()),
                             Ctx.mkNot(Cmp));
   EXPECT_TRUE(LS.isObviouslyUnsat(F));
 }
@@ -123,15 +123,15 @@ TEST_F(LinearTest, ComparisonAtomsParticipate) {
 TEST_F(LinearTest, SemanticContradictionIsNotObvious) {
   // x < 5 ∧ x > 7 is UNSAT but has no syntactic a ∧ ¬a — exactly the ~10%
   // of cases the paper leaves to the SMT solver.
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *X = Ctx.freshIntVar();
   const Expr *F = Ctx.mkAnd(Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(5)),
                             Ctx.mkCmp(ExprKind::Gt, X, Ctx.getInt(7)));
   EXPECT_FALSE(LS.isObviouslyUnsat(F));
 }
 
 TEST_F(LinearTest, CacheIsReused) {
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   const Expr *F = Ctx.mkAnd(A, B);
   LS.isObviouslyUnsat(F);
   size_t N = LS.cacheSize();
@@ -176,8 +176,8 @@ TEST_P(BackendTest, PropositionalSat) {
   auto S = makeSolver();
   if (!S)
     GTEST_SKIP() << "backend unavailable";
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   EXPECT_EQ(S->checkSat(Ctx.mkAnd(A, Ctx.mkNot(B))), SatResult::Sat);
   EXPECT_EQ(S->checkSat(Ctx.mkOr(A, B)), SatResult::Sat);
 }
@@ -186,8 +186,8 @@ TEST_P(BackendTest, PropositionalUnsatAcrossClauses) {
   auto S = makeSolver();
   if (!S)
     GTEST_SKIP() << "backend unavailable";
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   // (a ∨ b) ∧ ¬a ∧ ¬b.
   const Expr *F = Ctx.mkAnd(Ctx.mkAnd(Ctx.mkOr(A, B), Ctx.mkNot(A)),
                             Ctx.mkNot(B));
@@ -198,8 +198,8 @@ TEST_P(BackendTest, EqualityChainConflict) {
   auto S = makeSolver();
   if (!S)
     GTEST_SKIP() << "backend unavailable";
-  const Expr *X = Ctx.freshIntVar("x");
-  const Expr *Y = Ctx.freshIntVar("y");
+  const Expr *X = Ctx.freshIntVar();
+  const Expr *Y = Ctx.freshIntVar();
   // x = 1 ∧ y = 2 ∧ x = y.
   const Expr *F = Ctx.mkAnd(
       Ctx.mkAnd(Ctx.mkEq(X, Ctx.getInt(1)), Ctx.mkEq(Y, Ctx.getInt(2))),
@@ -211,7 +211,7 @@ TEST_P(BackendTest, BoundsConflict) {
   auto S = makeSolver();
   if (!S)
     GTEST_SKIP() << "backend unavailable";
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *X = Ctx.freshIntVar();
   const Expr *F = Ctx.mkAnd(Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(5)),
                             Ctx.mkCmp(ExprKind::Gt, X, Ctx.getInt(7)));
   EXPECT_EQ(S->checkSat(F), SatResult::Unsat);
@@ -221,7 +221,7 @@ TEST_P(BackendTest, BoundsSatisfiable) {
   auto S = makeSolver();
   if (!S)
     GTEST_SKIP() << "backend unavailable";
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *X = Ctx.freshIntVar();
   const Expr *F = Ctx.mkAnd(Ctx.mkCmp(ExprKind::Ge, X, Ctx.getInt(5)),
                             Ctx.mkCmp(ExprKind::Le, X, Ctx.getInt(5)));
   EXPECT_EQ(S->checkSat(F), SatResult::Sat);
@@ -231,9 +231,9 @@ TEST_P(BackendTest, DisequalityWithinEqualityClass) {
   auto S = makeSolver();
   if (!S)
     GTEST_SKIP() << "backend unavailable";
-  const Expr *X = Ctx.freshIntVar("x");
-  const Expr *Y = Ctx.freshIntVar("y");
-  const Expr *Z = Ctx.freshIntVar("z");
+  const Expr *X = Ctx.freshIntVar();
+  const Expr *Y = Ctx.freshIntVar();
+  const Expr *Z = Ctx.freshIntVar();
   // x = y ∧ y = z ∧ x ≠ z.
   const Expr *F =
       Ctx.mkAnd(Ctx.mkAnd(Ctx.mkEq(X, Y), Ctx.mkEq(Y, Z)), Ctx.mkNe(X, Z));
@@ -244,8 +244,8 @@ TEST_P(BackendTest, OrderingCycleConflict) {
   auto S = makeSolver();
   if (!S)
     GTEST_SKIP() << "backend unavailable";
-  const Expr *X = Ctx.freshIntVar("x");
-  const Expr *Y = Ctx.freshIntVar("y");
+  const Expr *X = Ctx.freshIntVar();
+  const Expr *Y = Ctx.freshIntVar();
   // x < y ∧ y < x.
   const Expr *F = Ctx.mkAnd(Ctx.mkCmp(ExprKind::Lt, X, Y),
                             Ctx.mkCmp(ExprKind::Lt, Y, X));
@@ -256,8 +256,8 @@ TEST_P(BackendTest, MixedBooleanAndTheory) {
   auto S = makeSolver();
   if (!S)
     GTEST_SKIP() << "backend unavailable";
-  const Expr *T = Ctx.freshBoolVar("t");
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *T = Ctx.freshBoolVar();
+  const Expr *X = Ctx.freshIntVar();
   // (t → x > 3) ∧ (¬t → x > 10) ∧ x < 2 : UNSAT either way.
   const Expr *F = Ctx.mkAnd(
       Ctx.mkAnd(Ctx.mkImplies(T, Ctx.mkCmp(ExprKind::Gt, X, Ctx.getInt(3))),
@@ -271,8 +271,8 @@ TEST_P(BackendTest, BranchCorrelationSatisfiableSide) {
   auto S = makeSolver();
   if (!S)
     GTEST_SKIP() << "backend unavailable";
-  const Expr *T = Ctx.freshBoolVar("t");
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *T = Ctx.freshBoolVar();
+  const Expr *X = Ctx.freshIntVar();
   // (t → x > 3) ∧ x < 2 : satisfiable with ¬t.
   const Expr *F =
       Ctx.mkAnd(Ctx.mkImplies(T, Ctx.mkCmp(ExprKind::Gt, X, Ctx.getInt(3))),
@@ -284,7 +284,7 @@ TEST_P(BackendTest, QueryDoesNotOutliveItsCheck) {
   auto S = makeSolver();
   if (!S)
     GTEST_SKIP() << "backend unavailable";
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *X = Ctx.freshIntVar();
   // x > 0 ∧ x < 0, then x > 0 on the same instance: if the first query's
   // assertion stayed behind, the second would come back Unsat.
   EXPECT_EQ(S->checkSat(Ctx.mkAnd(Ctx.mkCmp(ExprKind::Gt, X, Ctx.getInt(0)),
@@ -303,9 +303,9 @@ TEST_P(BackendTest, TimedOutQueryLeavesInstanceUsable) {
   auto S = createZ3Solver(Ctx, {.TimeoutMs = 100});
   if (!S)
     GTEST_SKIP() << "backend unavailable";
-  const Expr *X = Ctx.freshIntVar("x");
-  const Expr *Y = Ctx.freshIntVar("y");
-  const Expr *Z = Ctx.freshIntVar("z");
+  const Expr *X = Ctx.freshIntVar();
+  const Expr *Y = Ctx.freshIntVar();
+  const Expr *Z = Ctx.freshIntVar();
   auto Cube = [&](const Expr *V) {
     return Ctx.mkArith(ExprKind::Mul, V, Ctx.mkArith(ExprKind::Mul, V, V));
   };
@@ -335,8 +335,7 @@ TEST_P(BackendTest, IteSemantics) {
   auto S = makeSolver();
   if (!S)
     GTEST_SKIP() << "backend unavailable";
-  const Expr *B = Ctx.freshBoolVar("b");
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *B = Ctx.freshBoolVar();
   // ite(b, 1, 0) == 1 ∧ ¬b is UNSAT under full integer reasoning; the
   // MiniSolver may only manage Sat (opaque term) — accept Unsat or Sat but
   // require Z3 to refute it.
@@ -357,8 +356,8 @@ TEST_P(BackendTest, IteSemantics) {
 TEST(StagedSolver, LinearFilterShortCircuits) {
   ExprContext Ctx;
   StagedSolver S(Ctx, createMiniSolver(Ctx));
-  const Expr *A = Ctx.freshBoolVar("a");
-  const Expr *B = Ctx.freshBoolVar("b");
+  const Expr *A = Ctx.freshBoolVar();
+  const Expr *B = Ctx.freshBoolVar();
   const Expr *Easy = Ctx.mkAnd(Ctx.mkAnd(A, B), Ctx.mkNot(A));
   EXPECT_EQ(S.checkSat(Easy), SatResult::Unsat);
   EXPECT_EQ(S.stats().LinearUnsat, 1u);
@@ -368,7 +367,7 @@ TEST(StagedSolver, LinearFilterShortCircuits) {
 TEST(StagedSolver, HardUnsatFallsThroughToBackend) {
   ExprContext Ctx;
   StagedSolver S(Ctx, createMiniSolver(Ctx));
-  const Expr *X = Ctx.freshIntVar("x");
+  const Expr *X = Ctx.freshIntVar();
   const Expr *Hard = Ctx.mkAnd(Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(5)),
                                Ctx.mkCmp(ExprKind::Gt, X, Ctx.getInt(7)));
   EXPECT_EQ(S.checkSat(Hard), SatResult::Unsat);
@@ -380,7 +379,7 @@ TEST(StagedSolver, HardUnsatFallsThroughToBackend) {
 TEST(StagedSolver, FilterCanBeDisabled) {
   ExprContext Ctx;
   StagedSolver S(Ctx, createMiniSolver(Ctx), /*UseLinearFilter=*/false);
-  const Expr *A = Ctx.freshBoolVar("a");
+  const Expr *A = Ctx.freshBoolVar();
   const Expr *Easy = Ctx.mkAnd(A, Ctx.mkNot(Ctx.mkNot(Ctx.mkNot(A))));
   EXPECT_EQ(S.checkSat(Easy), SatResult::Unsat);
   EXPECT_EQ(S.stats().LinearUnsat, 0u);

@@ -164,7 +164,7 @@ TEST(SymbolMapTest, TwoMapsOverOneModuleStayIndependent) {
   // Two contexts: B's context mints an unrelated variable first, and B
   // symbolises only g, so each map sees symbol ids the other minted.
   smt::ExprContext CtxA, CtxB;
-  const uint32_t Unrelated = CtxB.freshIntVar("unrelated")->varId();
+  const uint32_t Unrelated = CtxB.freshIntVar()->varId();
   SymbolMap A(*M, CtxA), B(*M, CtxB);
   for (const Variable *V : Vars)
     EXPECT_EQ(A.irVar(A[V]->varId()), V);
