@@ -56,7 +56,7 @@ int main() {
   double CloningCost = 0;
 
   for (ir::Function *F : AM.bottomUpOrder()) {
-    const auto &I = AM.info(F).Interface;
+    const auto &I = AM.interfaceOf(F);
     size_t Own = I.RefPaths.size() + I.ModPaths.size();
     ConnectorVars += Own;
     double Transitive = static_cast<double>(Own);
@@ -67,7 +67,7 @@ int main() {
             auto It = TransitiveSummary.find(Callee);
             if (It != TransitiveSummary.end()) {
               Transitive += It->second;
-              const auto &CI = AM.info(Callee).Interface;
+              const auto &CI = AM.interfaceOf(Callee);
               CallSitePlumbing += CI.RefPaths.size() + CI.ModPaths.size();
             }
           }

@@ -52,7 +52,7 @@ int main() {
       if (Info.Degraded || Info.Skipped || !Info.Conds)
         continue;
       pta::PTAConfig Cfg;
-      Cfg.AuxParams = Info.Interface.auxBindings();
+      Cfg.AuxParams = AM.interfaceOf(F).auxBindings();
       pta::PointsToResult Final =
           pta::runPointsTo(*F, AM.symbols(), *Info.Conds, Cfg);
       Checked += Final.condsChecked();

@@ -16,7 +16,11 @@
 ///    medians;
 ///  * cancellation drain latency — wall time from `cancel()` on a paced
 ///    mid-flight parallel run until the pipeline unwinds and returns,
-///    which bounds how stale a flushed partial report can be.
+///    which bounds how stale a flushed partial report can be. The clock
+///    stops when the `AnalyzedModule` constructor returns, before the
+///    checker pass and the teardown; `cancel_landed` records that the
+///    pipeline logged exactly one `cancelled` event, i.e. that the cancel
+///    reached it mid-flight.
 ///
 /// Phases over shared state (a single subject, a mid-run cancel), which
 /// google-benchmark's repetition model would invalidate — a plain
@@ -31,6 +35,7 @@
 #include "svfa/Pipeline.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -52,9 +57,13 @@ workload::WorkloadConfig subjectConfig(double Scale) {
   return Cfg;
 }
 
-/// Full pipeline + UAF checker pass; returns wall seconds.
+using Clock = std::chrono::steady_clock;
+
+/// Full pipeline + UAF checker pass; returns wall seconds. \p PipelineDone,
+/// when set, receives the moment the pipeline returned.
 double analyzeOnce(const workload::Workload &W, ResourceGovernor &Gov,
-                   ThreadPool *Pool, size_t *ReportsOut = nullptr) {
+                   ThreadPool *Pool, size_t *ReportsOut = nullptr,
+                   Clock::time_point *PipelineDone = nullptr) {
   auto M = parseWorkload(W);
   smt::ExprContext Ctx;
   Timer T;
@@ -62,6 +71,8 @@ double analyzeOnce(const workload::Workload &W, ResourceGovernor &Gov,
   PO.Governor = &Gov;
   PO.Pool = Pool;
   svfa::AnalyzedModule AM(*M, Ctx, PO);
+  if (PipelineDone)
+    *PipelineDone = Clock::now();
   svfa::GlobalOptions GO;
   GO.Governor = &Gov;
   GO.Pool = Pool;
@@ -136,7 +147,8 @@ int main() {
   // -- Cancellation drain latency ----------------------------------------
   // A paced parallel run (5 ms per function) is cancelled mid-flight; the
   // drain latency is cancel() -> pipeline return, i.e. how long in-flight
-  // tasks take to observe the token and unwind.
+  // tasks take to observe the token and unwind. The checker pass and the
+  // teardown that follow in the runner are not part of it.
   FaultInjector Pace;
   std::string Err;
   Pace.parse("pace-fn-ms=5", Err);
@@ -147,16 +159,25 @@ int main() {
   double DrainMs = 0;
   {
     ThreadPool Pool(4);
-    Timer Drain;
-    std::thread Runner([&] { analyzeOnce(W, Paced, &Pool); });
+    Clock::time_point PipelineDone;
+    std::thread Runner(
+        [&] { analyzeOnce(W, Paced, &Pool, nullptr, &PipelineDone); });
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    Drain.restart();
+    const Clock::time_point CancelAt = Clock::now();
     Tok.cancel();
     Runner.join();
-    DrainMs = Drain.millis();
+    DrainMs = std::chrono::duration<double, std::milli>(PipelineDone -
+                                                        CancelAt)
+                  .count();
   }
-  std::printf("%-34s %8.1f ms  (pace 5 ms/fn, 4 workers)\n",
-              "cancellation drain latency", DrainMs);
+  size_t PipelineCancels = 0;
+  for (const DegradationEvent &E : Paced.log().events())
+    if (E.Kind == DegradationKind::Cancelled && E.Stage == "pipeline")
+      ++PipelineCancels;
+  const bool CancelLanded = PipelineCancels == 1;
+  std::printf("%-34s %8.1f ms  (pace 5 ms/fn, 4 workers; cancel %s)\n",
+              "cancellation drain latency", DrainMs,
+              CancelLanded ? "landed mid-pipeline" : "did NOT land");
 
   BenchJson J("lifecycle");
   J.field("loc", W.LoC);
@@ -170,6 +191,7 @@ int main() {
   J.field("governance_overhead_pct", OverheadPct, 2);
   J.field("reports_match", ReportsMatch);
   J.field("cancel_drain_ms", DrainMs, 1);
+  J.field("cancel_landed", CancelLanded);
   J.write("BENCH_lifecycle.json");
   return 0;
 }

@@ -69,7 +69,7 @@ int main() {
   // keeps no points-to result, so the final pass re-runs here with the
   // function's connector bindings.
   pta::PTAConfig Cfg;
-  Cfg.AuxParams = Info.Interface.auxBindings();
+  Cfg.AuxParams = AM.interfaceOf(F).auxBindings();
   pta::PointsToResult PTA =
       pta::runPointsTo(*F, AM.symbols(), *Info.Conds, Cfg);
   const ir::LoadStmt *Load = nullptr;
@@ -93,8 +93,8 @@ int main() {
   // Connector interface: pick REFs *(p,1)/*(q,1) through the deref of the
   // chosen pointer.
   std::printf("layer 3 (connectors): %zu aux param(s), %zu aux return(s)\n",
-              Info.Interface.RefPaths.size(),
-              Info.Interface.ModPaths.size());
+              AM.interfaceOf(F).RefPaths.size(),
+              AM.interfaceOf(F).ModPaths.size());
 
   //===--- Layer 4: SEG constraint queries --------------------------------===
   // DD closure of the returned value: its symbolic definition chain,

@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "baselines/DenseIFDS.h"
-#include "ir/Dominators.h"
 
 #include <map>
 #include <set>

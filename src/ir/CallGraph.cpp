@@ -11,48 +11,40 @@
 
 namespace pinpoint::ir {
 
-CallGraph::CallGraph(Module &M)
-    : Callees(M.functions().size()), Callers(M.functions().size()) {
+CallGraph::CallGraph(Module &M) {
+  CalleeRows Callees(M.functions().size());
   for (Function *F : M.functions())
     for (BasicBlock *B : F->blocks())
       for (Stmt *S : B->stmts())
         if (auto *Call = dyn_cast<CallStmt>(S)) {
           Function *Callee = M.function(Call->calleeName());
           Call->setCallee(Callee);
-          if (Callee) {
+          if (Callee)
             Callees[F->id()].push_back(Callee);
-            Callers[Callee->id()].push_back(F);
-          }
         }
-  // Callers are appended in id order already; callees in call order.
+  // Callees are appended in call order; Tarjan walks them distinct and in
+  // id order.
   for (std::vector<Function *> &Row : Callees) {
     std::sort(Row.begin(), Row.end(), [](const Function *A, const Function *B) {
       return A->id() < B->id();
     });
     Row.erase(std::unique(Row.begin(), Row.end()), Row.end());
   }
-  for (std::vector<Function *> &Row : Callers)
-    Row.erase(std::unique(Row.begin(), Row.end()), Row.end());
 
-  tarjan(M);
-  buildCondensation();
+  tarjan(M, Callees);
+  buildCalleeSCCs(Callees);
 }
 
-void CallGraph::buildCondensation() {
+void CallGraph::buildCalleeSCCs(const CalleeRows &Callees) {
   // Gather in transient per-SCC vectors, then freeze into arena-backed
   // arrays: the condensation never changes after construction, and packed
   // rows drop the per-vector header/capacity overhead of node-per-entry
   // storage for the many singleton SCCs of typical subjects.
   const size_t NumSCCs = SCCs.size();
-  std::vector<std::vector<Function *>> Members(NumSCCs);
   std::vector<std::vector<uint32_t>> CalleeIds(NumSCCs);
-  // BottomUp lists each SCC's members consecutively in pop order; keep
-  // that order so a per-SCC task replays the serial schedule exactly.
-  for (Function *F : BottomUp)
-    Members[SCCIndex[F->id()]].push_back(F);
   for (Function *F : BottomUp) {
     uint32_t Id = SCCIndex[F->id()];
-    for (Function *C : callees(F)) {
+    for (Function *C : Callees[F->id()]) {
       uint32_t CalleeId = SCCIndex[C->id()];
       if (CalleeId != Id)
         CalleeIds[Id].push_back(CalleeId);
@@ -63,12 +55,6 @@ void CallGraph::buildCondensation() {
     std::vector<uint32_t> &CS = CalleeIds[I];
     std::sort(CS.begin(), CS.end());
     CS.erase(std::unique(CS.begin(), CS.end()), CS.end());
-
-    Function **MRow = Mem.allocArray<Function *>(Members[I].size());
-    if (MRow)
-      std::copy(Members[I].begin(), Members[I].end(), MRow);
-    SCCs[I].Members = Span<Function *>(MRow, Members[I].size());
-
     uint32_t *CRow = Mem.allocArray<uint32_t>(CS.size());
     if (CRow)
       std::copy(CS.begin(), CS.end(), CRow);
@@ -77,11 +63,14 @@ void CallGraph::buildCondensation() {
   Counters::get().add("cg.csr-bytes", static_cast<int64_t>(Mem.bytesUsed()));
 }
 
-void CallGraph::tarjan(const Module &M) {
+void CallGraph::tarjan(const Module &M, const CalleeRows &Callees) {
   // Iterative Tarjan (call chains can be deeper than the stack), started
   // from each unvisited function in id order. The stack-pop order yields
-  // bottom-up (callees first); SCCs are numbered as they complete.
+  // bottom-up (callees first); SCCs are numbered as they complete, and
+  // each one's members are the run of BottomUp it appends. BottomUp never
+  // reallocates, so those runs are its Members spans.
   const size_t N = M.functions().size();
+  BottomUp.reserve(N);
   constexpr uint32_t Unvisited = UINT32_MAX;
   std::vector<uint32_t> Index(N, Unvisited), Low(N, 0);
   std::vector<uint8_t> OnStack(N, 0);
@@ -108,7 +97,7 @@ void CallGraph::tarjan(const Module &M) {
     while (!Frames.empty()) {
       Frame &Top = Frames.back();
       const uint32_t Id = Top.F->id();
-      const std::vector<Function *> &Row = callees(Top.F);
+      const std::vector<Function *> &Row = Callees[Id];
       if (Top.Next < Row.size()) {
         Function *Next = Row[Top.Next++];
         if (Index[Next->id()] == Unvisited)
@@ -126,7 +115,7 @@ void CallGraph::tarjan(const Module &M) {
       if (Low[Id] != Index[Id])
         continue;
       const uint32_t SCC = static_cast<uint32_t>(SCCs.size());
-      SCCs.emplace_back();
+      const size_t First = BottomUp.size();
       while (true) {
         Function *Member = Stack.back();
         Stack.pop_back();
@@ -136,6 +125,9 @@ void CallGraph::tarjan(const Module &M) {
         if (Member->id() == Id)
           break;
       }
+      SCCs.push_back({Span<Function *>(BottomUp.data() + First,
+                                       BottomUp.size() - First),
+                      {}});
     }
   }
 }

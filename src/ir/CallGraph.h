@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The module call graph. Pinpoint's whole pipeline is bottom-up (callees
-/// before callers); recursion cycles are collapsed into SCCs and, matching
-/// the paper's soundiness choice of unrolling call-graph cycles once,
-/// intra-SCC call edges are treated as opaque by the analyses.
+/// The module call graph, kept as its condensation. Pinpoint's whole
+/// pipeline is bottom-up (callees before callers); recursion cycles are
+/// collapsed into SCCs and, matching the paper's soundiness choice of
+/// unrolling call-graph cycles once, intra-SCC call edges are treated as
+/// opaque by the analyses. Nothing after construction asks for a
+/// function's callers or callees, so neither list is kept.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,22 +25,15 @@
 
 namespace pinpoint::ir {
 
-/// Every table here is indexed by `Function::id()` and every list is in
-/// function-id order, so the bottom-up order, the SCC ids and everything
-/// derived from them depend on the program text only.
+/// The bottom-up order, each function's SCC id and, per SCC, its members
+/// and distinct callee SCCs. A call's resolved target is
+/// `CallStmt::callee()`, which the constructor sets. Every table here is
+/// indexed by `Function::id()` or SCC id, and every list follows function
+/// ids, so the bottom-up order, the SCC ids and everything derived from
+/// them depend on the program text only.
 class CallGraph {
 public:
   explicit CallGraph(Module &M);
-
-  /// Resolved callees of \p F, distinct and in id order (unresolved
-  /// externals are not listed).
-  const std::vector<Function *> &callees(const Function *F) const {
-    return Callees[F->id()];
-  }
-  /// The functions that call \p F, distinct and in id order.
-  const std::vector<Function *> &callers(const Function *F) const {
-    return Callers[F->id()];
-  }
 
   /// Functions in bottom-up order: every (non-SCC) callee precedes its
   /// callers; members of one SCC appear consecutively.
@@ -56,10 +51,11 @@ public:
   /// topological: every cross-SCC callee has a smaller id than its caller,
   /// so iterating SCCs by id with `Members` in order replays exactly
   /// `bottomUpOrder()`. Tarjan starts from the functions in id order and
-  /// walks callees in id order. The membership and adjacency arrays are
-  /// frozen into the graph's arena at construction (the condensation is
-  /// immutable once built), packed the same way as the SEG's CSR rows;
-  /// their bytes show up in the `cg.csr-bytes` counter.
+  /// walks callees in id order. `Members` is the SCC's run of
+  /// `bottomUpOrder()`; the callee rows are frozen into the graph's arena
+  /// at construction (the condensation is immutable once built), packed
+  /// the same way as the SEG's CSR rows, and their bytes show up in the
+  /// `cg.csr-bytes` counter.
   struct SCCNode {
     Span<Function *> Members;   ///< In bottom-up (stack pop) order.
     Span<uint32_t> CalleeSCCs;  ///< Distinct cross-SCC callee ids, sorted.
@@ -70,14 +66,16 @@ public:
   size_t sccOf(const Function *F) const { return SCCIndex[F->id()]; }
 
 private:
-  void tarjan(const Module &M);
-  void buildCondensation();
+  /// Resolved callees per function id, distinct and in id order.
+  using CalleeRows = std::vector<std::vector<Function *>>;
 
-  std::vector<std::vector<Function *>> Callees, Callers;
+  void tarjan(const Module &M, const CalleeRows &Callees);
+  void buildCalleeSCCs(const CalleeRows &Callees);
+
   std::vector<Function *> BottomUp;
   std::vector<uint32_t> SCCIndex;
   std::vector<SCCNode> SCCs;
-  /// Backs the frozen SCCNode arrays. Not reported to the MemStats arena
+  /// Backs the frozen CalleeSCCs arrays. Not reported to the MemStats arena
   /// ledger: condensation bytes are tracked via the cg.csr-bytes counter.
   Arena Mem{/*Reported=*/false};
 };

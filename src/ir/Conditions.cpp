@@ -42,10 +42,9 @@ const smt::Expr *SymbolMap::mint(const Variable *Var,
 }
 
 ConditionMap::ConditionMap(const Function &F, SymbolMap &Syms)
-    : F(F), Syms(Syms), Ctx(Syms.context()), DT(F),
-      PDT(F, DomTree::Direction::Post), ReachCache(F.blockIdBound()),
+    : Syms(Syms), Ctx(Syms.context()), DT(F), ReachCache(F.blockIdBound()),
       CDs(F.blockIdBound()) {
-  computeControlDeps();
+  computeControlDeps(F);
 }
 
 const smt::Expr *ConditionMap::edgeCond(const BasicBlock *From,
@@ -54,11 +53,9 @@ const smt::Expr *ConditionMap::edgeCond(const BasicBlock *From,
   const auto *Br = dyn_cast_or_null<BranchStmt>(T);
   if (!Br || Br->trueBlock() == Br->falseBlock())
     return Ctx.getTrue();
-  const smt::Expr *CondVar = Syms[Br->cond()];
   // Bool-typed conditions map to boolean atoms; int-typed ones (C-style
   // truthiness) become `v != 0`.
-  const smt::Expr *Lit =
-      CondVar->isBool() ? CondVar : Ctx.mkNe(CondVar, Ctx.getInt(0));
+  const smt::Expr *Lit = Ctx.toBoolExpr(Syms[Br->cond()]);
   if (To == Br->trueBlock())
     return Lit;
   assert(To == Br->falseBlock() && "edge does not exist");
@@ -99,10 +96,11 @@ const smt::Expr *ConditionMap::phiGate(const PhiStmt *Phi,
   return Ctx.mkAnd(RC, edgeCond(Pred, B));
 }
 
-void ConditionMap::computeControlDeps() {
+void ConditionMap::computeControlDeps(const Function &F) {
   // FOW: B is control dependent on branch A via successor S when B
   // post-dominates S but not A. Walk each branch edge (A -> S) up the
   // post-dominator tree from S to pdom(A), marking every node passed.
+  const DomTree PDT(F, DomTree::Direction::Post);
   for (BasicBlock *A : F.blocks()) {
     const auto *Br = dyn_cast_or_null<BranchStmt>(A->terminator());
     if (!Br || Br->trueBlock() == Br->falseBlock())

@@ -18,7 +18,9 @@
 ///        in the spirit of Tu & Padua [48]),
 ///      - phi gates: gate(phi in B, pred P) = RC(idom(B)→P) ∧ edgeCond(P→B),
 ///      - control dependence per Ferrante-Ottenstein-Warren (the paper's
-///        "efficient path conditions" [43] come from chaining these).
+///        "efficient path conditions" [43] come from chaining these),
+///        walked over a post-dominator tree the constructor builds and
+///        drops.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,15 +108,13 @@ public:
   }
 
   const DomTree &domTree() const { return DT; }
-  const DomTree &postDomTree() const { return PDT; }
 
 private:
-  void computeControlDeps();
+  void computeControlDeps(const Function &F);
 
-  const Function &F;
   SymbolMap &Syms;
   smt::ExprContext &Ctx;
-  DomTree DT, PDT;
+  DomTree DT;
   /// Indexed by region-head block id, then by block id: one row of
   /// reaching conditions per region queried (empty until then; a null
   /// entry is a block the row's propagation did not reach).

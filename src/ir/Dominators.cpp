@@ -6,15 +6,14 @@
 
 #include "ir/Dominators.h"
 
-#include <algorithm>
-
 namespace pinpoint::ir {
 
-DomTree::DomTree(const Function &F, Direction D) : Dir(D) {
-  Root = Dir == Direction::Forward ? F.entry() : F.exitBlock();
+DomTree::DomTree(const Function &F, Direction Dir) {
+  const bool Post = Dir == Direction::Post;
+  Root = Post ? F.exitBlock() : F.entry();
   if (!Root)
     return;
-  RPO = reversePostOrder(F, Dir == Direction::Post);
+  RPO = reversePostOrder(F, Post);
   const size_t Bound = F.blockIdBound();
   std::vector<uint32_t> RPOIndex(Bound, 0);
   for (size_t I = 0; I < RPO.size(); ++I)
@@ -40,7 +39,7 @@ DomTree::DomTree(const Function &F, Direction D) : Dir(D) {
       if (B == Root)
         continue;
       BasicBlock *NewIDom = nullptr;
-      for (BasicBlock *P : edgesIn(B)) {
+      for (BasicBlock *P : Post ? B->succs() : B->preds()) {
         if (!IDom[P->id()])
           continue;
         NewIDom = NewIDom ? intersect(NewIDom, P) : P;
@@ -52,30 +51,6 @@ DomTree::DomTree(const Function &F, Direction D) : Dir(D) {
     }
   }
   IDom[Root->id()] = nullptr; // Root has no idom.
-
-  Children.resize(Bound);
-  for (BasicBlock *B : RPO)
-    if (BasicBlock *Dom = IDom[B->id()])
-      Children[Dom->id()].push_back(B);
-
-  // Dominance frontiers (Cytron et al.).
-  Frontier.resize(Bound);
-  for (BasicBlock *B : RPO) {
-    const auto &In = edgesIn(B);
-    if (In.size() < 2)
-      continue;
-    for (BasicBlock *P : In) {
-      if (!IDom[P->id()] && P != Root)
-        continue;
-      BasicBlock *Runner = P;
-      while (Runner && Runner != IDom[B->id()]) {
-        auto &FR = Frontier[Runner->id()];
-        if (std::find(FR.begin(), FR.end(), B) == FR.end())
-          FR.push_back(B);
-        Runner = IDom[Runner->id()];
-      }
-    }
-  }
 }
 
 bool DomTree::dominates(const BasicBlock *A, const BasicBlock *B) const {

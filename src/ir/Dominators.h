@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Dominator and post-dominator trees (Cooper-Harvey-Kennedy iterative
-/// algorithm) plus dominance frontiers. Used by SSA construction, gated-SSA
-/// condition computation, and the control-dependence subgraph of the SEG
-/// (Ferrante-Ottenstein-Warren: control dependence = post-dominance
-/// frontier).
+/// algorithm): immediate dominators and the reverse post-order they were
+/// computed over. Used by SSA construction (which derives from it where
+/// phis go and the order of its renaming walk, which only SSA reads),
+/// gated-SSA condition computation, and the control-dependence subgraph of
+/// the SEG (Ferrante-Ottenstein-Warren, walked up the post-dominator tree).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,33 +39,16 @@ public:
   /// True if A dominates B (reflexive).
   bool dominates(const BasicBlock *A, const BasicBlock *B) const;
 
-  /// The dominance frontier of \p B.
-  const std::vector<BasicBlock *> &frontier(const BasicBlock *B) const {
-    return B->id() < Frontier.size() ? Frontier[B->id()] : Empty;
-  }
-
-  /// Tree children of \p B.
-  const std::vector<BasicBlock *> &children(const BasicBlock *B) const {
-    return B->id() < Children.size() ? Children[B->id()] : Empty;
-  }
-
   BasicBlock *root() const { return Root; }
 
   /// Blocks in reverse post-order of the walked direction.
   const std::vector<BasicBlock *> &rpo() const { return RPO; }
 
 private:
-  const std::vector<BasicBlock *> &edgesIn(const BasicBlock *B) const {
-    return Dir == Direction::Forward ? B->preds() : B->succs();
-  }
-
-  Direction Dir;
   BasicBlock *Root = nullptr;
   std::vector<BasicBlock *> RPO;
   /// Indexed by block id, sized `Function::blockIdBound()`.
   std::vector<BasicBlock *> IDom;
-  std::vector<std::vector<BasicBlock *>> Frontier, Children;
-  std::vector<BasicBlock *> Empty;
 };
 
 } // namespace pinpoint::ir

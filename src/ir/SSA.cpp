@@ -7,6 +7,7 @@
 #include "ir/SSA.h"
 #include "ir/Dominators.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace pinpoint::ir {
@@ -18,11 +19,12 @@ namespace {
 class SSABuilder {
 public:
   SSABuilder(Function &F)
-      : F(F), DT(F), NumOrig(F.vars().size()), DefBlocks(NumOrig),
-        Stacks(NumOrig), VersionCount(NumOrig, 0),
-        PlacedPhis(F.blockIdBound()) {}
+      : F(F), NumOrig(F.vars().size()), DefBlocks(NumOrig), Stacks(NumOrig),
+        VersionCount(NumOrig, 0), Children(F.blockIdBound()),
+        Frontier(F.blockIdBound()), PlacedPhis(F.blockIdBound()) {}
 
   void run() {
+    computeDomTreeShape();
     collectDefs();
     placePhis();
     rename(F.entry());
@@ -31,6 +33,31 @@ public:
   }
 
 private:
+  /// Fills Children (in reverse post-order) and Frontier (Cytron et al.)
+  /// from the dominator tree, which is needed for nothing else.
+  void computeDomTreeShape() {
+    DomTree DT(F);
+    for (BasicBlock *B : DT.rpo())
+      if (BasicBlock *Dom = DT.idom(B))
+        Children[Dom->id()].push_back(B);
+    for (BasicBlock *B : DT.rpo()) {
+      const std::vector<BasicBlock *> &In = B->preds();
+      if (In.size() < 2)
+        continue;
+      for (BasicBlock *P : In) {
+        if (!DT.idom(P) && P != DT.root())
+          continue;
+        BasicBlock *Runner = P;
+        while (Runner && Runner != DT.idom(B)) {
+          std::vector<BasicBlock *> &FR = Frontier[Runner->id()];
+          if (std::find(FR.begin(), FR.end(), B) == FR.end())
+            FR.push_back(B);
+          Runner = DT.idom(Runner);
+        }
+      }
+    }
+  }
+
   void addDef(Variable *V, BasicBlock *B) {
     // Repeats are harmless (placePhis marks blocks); skip the common ones.
     std::vector<BasicBlock *> &Blocks = DefBlocks[V->id()];
@@ -76,7 +103,7 @@ private:
       while (!Work.empty()) {
         BasicBlock *B = Work.back();
         Work.pop_back();
-        for (BasicBlock *D : DT.frontier(B)) {
+        for (BasicBlock *D : Frontier[B->id()]) {
           if (HasPhi[D->id()] == Stamp)
             continue;
           HasPhi[D->id()] = Stamp;
@@ -196,7 +223,7 @@ private:
       for (auto &[Phi, Orig] : PlacedPhis[Succ->id()])
         Phi->addIncoming(B, currentVersion(Orig));
 
-    for (BasicBlock *Child : DT.children(B))
+    for (BasicBlock *Child : Children[B->id()])
       rename(Child);
 
     for (auto It = Pushed.rbegin(); It != Pushed.rend(); ++It)
@@ -216,13 +243,14 @@ private:
   }
 
   Function &F;
-  DomTree DT;
   const uint32_t NumOrig; ///< Variables that existed before renaming.
   /// Per pre-SSA variable: its defining blocks (none = never defined),
   /// its stack of live versions and how many versions it has had.
   std::vector<std::vector<BasicBlock *>> DefBlocks;
   std::vector<std::vector<Variable *>> Stacks;
   std::vector<int> VersionCount;
+  /// Per block id: its dominator-tree children and its dominance frontier.
+  std::vector<std::vector<BasicBlock *>> Children, Frontier;
   /// Per block id: the phis placePhis put there, with the variable each
   /// was placed for, in the block's phi order.
   std::vector<std::vector<std::pair<PhiStmt *, Variable *>>> PlacedPhis;

@@ -193,21 +193,12 @@ void SEG::build(const pta::LoadDepMap &LoadDeps) {
 /// The boolean formula denoting \p V: bool-typed symbols directly, integer
 /// symbols as (v != 0), constants folded.
 const smt::Expr *SEG::boolExprOf(const Value *V) {
-  const smt::Expr *E = Syms[V];
-  if (E->isBool())
-    return E;
-  return Ctx.mkNe(E, Ctx.getInt(0));
+  return Ctx.toBoolExpr(Syms[V]);
 }
 
 const smt::Expr *SEG::valueEq(const Value *A, const Value *B) {
   const smt::Expr *EA = Syms[A];
-  const smt::Expr *EB = Syms[B];
-  if (EA->isBool() || EB->isBool()) {
-    const smt::Expr *BA = boolExprOf(A);
-    const smt::Expr *BB = boolExprOf(B);
-    return Ctx.mkAnd(Ctx.mkImplies(BA, BB), Ctx.mkImplies(BB, BA));
-  }
-  return Ctx.mkEq(EA, EB);
+  return Ctx.mkValueEq(EA, Syms[B]);
 }
 
 SEG::LocalDefInfo SEG::makeLocalDef(const Variable *V) {
@@ -217,9 +208,6 @@ SEG::LocalDefInfo SEG::makeLocalDef(const Variable *V) {
   auto dep = [&](const Value *Val) {
     if (const auto *Var = dyn_cast<Variable>(Val))
       D.Deps.push_back(Var);
-  };
-  auto iff = [&](const smt::Expr *A, const smt::Expr *B) {
-    return Ctx.mkAnd(Ctx.mkImplies(A, B), Ctx.mkImplies(B, A));
   };
 
   if (V->isParam()) {
@@ -254,13 +242,13 @@ SEG::LocalDefInfo SEG::makeLocalDef(const Variable *V) {
       break;
     }
     case OpCode::And:
-      D.Constraint =
-          iff(boolExprOf(V), Ctx.mkAnd(boolExprOf(O->lhs()),
-                                       boolExprOf(O->rhs())));
+      D.Constraint = Ctx.mkValueEq(
+          boolExprOf(V),
+          Ctx.mkAnd(boolExprOf(O->lhs()), boolExprOf(O->rhs())));
       break;
     case OpCode::Or:
-      D.Constraint = iff(boolExprOf(V), Ctx.mkOr(boolExprOf(O->lhs()),
-                                                 boolExprOf(O->rhs())));
+      D.Constraint = Ctx.mkValueEq(
+          boolExprOf(V), Ctx.mkOr(boolExprOf(O->lhs()), boolExprOf(O->rhs())));
       break;
     default: { // Comparisons.
       smt::ExprKind K;
@@ -287,13 +275,12 @@ SEG::LocalDefInfo SEG::makeLocalDef(const Variable *V) {
       const smt::Expr *Cmp;
       if (L->isBool() || R->isBool()) {
         // Boolean comparison: only ==/!= make sense; encode via iff.
-        const smt::Expr *BL = boolExprOf(O->lhs());
-        const smt::Expr *BR = boolExprOf(O->rhs());
-        Cmp = K == smt::ExprKind::Ne ? Ctx.mkNot(iff(BL, BR)) : iff(BL, BR);
+        const smt::Expr *Iff = Ctx.mkValueEq(L, R);
+        Cmp = K == smt::ExprKind::Ne ? Ctx.mkNot(Iff) : Iff;
       } else {
         Cmp = Ctx.mkCmp(K, Ctx.toIntExpr(L), Ctx.toIntExpr(R));
       }
-      D.Constraint = iff(boolExprOf(V), Cmp);
+      D.Constraint = Ctx.mkValueEq(boolExprOf(V), Cmp);
       break;
     }
     }
@@ -306,7 +293,8 @@ SEG::LocalDefInfo SEG::makeLocalDef(const Variable *V) {
     if (O->op() == OpCode::Neg)
       D.Constraint = Ctx.mkEq(Syms[V], Ctx.mkNeg(Syms[O->src()]));
     else
-      D.Constraint = iff(boolExprOf(V), Ctx.mkNot(boolExprOf(O->src())));
+      D.Constraint =
+          Ctx.mkValueEq(boolExprOf(V), Ctx.mkNot(boolExprOf(O->src())));
     dep(O->src());
     break;
   }

@@ -132,7 +132,8 @@ public:
   /// It depends on S's block only and is memoised per block, like dd().
   const Closure &controlCond(const ir::Stmt *S);
 
-  /// Equality between two values as a constraint (bool-aware).
+  /// Equality between two values' symbols as a constraint
+  /// (ExprContext::mkValueEq; A's symbol is looked up first).
   const smt::Expr *valueEq(const ir::Value *A, const ir::Value *B);
 
   /// The symbol of \p V (delegates to the symbol map).

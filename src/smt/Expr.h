@@ -261,6 +261,15 @@ public:
   const Expr *toBoolExpr(const Expr *E) {
     return E->isBool() ? E : mkNe(E, getInt(0));
   }
+  /// Bool-aware equality: A = B over integers; when either side is
+  /// boolean, (A -> B) & (B -> A) over both sides coerced by toBoolExpr.
+  const Expr *mkValueEq(const Expr *A, const Expr *B) {
+    if (!A->isBool() && !B->isBool())
+      return mkEq(A, B);
+    const Expr *BA = toBoolExpr(A);
+    const Expr *BB = toBoolExpr(B);
+    return mkAnd(mkImplies(BA, BB), mkImplies(BB, BA));
+  }
 
   //===--------------------------------------------------------------------===
   // Substitution / cloning

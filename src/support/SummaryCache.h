@@ -26,7 +26,7 @@
 /// Every integrity failure — short file, bad magic, version mismatch,
 /// checksum mismatch — is reported as `Corrupt` with a human-readable
 /// detail; a key mismatch is `Stale` (the function or its callees changed).
-/// Callers fall back to a full rebuild in both cases. Writes go through a
+/// The pipeline falls back to a full rebuild in both cases. Writes go through a
 /// unique temp file plus an atomic rename, so concurrent `--jobs` stores
 /// and a reader racing a writer never observe a half-written entry.
 ///

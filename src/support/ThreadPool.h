@@ -30,7 +30,7 @@
 /// until its group drains or the queue is non-empty.
 ///
 /// Tasks leave the queue in spawn order; completion order is
-/// nondeterministic. Callers that need deterministic output write results
+/// nondeterministic. Code that needs deterministic output writes results
 /// into pre-sized slots indexed by task and merge after `wait()` (see
 /// svfa/Pipeline.cpp and tools/PinpointTool.cpp).
 ///

@@ -21,8 +21,7 @@ const Context *ContextTable::push(const Context *Parent,
   C->Site = Site;
   C->Depth = depth(Parent) + 1;
   C->Id = NextId++;
-  Context *Raw = C.get();
-  Contexts.push_back(Raw);
+  const Context *Raw = C.get();
   Interned.emplace(Key, std::move(C));
   return Raw;
 }

@@ -12,8 +12,8 @@
 /// exactly the bold "constraints from the callee" parts of Equations (2)
 /// and (3).
 ///
-/// Contexts form an interned chain of call sites, bounded by the engine's
-/// depth limit (six nested calls in the paper's evaluation).
+/// Calling contexts form an interned chain of call sites, bounded by the
+/// engine's depth limit (six nested calls in the paper's evaluation).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,7 +78,6 @@ private:
   std::map<std::pair<const Context *, const ir::CallStmt *>,
            std::unique_ptr<Context>>
       Interned;
-  std::vector<Context *> Contexts;
   struct KeyHash {
     uint64_t operator()(uint64_t K) const { return K; }
   };

@@ -148,18 +148,6 @@ private:
     return C;
   }
 
-  /// Bool-aware equality of two symbolic expressions.
-  const smt::Expr *exprEq(const smt::Expr *A, const smt::Expr *B) {
-    auto boolify = [&](const smt::Expr *E) {
-      return E->isBool() ? E : Ctx.mkNe(E, Ctx.getInt(0));
-    };
-    if (A->isBool() || B->isBool()) {
-      const smt::Expr *BA = boolify(A), *BB = boolify(B);
-      return Ctx.mkAnd(Ctx.mkImplies(BA, BB), Ctx.mkImplies(BB, BA));
-    }
-    return Ctx.mkEq(A, B);
-  }
-
   /// Maps a callee return-bundle index to the call-site receiver.
   const Variable *receiverForBundle(const CallStmt *Call,
                                     const Function *Callee, int BundleIdx) {
@@ -402,7 +390,7 @@ GlobalSVFA::Impl::valueClosure(const Function *F, const Variable *Start,
           return;
       }
       if (E.Direct) {
-        NB.C = conj(NB.C, exprEq(Seg.symbol(V), Seg.symbol(Next)));
+        NB.C = conj(NB.C, Ctx.mkValueEq(Seg.symbol(V), Seg.symbol(Next)));
         if (!NB.C)
           return;
       }
@@ -441,8 +429,9 @@ GlobalSVFA::Impl::valueClosure(const Function *F, const Variable *Start,
         // Receiver equals the callee's returned bundle value.
         const Value *RetVal = bundleValue(Callee, E.BundleIdx);
         if (RetVal) {
-          NB.C = conj(NB.C, exprEq(Seg.symbol(Recv),
-                                   CT.symbolIn(RetVal, Callee, CallCtx)));
+          NB.C = conj(NB.C, Ctx.mkValueEq(
+                                Seg.symbol(Recv),
+                                CT.symbolIn(RetVal, Callee, CallCtx)));
           if (!NB.C)
             continue;
           if (const auto *RV = dyn_cast<Variable>(RetVal))
@@ -659,8 +648,9 @@ GlobalSVFA::Impl::collectEvents(const Function *F) {
       // Receiver carries the callee's returned source value.
       const Value *RetVal = bundleValue(Callee, E.BundleIdx);
       if (RetVal) {
-        Ev.B.C = conj(Ev.B.C, exprEq(Seg.symbol(Recv),
-                                     CT.symbolIn(RetVal, Callee, CallCtx)));
+        Ev.B.C = conj(Ev.B.C, Ctx.mkValueEq(
+                                  Seg.symbol(Recv),
+                                  CT.symbolIn(RetVal, Callee, CallCtx)));
         if (!Ev.B.C)
           continue;
         if (const auto *RV = dyn_cast<Variable>(RetVal))
@@ -865,8 +855,8 @@ const smt::Expr *GlobalSVFA::Impl::assemble(const CondBundle &B) {
     const Context *ChildCtx = CT.push(R.Ctx, R.Call);
     // RV summary (Equation 2): receiver equals the callee's return value,
     // whose own constraints are expanded in the child context.
-    Acc = Ctx.mkAnd(Acc, exprEq(CT.symbolIn(Recv, R.Fn, R.Ctx),
-                                CT.symbolIn(RetVal, Callee, ChildCtx)));
+    Acc = Ctx.mkAnd(Acc, Ctx.mkValueEq(CT.symbolIn(Recv, R.Fn, R.Ctx),
+                                       CT.symbolIn(RetVal, Callee, ChildCtx)));
     if (const auto *RV = dyn_cast<Variable>(RetVal))
       VarWork.push_back({Callee, RV, ChildCtx});
   }

@@ -15,6 +15,7 @@
 #include "svfa/SummaryIO.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <functional>
@@ -33,210 +34,17 @@ size_t countStmts(const ir::Function &F) {
   return N;
 }
 
-} // namespace
-
-bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
-                                bool CalleeTainted, ResourceGovernor &Gov,
-                                const PipelineOptions &Opts,
-                                transform::InterfaceMap &Interfaces,
-                                RunState &RS) {
-  // Fault-injected pacing: slows every function down so lifecycle tests can
-  // interrupt a run mid-flight reproducibly. Once the run is cancelled its
-  // remaining functions only degrade, so they are not paced.
-  if (uint64_t Pace = Gov.faults().paceFunctionMs(); Pace && !Gov.cancelled())
-    std::this_thread::sleep_for(std::chrono::milliseconds(Pace));
-
-  AnalyzedFunction Info;
-  Info.F = F;
-
-  // Budget gates: oversized functions and post-deadline stragglers get
-  // the conservative fallback instead of the full per-function pipeline.
-  // Oversized is a deterministic function of the (key-hashed) budget, so
-  // it does not taint; a wall-clock skip is not reproducible and does.
-  // Cancellation and the reactive memory backstop are likewise run-local
-  // accidents and taint; the pre-computed memory plan is deterministic but
-  // still taints — the issue's rule is that memory-degraded chains neither
-  // probe nor populate the summary cache, and taint is that mechanism.
-  bool SkipFull = false;
-  size_t NumStmts = countStmts(*F);
-  if (Gov.budget().MaxFunctionStmts > 0 &&
-      NumStmts > Gov.budget().MaxFunctionStmts) {
-    Gov.note(DegradationKind::FunctionOversized, "pipeline", F->name(),
-             std::to_string(NumStmts) + " stmts > cap " +
-                 std::to_string(Gov.budget().MaxFunctionStmts));
-    SkipFull = true;
-  } else if (Gov.cancelled()) {
-    if (!RS.CancelNoted.exchange(true))
-      Gov.note(DegradationKind::Cancelled, "pipeline", "",
-               "cancellation requested; remaining functions degraded");
-    SkipFull = true;
-    SCCOwnTaint[SCCId] = 1;
-  } else if (Gov.runExpired()) {
-    if (!RS.RunExhaustedNoted.exchange(true))
-      Gov.note(DegradationKind::RunBudgetExhausted, "pipeline", "",
-               "wall clock expired; remaining functions degraded");
-    SkipFull = true;
-    SCCOwnTaint[SCCId] = 1;
-  } else if (!MemPlanDegrade.empty() && MemPlanDegrade[SCCId]) {
-    Gov.note(DegradationKind::MemoryPressure, "pipeline", F->name(),
-             "memory plan: projected footprint over --mem-budget-mb");
-    SkipFull = true;
-    SCCOwnTaint[SCCId] = 1;
-  } else if (Gov.memHardExceeded()) {
-    if (!RS.MemHardNoted.exchange(true))
-      Gov.note(DegradationKind::MemoryPressure, "pipeline", "",
-               "governed bytes over --mem-budget-mb; remaining functions "
-               "degraded");
-    SkipFull = true;
-    SCCOwnTaint[SCCId] = 1;
-  }
-
-  if (!SkipFull) {
-    try {
-      if (Gov.faults().injectPipelineThrow(F->name())) {
-        Gov.note(DegradationKind::InjectedFault, "pipeline", F->name(),
-                 "forced pipeline throw");
-        throw std::runtime_error("injected pipeline fault");
-      }
-
-      // Mirror the already-transformed callees' connectors at call sites,
-      // so side effects compose transitively up the call chain. Under the
-      // SCC-DAG schedule every callee task has completed (the dependency
-      // decrement is the happens-before edge), so the reads are safe.
-      transform::rewriteCallSites(*F, *CG, Interfaces);
-
-      Info.Conds = std::make_unique<ir::ConditionMap>(*F, Syms);
-
-      // The SEG's points-to input: replayed from the summary cache on a
-      // hit, moved out of pass 2's result on a miss.
-      pta::LoadDepMap LoadDeps;
-      bool Hit = false;
-
-      // Cache probe: on a key match, replay the stored interface + load
-      // dependences instead of running both points-to passes. Any
-      // integrity failure falls back to the full rebuild below — the cache
-      // can cost a rebuild, never a wrong result.
-      if (Cache && !CalleeTainted) {
-        bool Probe = true;
-        if (Gov.faults().injectCacheReadFault(F->name())) {
-          Gov.note(DegradationKind::InjectedFault, "cache", F->name(),
-                   "forced cache read fault");
-          Counters::get().add("cache.corrupt", 1);
-          Counters::get().add("cache.misses", 1);
-          Probe = false;
-        }
-        if (Probe) {
-          SummaryCache::Loaded L = Cache->load(F->name(), SCCKeys[SCCId]);
-          if (L.Status == SummaryCache::LoadStatus::Ok) {
-            FunctionSummaryEntry E;
-            std::string Err;
-            if (decodeFunctionSummary(L.Payload, E, Err) &&
-                validateSummary(E, *F, Err)) {
-              replayFunctionSummary(*F, E, Syms, Info.Interface, LoadDeps);
-              Interfaces[F->id()] = Info.Interface;
-              if (E.NoteTruncated)
-                Gov.note(DegradationKind::PTATruncated, "pipeline", F->name(),
-                         "points-to step budget hit");
-              Counters::get().add("cache.hits", 1);
-              Hit = true;
-            } else {
-              Gov.note(DegradationKind::CacheCorrupt, "cache", F->name(),
-                       Err);
-              Counters::get().add("cache.corrupt", 1);
-              Counters::get().add("cache.misses", 1);
-            }
-          } else if (L.Status == SummaryCache::LoadStatus::Corrupt) {
-            Gov.note(DegradationKind::CacheCorrupt, "cache", F->name(),
-                     L.Detail);
-            Counters::get().add("cache.corrupt", 1);
-            Counters::get().add("cache.misses", 1);
-          } else if (L.Status == SummaryCache::LoadStatus::Stale) {
-            Counters::get().add("cache.invalidated", 1);
-            Counters::get().add("cache.misses", 1);
-          } else {
-            Counters::get().add("cache.misses", 1);
-          }
-        }
-      }
-
-      if (!Hit) {
-        // Pass 1: discover this function's own side effects.
-        pta::PTAConfig Cfg1;
-        Cfg1.UseLinearFilter = Opts.UseLinearFilter;
-        Cfg1.MaxSteps = Gov.budget().MaxPTASteps;
-        pta::PointsToResult Pass1 =
-            pta::runPointsTo(*F, Syms, *Info.Conds, Cfg1);
-
-        // Materialise the connector interface (Fig. 3(a)).
-        Info.Interface = transform::applyInterfaceTransform(*F, Pass1);
-        Interfaces[F->id()] = Info.Interface;
-
-        // Pass 2: final points-to with the Aux bindings in place.
-        pta::PTAConfig Cfg2;
-        Cfg2.UseLinearFilter = Opts.UseLinearFilter;
-        Cfg2.MaxSteps = Gov.budget().MaxPTASteps;
-        Cfg2.AuxParams = Info.Interface.auxBindings();
-        pta::PointsToResult Final =
-            pta::runPointsTo(*F, Syms, *Info.Conds, Cfg2);
-
-        const bool Truncated = Pass1.truncated() || Final.truncated();
-        if (Truncated)
-          Gov.note(DegradationKind::PTATruncated, "pipeline", F->name(),
-                   "points-to step budget hit");
-
-        // Persist the freshly-built artifacts. Tainted chains are never
-        // stored: their interfaces reflect this run's nondeterministic
-        // degradation, not the keyed source content. Unrepresentable
-        // summaries are silently skipped (the function just stays
-        // uncached).
-        if (Cache && !CalleeTainted && !SCCOwnTaint[SCCId]) {
-          std::vector<uint8_t> Payload;
-          if (encodeFunctionSummary(*F, Info.Interface, Final, Syms,
-                                    Truncated, Payload) &&
-              Cache->store(F->name(), SCCKeys[SCCId], Payload))
-            Counters::get().add("cache.stored", 1);
-        }
-        LoadDeps = std::move(Final).takeLoadDeps();
-      }
-
-      Info.Seg = std::make_unique<seg::SEG>(*F, Syms, *Info.Conds, LoadDeps);
-      Fns[F->id()] = std::move(Info);
-      return Hit;
-    } catch (const std::exception &Ex) {
-      Gov.note(DegradationKind::FunctionFailed, "pipeline", F->name(),
-               Ex.what());
-      SCCOwnTaint[SCCId] = 1;
-      Info = AnalyzedFunction();
-      Info.F = F;
-    }
-  }
-
-  // Conservative fallback: no connectors (callers see no side effects),
-  // no load dependences (the SEG keeps only direct def-use flow). Best effort —
-  // a degraded function can still surface its local value-flow bugs.
-  Info.Degraded = true;
-  try {
-    Info.Conds = std::make_unique<ir::ConditionMap>(*F, Syms);
-    Info.Interface = transform::FunctionInterface();
-    Info.Seg = std::make_unique<seg::SEG>(*F, Syms, *Info.Conds,
-                                          pta::LoadDepMap());
-  } catch (const std::exception &Ex) {
-    Gov.note(DegradationKind::FunctionSkipped, "pipeline", F->name(),
-             std::string("fallback failed: ") + Ex.what());
-    SCCOwnTaint[SCCId] = 1;
-    Info.Conds = nullptr;
-    Info.Seg = nullptr;
-  }
-  Interfaces[F->id()] = Info.Interface;
-  Fns[F->id()] = std::move(Info);
-  return false;
-}
-
-void AnalyzedModule::planMemoryPressure(
-    const std::vector<ir::CallGraph::SCCNode> &SCCs, ResourceGovernor &Gov) {
-  int64_t BudgetMB = Gov.budget().MemBudgetMB;
+/// The deterministic memory-pressure plan: with a memory budget set, marks
+/// the largest not-yet-analyzed SCCs (by modelled byte estimate, ties to
+/// the smaller id) for pre-degradation until the model fits the soft
+/// threshold. Purely a function of the subject and the budget, so the
+/// degraded-SCC set is identical across runs and job counts. Returns one
+/// mark per SCC, or nothing when no budget is set.
+std::vector<uint8_t>
+planMemoryPressure(const std::vector<ir::CallGraph::SCCNode> &SCCs,
+                   const RelevanceSet &PlanRel, int64_t BudgetMB) {
   if (BudgetMB <= 0 || SCCs.empty())
-    return;
+    return {};
 
   // Byte model: a fully analysed function keeps its SEG and builds its
   // conditional points-to sets on the way there, both roughly linear in
@@ -276,23 +84,251 @@ void AnalyzedModule::planMemoryPressure(
   // largest projected SCC first — one big SCC displaced buys the most
   // relief — with ties broken towards the smaller id for determinism.
   const int64_t Soft = BudgetMB * 1024 * 1024 * 8 / 10;
-  MemPlanDegrade.assign(SCCs.size(), 0);
+  std::vector<uint8_t> Marks(SCCs.size(), 0);
   while (Total > Soft) {
     size_t Best = SCCs.size();
     // Est == 0 marks plan-irrelevant SCCs: degrading one frees nothing, so
     // they are never selected (and could otherwise spin this loop).
     for (size_t I = 0; I < SCCs.size(); ++I)
-      if (!MemPlanDegrade[I] && Est[I] > 0 &&
+      if (!Marks[I] && Est[I] > 0 &&
           (Best == SCCs.size() || Est[I] > Est[Best]))
         Best = I;
     if (Best == SCCs.size())
       break; // Everything degraded; the plan can do no more.
-    MemPlanDegrade[Best] = 1;
-    ++MemPlanDegraded;
+    Marks[Best] = 1;
     Total -= Est[Best] - Fallback[Best];
   }
-  if (MemPlanDegraded == 0)
-    MemPlanDegrade.clear();
+  return Marks;
+}
+
+} // namespace
+
+/// The constructor's working state, dropped when it returns. Writes to the
+/// per-SCC vectors are ordered by the SCC-DAG schedule (a dependent reads
+/// them only after the acquire/release dependency decrement), so plain
+/// bytes suffice.
+struct AnalyzedModule::BuildState {
+  BuildState(ResourceGovernor &Gov, const PipelineOptions &Opts)
+      : Gov(Gov), Opts(Opts) {}
+
+  ResourceGovernor &Gov;
+  const PipelineOptions &Opts;
+  /// Incremental-reanalysis state (empty when no cache is configured).
+  /// SCCKeys[I] is the transitive content key of condensation node I:
+  /// config knobs + member fingerprints + callee-SCC keys.
+  std::vector<uint64_t> SCCKeys;
+  /// Per SCC: it or a transitive callee SCC degraded this run in a way the
+  /// cache key does not cover (see analyzeOne's budget gates). A slot
+  /// starts at its callees' taint and is set when a member degrades.
+  std::vector<uint8_t> Taint;
+  /// Per SCC: the memory plan pre-degrades it (empty = no plan).
+  std::vector<uint8_t> MemPlanDegrade;
+  /// The demand pre-pass's union set (All when demand is off) and the set
+  /// the memory plan is keyed on (see PipelineOptions::PlanDemand).
+  RelevanceSet Rel, PlanRel;
+  /// One-shot note guards shared by every analyzeOne call of a run, so
+  /// run-level degradations (wall clock, cancellation, memory backstop)
+  /// log once instead of once per remaining function.
+  std::atomic<bool> RunExhaustedNoted{false};
+  std::atomic<bool> CancelNoted{false};
+  std::atomic<bool> MemHardNoted{false};
+};
+
+bool AnalyzedModule::analyzeOne(ir::Function *F, size_t SCCId,
+                                bool CalleeTainted, BuildState &BS) {
+  ResourceGovernor &Gov = BS.Gov;
+  const PipelineOptions &Opts = BS.Opts;
+  transform::FunctionInterface &Interface = Interfaces[F->id()];
+
+  // Fault-injected pacing: slows every function down so lifecycle tests can
+  // interrupt a run mid-flight reproducibly. Once the run is cancelled its
+  // remaining functions only degrade, so they are not paced.
+  if (uint64_t Pace = Gov.faults().paceFunctionMs(); Pace && !Gov.cancelled())
+    std::this_thread::sleep_for(std::chrono::milliseconds(Pace));
+
+  AnalyzedFunction Info;
+  Info.F = F;
+
+  // Budget gates: oversized functions and post-deadline stragglers get
+  // the conservative fallback instead of the full per-function pipeline.
+  // Oversized is a deterministic function of the (key-hashed) budget, so
+  // it does not taint; a wall-clock skip is not reproducible and does.
+  // Cancellation and the reactive memory backstop are likewise run-local
+  // accidents and taint; the pre-computed memory plan is deterministic but
+  // still taints — the issue's rule is that memory-degraded chains neither
+  // probe nor populate the summary cache, and taint is that mechanism.
+  bool SkipFull = false;
+  size_t NumStmts = countStmts(*F);
+  if (Gov.budget().MaxFunctionStmts > 0 &&
+      NumStmts > Gov.budget().MaxFunctionStmts) {
+    Gov.note(DegradationKind::FunctionOversized, "pipeline", F->name(),
+             std::to_string(NumStmts) + " stmts > cap " +
+                 std::to_string(Gov.budget().MaxFunctionStmts));
+    SkipFull = true;
+  } else if (Gov.cancelled()) {
+    if (!BS.CancelNoted.exchange(true))
+      Gov.note(DegradationKind::Cancelled, "pipeline", "",
+               "cancellation requested; remaining functions degraded");
+    SkipFull = true;
+    BS.Taint[SCCId] = 1;
+  } else if (Gov.runExpired()) {
+    if (!BS.RunExhaustedNoted.exchange(true))
+      Gov.note(DegradationKind::RunBudgetExhausted, "pipeline", "",
+               "wall clock expired; remaining functions degraded");
+    SkipFull = true;
+    BS.Taint[SCCId] = 1;
+  } else if (!BS.MemPlanDegrade.empty() && BS.MemPlanDegrade[SCCId]) {
+    Gov.note(DegradationKind::MemoryPressure, "pipeline", F->name(),
+             "memory plan: projected footprint over --mem-budget-mb");
+    SkipFull = true;
+    BS.Taint[SCCId] = 1;
+  } else if (Gov.memHardExceeded()) {
+    if (!BS.MemHardNoted.exchange(true))
+      Gov.note(DegradationKind::MemoryPressure, "pipeline", "",
+               "governed bytes over --mem-budget-mb; remaining functions "
+               "degraded");
+    SkipFull = true;
+    BS.Taint[SCCId] = 1;
+  }
+
+  if (!SkipFull) {
+    try {
+      if (Gov.faults().injectPipelineThrow(F->name())) {
+        Gov.note(DegradationKind::InjectedFault, "pipeline", F->name(),
+                 "forced pipeline throw");
+        throw std::runtime_error("injected pipeline fault");
+      }
+
+      // Mirror the already-transformed callees' connectors at call sites,
+      // so side effects compose transitively up the call chain. Under the
+      // SCC-DAG schedule every callee task has completed (the dependency
+      // decrement is the happens-before edge), so the reads are safe.
+      transform::rewriteCallSites(*F, *CG, Interfaces);
+
+      Info.Conds = std::make_unique<ir::ConditionMap>(*F, Syms);
+
+      // The SEG's points-to input: replayed from the summary cache on a
+      // hit, moved out of pass 2's result on a miss.
+      pta::LoadDepMap LoadDeps;
+      bool Hit = false;
+
+      // Cache probe: on a key match, replay the stored interface + load
+      // dependences instead of running both points-to passes. Any
+      // integrity failure falls back to the full rebuild below — the cache
+      // can cost a rebuild, never a wrong result.
+      if (Opts.Cache && !CalleeTainted) {
+        bool Probe = true;
+        if (Gov.faults().injectCacheReadFault(F->name())) {
+          Gov.note(DegradationKind::InjectedFault, "cache", F->name(),
+                   "forced cache read fault");
+          Counters::get().add("cache.corrupt", 1);
+          Counters::get().add("cache.misses", 1);
+          Probe = false;
+        }
+        if (Probe) {
+          SummaryCache::Loaded L =
+              Opts.Cache->load(F->name(), BS.SCCKeys[SCCId]);
+          if (L.Status == SummaryCache::LoadStatus::Ok) {
+            FunctionSummaryEntry E;
+            std::string Err;
+            if (decodeFunctionSummary(L.Payload, E, Err) &&
+                validateSummary(E, *F, Err)) {
+              replayFunctionSummary(*F, E, Syms, Interface, LoadDeps);
+              if (E.NoteTruncated)
+                Gov.note(DegradationKind::PTATruncated, "pipeline", F->name(),
+                         "points-to step budget hit");
+              Counters::get().add("cache.hits", 1);
+              Hit = true;
+            } else {
+              Gov.note(DegradationKind::CacheCorrupt, "cache", F->name(),
+                       Err);
+              Counters::get().add("cache.corrupt", 1);
+              Counters::get().add("cache.misses", 1);
+            }
+          } else if (L.Status == SummaryCache::LoadStatus::Corrupt) {
+            Gov.note(DegradationKind::CacheCorrupt, "cache", F->name(),
+                     L.Detail);
+            Counters::get().add("cache.corrupt", 1);
+            Counters::get().add("cache.misses", 1);
+          } else if (L.Status == SummaryCache::LoadStatus::Stale) {
+            Counters::get().add("cache.invalidated", 1);
+            Counters::get().add("cache.misses", 1);
+          } else {
+            Counters::get().add("cache.misses", 1);
+          }
+        }
+      }
+
+      if (!Hit) {
+        // Pass 1: discover this function's own side effects.
+        pta::PTAConfig Cfg1;
+        Cfg1.UseLinearFilter = Opts.UseLinearFilter;
+        Cfg1.MaxSteps = Gov.budget().MaxPTASteps;
+        pta::PointsToResult Pass1 =
+            pta::runPointsTo(*F, Syms, *Info.Conds, Cfg1);
+
+        // Materialise the connector interface (Fig. 3(a)).
+        Interface = transform::applyInterfaceTransform(*F, Pass1);
+
+        // Pass 2: final points-to with the Aux bindings in place.
+        pta::PTAConfig Cfg2;
+        Cfg2.UseLinearFilter = Opts.UseLinearFilter;
+        Cfg2.MaxSteps = Gov.budget().MaxPTASteps;
+        Cfg2.AuxParams = Interface.auxBindings();
+        pta::PointsToResult Final =
+            pta::runPointsTo(*F, Syms, *Info.Conds, Cfg2);
+
+        const bool Truncated = Pass1.truncated() || Final.truncated();
+        if (Truncated)
+          Gov.note(DegradationKind::PTATruncated, "pipeline", F->name(),
+                   "points-to step budget hit");
+
+        // Persist the freshly-built artifacts. Tainted chains are never
+        // stored: their interfaces reflect this run's nondeterministic
+        // degradation, not the keyed source content. The SCC's taint slot
+        // covers its callees and the members already analysed.
+        // Unrepresentable summaries are silently skipped (the function just
+        // stays uncached).
+        if (Opts.Cache && !BS.Taint[SCCId]) {
+          std::vector<uint8_t> Payload;
+          if (encodeFunctionSummary(*F, Interface, Final, Syms, Truncated,
+                                    Payload) &&
+              Opts.Cache->store(F->name(), BS.SCCKeys[SCCId], Payload))
+            Counters::get().add("cache.stored", 1);
+        }
+        LoadDeps = std::move(Final).takeLoadDeps();
+      }
+
+      Info.Seg = std::make_unique<seg::SEG>(*F, Syms, *Info.Conds, LoadDeps);
+      Fns[F->id()] = std::move(Info);
+      return Hit;
+    } catch (const std::exception &Ex) {
+      Gov.note(DegradationKind::FunctionFailed, "pipeline", F->name(),
+               Ex.what());
+      BS.Taint[SCCId] = 1;
+      Info = AnalyzedFunction();
+      Info.F = F;
+    }
+  }
+
+  // Conservative fallback: no connectors (callers see no side effects),
+  // no load dependences (the SEG keeps only direct def-use flow). Best effort —
+  // a degraded function can still surface its local value-flow bugs.
+  Info.Degraded = true;
+  Interface = transform::FunctionInterface();
+  try {
+    Info.Conds = std::make_unique<ir::ConditionMap>(*F, Syms);
+    Info.Seg = std::make_unique<seg::SEG>(*F, Syms, *Info.Conds,
+                                          pta::LoadDepMap());
+  } catch (const std::exception &Ex) {
+    Gov.note(DegradationKind::FunctionSkipped, "pipeline", F->name(),
+             std::string("fallback failed: ") + Ex.what());
+    BS.Taint[SCCId] = 1;
+    Info.Conds = nullptr;
+    Info.Seg = nullptr;
+  }
+  Fns[F->id()] = std::move(Info);
+  return false;
 }
 
 AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
@@ -317,12 +353,12 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
 
   // Pre-create every function's result slot and interface slot so the
   // parallel schedule mutates fixed storage, never a growing map.
-  transform::InterfaceMap Interfaces(M.functions().size());
+  Interfaces.resize(M.functions().size());
   Fns.resize(M.functions().size());
 
-  SCCOwnTaint.assign(SCCs.size(), 0);
-  SCCTaint.assign(SCCs.size(), 0);
-  Cache = Opts.Cache;
+  BuildState BS(Gov, Opts);
+  BS.Taint.assign(SCCs.size(), 0);
+  SummaryCache *Cache = Opts.Cache;
   std::vector<uint64_t> FnFP;
   if (Cache) {
     // Transitive content keys over the condensation. SCC ids are
@@ -341,15 +377,15 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
     // per-function records.
     FnFP = ir::fingerprintModule(M);
 
-    SCCKeys.resize(SCCs.size());
+    BS.SCCKeys.resize(SCCs.size());
     for (size_t I = 0; I < SCCs.size(); ++I) {
       Hasher H;
       H.u64(ConfigKey);
       for (const ir::Function *F : SCCs[I].Members)
         H.u64(FnFP[F->id()]);
       for (size_t Callee : SCCs[I].CalleeSCCs)
-        H.u64(SCCKeys[Callee]);
-      SCCKeys[I] = H.digest();
+        H.u64(BS.SCCKeys[Callee]);
+      BS.SCCKeys[I] = H.digest();
     }
   }
 
@@ -411,10 +447,12 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
     if (Store && storeRelevanceSeeds(*Cache, Spec, *CG, *Seeds, FnFP))
       C.add("demand.relevance-stored", 1);
     RelevanceArtifact A = relevanceFromSeeds(*CG, Spec, *Seeds);
-    Rel = std::move(A.Union);
+    BS.Rel = std::move(A.Union);
     PerChecker = std::move(A.PerChecker);
+    SourceFns = BS.Rel.SourceFns;
+    SinkFns = BS.Rel.SinkFns;
     for (const ir::Function *F : CG->bottomUpOrder())
-      Rel.relevant(F) ? ++RelevantFns : ++SkippedFns;
+      BS.Rel.relevant(F) ? ++RelevantFns : ++SkippedFns;
     Phases.Prepass = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - PrepassStart)
                          .count();
@@ -427,15 +465,18 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
   if (Gov.budget().MemBudgetMB > 0) {
     if (Opts.PlanDemand) {
       if (DemandOn && Opts.PlanDemand == Opts.Demand)
-        PlanRel = Rel;
+        BS.PlanRel = BS.Rel;
       else
-        PlanRel = computeRelevance(*CG, M, *Opts.PlanDemand);
+        BS.PlanRel = computeRelevance(*CG, M, *Opts.PlanDemand);
     } else if (DemandOn) {
-      PlanRel = Rel;
+      BS.PlanRel = BS.Rel;
     }
   }
 
-  planMemoryPressure(SCCs, Gov);
+  BS.MemPlanDegrade =
+      planMemoryPressure(SCCs, BS.PlanRel, Gov.budget().MemBudgetMB);
+  MemPlanDegraded = static_cast<size_t>(
+      std::count(BS.MemPlanDegrade.begin(), BS.MemPlanDegrade.end(), 1));
 
   // Demand skip: the relevance pre-pass proved no enabled checker can need
   // these SCCs (relevance is SCC-uniform). They run no task at all — no
@@ -445,7 +486,7 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
   // SCC calls, waits on or reads the interface of a skipped one.
   std::vector<uint8_t> Live(SCCs.size(), 1);
   for (size_t I = 0; I < SCCs.size(); ++I) {
-    if (!DemandOn || Rel.relevant(SCCs[I].Members[0]))
+    if (!DemandOn || BS.Rel.relevant(SCCs[I].Members[0]))
       continue;
     Live[I] = 0;
     for (ir::Function *F : SCCs[I].Members) {
@@ -454,28 +495,28 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
     }
   }
 
-  RunState RS;
   SCCCostUs.assign(SCCs.size(), 0);
   std::atomic<size_t> ResumedSCCs{0};
 
-  // Analyses SCC I's members in order, then records its cost and taint.
-  // Callee taints were finalised by callee SCCs, which all completed
-  // before I started (in parallel, the dependency decrement below is the
-  // acquire/release edge), so the plain reads are ordered.
+  // Seeds SCC I's taint slot with its callees' taint, then analyses its
+  // members in order and records its cost. Callee taints were finalised
+  // by callee SCCs, which all completed before I started (in parallel, the
+  // dependency decrement below is the acquire/release edge), so the plain
+  // reads are ordered.
   auto AnalyzeSCC = [&](size_t I) {
     bool CalleeTainted = false;
     for (size_t Callee : SCCs[I].CalleeSCCs)
-      CalleeTainted |= SCCTaint[Callee] != 0;
+      CalleeTainted |= BS.Taint[Callee] != 0;
+    BS.Taint[I] = CalleeTainted ? 1 : 0;
     auto T0 = std::chrono::steady_clock::now();
     bool AllReplayed = true;
     for (ir::Function *F : SCCs[I].Members)
-      AllReplayed &= analyzeOne(F, I, CalleeTainted, Gov, Opts, Interfaces, RS);
+      AllReplayed &= analyzeOne(F, I, CalleeTainted, BS);
     SCCCostUs[I] = std::max<uint64_t>(
         1, static_cast<uint64_t>(
                std::chrono::duration_cast<std::chrono::microseconds>(
                    std::chrono::steady_clock::now() - T0)
                    .count()));
-    SCCTaint[I] = (SCCOwnTaint[I] || CalleeTainted) ? 1 : 0;
     if (AllReplayed)
       ResumedSCCs.fetch_add(1, std::memory_order_relaxed);
   };

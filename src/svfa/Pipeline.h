@@ -14,9 +14,12 @@
 ///
 /// The result, `AnalyzedModule`, owns per-function condition maps,
 /// connector interfaces and SEGs — everything the global value-flow stage
-/// (GlobalSVFA) and the checkers consume. Points-to results are
-/// intermediates: pass 2's load dependences are folded into the SEG and the
-/// result is dropped.
+/// (GlobalSVFA) and the checkers consume — plus the call-graph condensation
+/// and the run's counts. Points-to results are intermediates: pass 2's load
+/// dependences are folded into the SEG and the result is dropped. So is
+/// the constructor's working state (cache keys, taint marks, the memory
+/// plan, the union relevance set's per-function bytes): it lives in a
+/// constructor-local struct and is gone when the constructor returns.
 ///
 /// With a `ThreadPool` in the options, the per-function stages run as a
 /// dependency-aware schedule over the call-graph condensation: each SCC is
@@ -43,7 +46,6 @@
 #include "svfa/Demand.h"
 #include "transform/Connectors.h"
 
-#include <atomic>
 #include <map>
 #include <memory>
 
@@ -58,14 +60,13 @@ namespace pinpoint::svfa {
 struct AnalyzedFunction {
   ir::Function *F = nullptr;
   std::unique_ptr<ir::ConditionMap> Conds;
-  transform::FunctionInterface Interface;
   std::unique_ptr<seg::SEG> Seg;
   /// The full per-function pipeline was not run (oversized function, budget
-  /// exhaustion, or an isolated failure): the connector interface is empty
-  /// — callers see no side effects — and the SEG is built without load
-  /// dependences, so it carries only direct def-use flow. Seg is null only
-  /// if even the conservative fallback failed; consumers must skip such
-  /// functions.
+  /// exhaustion, or an isolated failure): the connector interface
+  /// (`AnalyzedModule::interfaceOf`) is empty — callers see no side
+  /// effects — and the SEG is built without load dependences, so it carries
+  /// only direct def-use flow. Seg is null only if even the conservative
+  /// fallback failed; consumers must skip such functions.
   bool Degraded = false;
   /// The demand pre-pass proved this function irrelevant to every enabled
   /// checker: nothing ran at all (no points-to, no interface, no SEG) and
@@ -115,6 +116,12 @@ public:
   const AnalyzedFunction &info(const ir::Function *F) const {
     return Fns.at(F->id());
   }
+  /// \p F's connector interface: its Aux parameters and returns. Empty for
+  /// a degraded or demand-skipped function.
+  const transform::FunctionInterface &
+  interfaceOf(const ir::Function *F) const {
+    return Interfaces.at(F->id());
+  }
 
   /// Functions in bottom-up order (same as the call graph's).
   const std::vector<ir::Function *> &bottomUpOrder() const {
@@ -148,10 +155,10 @@ public:
   size_t relevantFunctions() const { return RelevantFns; }
   size_t skippedFunctions() const { return SkippedFns; }
   /// Functions that directly contain a source site (seed count).
-  size_t sourceFunctions() const { return Rel.SourceFns; }
+  size_t sourceFunctions() const { return SourceFns; }
   /// Functions that directly contain a syntactic sink site of a
   /// sink-sliced checker (0 when every checker fell back to source-only).
-  size_t sinkFunctions() const { return Rel.SinkFns; }
+  size_t sinkFunctions() const { return SinkFns; }
   /// The per-checker relevance slice the pre-pass computed alongside the
   /// union, keyed by CheckerSpec::Name; nullptr when demand is off or the
   /// checker was not in the spec. Engine runs consume this instead of
@@ -180,74 +187,43 @@ public:
   const PhaseSeconds &phaseSeconds() const { return Phases; }
 
 private:
-  /// One-shot note guards shared by every analyzeOne call of a run, so
-  /// run-level degradations (wall clock, cancellation, memory backstop)
-  /// log once instead of once per remaining function.
-  struct RunState {
-    std::atomic<bool> RunExhaustedNoted{false};
-    std::atomic<bool> CancelNoted{false};
-    std::atomic<bool> MemHardNoted{false};
-  };
+  /// The constructor's working state (defined in Pipeline.cpp).
+  struct BuildState;
   /// Runs the whole per-function pipeline for \p F (including every
-  /// degradation path) and fills its pre-created `Fns` slot. Never throws:
-  /// failures are isolated per function, which is also what makes it safe
-  /// as the body of a pool task. \p SCCId is F's condensation node;
-  /// \p CalleeTainted is true when any transitive callee SCC degraded
-  /// nondeterministically this run, which disables both cache probe and
-  /// store for F (its cached artifacts assume healthy callee interfaces).
-  /// Returns true when F replayed from the summary cache.
+  /// degradation path) and fills its pre-created `Fns` and `Interfaces`
+  /// slots. Never throws: failures are isolated per function, which is
+  /// also what makes it safe as the body of a pool task. \p SCCId is F's
+  /// condensation node; \p CalleeTainted is true when any transitive callee
+  /// SCC degraded nondeterministically this run, which disables both cache
+  /// probe and store for F (its cached artifacts assume healthy callee
+  /// interfaces). Returns true when F replayed from the summary cache.
   bool analyzeOne(ir::Function *F, size_t SCCId, bool CalleeTainted,
-                  ResourceGovernor &Gov, const PipelineOptions &Opts,
-                  transform::InterfaceMap &Interfaces, RunState &RS);
-
-  /// Builds the deterministic memory-pressure plan: with a memory budget
-  /// set, pre-degrades the largest not-yet-analyzed SCCs (by modelled byte
-  /// estimate, ties to the smaller id) until the model fits the soft
-  /// threshold. Purely a function of the subject and the budget, so the
-  /// degraded-SCC set is identical across runs and job counts.
-  void planMemoryPressure(const std::vector<ir::CallGraph::SCCNode> &SCCs,
-                          ResourceGovernor &Gov);
+                  BuildState &BS);
 
   ir::Module &M;
   smt::ExprContext &Ctx;
   ir::SymbolMap Syms;
   std::unique_ptr<ir::CallGraph> CG;
-  /// Indexed by `Function::id()`.
+  /// Both indexed by `Function::id()`, pre-sized so the parallel schedule
+  /// fills fixed slots, never a growing container.
   std::vector<AnalyzedFunction> Fns;
-
-  /// Incremental-reanalysis state (empty when no cache is configured).
-  /// SCCKeys[I] is the transitive content key of condensation node I:
-  /// config knobs + member fingerprints + callee-SCC keys. The taint
-  /// vectors track *nondeterministic* degradation (failures, wall-clock
-  /// budget skips) — deterministic degradations are covered by the config
-  /// part of the key. Writes are ordered by the SCC-DAG schedule (a
-  /// dependent reads them only after the acquire/release dependency
-  /// decrement), so plain bytes suffice.
-  SummaryCache *Cache = nullptr;
-  std::vector<uint64_t> SCCKeys;
-  std::vector<uint8_t> SCCOwnTaint; ///< This SCC degraded nondeterministically.
-  std::vector<uint8_t> SCCTaint;    ///< Own taint OR any callee-SCC taint.
+  transform::InterfaceMap Interfaces;
   /// Measured wall microseconds per SCC task (≥1 once it ran). Each slot is
   /// written by exactly the task that analysed the SCC and read only after
   /// the group wait.
   std::vector<uint64_t> SCCCostUs;
 
-  /// Run-lifecycle state (DESIGN.md section 12).
-  std::vector<uint8_t> MemPlanDegrade; ///< Plan-degraded SCCs (empty = none).
+  /// Run-lifecycle counts (DESIGN.md section 12).
   size_t MemPlanDegraded = 0;
   size_t Resumed = 0;
-  /// Demand state: the relevance set and its summary counts (all inert
-  /// when no DemandSpec was supplied).
-  RelevanceSet Rel;
+  /// Demand state: the per-checker slices and the pre-pass counts (all
+  /// inert when no DemandSpec was supplied).
   std::map<std::string, RelevanceSet> PerChecker;
   bool DemandOn = false;
-  size_t RelevantFns = 0, SkippedFns = 0;
+  size_t RelevantFns = 0, SkippedFns = 0, SourceFns = 0, SinkFns = 0;
   std::string RefreshMode = "off";
   size_t DirtyFns = 0;
   PhaseSeconds Phases;
-  /// The set the memory plan is keyed on (All = true models everything;
-  /// see PipelineOptions::PlanDemand).
-  RelevanceSet PlanRel;
 };
 
 } // namespace pinpoint::svfa

@@ -824,7 +824,7 @@ TEST(CondensationLayoutTest, FrozenSpansReplayBottomUpOrder) {
   Counters &C = Counters::get();
   const int64_t Before = C.value("cg.csr-bytes");
   ir::CallGraph CG(M);
-  // The frozen member/adjacency rows live in a measured arena.
+  // The frozen callee-SCC rows live in a measured arena.
   EXPECT_GT(C.value("cg.csr-bytes"), Before);
 
   // Concatenating Members over ascending SCC id replays bottomUpOrder

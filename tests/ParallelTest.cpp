@@ -271,9 +271,10 @@ std::string pipelineFingerprint(const std::string &Src, unsigned Jobs) {
   std::string Out;
   for (ir::Function *F : AM.bottomUpOrder()) {
     const AnalyzedFunction &I = AM.info(F);
+    const transform::FunctionInterface &Iface = AM.interfaceOf(F);
     Out += F->str();
-    Out += "refs=" + std::to_string(I.Interface.RefPaths.size()) +
-           " mods=" + std::to_string(I.Interface.ModPaths.size()) +
+    Out += "refs=" + std::to_string(Iface.RefPaths.size()) +
+           " mods=" + std::to_string(Iface.ModPaths.size()) +
            " edges=" + std::to_string(I.Seg ? I.Seg->numEdges() : 0) +
            " verts=" + std::to_string(I.Seg ? I.Seg->numVertices() : 0) + "\n";
   }

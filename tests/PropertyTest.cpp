@@ -515,7 +515,7 @@ TEST_P(PipelineProperty, LoadDepConditionsAreSatisfiable) {
     if (Info.Degraded || Info.Skipped || !Info.Conds)
       continue;
     pta::PTAConfig Cfg;
-    Cfg.AuxParams = Info.Interface.auxBindings();
+    Cfg.AuxParams = AM.interfaceOf(F).auxBindings();
     pta::PointsToResult Final =
         pta::runPointsTo(*F, AM.symbols(), *Info.Conds, Cfg);
     for (BasicBlock *B : F->blocks())
@@ -1013,13 +1013,35 @@ protected:
 
   using FnSet = std::set<const Function *>;
 
+  /// Call edges read from each call's resolved target, so the reference
+  /// does not depend on CallGraph's condensation.
+  struct CallEdges {
+    std::map<const Function *, FnSet> Callees, Callers;
+  };
+  static CallEdges callEdges(const Module &M) {
+    CallEdges E;
+    for (const Function *F : M.functions())
+      for (const BasicBlock *B : F->blocks())
+        for (const Stmt *S : B->stmts())
+          if (const auto *C = dyn_cast<CallStmt>(S))
+            if (const Function *G = C->callee()) {
+              E.Callees[F].insert(G);
+              E.Callers[G].insert(F);
+            }
+    return E;
+  }
+
   /// Closes \p Set under callers (Up) or callees, one function at a time.
-  static void close(const CallGraph &CG, FnSet &Set, bool Up) {
+  static void close(const CallEdges &E, FnSet &Set, bool Up) {
+    const std::map<const Function *, FnSet> &Next = Up ? E.Callers : E.Callees;
     std::vector<const Function *> Work(Set.begin(), Set.end());
     while (!Work.empty()) {
-      Function *F = const_cast<Function *>(Work.back());
+      const Function *F = Work.back();
       Work.pop_back();
-      for (Function *G : Up ? CG.callers(F) : CG.callees(F))
+      auto It = Next.find(F);
+      if (It == Next.end())
+        continue;
+      for (const Function *G : It->second)
         if (Set.insert(G).second)
           Work.push_back(G);
     }
@@ -1036,20 +1058,20 @@ protected:
 
   /// The reference slice: callees*(callers*(Src) ∩ callers*(Snk)), or
   /// callees*(callers*(Src)) without a sink cone.
-  static FnSet slice(const CallGraph &CG, const FnSet &Src,
+  static FnSet slice(const CallEdges &E, const FnSet &Src,
                      const FnSet *Snk) {
     FnSet Core = Src;
-    close(CG, Core, /*Up=*/true);
+    close(E, Core, /*Up=*/true);
     if (Snk) {
       FnSet SnkCone = *Snk;
-      close(CG, SnkCone, /*Up=*/true);
+      close(E, SnkCone, /*Up=*/true);
       FnSet Both;
       for (const Function *F : Core)
         if (SnkCone.count(F))
           Both.insert(F);
       Core = std::move(Both);
     }
-    close(CG, Core, /*Up=*/false);
+    close(E, Core, /*Up=*/false);
     return Core;
   }
 
@@ -1069,6 +1091,7 @@ TEST_P(ConeSweep, SweepsMatchNaiveClosure) {
       << (Diags.empty() ? "" : Diags[0].str());
   CallGraph CG(M);
   ASSERT_LT(CG.numSCCs(), M.functions().size()) << "no recursion cycle";
+  const CallEdges Edges = callEdges(M);
 
   const std::vector<checkers::CheckerSpec> Pool = {
       checkers::useAfterFreeChecker(), checkers::doubleFreeChecker(),
@@ -1090,7 +1113,7 @@ TEST_P(ConeSweep, SweepsMatchNaiveClosure) {
       size_t Slices = 0;
       auto expectSlice = [&](const std::string &Name, const FnSet &Src,
                              const FnSet *Snk) {
-        FnSet Want = slice(CG, Src, Snk);
+        FnSet Want = slice(Edges, Src, Snk);
         Union.insert(Want.begin(), Want.end());
         UnionSrc.insert(Src.begin(), Src.end());
         if (Snk)

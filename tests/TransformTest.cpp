@@ -36,7 +36,7 @@ TEST_F(TransformTest, RefBecomesAuxFormalParameter) {
     int deref(int *p) { return *p; }
   )");
   Function *F = M->function("deref");
-  const auto &I = AM->info(F).Interface;
+  const auto &I = AM->interfaceOf(F);
   ASSERT_EQ(I.RefPaths.size(), 1u);
   EXPECT_EQ(I.RefPaths[0].first->name(), "p");
   EXPECT_EQ(I.RefPaths[0].second, 1);
@@ -53,7 +53,7 @@ TEST_F(TransformTest, ModBecomesAuxReturnValue) {
     void set(int *p, int v) { *p = v; }
   )");
   Function *F = M->function("set");
-  const auto &I = AM->info(F).Interface;
+  const auto &I = AM->interfaceOf(F);
   EXPECT_TRUE(I.RefPaths.empty());
   ASSERT_EQ(I.ModPaths.size(), 1u);
   ASSERT_EQ(I.AuxReturns.size(), 1u);
@@ -69,7 +69,7 @@ TEST_F(TransformTest, EntryStoreAndExitLoadInserted) {
     int bump(int *p) { int v = *p; *p = v + 1; return v; }
   )");
   Function *F = M->function("bump");
-  const auto &I = AM->info(F).Interface;
+  const auto &I = AM->interfaceOf(F);
   ASSERT_EQ(I.RefPaths.size(), 1u);
   ASSERT_EQ(I.ModPaths.size(), 1u);
   // Entry begins with the connector store *(p,1) ← F.
@@ -148,7 +148,7 @@ TEST_F(TransformTest, RefCallSiteGetsAuxArgument) {
   ASSERT_NE(A->def(), nullptr);
   EXPECT_TRUE(isa<LoadStmt>(A->def()));
   // The caller in turn REFs *(q,1) transitively.
-  const auto &I = AM->info(Use).Interface;
+  const auto &I = AM->interfaceOf(Use);
   ASSERT_EQ(I.RefPaths.size(), 1u);
   EXPECT_EQ(I.RefPaths[0].first->name(), "q");
 }
@@ -161,9 +161,9 @@ TEST_F(TransformTest, SideEffectsComposeTransitively) {
     void mid(int *a) { leaf(a); }
     void top(int *x) { mid(x); }
   )");
-  const auto &ILeaf = AM->info(M->function("leaf")).Interface;
-  const auto &IMid = AM->info(M->function("mid")).Interface;
-  const auto &ITop = AM->info(M->function("top")).Interface;
+  const auto &ILeaf = AM->interfaceOf(M->function("leaf"));
+  const auto &IMid = AM->interfaceOf(M->function("mid"));
+  const auto &ITop = AM->interfaceOf(M->function("top"));
   EXPECT_EQ(ILeaf.ModPaths.size(), 1u);
   EXPECT_EQ(IMid.ModPaths.size(), 1u);
   EXPECT_EQ(ITop.ModPaths.size(), 1u);
@@ -185,7 +185,7 @@ TEST_F(TransformTest, PaperFigure2BarInterface) {
       }
     }
   )");
-  const auto &I = AM->info(M->function("bar")).Interface;
+  const auto &I = AM->interfaceOf(M->function("bar"));
   ASSERT_EQ(I.RefPaths.size(), 1u);
   EXPECT_EQ(I.RefPaths[0], (pta::ParamPath{M->function("bar")->params()[0], 1}));
   ASSERT_EQ(I.ModPaths.size(), 1u);
@@ -223,7 +223,7 @@ TEST_F(TransformTest, RecursiveCallsAreNotRewritten) {
   EXPECT_TRUE(Call->auxReceivers().empty());
   EXPECT_EQ(Call->args().size(), 2u);
   // The function's own MOD is still discovered.
-  EXPECT_EQ(AM->info(F).Interface.ModPaths.size(), 1u);
+  EXPECT_EQ(AM->interfaceOf(F).ModPaths.size(), 1u);
 }
 
 TEST_F(TransformTest, PureFunctionsKeepTheirSignature) {
@@ -232,8 +232,8 @@ TEST_F(TransformTest, PureFunctionsKeepTheirSignature) {
     int use2() { return add(1, 2); }
   )");
   Function *Add = M->function("add");
-  EXPECT_TRUE(AM->info(Add).Interface.RefPaths.empty());
-  EXPECT_TRUE(AM->info(Add).Interface.ModPaths.empty());
+  EXPECT_TRUE(AM->interfaceOf(Add).RefPaths.empty());
+  EXPECT_TRUE(AM->interfaceOf(Add).ModPaths.empty());
   EXPECT_EQ(Add->params().size(), 2u);
 }
 
