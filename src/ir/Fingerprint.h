@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Content-hashes a function's post-SSA IR for the incremental summary
+/// Content-hashes a function's pre-SSA IR for the incremental summary
 /// cache. The fingerprint covers everything the per-function pipeline's
 /// output depends on — signature, CFG shape, every statement's kind and
 /// operands (variables by function-local id, constants by value, callees by
@@ -13,9 +13,13 @@
 /// locations from the live IR, so a pure line shift re-uses the cached
 /// summary and still prints the shifted lines.
 ///
-/// Must be taken after SSA construction and *before* the connector
-/// transforms (call-site rewriting / interface transform): the transforms'
-/// extra statements are derived state that the cache replays, not input.
+/// Must be taken *before* SSA construction, as the frontend built the
+/// function. SSA is a pure function of that body, so the pre-SSA hash
+/// identifies the post-SSA content too, and it can be taken for every
+/// function before the demand pre-pass decides which ones get SSA at all.
+/// The connector transforms (call-site rewriting / interface transform)
+/// run later still: their extra statements are derived state that the
+/// cache replays, not input.
 ///
 //===----------------------------------------------------------------------===//
 

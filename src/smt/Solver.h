@@ -62,7 +62,9 @@ struct SolverConfig {
   uint64_t MaxSteps = 2'000'000; ///< DPLL step budget (MiniSolver).
 };
 
-/// Creates a Z3-backed solver, or nullptr when built without Z3.
+/// Creates a Z3-backed solver, or nullptr when built without Z3. The Z3
+/// context is made on the first `checkSat`, so a backend that is never
+/// queried costs nothing but its allocation.
 std::unique_ptr<Solver> createZ3Solver(ExprContext &Ctx,
                                        const SolverConfig &Cfg = {});
 

@@ -20,6 +20,11 @@
 /// one across queries also skips solver construction (DESIGN.md §11 has the
 /// per-call costs). The context's `timeout` parameter bounds every check.
 ///
+/// The context itself is made on the first query, not at construction.
+/// Every checker's engine owns a backend, most engines never send it a
+/// query (the linear filter or a missing event decides everything), and a
+/// context with its solver costs a few milliseconds and tens of megabytes.
+///
 //===----------------------------------------------------------------------===//
 
 #include "smt/Solver.h"
@@ -37,21 +42,11 @@ namespace {
 
 class Z3Solver : public Solver {
 public:
-  explicit Z3Solver(const SolverConfig &SC) {
-    Z3_config Cfg = Z3_mk_config();
-    // Per-query timeout in ms. Z3 applies no limit while `timeout` is unset,
-    // which is what a non-positive budget means.
-    if (SC.TimeoutMs > 0)
-      Z3_set_param_value(Cfg, "timeout", std::to_string(SC.TimeoutMs).c_str());
-    Z = Z3_mk_context(Cfg);
-    Z3_del_config(Cfg);
-    IntSort = Z3_mk_int_sort(Z);
-    BoolSort = Z3_mk_bool_sort(Z);
-    S = Z3_mk_simple_solver(Z);
-    Z3_solver_inc_ref(Z, S);
-  }
+  explicit Z3Solver(const SolverConfig &SC) : TimeoutMs(SC.TimeoutMs) {}
 
   ~Z3Solver() override {
+    if (!Z)
+      return; // Never queried: nothing was made.
     Z3_solver_dec_ref(Z, S);
     Z3_del_context(Z);
   }
@@ -59,6 +54,8 @@ public:
   Z3Solver &operator=(const Z3Solver &) = delete;
 
   SatResult checkSat(const Expr *E) override {
+    if (!Z)
+      open();
     // Translate before opening the scope, for two reasons. The memo's
     // allocations may throw, and a scope left open would keep this query's
     // assertion under every later query, turning their answers into false
@@ -81,6 +78,22 @@ public:
   const char *name() const override { return "z3"; }
 
 private:
+  /// Makes the context, the sorts and the one solver: the first query's
+  /// set-up.
+  void open() {
+    Z3_config Cfg = Z3_mk_config();
+    // Per-query timeout in ms. Z3 applies no limit while `timeout` is unset,
+    // which is what a non-positive budget means.
+    if (TimeoutMs > 0)
+      Z3_set_param_value(Cfg, "timeout", std::to_string(TimeoutMs).c_str());
+    Z = Z3_mk_context(Cfg);
+    Z3_del_config(Cfg);
+    IntSort = Z3_mk_int_sort(Z);
+    BoolSort = Z3_mk_bool_sort(Z);
+    S = Z3_mk_simple_solver(Z);
+    Z3_solver_inc_ref(Z, S);
+  }
+
   Z3_ast translate(const Expr *E) {
     auto It = Memo.find(E);
     if (It != Memo.end())
@@ -163,9 +176,10 @@ private:
     return Z3_mk_true(Z); // Unreachable; all kinds covered.
   }
 
-  Z3_context Z;
-  Z3_solver S; ///< The one solver; no scope is open between queries.
-  Z3_sort IntSort, BoolSort;
+  int TimeoutMs;
+  Z3_context Z = nullptr; ///< Null until the first query.
+  Z3_solver S = nullptr;  ///< The one solver; no scope is open between queries.
+  Z3_sort IntSort = nullptr, BoolSort = nullptr;
   std::unordered_map<const Expr *, Z3_ast> Memo;
 };
 

@@ -228,9 +228,11 @@ const char *const RelevanceEntryName = "<relevance>";
 
 namespace {
 
-/// Bump whenever the payload layout changes: relevanceSpecKey hashes it,
-/// so an entry in another layout reads as Stale and recomputes silently.
-constexpr uint32_t SeedPayloadVersion = 4;
+/// Bump whenever the payload layout or the meaning of a stored field
+/// changes: relevanceSpecKey hashes it, so an entry in another layout reads
+/// as Stale and recomputes silently. Version 5: records hold pre-SSA
+/// fingerprints.
+constexpr uint32_t SeedPayloadVersion = 5;
 
 void hashStringSet(Hasher &H, const std::set<std::string> &S) {
   H.u32(static_cast<uint32_t>(S.size()));
@@ -270,7 +272,7 @@ SummaryCache::LoadStatus loadRelevanceSeeds(const SummaryCache &Cache,
     return L.Status;
 
   // Payload: u32 record count, then per record the function's name, its
-  // post-SSA fingerprint and its seed row.
+  // pre-SSA fingerprint and its seed row.
   Out = StoredSeeds();
   Out.Seeds = emptyTable(Spec, 0);
   const size_t Stride = Out.Seeds.Stride;

@@ -42,7 +42,7 @@
 /// pipeline schedule never splits a condensation node.
 ///
 /// With `--cache-dir`, only the seeds persist: one summary-cache entry
-/// under a reserved name holds every function's name, post-SSA fingerprint
+/// under a reserved name holds every function's name, pre-SSA fingerprint
 /// and seed row (DESIGN.md section 15). A warm run takes the rows of
 /// functions whose fingerprint still matches from it, scans the rest, and
 /// always recomputes the cones.
@@ -166,7 +166,7 @@ uint64_t relevanceSpecKey(const DemandSpec &Spec);
 extern const char *const RelevanceEntryName;
 
 /// The relevance entry, decoded: the stored run's seed rows plus each
-/// stored function's post-SSA fingerprint and row, by name.
+/// stored function's pre-SSA fingerprint and row, by name.
 struct StoredSeeds {
   struct Record {
     uint64_t FP = 0;

@@ -337,17 +337,12 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
   ResourceGovernor &Gov =
       Opts.Governor ? *Opts.Governor : ResourceGovernor::ungoverned();
 
-  // SSA first for every function — the call graph and rewriting do not
-  // change CFG shape, and rewriting emits SSA-compatible fresh variables.
-  auto SSAStart = std::chrono::steady_clock::now();
-  for (ir::Function *F : M.functions()) {
-    F->recomputeCFGEdges();
-    ir::constructSSA(*F);
-  }
-  Phases.SSA = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             SSAStart)
-                   .count();
-
+  // The call graph, the fingerprints and the demand pre-pass all read the
+  // pre-SSA IR: SSA adds only phis and renames operands, so it changes no
+  // call statement (callee name, arguments, receiver), no load or store
+  // and no constant assignment. SSA then runs only for the functions a
+  // later stage reads, and every mode takes this one order, so the cache
+  // keys and seed rows are the same whether or not the run slices.
   CG = std::make_unique<ir::CallGraph>(M);
   const std::vector<ir::CallGraph::SCCNode> &SCCs = CG->sccs();
 
@@ -364,9 +359,10 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
     // Transitive content keys over the condensation. SCC ids are
     // topological (callee < caller), so one ascending pass sees every
     // callee key before it is consumed. The key covers everything a cached
-    // artifact can depend on: analysis knobs, the post-SSA fingerprints of
-    // every member, and the callee SCCs' transitive keys (a change
-    // anywhere below invalidates the whole caller chain).
+    // artifact can depend on: analysis knobs, the pre-SSA fingerprints of
+    // every member (SSA is a pure function of the pre-SSA body), and the
+    // callee SCCs' transitive keys (a change anywhere below invalidates the
+    // whole caller chain).
     Hasher ConfigH;
     ConfigH.u8(Opts.UseLinearFilter ? 1 : 0);
     ConfigH.u64(static_cast<uint64_t>(Gov.budget().MaxPTASteps));
@@ -389,10 +385,11 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
     }
   }
 
-  // Demand relevance pre-pass: runs on the post-SSA call graph, before any
-  // summary work, so skipped functions pay only their part of the graph
-  // walk. The set is a pure function of the subject and the checker union,
-  // independent of job count and cache state. With a cache directory, the
+  // Demand relevance pre-pass: runs on the pre-SSA call graph, before SSA
+  // and any summary work, so skipped functions pay only their part of the
+  // graph walk and the seed scan. The set is a pure function of the
+  // subject and the checker union, independent of job count and cache
+  // state. With a cache directory, the
   // per-function seeds persist in the relevance entry: a warm run scans
   // only the functions the entry does not match (DESIGN.md section 15).
   if (Opts.Demand) {
@@ -462,7 +459,8 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
   // budget is set). An explicit PlanDemand decouples the plan from the
   // analysis mode; without one the plan follows the analysis slice, which
   // is the historical library behaviour.
-  if (Gov.budget().MemBudgetMB > 0) {
+  const bool Planned = Gov.budget().MemBudgetMB > 0;
+  if (Planned) {
     if (Opts.PlanDemand) {
       if (DemandOn && Opts.PlanDemand == Opts.Demand)
         BS.PlanRel = BS.Rel;
@@ -472,6 +470,22 @@ AnalyzedModule::AnalyzedModule(ir::Module &M, smt::ExprContext &Ctx,
       BS.PlanRel = BS.Rel;
     }
   }
+
+  // SSA, in function-id order, for what a later stage reads: every
+  // function the schedule analyses (all of them when demand is off) and,
+  // under a budget, every function the memory plan models, since the plan
+  // counts post-SSA statements. Demand-skipped functions stay in pre-SSA
+  // form.
+  auto SSAStart = std::chrono::steady_clock::now();
+  for (ir::Function *F : M.functions()) {
+    if (!BS.Rel.relevant(F) && !(Planned && BS.PlanRel.relevant(F)))
+      continue;
+    F->recomputeCFGEdges();
+    ir::constructSSA(*F);
+  }
+  Phases.SSA = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                             SSAStart)
+                   .count();
 
   BS.MemPlanDegrade =
       planMemoryPressure(SCCs, BS.PlanRel, Gov.budget().MemBudgetMB);

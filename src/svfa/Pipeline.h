@@ -12,6 +12,11 @@
 ///   path-sensitive points-to (pass 1) → Mod/Ref → interface transform
 ///   (Aux params / returns) → points-to pass 2 → SEG.
 ///
+/// The call graph, the cache fingerprints and the demand pre-pass run
+/// first, on the pre-SSA IR. SSA then runs only for the functions the run
+/// analyses (every function when demand is off) or its memory plan models,
+/// so a demand-skipped function stays in pre-SSA form.
+///
 /// The result, `AnalyzedModule`, owns per-function condition maps,
 /// connector interfaces and SEGs — everything the global value-flow stage
 /// (GlobalSVFA) and the checkers consume — plus the call-graph condensation
@@ -69,8 +74,9 @@ struct AnalyzedFunction {
   /// fallback failed; consumers must skip such functions.
   bool Degraded = false;
   /// The demand pre-pass proved this function irrelevant to every enabled
-  /// checker: nothing ran at all (no points-to, no interface, no SEG) and
-  /// the summary cache was neither probed nor populated. Distinct from
+  /// checker: nothing ran at all (no SSA, no points-to, no interface, no
+  /// SEG; the IR stays as the frontend built it) and the summary cache was
+  /// neither probed nor populated. Distinct from
   /// Degraded — a skipped function is a deliberate, deterministic elision,
   /// not a failure, and emits no degradation note.
   bool Skipped = false;

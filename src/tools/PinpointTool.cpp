@@ -17,7 +17,7 @@
 ///     --no-linear-filter      disable the linear-time pre-filter
 ///     --demand=MODE     on | off (default on): demand-driven value-flow
 ///                       slicing (DESIGN.md section 13). A relevance
-///                       pre-pass over the call graph skips summary
+///                       pre-pass over the call graph skips SSA and summary
 ///                       construction for functions outside the
 ///                       bidirectional source/sink cones of every enabled
 ///                       checker (checkers without syntactic sinks fall
@@ -70,7 +70,9 @@
 ///
 /// Exit status: 0 = analysis completed (reports, possibly degraded);
 /// 2 = usage or input error; 3 = interrupted, partial results flushed;
-/// 4 = internal error.
+/// 4 = internal error. On 0, 3 and 4 a release build ends the process
+/// right after its final flush, without running destructors (see
+/// PinpointTool.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,6 +81,7 @@
 #include "checkers/Checker.h"
 #include "checkers/SpecialCheckers.h"
 #include "frontend/Parser.h"
+#include "ir/SSA.h"
 #include "support/Interrupt.h"
 #include "support/ResourceGovernor.h"
 #include "support/Statistics.h"
@@ -100,11 +103,36 @@
 #include <string>
 #include <vector>
 
+// Sanitizer builds keep the full teardown: LeakSanitizer checks for leaks
+// at exit, and ThreadSanitizer checks the pool's shutdown.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PINPOINT_FULL_TEARDOWN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PINPOINT_FULL_TEARDOWN 1
+#endif
+#endif
+
 using namespace pinpoint;
 
 namespace pinpoint::tools {
 
 namespace {
+
+/// Ends an analysis run with exit code \p Code once its output is
+/// complete. Every stdio stream is flushed (stderr may be a buffered file
+/// too). A release build then ends the process without running a
+/// destructor: nothing reads the IR, the analysed module or the expression
+/// context after the last line, and the OS reclaims them faster than their
+/// destructors do. Sanitizer builds return \p Code instead.
+int finishRun(int Code) {
+  std::fflush(nullptr);
+#ifdef PINPOINT_FULL_TEARDOWN
+  return Code;
+#else
+  std::_Exit(Code);
+#endif
+}
 
 const char *const KnownCheckers[] = {"uaf",        "df",   "taint-path",
                                      "taint-data", "null-deref", "leak"};
@@ -140,7 +168,9 @@ void usage() {
       "  --no-path-sensitivity    report all candidates (no SMT stage)\n"
       "  --no-linear-filter       disable the linear-time pre-filter\n"
       "  --demand=MODE            on | off (default on): demand-driven "
-      "value-flow slicing\n"
+      "value-flow slicing;\n"
+      "                           skips SSA and summary construction where "
+      "no checker needs it\n"
       "  --dump-ir                print the transformed IR\n"
       "  --stats                  print statistics\n"
       "  --jobs=N                 worker threads (default 1 = serial, 0 = "
@@ -272,8 +302,9 @@ ParseResult parseArgs(int Argc, char **Argv, Options &O) {
     } else if (A == "--degradation-log") {
       O.DegradationLog = true;
     } else if (A == "--help" || A == "-h") {
-      // No std::exit here: every exit funnels through pinpointToolMain's
-      // single return path (the run-lifecycle contract).
+      // No std::exit here: every exit funnels through pinpointToolMain,
+      // whose only early ends follow its final flush (the run-lifecycle
+      // contract).
       return ParseResult::Help;
     } else if (!A.empty() && A[0] == '-') {
       bool Matched = false;
@@ -437,8 +468,17 @@ int pinpointToolMain(int Argc, char **Argv) {
     svfa::AnalyzedModule AM(M, Ctx, PO);
     double PipelineSec = Total.seconds();
 
-    if (O.DumpIR)
+    if (O.DumpIR) {
+      // The dump shows every function in SSA form. A demand-skipped one
+      // never got it; SSA names and ids are numbered per function, so
+      // building it now prints what a run without slicing prints.
+      for (ir::Function *F : M.functions())
+        if (AM.info(F).Skipped) {
+          F->recomputeCFGEdges();
+          ir::constructSSA(*F);
+        }
       std::fputs(M.str().c_str(), stdout);
+    }
 
     svfa::GlobalOptions GO;
     GO.MaxContextDepth = static_cast<int>(O.MaxDepth);
@@ -646,12 +686,10 @@ int pinpointToolMain(int Argc, char **Argv) {
                   "were flushed before exit\n",
                   interrupt::lastSignal());
     std::printf("%d report(s)\n", TotalReports);
-    std::fflush(stdout);
-    return Interrupted ? 3 : 0;
+    return finishRun(Interrupted ? 3 : 0);
   } catch (const std::exception &Ex) {
     std::fprintf(stderr, "internal error: %s\n", Ex.what());
-    std::fflush(stdout);
-    return 4;
+    return finishRun(4);
   }
 }
 

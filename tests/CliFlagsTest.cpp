@@ -244,6 +244,61 @@ TEST(CliFlags, NoLinearFilterPrunesNothing) {
     EXPECT_EQ(statValue(Ablated, Line, "linear-pruned"), 0) << Line;
 }
 
+TEST(CliFlags, StderrSurvivesTheFastExit) {
+  // A release CLI ends the process after its last line without running
+  // destructors; it must flush every stdio stream first, stderr included
+  // (the harness reopens it as a buffered file).
+  pinpoint::clitest::TempDir D("fastexit");
+  const std::string Src = D.file("t.mc");
+  {
+    std::ofstream Out(Src);
+    Out << "int twice(int *q) { free(q); free(q); return 0; }\n";
+  }
+  const std::string Out = D.file("out.txt"), Err = D.file("err.txt");
+  ASSERT_EQ(pinpoint::clitest::runTool(
+                {"--checker=uaf,df", "--fault-inject=throw-checker=uaf", Src},
+                Out, Err),
+            0);
+  const std::string Stdout = pinpoint::clitest::readFile(Out);
+  const std::string Tail = "1 report(s)\n";
+  ASSERT_GE(Stdout.size(), Tail.size()) << Stdout;
+  EXPECT_EQ(Stdout.substr(Stdout.size() - Tail.size()), Tail) << Stdout;
+  EXPECT_NE(pinpoint::clitest::readFile(Err).find(
+                "warning: checker uaf failed (injected checker fault); "
+                "continuing"),
+            std::string::npos);
+}
+
+TEST(CliFlags, DumpIRShowsDemandSkippedFunctionsInSSAForm) {
+  // `join` has no free, so the df pre-pass skips it and the pipeline never
+  // puts it into SSA; --dump-ir must still print its phi exactly as a run
+  // without slicing does.
+  pinpoint::clitest::TempDir D("dumpskip");
+  const std::string Src = D.file("t.mc");
+  {
+    std::ofstream Out(Src);
+    Out << "int twice(int *q) { free(q); free(q); return 0; }\n"
+           "int join(int c) { int x = 0; if (c > 0) { x = 1; } return x; }\n";
+  }
+  const std::string On = D.file("on.txt"), Off = D.file("off.txt"),
+                    Stats = D.file("stats.txt");
+  ASSERT_EQ(pinpoint::clitest::runTool(
+                {"--checker=df", "--stats", "--demand=on", Src}, Stats),
+            0);
+  EXPECT_EQ(pinpoint::clitest::statValue(pinpoint::clitest::readFile(Stats),
+                                         "[demand]", "skipped-fns"),
+            1);
+  ASSERT_EQ(pinpoint::clitest::runTool(
+                {"--checker=df", "--dump-ir", "--demand=on", Src}, On),
+            0);
+  ASSERT_EQ(pinpoint::clitest::runTool(
+                {"--checker=df", "--dump-ir", "--demand=off", Src}, Off),
+            0);
+  const std::string DumpOn = pinpoint::clitest::readFile(On);
+  EXPECT_EQ(DumpOn, pinpoint::clitest::readFile(Off));
+  EXPECT_NE(DumpOn.find("x.1"), std::string::npos) << DumpOn;
+}
+
 #endif // PINPOINT_CLI_TESTS
 
 } // namespace

@@ -157,8 +157,10 @@ inline pid_t spawnTool(const std::vector<std::string> &Args,
   pid_t Pid = fork();
   if (Pid != 0)
     return Pid;
-  // Child: run the exact driver and exit with its code (exit(), not
-  // _exit(), so stdio flushes — the flush behaviour is under test).
+  // Child: run the exact driver. Past the start of the analysis a release
+  // build ends the child itself, after flushing every stdio stream; a run
+  // that returns (code 2, or a sanitizer build) exits here with exit(),
+  // not _exit(), so stdio flushes — the flush behaviour is under test.
   if (!std::freopen(OutFile.c_str(), "w", stdout))
     std::exit(90);
   if (!std::freopen(ErrFile.c_str(), "w", stderr))

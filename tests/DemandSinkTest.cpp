@@ -1426,3 +1426,62 @@ TEST(DemandSinkCLI, OrphanTmpFilesAreSweptAtStartup) {
 #endif // PINPOINT_CLI_TESTS
 
 } // namespace
+
+#if PINPOINT_CLI_TESTS
+
+TEST(DemandSinkCLI, OldSeedPayloadVersionReadsAsFullRefresh) {
+  // Version 5 records hold pre-SSA fingerprints. An entry written under the
+  // version-4 key (relevanceSpecKey's hash with the old version) must load
+  // as Stale, so the warm run rescans everything: refresh-mode=full.
+  pinpoint::clitest::TempDir T("oldseedversion");
+  const std::string Subject = T.file("subject.mc");
+  std::ofstream(Subject) << "int twice(int *q) { free(q); free(q); return 0; }\n";
+  const std::string Dir = T.file("cache");
+  ASSERT_EQ(pinpoint::clitest::runTool(
+                {"--checker=uaf,df", "--cache-dir=" + Dir, Subject},
+                T.file("cold.out")),
+            0);
+
+  pinpoint::svfa::DemandSpec DS;
+  DS.Checkers.push_back(pinpoint::checkers::doubleFreeChecker());
+  DS.Checkers.push_back(pinpoint::checkers::useAfterFreeChecker());
+  auto Set = [](pinpoint::Hasher &H, const std::set<std::string> &S) {
+    H.u32(static_cast<uint32_t>(S.size()));
+    for (const std::string &E : S)
+      H.str(E);
+  };
+  pinpoint::Hasher H;
+  H.str("pinpoint-relevance-spec");
+  H.u32(4);
+  H.u8(DS.LeakSources ? 1 : 0);
+  H.u8(DS.UseSinkCones ? 1 : 0);
+  H.u32(static_cast<uint32_t>(DS.Checkers.size()));
+  for (const pinpoint::checkers::CheckerSpec &CS : DS.Checkers) {
+    H.str(CS.Name);
+    Set(H, CS.SourceArgFns);
+    Set(H, CS.SourceRetFns);
+    H.u8(CS.NullConstIsSource ? 1 : 0);
+    H.u8(CS.DerefIsSink ? 1 : 0);
+    Set(H, CS.SinkArgFns);
+    H.u8(CS.TemporalOrder ? 1 : 0);
+    H.u8(CS.FlowThroughOperators ? 1 : 0);
+  }
+  const uint64_t OldKey = H.digest();
+  EXPECT_NE(OldKey, pinpoint::svfa::relevanceSpecKey(DS));
+
+  pinpoint::SummaryCache Cache(Dir, pinpoint::SummaryCache::Mode::ReadWrite);
+  pinpoint::ByteWriter W;
+  W.u32(0);
+  ASSERT_TRUE(Cache.store(pinpoint::svfa::RelevanceEntryName, OldKey, W.take()));
+
+  ASSERT_EQ(pinpoint::clitest::runTool(
+                {"--checker=uaf,df", "--stats", "--cache-dir=" + Dir, Subject},
+                T.file("warm.out")),
+            0);
+  EXPECT_NE(pinpoint::clitest::readFile(T.file("warm.out"))
+                .find("refresh-mode=full"),
+            std::string::npos)
+      << pinpoint::clitest::readFile(T.file("warm.out"));
+}
+
+#endif // PINPOINT_CLI_TESTS

@@ -494,6 +494,35 @@ TEST_P(PipelineProperty, GeneratedModulesStayWellFormedThroughPipeline) {
   EXPECT_TRUE(Errs.empty()) << (Errs.empty() ? "" : Errs[0]);
 }
 
+TEST_P(PipelineProperty, DemandSkippedFunctionsStayInPreSSAForm) {
+  // With demand slicing, SSA runs only for the functions the pipeline
+  // analyses: they pass the strict SSA verifier, and every skipped one is
+  // left as the frontend built it (no phi, no statement numbering) and
+  // still passes the plain verifier.
+  workload::Workload W = makeWorkload();
+  Module M;
+  std::vector<frontend::Diag> Diags;
+  ASSERT_TRUE(frontend::parseModule(W.Source, M, Diags));
+  smt::ExprContext Ctx;
+  svfa::DemandSpec DS;
+  DS.Checkers.push_back(checkers::doubleFreeChecker());
+  svfa::PipelineOptions PO;
+  PO.Demand = &DS;
+  svfa::AnalyzedModule AM(M, Ctx, PO);
+  for (Function *F : M.functions()) {
+    const bool Skipped = AM.info(F).Skipped;
+    auto Errs = verifyFunction(*F, /*ExpectSSA=*/!Skipped);
+    EXPECT_TRUE(Errs.empty()) << F->name() << ": "
+                              << (Errs.empty() ? "" : Errs[0]);
+    if (!Skipped)
+      continue;
+    EXPECT_FALSE(F->hasStmtOrder()) << F->name();
+    for (BasicBlock *B : F->blocks())
+      for (Stmt *S : B->stmts())
+        EXPECT_FALSE(isa<PhiStmt>(S)) << F->name();
+  }
+}
+
 TEST_P(PipelineProperty, LoadDepConditionsAreSatisfiable) {
   // The quasi path-sensitive points-to must never emit a dependence whose
   // condition the SMT solver refutes: the linear filter only prunes, never

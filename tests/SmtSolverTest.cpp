@@ -16,6 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 namespace pinpoint::smt {
 namespace {
 
@@ -324,6 +327,40 @@ TEST_P(BackendTest, TimedOutQueryLeavesInstanceUsable) {
   EXPECT_EQ(S->checkSat(Ctx.mkAnd(Positive(X),
                                   Ctx.mkCmp(ExprKind::Lt, X, Ctx.getInt(0)))),
             SatResult::Unsat);
+}
+
+TEST_P(BackendTest, UnqueriedInstanceIsDroppedCleanly) {
+  // A backend that never sees a query makes nothing it must free (the Z3
+  // context opens on the first query); sanitizer builds check the drop.
+  auto S = makeSolver();
+  if (!S)
+    GTEST_SKIP() << "backend unavailable";
+  S.reset();
+  SUCCEED();
+}
+
+TEST_P(BackendTest, LateFirstQueryKeepsItsTimeout) {
+  if (std::string(GetParam().Name) != "z3")
+    GTEST_SKIP() << "wall-clock timeouts are a Z3 setting";
+  // The context, and with it the timeout, is made on the first query; one
+  // made long after construction must still be bounded.
+  auto S = createZ3Solver(Ctx, {.TimeoutMs = 100});
+  if (!S)
+    GTEST_SKIP() << "backend unavailable";
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  const Expr *X = Ctx.freshIntVar();
+  const Expr *Y = Ctx.freshIntVar();
+  const Expr *Z = Ctx.freshIntVar();
+  auto Cube = [&](const Expr *V) {
+    return Ctx.mkArith(ExprKind::Mul, V, Ctx.mkArith(ExprKind::Mul, V, V));
+  };
+  auto Positive = [&](const Expr *V) {
+    return Ctx.mkCmp(ExprKind::Gt, V, Ctx.getInt(0));
+  };
+  const Expr *Fermat = Ctx.mkAnd(
+      Ctx.mkAnd(Positive(X), Ctx.mkAnd(Positive(Y), Positive(Z))),
+      Ctx.mkEq(Ctx.mkArith(ExprKind::Add, Cube(X), Cube(Y)), Cube(Z)));
+  EXPECT_EQ(S->checkSat(Fermat), SatResult::Unknown);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendTest,
